@@ -9,8 +9,7 @@ uniform nodes on [0, 0.15].
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .errors import (
     ValidationError,
     ZeroMaturity,
 )
-from .model import DEFAULT_PARAMS, LogPriceCurve, MaturityGrid, ModelParams, RateGrid
+from .model import DEFAULT_PARAMS, LogPriceCurve, MaturityGrid, ModelParams, RateGrid, _text_sink
 from .pde import PdeConfig, PdeSolution, solve
 
 __all__ = [
@@ -229,13 +228,7 @@ class Table:
         return f"{value:.3e}"
 
     def to_csv(self, path_or_buf, stamp: str | None = None) -> None:
-        close = False
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            buf = open(path_or_buf, "w")
-            close = True
-        else:
-            buf = path_or_buf
-        try:
+        with _text_sink(path_or_buf) as buf:
             buf.write(f"# table: {self.table_id}\n")
             for key, val in self.meta.items():
                 buf.write(f"# {key}: {val}\n")
@@ -244,9 +237,6 @@ class Table:
             buf.write(",".join(self.columns) + "\n")
             for row in self.rows:
                 buf.write(",".join(self._fmt(c, v) for c, v in zip(self.columns, row)) + "\n")
-        finally:
-            if close:
-                buf.close()
 
     def to_text(self) -> str:
         cells = [[self._fmt(c, v) or "--" for c, v in zip(self.columns, row)] for row in self.rows]
@@ -355,51 +345,25 @@ def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
 
 def compute_table3_solutions(p: ModelParams, cfg: PdeConfig | None = None,
                              gammas=T3_GAMMAS, taus=T1_TAUS,
-                             estimate_error: bool = True,
-                             max_workers: int | None = None):
+                             estimate_error: bool = True):
     """Run the PDE solves (plus half-resolution companions for a Richardson
     error estimate) feeding table 3.
 
-    Returns (pde_solutions, error_estimates) keyed by gamma.  Results are
-    assembled in a fixed order, so they are deterministic regardless of
-    scheduling.  ``max_workers`` > 1 runs the per-gamma solves in a thread
-    pool; the default is serial, which measures faster here (the stepping
-    loop is Python-side and GIL-bound, so threads mostly contend).
+    Returns (pde_solutions, error_estimates) keyed by gamma, solved in the
+    order given.
     """
     cfg = cfg or PdeConfig()
-    gammas = tuple(gammas)
-    workers = max_workers or 1
-
     coarse_cfg = None
     if estimate_error and (cfg.n_space - 1) % 2 == 0 and cfg.n_time % 4 == 0 and cfg.n_space >= 7:
-        coarse_cfg = PdeConfig(
-            r_max=cfg.r_max, n_space=(cfg.n_space - 1) // 2 + 1, n_time=max(cfg.n_time // 4, 1),
-            t_final=cfg.t_final, theta_scheme=cfg.theta_scheme, drift_scheme=cfg.drift_scheme,
-            boundary_order=cfg.boundary_order, n_rannacher=cfg.n_rannacher,
-            allow_gamma_beyond_range=cfg.allow_gamma_beyond_range,
-        )
-
-    def run(g):
-        pg = p.with_gamma(g)
-        sol = solve(pg, cfg, taus)
-        comp = solve(pg, coarse_cfg, taus) if coarse_cfg is not None else None
-        return g, sol, comp
-
-    results = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for g, sol, comp in pool.map(run, gammas):
-                results[g] = (sol, comp)
-    else:
-        for g in gammas:
-            results[g] = run(g)[1:]
+        coarse_cfg = replace(cfg, n_space=(cfg.n_space - 1) // 2 + 1, n_time=max(cfg.n_time // 4, 1))
 
     solutions, estimates = {}, {}
     for g in gammas:
-        sol, comp = results[g]
-        solutions[g] = sol
-        if comp is None:
+        pg = p.with_gamma(g)
+        sol = solutions[g] = solve(pg, cfg, taus)
+        if coarse_cfg is None:
             continue
+        comp = solve(pg, coarse_cfg, taus)
         est = {}
         mask_f = sol.rates <= DEFAULT_NORM_GRID.r_max + 1e-12
         mask_c = comp.rates <= DEFAULT_NORM_GRID.r_max + 1e-12

@@ -7,15 +7,13 @@ solve exported as CSV).
 
 Exit codes: 0 success, 2 validation error, 3 method/gamma mismatch,
 4 golden-check failure, 5 unstable solve.  Output is deterministic: no
-timestamps unless ``--stamp`` is passed.  ``BONDKIT_THREADS`` caps the
-number of concurrent PDE solves (0 or unset = auto).
+timestamps unless ``--stamp`` is passed.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -70,10 +68,6 @@ def _add_pde_flags(sub):
     sub.add_argument("--rmax", type=float, default=d.r_max, help=f"domain truncation (default {d.r_max})")
     sub.add_argument("--tfinal", type=float, default=None,
                      help="maturity horizon (default: largest requested tau)")
-    sub.add_argument("--theta", type=float, default=d.theta_scheme,
-                     help=f"theta weight, 0.5=Crank-Nicolson 1=implicit (default {d.theta_scheme})")
-    sub.add_argument("--drift-scheme", choices=("central", "upwind"), default=d.drift_scheme)
-    sub.add_argument("--boundary-order", type=int, choices=(1, 2), default=d.boundary_order)
     sub.add_argument("--force-gamma", action="store_true",
                      help="allow gamma >= 1.5 despite the uniqueness caveat")
 
@@ -81,18 +75,8 @@ def _add_pde_flags(sub):
 def _pde_config(args, t_final: float) -> PdeConfig:
     return PdeConfig(
         r_max=args.rmax, n_space=args.nspace, n_time=args.ntime, t_final=t_final,
-        theta_scheme=args.theta, drift_scheme=args.drift_scheme,
-        boundary_order=args.boundary_order, allow_gamma_beyond_range=args.force_gamma,
+        allow_gamma_beyond_range=args.force_gamma,
     )
-
-
-def _threads() -> int | None:
-    raw = os.environ.get("BONDKIT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return None if n <= 0 else n
 
 
 def _stamp(args) -> str | None:
@@ -123,8 +107,10 @@ def _snap_n_time(n_time: int, t_final: float, taus) -> int:
 
 def cmd_price(args) -> int:
     p = _resolve_params(args)
-    if args.tau < 0:
-        raise ValidationError(f"tau must be >= 0, got {args.tau}")
+    if not 0 <= args.tau < math.inf:
+        raise ValidationError(f"tau must be finite and >= 0, got {args.tau}")
+    if not math.isfinite(args.rate):
+        raise ValidationError(f"rate must be finite, got {args.rate}")
     if args.method == "pde":
         if args.tau == 0:
             lnp = 0.0
@@ -150,9 +136,7 @@ def cmd_table(args) -> int:
     if args.table == 3:
         taus = analysis.T1_TAUS
         cfg = _pde_config(args, max(taus))
-        solutions, estimates = analysis.compute_table3_solutions(
-            p, cfg, estimate_error=True, max_workers=_threads()
-        )
+        solutions, estimates = analysis.compute_table3_solutions(p, cfg, estimate_error=True)
         table = analysis.build_table("T3", p, pde_solutions=solutions, error_estimates=estimates)
     else:
         table = analysis.build_table(f"T{args.table}", p)

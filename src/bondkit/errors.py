@@ -30,11 +30,6 @@ class FellerViolated(ValidationError):
     """2*alpha >= sigma**2 requested (square-root model) but not satisfied."""
 
 
-class BetaZeroUnsupportedForClosedForm(ValidationError):
-    """Reserved: beta == 0 is handled everywhere by analytic limits, so no
-    current operation raises this; kept so scripts can guard against it."""
-
-
 class GammaMismatch(ValidationError):
     """A closed form was requested for a gamma it does not cover."""
 

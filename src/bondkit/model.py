@@ -11,7 +11,9 @@ real (mean reversion requires beta < 0).  Rates are annualized decimals
 
 from __future__ import annotations
 
+import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +69,9 @@ def validate_params(p: ModelParams, requires_cir_condition: bool = False) -> Mod
     well-defined without it (it matters for positivity of the rate process,
     not for formula evaluation), and the benchmark parameter set violates it.
     """
+    for name in _KEYS:
+        if not math.isfinite(getattr(p, name)):
+            raise ValidationError(f"{name} must be finite, got {getattr(p, name)}")
     if not p.alpha > 0:
         raise NonPositiveAlpha(f"alpha must be > 0, got {p.alpha}")
     if not p.sigma > 0:
@@ -184,3 +189,14 @@ def save_params(p: ModelParams, path) -> None:
     round-trip representation so load(save(p)) == p exactly."""
     lines = [f"{k} = {getattr(p, k)!r}" for k in _KEYS]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+@contextmanager
+def _text_sink(path_or_buf):
+    """Yield a writable text stream for the CSV writers: a path is opened for
+    writing and closed afterwards, a buffer is passed through untouched."""
+    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+        with open(path_or_buf, "w") as buf:
+            yield buf
+    else:
+        yield path_or_buf

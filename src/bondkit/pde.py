@@ -3,31 +3,31 @@
     -P_tau + (1/2) sigma^2 r^{2 gamma} P_rr + (alpha + beta r) P_r - r P = 0,
     P(0, r) = 1,
 
-marched forward in maturity on a truncated uniform grid [0, r_max] with a
-theta-weighted implicit scheme (0.5 = Crank-Nicolson, 1 = fully implicit).
-The spatial operator uses central flux differences for the diffusion term
-and, by default, central differences for the drift (the drift is tiny
-relative to diffusion over the domains of interest, and the mesh Peclet
-number stays far below the oscillation threshold; a first-order upwind
-variant is available via ``drift_scheme="upwind"`` for verification).
+marched forward in maturity on a truncated uniform grid [0, r_max] by
+Crank-Nicolson, with the first ``N_IMPLICIT_START`` steps fully implicit to
+damp the startup of the degenerate corner.  The spatial operator uses
+central flux differences for the diffusion term and central differences for
+the drift (the drift is tiny relative to diffusion over the domains of
+interest, and the mesh Peclet number stays far below the oscillation
+threshold).
 
 Boundaries
 ----------
 r = 0   The diffusion coefficient vanishes for gamma > 0, so the PDE itself
         is imposed there: -P_tau + alpha P_r = 0 (the reaction term carries a
-        factor r).  P_r uses a one-sided difference in the upwind (inflow)
-        direction; the default order is 2 (three-point stencil, folded back
-        to tridiagonal form by one row-reduction), since the one-point
-        first-order variant leaves an O(dr^1.4) error spike at the node that
-        caps the observed convergence order.  For gamma = 0 the same policy
-        is applied and documented as a modeling choice.
+        factor r).  P_r uses a second-order one-sided difference in the
+        upwind (inflow) direction: a three-point stencil, folded back to
+        tridiagonal form by one row-reduction.  A one-point first-order
+        stencil would leave an O(dr^1.4) error spike at the node that caps
+        the observed convergence order.  For gamma = 0 the same policy is
+        applied and documented as a modeling choice.
 r_max   Zero second spatial derivative via a linear-extrapolation ghost node
         (ghost = 2 P_N - P_{N-1}); with that ghost the central drift
         difference degenerates to the one-sided backward difference.
 
-Each step solves one tridiagonal system (LAPACK banded solver).  The first
-``n_rannacher`` steps run fully implicit when theta < 1 to damp the startup
-of the degenerate corner.
+The two step matrices (implicit start-up and Crank-Nicolson) are each
+LU-factored once with LAPACK ``dgttrf``; every step is one ``dgttrs``
+solve.  SciPy is imported by :func:`solve`, not with the package.
 """
 
 from __future__ import annotations
@@ -35,14 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import GammaOutOfRange, TridiagonalSingular, UnstableSolve, ValidationError
-from .model import ModelParams, validate_params
+from .model import ModelParams, _text_sink, validate_params
 
 __all__ = ["PdeConfig", "PdeSolution", "SolveDiagnostics", "BoundaryPolicy", "solve", "boundary_policy"]
 
 _PIVOT_FLOOR = 1e-300
+THETA = 0.5  # Crank-Nicolson weight of the implicit half
+N_IMPLICIT_START = 10  # fully implicit (Rannacher) start-up steps
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,6 @@ class PdeConfig:
     n_space: int = 4001
     n_time: int = 40000
     t_final: float = 1.0
-    theta_scheme: float = 0.5
-    drift_scheme: str = "central"
-    boundary_order: int = 2
-    n_rannacher: int = 10
     allow_gamma_beyond_range: bool = False
 
     def __post_init__(self):
@@ -73,14 +70,6 @@ class PdeConfig:
             raise ValidationError(f"n_time must be >= 1, got {self.n_time}")
         if not self.t_final > 0:
             raise ValidationError(f"t_final must be > 0, got {self.t_final}")
-        if not 0.5 <= self.theta_scheme <= 1.0:
-            raise ValidationError(f"theta_scheme must lie in [0.5, 1], got {self.theta_scheme}")
-        if self.drift_scheme not in ("central", "upwind"):
-            raise ValidationError(f"drift_scheme must be 'central' or 'upwind', got {self.drift_scheme}")
-        if self.boundary_order not in (1, 2):
-            raise ValidationError(f"boundary_order must be 1 or 2, got {self.boundary_order}")
-        if self.n_rannacher < 0:
-            raise ValidationError(f"n_rannacher must be >= 0, got {self.n_rannacher}")
 
 
 @dataclass(frozen=True)
@@ -93,16 +82,15 @@ class BoundaryPolicy:
 
 def boundary_policy(p: ModelParams, cfg: PdeConfig) -> BoundaryPolicy:
     """Describe the boundary treatment :func:`solve` will use."""
-    order = cfg.boundary_order
     if p.gamma > 0:
         left = (
             f"r=0: diffusion coefficient vanishes (gamma={p.gamma} > 0); impose the PDE "
-            f"-P_tau + alpha P_r = 0 with an order-{order} one-sided (inflow upwind) derivative"
+            "-P_tau + alpha P_r = 0 with an order-2 one-sided (inflow upwind) derivative"
         )
     else:
         left = (
             "r=0: gamma=0 leaves nonzero diffusion at the boundary, but the same drift-only "
-            f"equation -P_tau + alpha P_r = 0 (order-{order} one-sided) is imposed as a "
+            "equation -P_tau + alpha P_r = 0 (order-2 one-sided) is imposed as a "
             "modeling choice"
         )
     right = (
@@ -114,7 +102,8 @@ def boundary_policy(p: ModelParams, cfg: PdeConfig) -> BoundaryPolicy:
 
 @dataclass
 class SolveDiagnostics:
-    """Solver health counters recorded during time stepping."""
+    """Solver health figures: the smallest LU pivot of the two step matrices
+    and the worst residual of a probe solve with each factorization."""
 
     n_steps: int
     n_rannacher_steps: int
@@ -145,19 +134,12 @@ class PdeSolution:
         Metadata lines (``#``-prefixed) record the configuration and
         parameters; numbers use shortest round-trip representation.
         """
-        close = False
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            buf = open(path_or_buf, "w")
-            close = True
-        else:
-            buf = path_or_buf
-        try:
+        with _text_sink(path_or_buf) as buf:
             p, c = self.params, self.config
             buf.write(f"# params: alpha={p.alpha!r} beta={p.beta!r} sigma={p.sigma!r} gamma={p.gamma!r}\n")
             buf.write(
                 f"# config: r_max={c.r_max!r} n_space={c.n_space} n_time={c.n_time} "
-                f"t_final={c.t_final!r} theta={c.theta_scheme!r} drift={c.drift_scheme} "
-                f"boundary_order={c.boundary_order}\n"
+                f"t_final={c.t_final!r} theta={THETA!r} drift=central boundary_order=2\n"
             )
             if self.diagnostics is not None:
                 d = self.diagnostics
@@ -170,35 +152,34 @@ class PdeSolution:
             buf.write("r," + ",".join(f"lnP_tau{t!r}" for t in self.taus) + "\n")
             for j, r in enumerate(self.rates):
                 buf.write(f"{float(r)!r}," + ",".join(f"{float(v)!r}" for v in self.log_prices[:, j]) + "\n")
-        finally:
-            if close:
-                buf.close()
 
 
-def _thomas_min_pivot(lo: np.ndarray, di: np.ndarray, up: np.ndarray) -> float:
-    """Smallest |pivot| met by Thomas elimination of the tridiagonal matrix
-    with diagonals (lo, di, up); lo[i]/up[i] multiply P_(i-1)/P_(i+1) in row i."""
-    d = di[0]
-    min_pivot = abs(d)
-    for i in range(1, di.size):
-        if abs(d) < _PIVOT_FLOOR:
-            return float(abs(d))
-        d = di[i] - lo[i] * up[i - 1] / d
-        min_pivot = min(min_pivot, abs(d))
-    return float(min_pivot)
+def _factor(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
+    """LU-factor the tridiagonal matrix with sub-, main and super-diagonals
+    (dl, d, du) by LAPACK ``dgttrf``.
+
+    Returns ``(solve_step, min_pivot, residual)``: a function mapping b to
+    the solution of A x = b (b is overwritten), the smallest |U_ii|, and
+    max |A x - 1| of a probe solve with a right-hand side of ones.
+    """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    *factors, info = dgttrf(dl, d, du)
+    min_pivot = float(np.min(np.abs(factors[1])))
+    if info > 0 or min_pivot < _PIVOT_FLOOR:
+        raise TridiagonalSingular(f"time-step matrix pivot {min_pivot} below {_PIVOT_FLOOR}")
+
+    def solve_step(b):
+        return dgttrs(*factors, b, overwrite_b=True)[0]
+
+    x = solve_step(np.ones(d.size))
+    res = d * x - 1.0
+    res[:-1] += du * x[1:]
+    res[1:] += dl * x[:-1]
+    return solve_step, min_pivot, float(np.max(np.abs(res)))
 
 
-def _min_pivot_banded(ab: np.ndarray) -> float:
-    """Pivot scan for a matrix in LAPACK (1,1)-banded layout."""
-    n = ab.shape[1]
-    lo = np.zeros(n)
-    up = np.zeros(n)
-    lo[1:] = ab[2, :-1]
-    up[:-1] = ab[0, 1:]
-    return _thomas_min_pivot(lo, ab[1], up)
-
-
-def _spatial_operator(p: ModelParams, cfg: PdeConfig, r: np.ndarray, dr: float):
+def _spatial_operator(p: ModelParams, r: np.ndarray, dr: float):
     """Diagonals (lo, di, up) of L (interior + r_max row) plus the 3-point
     r=0 boundary row coefficients b0 for [P0, P1, P2]."""
     n = r.size
@@ -209,53 +190,39 @@ def _spatial_operator(p: ModelParams, cfg: PdeConfig, r: np.ndarray, dr: float):
     a = 0.5 * s2 * r ** (2 * p.gamma) if p.gamma > 0 else np.full(n, 0.5 * s2)
     v = p.alpha + p.beta * r
     j = np.arange(1, n - 1)
-    lo[j] = a[j] / dr**2
+    lo[j] = a[j] / dr**2 - v[j] / (2 * dr)
     di[j] = -2.0 * a[j] / dr**2 - r[j]
-    up[j] = a[j] / dr**2
-    if cfg.drift_scheme == "central":
-        lo[j] -= v[j] / (2 * dr)
-        up[j] += v[j] / (2 * dr)
-    else:
-        pos = v[j] > 0
-        up[j] += np.where(pos, v[j] / dr, 0.0)
-        di[j] += np.where(pos, -v[j] / dr, v[j] / dr)
-        lo[j] -= np.where(pos, 0.0, v[j] / dr)
+    up[j] = a[j] / dr**2 + v[j] / (2 * dr)
     # r_max row: ghost = 2 P_N - P_(N-1) kills the diffusion term and turns
-    # any drift stencil into the backward difference
+    # the central drift difference into the backward difference
     lo[n - 1] = -v[n - 1] / dr
     di[n - 1] = v[n - 1] / dr - r[n - 1]
-    if cfg.boundary_order == 1:
-        b0 = np.array([-p.alpha / dr, p.alpha / dr, 0.0])
-    else:
-        b0 = np.array([-1.5 * p.alpha / dr, 2.0 * p.alpha / dr, -0.5 * p.alpha / dr])
+    b0 = np.array([-1.5 * p.alpha / dr, 2.0 * p.alpha / dr, -0.5 * p.alpha / dr])
     return lo, di, up, b0
 
 
 def _step_matrices(lo, di, up, b0, theta, dt):
-    """LHS in LAPACK banded layout (row 0 reduced to the tridiagonal band),
-    RHS diagonals, explicit row-0 stencil and the row-reduction multiplier."""
-    n = di.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -theta * dt * up[:-1]
-    ab[1, :] = 1.0 - theta * dt * di
-    ab[2, :-1] = -theta * dt * lo[1:]
+    """LHS as tridiagonal (sub, main, super) diagonals with row 0 reduced to
+    the band, RHS diagonals, explicit row-0 stencil and the row-reduction
+    multiplier."""
+    sub = -theta * dt * lo[1:]
+    main = 1.0 - theta * dt * di
+    sup = -theta * dt * up[:-1]
     m00 = 1.0 - theta * dt * b0[0]
     m01 = -theta * dt * b0[1]
     m02 = -theta * dt * b0[2]
-    mult = 0.0
-    if m02 != 0.0:
-        mult = m02 / ab[0, 2]  # eliminate the P2 entry against row 1
-        m00 -= mult * ab[2, 0]
-        m01 -= mult * ab[1, 1]
-    ab[1, 0] = m00
-    ab[0, 1] = m01
+    mult = m02 / sup[1]  # eliminate the P2 entry against row 1
+    m00 -= mult * sub[0]
+    m01 -= mult * main[1]
+    main[0] = m00
+    sup[0] = m01
     rl = (1.0 - theta) * dt * lo
     rd = 1.0 + (1.0 - theta) * dt * di
     ru = (1.0 - theta) * dt * up
     e0 = np.array(
         [1.0 + (1.0 - theta) * dt * b0[0], (1.0 - theta) * dt * b0[1], (1.0 - theta) * dt * b0[2]]
     )
-    return ab, rl, rd, ru, e0, mult
+    return (sub, main, sup), rl, rd, ru, e0, mult
 
 
 def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
@@ -279,17 +246,17 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
     dr = r[1] - r[0]
     dt = cfg.t_final / cfg.n_time
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, di, up, b0 = _spatial_operator(p, cfg, r, dr)
-        theta = cfg.theta_scheme
-        n_rann = cfg.n_rannacher if theta < 1.0 else 0
+        lo, di, up, b0 = _spatial_operator(p, r, dr)
         mats_im = _step_matrices(lo, di, up, b0, 1.0, dt)
-        mats_cn = mats_im if theta == 1.0 else _step_matrices(lo, di, up, b0, theta, dt)
-    if not (np.all(np.isfinite(mats_im[0])) and np.all(np.isfinite(mats_cn[0]))):
+        mats_cn = _step_matrices(lo, di, up, b0, THETA, dt)
+    if not all(np.all(np.isfinite(a)) for a in (*mats_im[0], *mats_cn[0])):
         raise UnstableSolve("non-finite time-step operator entries (parameter/grid overflow)")
-    min_pivot = min(_min_pivot_banded(mats_im[0]), _min_pivot_banded(mats_cn[0]))
-    if min_pivot < _PIVOT_FLOOR:
-        raise TridiagonalSingular(f"time-step matrix pivot {min_pivot} below {_PIVOT_FLOOR}")
-    diag = SolveDiagnostics(n_steps=cfg.n_time, n_rannacher_steps=n_rann, min_pivot=min_pivot)
+    solve_im, piv_im, res_im = _factor(*mats_im[0])
+    solve_cn, piv_cn, res_cn = _factor(*mats_cn[0])
+    diag = SolveDiagnostics(n_steps=cfg.n_time, n_rannacher_steps=N_IMPLICIT_START,
+                            min_pivot=min(piv_im, piv_cn), max_linear_residual=max(res_im, res_cn))
+    step_im = (solve_im, *mats_im[1:])
+    step_cn = (solve_cn, *mats_cn[1:])
 
     order = np.argsort(taus)
     pending = [(taus[i], i) for i in order]
@@ -297,23 +264,17 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
     P = np.ones(cfg.n_space)
     while pending and pending[0][0] <= 1e-14:
         pending.pop(0)  # tau = 0 snapshot is the zero log price already stored
-    max_res = 0.0
     for k in range(cfg.n_time):
-        ab, rl, rd, ru, e0, mult = mats_im if k < n_rann else mats_cn
+        solve_step, rl, rd, ru, e0, mult = step_im if k < N_IMPLICIT_START else step_cn
         rhs = rd * P
         rhs[:-1] += ru[:-1] * P[1:]
         rhs[1:] += rl[1:] * P[:-1]
         rhs[0] = e0[0] * P[0] + e0[1] * P[1] + e0[2] * P[2]
         rhs[0] -= mult * rhs[1]
         P_prev = P
-        P = solve_banded((1, 1), ab, rhs, check_finite=False)
+        P = solve_step(rhs)
         if not np.all(np.isfinite(P)):
             raise UnstableSolve(f"non-finite price after step {k + 1}")
-        # residual of the banded solve itself (solver health, ~1e-16 scale)
-        res = ab[1, :] * P
-        res[:-1] += ab[0, 1:] * P[1:]
-        res[1:] += ab[2, :-1] * P[:-1]
-        max_res = max(max_res, float(np.max(np.abs(res - rhs))))
         t_new = (k + 1) * dt
         while pending and pending[0][0] <= t_new + 1e-12:
             want, idx = pending.pop(0)
@@ -323,7 +284,6 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
             if np.any(snap <= 0):
                 raise UnstableSolve(f"non-positive price in snapshot at tau={want}")
             snaps[idx] = np.log(snap)
-    diag.max_linear_residual = max_res
     if not np.all(np.isfinite(snaps)):
         raise UnstableSolve("non-finite log price in snapshots")
     return PdeSolution(config=cfg, params=p, taus=taus, rates=r, log_prices=snaps, diagnostics=diag)

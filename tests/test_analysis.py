@@ -220,7 +220,7 @@ class TestTables:
 
     def test_table3_small_grid_structure(self, params):
         cfg = PdeConfig(n_space=201, n_time=80)
-        sols, ests = compute_table3_solutions(params, cfg, gammas=(0.5, 1.0), max_workers=1)
+        sols, ests = compute_table3_solutions(params, cfg, gammas=(0.5, 1.0))
         t = build_table("T3", params, pde_solutions=sols, error_estimates=ests)
         assert len(t.rows) == 8
         assert t.column("gamma")[:4] == [0.5] * 4

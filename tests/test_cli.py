@@ -49,6 +49,14 @@ class TestPrice:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("flag,value", [("--beta", "nan"), ("--sigma", "inf"),
+                                            ("--tau", "nan"), ("--tau", "inf"), ("--rate", "nan")])
+    def test_non_finite_input_exit_2(self, capsys, flag, value):
+        argv = {"--tau": "1", "--rate": "0.1", flag: value}
+        code, out, err = run(capsys, "price", "--method", "cw", *(x for kv in argv.items() for x in kv))
+        assert code == 2 and out == ""
+        assert flag[2:] in err
+
     def test_feller_flag(self, capsys):
         code, _, err = run(capsys, "price", "--method", "cw", "--feller-check",
                            "--tau", "1", "--rate", "0.1")
@@ -111,8 +119,7 @@ class TestTable:
         code, _, err = run(capsys, "table", "--table", "1")
         assert code == 2
 
-    def test_table3_small_grid_writes(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BONDKIT_THREADS", "2")
+    def test_table3_small_grid_writes(self, capsys, tmp_path):
         path = tmp_path / "t3.csv"
         code, _, _ = run(capsys, "table", "--table", "3", "--out", str(path),
                          "--nspace", "201", "--ntime", "80")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,12 @@ class TestValidateParams:
     def test_negative_gamma(self):
         with pytest.raises(NegativeGamma):
             validate_params(ModelParams(0.1, 0.0, 0.1, -0.25))
+
+    @pytest.mark.parametrize("field,value", [("alpha", np.inf), ("beta", np.nan),
+                                             ("sigma", np.inf), ("gamma", np.nan)])
+    def test_non_finite_rejected(self, params, field, value):
+        with pytest.raises(ValidationError, match=field):
+            validate_params(replace(params, **{field: value}))
 
     def test_any_beta_sign_accepted(self):
         for beta in (-1.0, 0.0, 0.3):

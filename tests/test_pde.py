@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import bondkit
 from bondkit import (
     MaturityGrid,
     ModelParams,
@@ -10,8 +15,8 @@ from bondkit import (
     cir_log_price,
     solve,
 )
-from bondkit.errors import GammaOutOfRange, UnstableSolve, ValidationError
-from bondkit.pde import _thomas_min_pivot
+from bondkit.errors import GammaOutOfRange, TridiagonalSingular, UnstableSolve, ValidationError
+from bondkit.pde import _factor
 
 
 def linf_vs_cir(params, sol, tau, r_hi=0.15):
@@ -28,10 +33,6 @@ class TestConfig:
             PdeConfig(n_space=2)
         with pytest.raises(ValidationError):
             PdeConfig(n_time=0)
-        with pytest.raises(ValidationError):
-            PdeConfig(theta_scheme=0.3)
-        with pytest.raises(ValidationError):
-            PdeConfig(drift_scheme="mixed")
 
     def test_minimal_grid_runs(self, params):
         # n_space = 3 is the documented lower bound: runs, untrusted accuracy
@@ -44,8 +45,8 @@ class TestBoundaryPolicy:
         pol = boundary_policy(params, PdeConfig())
         assert "vanishes" in pol.left and "order-2" in pol.left
         assert "ghost" in pol.right
-        pol1 = boundary_policy(params.with_gamma(0.0), PdeConfig(boundary_order=1))
-        assert "modeling choice" in pol1.left and "order-1" in pol1.left
+        pol0 = boundary_policy(params.with_gamma(0.0), PdeConfig())
+        assert "modeling choice" in pol0.left and "order-2" in pol0.left
 
     def test_zero_rate_node_near_constant_after_one_step(self, params):
         cfg = PdeConfig(n_space=51, n_time=1, t_final=0.01, r_max=0.5)
@@ -62,7 +63,7 @@ class TestBoundaryPolicy:
 
         cfg = PdeConfig(n_space=11, n_time=1)
         r = np.linspace(0.0, cfg.r_max, cfg.n_space)
-        lo, di, up, _ = _spatial_operator(params, cfg, r, r[1] - r[0])
+        lo, di, up, _ = _spatial_operator(params, r, r[1] - r[0])
         a_coef, b_coef = 0.9, -0.4
         P = a_coef + b_coef * r
         v = params.alpha + params.beta * r[-1]
@@ -95,16 +96,6 @@ class TestSolve:
             errs.append(linf_vs_cir(params, sol, 1.0))
         eocs = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(e >= 1.9 for e in eocs)
-
-    def test_upwind_runs_but_less_accurate(self, params):
-        central = solve(params, PdeConfig(n_space=501, n_time=1000), [1.0])
-        upwind = solve(params, PdeConfig(n_space=501, n_time=1000, drift_scheme="upwind"), [1.0])
-        assert linf_vs_cir(params, upwind, 1.0) > linf_vs_cir(params, central, 1.0)
-
-    def test_order1_boundary_leaves_node_zero_spike(self, params):
-        o2 = solve(params, PdeConfig(n_space=1001, n_time=4000), [1.0])
-        o1 = solve(params, PdeConfig(n_space=1001, n_time=4000, boundary_order=1), [1.0])
-        assert linf_vs_cir(params, o1, 1.0) > 5 * linf_vs_cir(params, o2, 1.0)
 
     def test_positivity_to_ten_years(self, params):
         sol = solve(params, PdeConfig(n_space=501, n_time=2000, t_final=10.0),
@@ -165,18 +156,17 @@ class TestSolve:
 
 
 class TestThomasPivot:
+    # _factor takes the sub-, main and super-diagonals of the matrix
     def test_detects_singular_matrix(self):
-        # rows [1 1 0; 1 1 0...]: second pivot is exactly zero
-        lo = np.array([0.0, 1.0, 0.0])
-        di = np.array([1.0, 1.0, 1.0])
-        up = np.array([1.0, 0.0, 0.0])
-        assert _thomas_min_pivot(lo, di, up) == 0.0
+        # rows [1 1 0; 1 1 0; 0 0 1]: second pivot is exactly zero
+        with pytest.raises(TridiagonalSingular):
+            _factor(np.array([1.0, 0.0]), np.array([1.0, 1.0, 1.0]), np.array([1.0, 0.0]))
 
     def test_well_conditioned(self):
-        lo = np.array([0.0, -0.1, -0.1])
-        di = np.array([2.0, 2.0, 2.0])
-        up = np.array([-0.1, -0.1, 0.0])
-        assert _thomas_min_pivot(lo, di, up) > 1.9
+        _, min_pivot, residual = _factor(np.array([-0.1, -0.1]), np.array([2.0, 2.0, 2.0]),
+                                         np.array([-0.1, -0.1]))
+        assert min_pivot > 1.9
+        assert residual < 1e-15
 
 
 class TestSolutionExport:
@@ -200,3 +190,12 @@ class TestSolutionExport:
         sol = solve(params, PdeConfig(n_space=11, n_time=4, t_final=1.0), [1.0])
         with pytest.raises(KeyError):
             sol.log_price_at(0.25)
+
+
+def test_import_does_not_load_scipy():
+    # SciPy is imported by solve() only, so pricing and tables start faster
+    src = os.path.dirname(os.path.dirname(bondkit.__file__))
+    code = "import sys, bondkit; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
