@@ -25,7 +25,6 @@ from .analysis import (
     yield_curve,
 )
 from .approximation import (
-    ApproxOrder,
     c5,
     c5_derivatives,
     c6,
@@ -54,7 +53,7 @@ from .pde import BoundaryPolicy, PdeConfig, PdeSolution, boundary_policy, solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxOrder", "BondkitError", "BoundaryPolicy", "CheckResult", "DEFAULT_PARAMS",
+    "BondkitError", "BoundaryPolicy", "CheckResult", "DEFAULT_PARAMS",
     "DomainError", "EocRow", "ErrorReport", "LogPriceCurve", "MaturityGrid", "ModelParams",
     "PdeConfig", "PdeSolution", "RateGrid", "Table", "ValidationError", "b_factor",
     "boundary_policy", "build_table", "c5", "c5_derivatives", "c6", "check_table",

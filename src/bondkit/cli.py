@@ -105,6 +105,17 @@ def _snap_n_time(n_time: int, t_final: float, taus) -> int:
     return aligned if aligned <= 4 * n_time else n_time
 
 
+def _parse_taus(text: str) -> list:
+    """The finite maturities of a comma-separated ``--taus`` value."""
+    try:
+        taus = [float(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"bad --taus value: {exc}") from None
+    if not all(math.isfinite(t) for t in taus):
+        raise ValidationError(f"--taus must be finite, got {text!r}")
+    return taus
+
+
 def cmd_price(args) -> int:
     p = _resolve_params(args)
     if not 0 <= args.tau < math.inf:
@@ -155,10 +166,7 @@ def cmd_table(args) -> int:
 
 def cmd_eoc(args) -> int:
     p = _resolve_params(args)
-    try:
-        taus = MaturityGrid(float(t) for t in args.taus.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"bad --taus value: {exc}") from None
+    taus = MaturityGrid(_parse_taus(args.taus))
     if len(taus) < 2:
         raise ValidationError("eoc needs at least two maturities")
     pair = tuple(args.method_pair.split(","))
@@ -183,7 +191,7 @@ def cmd_eoc(args) -> int:
 
 def cmd_pde(args) -> int:
     p = _resolve_params(args)
-    taus = sorted(float(t) for t in args.taus.split(","))
+    taus = sorted(_parse_taus(args.taus))
     if any(t < 0 for t in taus):
         raise ValidationError("snapshot maturities must be >= 0")
     t_final = args.tfinal if args.tfinal is not None else max(taus)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GammaMismatch
+from .errors import DomainError, GammaMismatch, ValidationError
 from .model import ModelParams
 
 __all__ = ["b_factor", "vasicek_log_price", "cir_log_price", "cir_partials", "vasicek_partials"]
@@ -36,6 +36,12 @@ BETA_EPS = 1e-10
 #: Above this theta*tau the exponential is factored out of the gamma=1/2
 #: closed form (uniformly stable and overflow-free; see module docstring).
 _EXP_SWITCH = 1.0
+
+
+def _check_maturity(tau) -> None:
+    """Refuse a negative or NaN maturity."""
+    if not tau >= 0:
+        raise ValidationError(f"maturity must be >= 0, got {tau}")
 
 
 def b_factor(beta: float, tau: float) -> float:
@@ -74,10 +80,13 @@ def cir_log_price(p: ModelParams, tau: float, r):
     """
     if p.gamma != 0.5:
         raise GammaMismatch(f"cir_log_price requires gamma == 0.5, got {p.gamma}")
+    _check_maturity(tau)
     a, b, s = p.alpha, p.beta, p.sigma
     th = np.sqrt(b * b + 2.0 * s * s)
     scalar = np.ndim(r) == 0
     r = np.asarray(r, dtype=float)
+    if not (r >= 0).all():
+        raise DomainError("cir_log_price: negative or NaN rate")
     if th * tau <= _EXP_SWITCH:
         em = np.expm1(th * tau)
         D = (th - b) * em + 2.0 * th

@@ -121,7 +121,7 @@ class MaturityGrid:
         object.__setattr__(self, "taus", tuple(float(t) for t in taus))
         if len(self.taus) == 0:
             raise ValidationError("need at least one maturity")
-        if any(t <= 0 for t in self.taus):
+        if not all(t > 0 for t in self.taus):
             raise ValidationError(f"all maturities must be > 0, got {self.taus}")
         if len(self.taus) > 1:
             diffs = np.diff(self.taus)

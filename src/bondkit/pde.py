@@ -44,6 +44,7 @@ __all__ = ["PdeConfig", "PdeSolution", "SolveDiagnostics", "BoundaryPolicy", "so
 _PIVOT_FLOOR = 1e-300
 THETA = 0.5  # Crank-Nicolson weight of the implicit half
 N_IMPLICIT_START = 10  # fully implicit (Rannacher) start-up steps
+_TAU_MATCH = 1e-12  # a snapshot maturity this close to a time level lands on it
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ class PdeSolution:
 
     def log_price_at(self, tau: float) -> np.ndarray:
         for i, t in enumerate(self.taus):
-            if t == tau:
+            if abs(t - tau) <= _TAU_MATCH:
                 return self.log_prices[i]
         raise KeyError(f"no snapshot at tau={tau}; have {self.taus}")
 
@@ -239,7 +240,7 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
             "guaranteed there; pass allow_gamma_beyond_range=True to solve anyway"
         )
     taus = tuple(float(t) for t in snapshot_taus)
-    if any(t < 0 or t > cfg.t_final + 1e-12 for t in taus):
+    if not all(0 <= t <= cfg.t_final + _TAU_MATCH for t in taus):
         raise ValidationError(f"snapshot maturities must lie in [0, t_final]; got {taus}")
 
     r = np.linspace(0.0, cfg.r_max, cfg.n_space)
@@ -253,7 +254,8 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
         raise UnstableSolve("non-finite time-step operator entries (parameter/grid overflow)")
     solve_im, piv_im, res_im = _factor(*mats_im[0])
     solve_cn, piv_cn, res_cn = _factor(*mats_cn[0])
-    diag = SolveDiagnostics(n_steps=cfg.n_time, n_rannacher_steps=N_IMPLICIT_START,
+    diag = SolveDiagnostics(n_steps=cfg.n_time,
+                            n_rannacher_steps=min(N_IMPLICIT_START, cfg.n_time),
                             min_pivot=min(piv_im, piv_cn), max_linear_residual=max(res_im, res_cn))
     step_im = (solve_im, *mats_im[1:])
     step_cn = (solve_cn, *mats_cn[1:])
@@ -276,7 +278,7 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
         if not np.all(np.isfinite(P)):
             raise UnstableSolve(f"non-finite price after step {k + 1}")
         t_new = (k + 1) * dt
-        while pending and pending[0][0] <= t_new + 1e-12:
+        while pending and pending[0][0] <= t_new + _TAU_MATCH:
             want, idx = pending.pop(0)
             w = (want - (t_new - dt)) / dt
             w = min(max(w, 0.0), 1.0)

@@ -5,7 +5,6 @@ import pytest
 
 from _reference import mp_cir, mp_cw, mp_improved
 from bondkit import (
-    ApproxOrder,
     ModelParams,
     cir_log_price,
     cw_log_price,
@@ -17,7 +16,8 @@ from bondkit import (
     q_factor,
     vasicek_log_price,
 )
-from bondkit.errors import DomainError, StepTooLarge
+from bondkit.analysis import METHODS
+from bondkit.errors import DomainError, StepTooLarge, ValidationError
 
 
 class TestQFactor:
@@ -44,6 +44,9 @@ class TestQFactor:
     def test_domain_guard(self, params):
         with pytest.raises(DomainError):
             q_factor(params.with_gamma(0.3), 0.0)
+        with pytest.raises(DomainError):
+            # r^{2 gamma - 1} and r^{4 gamma - 2} overflow near r = 0
+            q_factor(params.with_gamma(0.3), 1e-300)
         with pytest.raises(DomainError):
             q_factor(params, -0.01)
         # r = 0 fine for gamma >= 1/2
@@ -189,6 +192,22 @@ class TestImproved:
         assert all(q < 2 * c6_scale for q in ratios)
         assert max(ratios) / min(ratios) < 1.5  # bounded, not growing
 
-    def test_approx_order_enum(self, params):
-        assert ApproxOrder.ORIGINAL.log_price(params, 1.0, 0.1) == cw_log_price(params, 1.0, 0.1)
-        assert ApproxOrder.IMPROVED.log_price(params, 1.0, 0.1) == improved_log_price(params, 1.0, 0.1)
+
+class TestInputGuards:
+    @pytest.mark.parametrize("tau", [-1.0, float("nan")])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_negative_or_nan_maturity_rejected(self, params, method, tau):
+        p = params.with_gamma(0.0 if method == "vasicek" else 0.5)
+        with pytest.raises(ValidationError):
+            METHODS[method](p, tau, 0.05)
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_nan_rate_rejected(self, params, method):
+        p = params.with_gamma(0.0 if method == "vasicek" else 0.5)
+        with pytest.raises(DomainError):
+            METHODS[method](p, 1.0, float("nan"))
+        with pytest.raises(DomainError):
+            METHODS[method](p, 1.0, np.array([0.05, np.nan]))
+
+    def test_vasicek_keeps_negative_rates(self, vas_params):
+        assert np.isfinite(cw_log_price(vas_params, 1.0, -0.05))

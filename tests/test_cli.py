@@ -67,6 +67,12 @@ class TestPrice:
                          "--tau", "1", "--rate", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["cw", "improved", "cir"])
+    def test_negative_rate_exit_2(self, capsys, method):
+        code, out, err = run(capsys, "price", "--method", method, "--tau", "1", "--rate", "-0.1")
+        assert code == 2 and out == ""
+        assert "rate" in err
+
     def test_pde_method_small_grid(self, capsys):
         base = ["--tau", "0.5", "--rate", "0.1", "--nspace", "401", "--ntime", "400"]
         code, out, _ = run(capsys, "price", "--method", "pde", *base)
@@ -161,6 +167,12 @@ class TestEoc:
         code, _, _ = run(capsys, "eoc", "--taus", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("taus", ["1,1/3", "1,nan", "1,inf"])
+    def test_bad_taus_exit_2(self, capsys, taus):
+        code, out, err = run(capsys, "eoc", "--taus", taus)
+        assert code == 2 and out == ""
+        assert "--taus" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "eoc.csv"
         code, out, _ = run(capsys, "eoc", "--out", str(path))
@@ -204,3 +216,19 @@ class TestPde:
         code, _, err = run(capsys, "pde", "--sigma", "1e160", "--out", str(path),
                            "--nspace", "51", "--ntime", "10", "--taus", "1")
         assert code == 5
+
+    @pytest.mark.parametrize("taus", ["0.25,1/3,1", "0.5,nan", "inf"])
+    def test_bad_taus_exit_2(self, capsys, tmp_path, taus):
+        path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "pde", "--taus", taus, "--out", str(path),
+                             "--nspace", "11", "--ntime", "4")
+        assert code == 2 and out == ""
+        assert "--taus" in err
+        assert not path.exists()
+
+    def test_startup_steps_reported_within_step_count(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "pde", "--nspace", "11", "--ntime", "4", "--taus", "1",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 0
+        assert out.startswith("solved: 4 steps (4 implicit startup)")
+        assert "rannacher=4 " in (tmp_path / "x.csv").read_text()

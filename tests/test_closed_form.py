@@ -15,7 +15,7 @@ from bondkit import (
     vasicek_log_price,
     vasicek_partials,
 )
-from bondkit.errors import GammaMismatch
+from bondkit.errors import DomainError, GammaMismatch
 
 
 class TestBFactor:
@@ -88,6 +88,12 @@ class TestCir:
     def test_gamma_guard(self, params):
         with pytest.raises(GammaMismatch):
             cir_log_price(params.with_gamma(1.0), 1.0, 0.05)
+
+    def test_negative_or_nan_rate_rejected(self, params):
+        # P > 1 would come out of the formula for a negative rate
+        for r in (-0.1, float("nan"), np.array([0.1, -1e-9])):
+            with pytest.raises(DomainError):
+                cir_log_price(params, 1.0, r)
 
     def test_pde_residual_grid(self, params):
         f = functools.partial(cir_log_price, params)

@@ -12,7 +12,8 @@ of the production code and act as frozen oracles:
 import numpy as np
 import pytest
 
-from bondkit import c5, c5_derivatives, c6, k4, k5, q_factor
+from _reference import mp_c5, mp_c6, mp_k4, mp_k5
+from bondkit import c5, c5_derivatives, c6, improved_log_price, k4, k5, q_factor
 from bondkit.errors import DomainError
 
 
@@ -127,9 +128,35 @@ class TestDomainGuards:
             c5(params.with_gamma(0.75), -1.0)
 
     def test_gamma_at_least_one_fine_at_small_rates(self, params):
-        # no negative powers survive for gamma >= 1
+        # no negative powers survive in k4, k5 and c5 for gamma >= 1
         for g in (1.0, 1.32):
-            assert np.isfinite(c5(params.with_gamma(g), 1e-8))
+            p = params.with_gamma(g)
+            for fn, ref in ((k4, mp_k4), (k5, mp_k5), (c5, mp_c5)):
+                assert fn(p, 1e-8) == pytest.approx(float(ref(p, 1e-8)), rel=1e-12)
+                assert np.isfinite(fn(p, 0.0))
+
+    def test_gamma_one_improved_analytic_at_zero_rate(self, params):
+        # c5'' and k5 keep only non-negative powers at gamma = 1 as well
+        p = params.with_gamma(1.0)
+        assert c5(p, 0.0) == pytest.approx(-p.sigma**2 * p.alpha**2 / 60, rel=1e-15)
+        assert np.isfinite(improved_log_price(p, 1.0, 0.0))
+        with pytest.raises(DomainError):
+            c6(params.with_gamma(1.32), 1e-8)  # c5'' ~ r^{2 gamma - 4}
+
+
+class TestReferenceOffHalf:
+    """k4, k5, c5 and c6 against the 50-digit transcriptions away from
+    gamma = 1/2, where the polynomial forms above do not apply."""
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.75, 1.0, 1.32])
+    @pytest.mark.parametrize("fn,ref", [(k4, mp_k4), (k5, mp_k5), (c5, mp_c5), (c6, mp_c6)],
+                             ids=["k4", "k5", "c5", "c6"])
+    def test_matches_reference(self, params, gamma, fn, ref):
+        p = params.with_gamma(gamma)
+        rates = np.concatenate([np.geomspace(1e-4, 0.15, 12), np.linspace(0.01, 0.14, 8)])
+        got = fn(p, rates)
+        want = np.array([float(ref(p, r)) for r in rates])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestDerivativeOracles:
@@ -182,3 +209,4 @@ class TestQDomain:
     def test_gamma_below_half_positive_rates_ok(self, params):
         p = params.with_gamma(0.3)
         assert np.isfinite(q_factor(p, 0.05))
+        assert np.isfinite(q_factor(p, 1e-6))

@@ -92,6 +92,8 @@ class TestMaturityGrid:
             MaturityGrid((1.0, 0.5, 0.75))
         with pytest.raises(ValidationError):
             MaturityGrid(())
+        with pytest.raises(ValidationError):
+            MaturityGrid((float("nan"),))
 
 
 class TestLogPriceCurve:

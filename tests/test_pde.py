@@ -84,6 +84,9 @@ class TestSolve:
     def test_snapshot_beyond_horizon_rejected(self, params):
         with pytest.raises(ValidationError):
             solve(params, PdeConfig(n_space=101, n_time=10, t_final=0.5), [1.0])
+        with pytest.raises(ValidationError):
+            # a NaN maturity would never be reached and leave a zero row
+            solve(params, PdeConfig(n_space=11, n_time=4, t_final=0.5), [float("nan"), 0.5])
 
     def test_moderate_grid_accuracy_vs_cir(self, params):
         sol = solve(params, PdeConfig(n_space=1001, n_time=4000), [1.0])
@@ -154,6 +157,11 @@ class TestSolve:
         assert d.min_pivot > 0.5  # diagonally dominant system
         assert 0 <= d.max_linear_residual < 1e-12
 
+    def test_implicit_startup_count_capped_by_steps(self, params):
+        sol = solve(params, PdeConfig(n_space=11, n_time=4, t_final=1.0), [1.0])
+        assert sol.diagnostics.n_steps == 4
+        assert sol.diagnostics.n_rannacher_steps == 4
+
 
 class TestThomasPivot:
     # _factor takes the sub-, main and super-diagonals of the matrix
@@ -190,6 +198,14 @@ class TestSolutionExport:
         sol = solve(params, PdeConfig(n_space=11, n_time=4, t_final=1.0), [1.0])
         with pytest.raises(KeyError):
             sol.log_price_at(0.25)
+
+    def test_lookup_matches_within_snapshot_tolerance(self, params):
+        # 0.1 + 0.2 != 0.3 in binary, but solve() places both on one level
+        sol = solve(params, PdeConfig(n_space=11, n_time=10, t_final=1.0), [0.1 + 0.2, 1.0])
+        assert np.array_equal(sol.log_price_at(0.3), sol.log_prices[0])
+        assert np.array_equal(sol.log_price_at(1.0 - 1e-13), sol.log_prices[1])
+        with pytest.raises(KeyError):
+            sol.log_price_at(0.3 + 1e-9)
 
 
 def test_import_does_not_load_scipy():
