@@ -256,12 +256,16 @@ def _meta_for(p: ModelParams) -> dict:
     return {"params": f"alpha={p.alpha!r} beta={p.beta!r} sigma={p.sigma!r} gamma={p.gamma!r}"}
 
 
-def _norm_series(p, pair, grid, taus):
-    reports = [
-        (error_report(p, pair, grid, tau, "linf"), error_report(p, pair, grid, tau, "l2"))
-        for tau in taus
-    ]
-    return [a.value for a, _ in reports], [b.value for _, b in reports]
+def _norm_series(p, pair, grid, taus, kinds=("linf", "l2")):
+    """One list per norm kind of the pair's error norms over the maturities;
+    each difference curve is evaluated once and serves every kind."""
+    series = [[] for _ in kinds]
+    for tau in taus:
+        diff = difference_curve(p, pair, grid, tau)
+        for values, kind in zip(series, kinds):
+            norm = linf_norm if kind == "linf" else l2_norm
+            values.append(ErrorReport(tau, kind, norm(diff), tuple(pair)).value)
+    return series
 
 
 def _with_eoc(errs, taus):
@@ -305,8 +309,8 @@ def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
     if tid == "2":
         taus = MaturityGrid(taus or T2_TAUS).taus
         p_cir = p.with_gamma(0.5)
-        _, l2_cw = _norm_series(p_cir, ("cw", "cir"), grid, taus)
-        _, l2_im = _norm_series(p_cir, ("improved", "cir"), grid, taus)
+        (l2_cw,) = _norm_series(p_cir, ("cw", "cir"), grid, taus, ("l2",))
+        (l2_im,) = _norm_series(p_cir, ("improved", "cir"), grid, taus, ("l2",))
         rows = [[taus[i], l2_cw[i], l2_im[i]] for i in range(len(taus))]
         meta = _meta_for(p_cir)
         meta["norm_grid"] = f"[{grid.r_min!r}, {grid.r_max!r}] x {grid.n_points}"
@@ -344,8 +348,7 @@ def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
 
 
 def compute_table3_solutions(p: ModelParams, cfg: PdeConfig | None = None,
-                             gammas=T3_GAMMAS, taus=T1_TAUS,
-                             estimate_error: bool = True):
+                             gammas=T3_GAMMAS, taus=T1_TAUS):
     """Run the PDE solves (plus half-resolution companions for a Richardson
     error estimate) feeding table 3.
 
@@ -354,7 +357,7 @@ def compute_table3_solutions(p: ModelParams, cfg: PdeConfig | None = None,
     """
     cfg = cfg or PdeConfig()
     coarse_cfg = None
-    if estimate_error and (cfg.n_space - 1) % 2 == 0 and cfg.n_time % 4 == 0 and cfg.n_space >= 7:
+    if (cfg.n_space - 1) % 2 == 0 and cfg.n_time % 4 == 0 and cfg.n_space >= 7:
         coarse_cfg = replace(cfg, n_space=(cfg.n_space - 1) // 2 + 1, n_time=max(cfg.n_time // 4, 1))
 
     solutions, estimates = {}, {}

@@ -187,6 +187,17 @@ def _q_terms(p: ModelParams):
     ]
 
 
+def _q_and_r2g(p: ModelParams, arr, what: str):
+    """q(r) and r^{2 gamma} under the rate domain of :func:`q_factor`."""
+    q = q_factor(p, arr)
+    if p.gamma != 0:
+        return q, arr ** (2 * p.gamma)
+    # q vanishes here without looking at r; Vasicek keeps negative rates
+    if np.isnan(arr).any():
+        raise DomainError(f"{what}: NaN rate")
+    return q, np.ones_like(arr)
+
+
 def cw_log_price(p: ModelParams, tau: float, r):
     """Closed-form approximate log bond price (exact for gamma = 0).
 
@@ -204,14 +215,7 @@ def cw_log_price(p: ModelParams, tau: float, r):
     _check_maturity(tau)
     scalar = np.ndim(r) == 0
     arr = np.asarray(r, dtype=float)
-    q = q_factor(p, arr)
-    if p.gamma == 0:
-        # q vanishes here without looking at r; Vasicek keeps negative rates
-        if np.isnan(arr).any():
-            raise DomainError("cw_log_price: NaN rate")
-        r2g = np.ones_like(arr)
-    else:
-        r2g = arr ** (2 * p.gamma)
+    q, r2g = _q_and_r2g(p, arr, "cw_log_price")
     B, t1, eg, fh = _beta_brackets(p.alpha, p.beta, p.sigma, tau)
     out = -arr * B + t1 + (r2g + q * tau) * eg - q * fh
     return float(out) if scalar else out
@@ -224,12 +228,12 @@ def cw_partials(p: ModelParams, tau: float, r):
     residuals down to rounding level (~1e-15), far below what central
     differences can reach.
     """
+    _check_maturity(tau)
     scalar = np.ndim(r) == 0
     arr = np.asarray(r, dtype=float)
+    q, r2g = _q_and_r2g(p, arr, "cw_partials")
     B, t1, eg, fh = _beta_brackets(p.alpha, p.beta, p.sigma, tau)
     Bp, t1p, egp, fhp = _beta_brackets_dtau(p.alpha, p.beta, p.sigma, tau)
-    q = q_factor(p, arr)
-    r2g = arr ** (2 * p.gamma)
     d1_terms = _derive([(1.0, 2 * p.gamma)])  # d/dr of r^{2 gamma}
     qp_terms = _derive(_q_terms(p))
     d1, d2, qp, qpp = (_powsum(arr, t, "cw_partials")

@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
-from fractions import Fraction
 
 import numpy as np
 
@@ -85,26 +83,6 @@ def _stamp(args) -> str | None:
     return None
 
 
-def _snap_n_time(n_time: int, t_final: float, taus) -> int:
-    """Bump n_time minimally so every requested tau lands on a time level.
-
-    If alignment would require more than 4x the requested steps (awkward
-    fractions), keep n_time: the solver linearly interpolates off-level
-    snapshots instead.
-    """
-    dt = t_final / n_time
-    if all(tau == 0 or abs(tau / dt - round(tau / dt)) < 1e-9 for tau in taus):
-        return n_time
-    denom = 1
-    for tau in taus:
-        if tau == 0:
-            continue
-        frac = Fraction(tau / t_final).limit_denominator(10**6)
-        denom = denom * frac.denominator // math.gcd(denom, frac.denominator)
-    aligned = denom * math.ceil(n_time / denom)
-    return aligned if aligned <= 4 * n_time else n_time
-
-
 def _parse_taus(text: str) -> list:
     """The finite maturities of a comma-separated ``--taus`` value."""
     try:
@@ -127,9 +105,7 @@ def cmd_price(args) -> int:
             lnp = 0.0
         else:
             t_final = args.tfinal if args.tfinal is not None else args.tau
-            cfg = _pde_config(args, t_final)
-            cfg = replace(cfg, n_time=_snap_n_time(cfg.n_time, cfg.t_final, [args.tau]))
-            sol = solve(p, cfg, [args.tau])
+            sol = solve(p, _pde_config(args, t_final), [args.tau])
             lnp = float(np.interp(args.rate, sol.rates, sol.log_price_at(args.tau)))
     elif args.method in analysis.METHODS:
         lnp = analysis.METHODS[args.method](p, args.tau, args.rate)
@@ -147,7 +123,7 @@ def cmd_table(args) -> int:
     if args.table == 3:
         taus = analysis.T1_TAUS
         cfg = _pde_config(args, max(taus))
-        solutions, estimates = analysis.compute_table3_solutions(p, cfg, estimate_error=True)
+        solutions, estimates = analysis.compute_table3_solutions(p, cfg)
         table = analysis.build_table("T3", p, pde_solutions=solutions, error_estimates=estimates)
     else:
         table = analysis.build_table(f"T{args.table}", p)
@@ -195,9 +171,7 @@ def cmd_pde(args) -> int:
     if any(t < 0 for t in taus):
         raise ValidationError("snapshot maturities must be >= 0")
     t_final = args.tfinal if args.tfinal is not None else max(taus)
-    cfg = _pde_config(args, t_final)
-    cfg = replace(cfg, n_time=_snap_n_time(cfg.n_time, cfg.t_final, taus))
-    sol = solve(p, cfg, taus)
+    sol = solve(p, _pde_config(args, t_final), taus)
     sol.to_csv(args.out, stamp=_stamp(args))
     d = sol.diagnostics
     print(

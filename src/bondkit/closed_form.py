@@ -110,6 +110,9 @@ def cir_partials(p: ModelParams, tau: float, r):
     """
     if p.gamma != 0.5:
         raise GammaMismatch(f"cir_partials requires gamma == 0.5, got {p.gamma}")
+    _check_maturity(tau)
+    if not (np.asarray(r) >= 0).all():
+        raise DomainError("cir_partials: negative or NaN rate")
     a, b, s = p.alpha, p.beta, p.sigma
     th = np.sqrt(b * b + 2.0 * s * s)
     if th * tau <= _EXP_SWITCH:
@@ -137,6 +140,9 @@ def vasicek_partials(p: ModelParams, tau: float, r):
     """Analytic (f_tau, f_r, f_rr) of the Vasicek log price; f_rr = 0."""
     if p.gamma != 0:
         raise GammaMismatch(f"vasicek_partials requires gamma == 0, got {p.gamma}")
+    _check_maturity(tau)
+    if np.isnan(r).any():
+        raise DomainError("vasicek_partials: NaN rate")
     a, b, s = p.alpha, p.beta, p.sigma
     B = b_factor(b, tau)
     bp = np.exp(b * tau)

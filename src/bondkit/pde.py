@@ -25,9 +25,12 @@ r_max   Zero second spatial derivative via a linear-extrapolation ghost node
         (ghost = 2 P_N - P_{N-1}); with that ghost the central drift
         difference degenerates to the one-sided backward difference.
 
-The two step matrices (implicit start-up and Crank-Nicolson) are each
-LU-factored once with LAPACK ``dgttrf``; every step is one ``dgttrs``
-solve.  SciPy is imported by :func:`solve`, not with the package.
+Every step is one solve with a resolvent I - c L: c = dt for an implicit
+start-up step, c = dt/2 for a Crank-Nicolson step, whose explicit half is
+2I - (I - c L).  Each resolvent is LU-factored once with LAPACK ``dgttrf``
+and every solve is one ``dgttrs``.  A snapshot maturity between two time
+levels gets one partial step of its own size, with its own factorization.
+SciPy is imported by :func:`solve`, not with the package.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .model import ModelParams, _text_sink, validate_params
 __all__ = ["PdeConfig", "PdeSolution", "SolveDiagnostics", "BoundaryPolicy", "solve", "boundary_policy"]
 
 _PIVOT_FLOOR = 1e-300
-THETA = 0.5  # Crank-Nicolson weight of the implicit half
 N_IMPLICIT_START = 10  # fully implicit (Rannacher) start-up steps
 _TAU_MATCH = 1e-12  # a snapshot maturity this close to a time level lands on it
 
@@ -103,8 +105,9 @@ def boundary_policy(p: ModelParams, cfg: PdeConfig) -> BoundaryPolicy:
 
 @dataclass
 class SolveDiagnostics:
-    """Solver health figures: the smallest LU pivot of the two step matrices
-    and the worst residual of a probe solve with each factorization."""
+    """Solver health figures: the full steps taken, the smallest LU pivot of
+    every step matrix (start-up, Crank-Nicolson and each partial step) and
+    the worst residual of a probe solve with each factorization."""
 
     n_steps: int
     n_rannacher_steps: int
@@ -140,7 +143,7 @@ class PdeSolution:
             buf.write(f"# params: alpha={p.alpha!r} beta={p.beta!r} sigma={p.sigma!r} gamma={p.gamma!r}\n")
             buf.write(
                 f"# config: r_max={c.r_max!r} n_space={c.n_space} n_time={c.n_time} "
-                f"t_final={c.t_final!r} theta={THETA!r} drift=central boundary_order=2\n"
+                f"t_final={c.t_final!r} theta=0.5 drift=central boundary_order=2\n"
             )
             if self.diagnostics is not None:
                 d = self.diagnostics
@@ -202,28 +205,42 @@ def _spatial_operator(p: ModelParams, r: np.ndarray, dr: float):
     return lo, di, up, b0
 
 
-def _step_matrices(lo, di, up, b0, theta, dt):
-    """LHS as tridiagonal (sub, main, super) diagonals with row 0 reduced to
-    the band, RHS diagonals, explicit row-0 stencil and the row-reduction
-    multiplier."""
-    sub = -theta * dt * lo[1:]
-    main = 1.0 - theta * dt * di
-    sup = -theta * dt * up[:-1]
-    m00 = 1.0 - theta * dt * b0[0]
-    m01 = -theta * dt * b0[1]
-    m02 = -theta * dt * b0[2]
-    mult = m02 / sup[1]  # eliminate the P2 entry against row 1
-    m00 -= mult * sub[0]
-    m01 -= mult * main[1]
-    main[0] = m00
-    sup[0] = m01
-    rl = (1.0 - theta) * dt * lo
-    rd = 1.0 + (1.0 - theta) * dt * di
-    ru = (1.0 - theta) * dt * up
-    e0 = np.array(
-        [1.0 + (1.0 - theta) * dt * b0[0], (1.0 - theta) * dt * b0[1], (1.0 - theta) * dt * b0[2]]
-    )
-    return (sub, main, sup), rl, rd, ru, e0, mult
+def _resolvent(lo, di, up, b0, c):
+    """Diagonals (sub, main, super) of I - c L with the 3-point r=0 row
+    reduced to the band, and the multiplier of that row reduction."""
+    sub = -c * lo[1:]
+    main = 1.0 - c * di
+    sup = -c * up[:-1]
+    mult = -c * b0[2] / sup[1]  # eliminate the P2 entry against row 1
+    main[0] = 1.0 - c * b0[0] - mult * sub[0]
+    sup[0] = -c * b0[1] - mult * main[1]
+    return (sub, main, sup), mult
+
+
+def _stepper(lo, di, up, b0, h: float, implicit: bool):
+    """One time step of size h: backward Euler (``implicit``) or
+    Crank-Nicolson, each one solve with the factored resolvent.
+
+    Returns ``(step, min_pivot, residual)`` with ``step(P)`` the new price
+    vector.  Backward Euler solves (I - h L) P' = P.  Crank-Nicolson uses
+    c = h/2: its explicit half I + cL equals 2I - (I - cL), row 0 included,
+    so P' = 2 (I - cL)^{-1} P - P.  Either way the right-hand side only
+    takes the row reduction of row 0.
+    """
+    c = h if implicit else 0.5 * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        bands, mult = _resolvent(lo, di, up, b0, c)
+    if not all(np.all(np.isfinite(a)) for a in bands):
+        raise UnstableSolve("non-finite time-step operator entries (parameter/grid overflow)")
+    solve_lu, min_pivot, residual = _factor(*bands)
+
+    def step(P):
+        b = P.copy()
+        b[0] -= mult * b[1]
+        x = solve_lu(b)
+        return x if implicit else 2.0 * x - P
+
+    return step, min_pivot, residual
 
 
 def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
@@ -231,7 +248,10 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
 
     ``snapshot_taus`` may be a MaturityGrid or any iterable of maturities in
     [0, t_final]; tau = 0 returns the (identically zero) initial condition.
-    A requested tau that falls between time levels is linearly interpolated.
+    A maturity that falls between time levels t_k < tau < t_(k+1) is
+    reached by one partial step of size tau - t_k from t_k, of the same
+    kind as step k+1.  The march stops at the last snapshot, so
+    ``diagnostics.n_steps`` counts the full steps taken.
     """
     validate_params(p)
     if p.gamma >= 1.5 and not cfg.allow_gamma_beyond_range:
@@ -247,45 +267,32 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
     dr = r[1] - r[0]
     dt = cfg.t_final / cfg.n_time
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, di, up, b0 = _spatial_operator(p, r, dr)
-        mats_im = _step_matrices(lo, di, up, b0, 1.0, dt)
-        mats_cn = _step_matrices(lo, di, up, b0, THETA, dt)
-    if not all(np.all(np.isfinite(a)) for a in (*mats_im[0], *mats_cn[0])):
-        raise UnstableSolve("non-finite time-step operator entries (parameter/grid overflow)")
-    solve_im, piv_im, res_im = _factor(*mats_im[0])
-    solve_cn, piv_cn, res_cn = _factor(*mats_cn[0])
-    diag = SolveDiagnostics(n_steps=cfg.n_time,
-                            n_rannacher_steps=min(N_IMPLICIT_START, cfg.n_time),
-                            min_pivot=min(piv_im, piv_cn), max_linear_residual=max(res_im, res_cn))
-    step_im = (solve_im, *mats_im[1:])
-    step_cn = (solve_cn, *mats_cn[1:])
+        operator = _spatial_operator(p, r, dr)
+    step_im, piv_im, res_im = _stepper(*operator, dt, implicit=True)
+    step_cn, piv_cn, res_cn = _stepper(*operator, dt, implicit=False)
+    pivots, residuals = [piv_im, piv_cn], [res_im, res_cn]
 
-    order = np.argsort(taus)
-    pending = [(taus[i], i) for i in order]
     snaps = np.zeros((len(taus), cfg.n_space))
     P = np.ones(cfg.n_space)
-    while pending and pending[0][0] <= 1e-14:
-        pending.pop(0)  # tau = 0 snapshot is the zero log price already stored
-    for k in range(cfg.n_time):
-        solve_step, rl, rd, ru, e0, mult = step_im if k < N_IMPLICIT_START else step_cn
-        rhs = rd * P
-        rhs[:-1] += ru[:-1] * P[1:]
-        rhs[1:] += rl[1:] * P[:-1]
-        rhs[0] = e0[0] * P[0] + e0[1] * P[1] + e0[2] * P[2]
-        rhs[0] -= mult * rhs[1]
-        P_prev = P
-        P = solve_step(rhs)
-        if not np.all(np.isfinite(P)):
-            raise UnstableSolve(f"non-finite price after step {k + 1}")
-        t_new = (k + 1) * dt
-        while pending and pending[0][0] <= t_new + _TAU_MATCH:
-            want, idx = pending.pop(0)
-            w = (want - (t_new - dt)) / dt
-            w = min(max(w, 0.0), 1.0)
-            snap = (1.0 - w) * P_prev + w * P
-            if np.any(snap <= 0):
-                raise UnstableSolve(f"non-positive price in snapshot at tau={want}")
-            snaps[idx] = np.log(snap)
+    k = 0  # full steps taken; P is the price at t_k = k dt
+    for i in sorted(range(len(taus)), key=taus.__getitem__):
+        tau = taus[i]
+        while k < cfg.n_time and (k + 1) * dt <= tau + _TAU_MATCH:
+            P = (step_im if k < N_IMPLICIT_START else step_cn)(P)
+            k += 1
+            if not np.all(np.isfinite(P)):
+                raise UnstableSolve(f"non-finite price after step {k}")
+        snap = P
+        if tau - k * dt > _TAU_MATCH:
+            partial, piv, res = _stepper(*operator, tau - k * dt, implicit=k < N_IMPLICIT_START)
+            pivots.append(piv)
+            residuals.append(res)
+            snap = partial(P)
+        if np.any(snap <= 0):
+            raise UnstableSolve(f"non-positive price in snapshot at tau={tau}")
+        snaps[i] = np.log(snap)
     if not np.all(np.isfinite(snaps)):
         raise UnstableSolve("non-finite log price in snapshots")
+    diag = SolveDiagnostics(n_steps=k, n_rannacher_steps=min(N_IMPLICIT_START, k),
+                            min_pivot=min(pivots), max_linear_residual=max(residuals))
     return PdeSolution(config=cfg, params=p, taus=taus, rates=r, log_prices=snaps, diagnostics=diag)

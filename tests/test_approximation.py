@@ -8,6 +8,7 @@ from bondkit import (
     ModelParams,
     cir_log_price,
     cw_log_price,
+    cir_partials,
     cw_partials,
     improved_log_price,
     k4,
@@ -15,6 +16,7 @@ from bondkit import (
     pde_residual,
     q_factor,
     vasicek_log_price,
+    vasicek_partials,
 )
 from bondkit.analysis import METHODS
 from bondkit.errors import DomainError, StepTooLarge, ValidationError
@@ -209,5 +211,18 @@ class TestInputGuards:
         with pytest.raises(DomainError):
             METHODS[method](p, 1.0, np.array([0.05, np.nan]))
 
+    @pytest.mark.parametrize("fn, gamma", [(cw_partials, 0.0), (cw_partials, 0.5), (cw_partials, 1.32),
+                                           (cir_partials, 0.5), (vasicek_partials, 0.0)])
+    def test_partials_refuse_what_the_pricers_refuse(self, params, fn, gamma):
+        p = params.with_gamma(gamma)
+        for tau in (-1.0, float("nan")):
+            with pytest.raises(ValidationError):
+                fn(p, tau, 0.05)
+        for r in (float("nan"), np.array([0.05, np.nan])):
+            with pytest.raises(DomainError):
+                fn(p, 1.0, r)
+
     def test_vasicek_keeps_negative_rates(self, vas_params):
         assert np.isfinite(cw_log_price(vas_params, 1.0, -0.05))
+        assert np.all(np.isfinite(cw_partials(vas_params, 1.0, -0.05)))
+        assert np.all(np.isfinite(vasicek_partials(vas_params, 1.0, -0.05)))

@@ -204,12 +204,15 @@ class TestPde:
         code2, _, _ = run(capsys, *args, "--force-gamma")
         assert code2 == 0
 
-    def test_off_grid_snapshot_bumps_ntime(self, capsys, tmp_path):
-        # tau = 1/3 with t_final = 1: n_time gets raised to a multiple of 3
+    def test_off_level_snapshot_keeps_ntime(self, capsys, tmp_path):
+        # tau = 0.333333 with t_final = 1 falls between time levels: the
+        # solver takes a partial step to it and n_time stays as given
         path = tmp_path / "pde3.csv"
         code, out, _ = run(capsys, "pde", "--out", str(path),
                            "--nspace", "101", "--ntime", "100", "--taus", "0.333333,1")
         assert code == 0
+        assert out.startswith("solved: 100 steps")
+        assert " n_time=100 " in path.read_text()
 
     def test_unstable_exit_5(self, capsys, tmp_path):
         path = tmp_path / "u.csv"

@@ -94,6 +94,8 @@ class TestCir:
         for r in (-0.1, float("nan"), np.array([0.1, -1e-9])):
             with pytest.raises(DomainError):
                 cir_log_price(params, 1.0, r)
+            with pytest.raises(DomainError):
+                cir_partials(params, 1.0, r)
 
     def test_pde_residual_grid(self, params):
         f = functools.partial(cir_log_price, params)

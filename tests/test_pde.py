@@ -123,13 +123,35 @@ class TestSolve:
         richardson_est = np.max(np.abs(base.log_price_at(1.0)[m][::2] - companion.log_price_at(1.0)[mc])) / 3
         assert time_change < richardson_est
 
-    def test_snapshot_interpolation_between_levels(self, params):
-        # tau = 1/3 does not land on the coarse time grid; the interpolated
-        # snapshot must agree with an aligned run to O(dt)
+    def test_off_level_snapshot_agrees_with_aligned_run(self, params):
+        # tau = 1/3 does not land on the coarse time grid; the snapshot from
+        # its partial step must agree with an aligned run to O(dt)
         off = solve(params, PdeConfig(n_space=401, n_time=100), [1.0 / 3.0])
         aligned = solve(params, PdeConfig(n_space=401, n_time=99), [1.0 / 3.0])
         d = np.max(np.abs(off.log_price_at(1.0 / 3.0) - aligned.log_price_at(1.0 / 3.0)))
         assert d < 1e-5
+
+    def test_off_level_partial_step_accuracy(self, params):
+        # Errors against the closed form on the 1001 x 2000 grid of the CLI.
+        # Linear interpolation between time levels gave 3.502e-8 at tau = 1/3
+        # and 9.37e-9 at tau = 0.00123 (inside the implicit start-up); the
+        # partial step must do no worse, and at tau = 1/3 it must match a run
+        # whose 2001 levels hit the maturity to 1 %.
+        cfg = PdeConfig(n_space=1001, n_time=2000)
+        sol = solve(params, cfg, [1.0 / 3.0, 0.00123])
+        assert linf_vs_cir(params, sol, 1.0 / 3.0) <= 3.502e-8
+        assert linf_vs_cir(params, sol, 0.00123) <= 9.37e-9
+        aligned = linf_vs_cir(params, solve(params, PdeConfig(n_space=1001, n_time=2001), [1.0 / 3.0]),
+                              1.0 / 3.0)
+        assert abs(linf_vs_cir(params, sol, 1.0 / 3.0) - aligned) <= 0.01 * aligned
+
+    def test_march_stops_at_last_snapshot(self, params):
+        short = solve(params, PdeConfig(n_time=40, t_final=1.0), [0.25])
+        assert short.diagnostics.n_steps == 10
+        assert short.diagnostics.n_rannacher_steps == 10
+        full = solve(params, PdeConfig(n_time=40, t_final=1.0), [0.25, 1.0])
+        assert full.diagnostics.n_steps == 40
+        assert np.array_equal(short.log_price_at(0.25), full.log_price_at(0.25))
 
     def test_gamma_exponents_from_reference_study(self, params):
         for g in (0.75, 1.0, 1.32):
