@@ -10,14 +10,12 @@ reference tables.
 from .analysis import (
     CheckResult,
     EocRow,
-    ErrorReport,
     Table,
     build_table,
     check_table,
     compute_table3_solutions,
     difference_curve,
     eoc,
-    error_report,
     evaluate_curve,
     l2_norm,
     linf_norm,
@@ -48,17 +46,17 @@ from .model import (
     save_params,
     validate_params,
 )
-from .pde import BoundaryPolicy, PdeConfig, PdeSolution, boundary_policy, solve
+from .pde import PdeConfig, PdeSolution, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BondkitError", "BoundaryPolicy", "CheckResult", "DEFAULT_PARAMS",
-    "DomainError", "EocRow", "ErrorReport", "LogPriceCurve", "MaturityGrid", "ModelParams",
+    "BondkitError", "CheckResult", "DEFAULT_PARAMS",
+    "DomainError", "EocRow", "LogPriceCurve", "MaturityGrid", "ModelParams",
     "PdeConfig", "PdeSolution", "RateGrid", "Table", "ValidationError", "b_factor",
-    "boundary_policy", "build_table", "c5", "c5_derivatives", "c6", "check_table",
+    "build_table", "c5", "c5_derivatives", "c6", "check_table",
     "cir_log_price", "cir_partials", "compute_table3_solutions", "cw_log_price",
-    "cw_partials", "difference_curve", "eoc", "error_report", "evaluate_curve", "improved_log_price",
+    "cw_partials", "difference_curve", "eoc", "evaluate_curve", "improved_log_price",
     "k4", "k5", "l2_norm", "linf_norm", "load_params", "pde_residual", "q_factor",
     "relative_mispricing", "save_params", "solve", "validate_params", "vasicek_log_price",
     "vasicek_partials", "yield_curve",

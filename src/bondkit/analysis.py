@@ -22,11 +22,10 @@ from .errors import (
     ValidationError,
     ZeroMaturity,
 )
-from .model import DEFAULT_PARAMS, LogPriceCurve, MaturityGrid, ModelParams, RateGrid, _text_sink
-from .pde import PdeConfig, PdeSolution, solve
+from .model import DEFAULT_PARAMS, LogPriceCurve, ModelParams, RateGrid, _text_sink
+from .pde import PdeConfig, solve
 
 __all__ = [
-    "ErrorReport",
     "EocRow",
     "Table",
     "CheckResult",
@@ -39,7 +38,6 @@ __all__ = [
     "relative_mispricing",
     "evaluate_curve",
     "difference_curve",
-    "error_report",
     "build_table",
     "compute_table3_solutions",
     "check_table",
@@ -63,22 +61,6 @@ T3_GAMMAS = (0.5, 0.75, 1.0, 1.32)
 
 
 @dataclass(frozen=True)
-class ErrorReport:
-    """A single norm of a log-price difference at one maturity."""
-
-    tau: float
-    norm_kind: str  # "linf" or "l2"
-    value: float
-    method_pair: tuple
-
-    def __post_init__(self):
-        if self.norm_kind not in ("linf", "l2"):
-            raise ValidationError(f"norm_kind must be 'linf' or 'l2', got {self.norm_kind}")
-        if not (np.isfinite(self.value) and self.value >= 0):
-            raise ValidationError(f"norm value must be finite and >= 0, got {self.value}")
-
-
-@dataclass(frozen=True)
 class EocRow:
     """Experimental order of convergence between two adjacent maturities."""
 
@@ -89,14 +71,27 @@ class EocRow:
     eoc: float
 
 
+def _norm(kind: str, values: np.ndarray, rates: np.ndarray) -> float:
+    """The ``"linf"`` norm (max |f| over the nodes) or the ``"l2"`` norm
+    (sqrt(int f^2 dr) by composite trapezoid) of values sampled at rates."""
+    if kind == "linf":
+        return float(np.max(np.abs(values)))
+    return float(np.sqrt(np.trapezoid(values**2, rates)))
+
+
+def _norm_mask(rates: np.ndarray) -> np.ndarray:
+    """The solver nodes inside the norm interval [0, 0.15]."""
+    return rates <= DEFAULT_NORM_GRID.r_max + 1e-12
+
+
 def linf_norm(diff: LogPriceCurve) -> float:
     """Max of |values| over the grid nodes."""
-    return float(np.max(np.abs(diff.values)))
+    return _norm("linf", diff.values, diff.grid.points)
 
 
 def l2_norm(diff: LogPriceCurve) -> float:
     """Continuous L2 norm sqrt(int f^2 dr) by composite trapezoid."""
-    return float(np.sqrt(np.trapezoid(diff.values**2, diff.grid.points)))
+    return _norm("l2", diff.values, diff.grid.points)
 
 
 def eoc(errs, taus) -> list:
@@ -148,13 +143,6 @@ def difference_curve(p: ModelParams, pair, grid: RateGrid, tau: float) -> LogPri
     return LogPriceCurve(grid=grid, tau=tau, values=va - vb)
 
 
-def error_report(p: ModelParams, pair, grid: RateGrid, tau: float, norm_kind: str) -> ErrorReport:
-    """One norm of the log-price difference between two named pricers."""
-    diff = difference_curve(p, pair, grid, tau)
-    norm = linf_norm if norm_kind == "linf" else l2_norm
-    return ErrorReport(tau=tau, norm_kind=norm_kind, value=norm(diff), method_pair=tuple(pair))
-
-
 # ---------------------------------------------------------------------------
 # Golden reference values for the benchmark parameter set
 # (alpha=0.00315, beta=-0.0555, sigma=0.0894), r in [0, 0.15].
@@ -202,6 +190,16 @@ T1_EOC_ATOL = 0.05
 T2_NORM_RTOL = 0.05
 T3_NORM_RTOL = 0.10
 
+#: Tables 1-2, each built and checked from one spec: its golden values (the
+#: keys after ``taus`` are the columns in table order; an ``eoc_<col>``
+#: column holds the EOC of ``<col>``, any other is ``<norm kind>_<method>``
+#: against the gamma = 1/2 closed form), the relative tolerance of a norm
+#: cell and the comparison text.
+_SERIES_TABLES = {
+    "T1": (T1_GOLDEN, T1_NORM_RTOL, "cw vs cir and improved vs cir (log prices)"),
+    "T2": (T2_GOLDEN, T2_NORM_RTOL, "L2 of cw vs cir and improved vs cir (log prices)"),
+}
+
 
 @dataclass
 class Table:
@@ -238,44 +236,16 @@ class Table:
             for row in self.rows:
                 buf.write(",".join(self._fmt(c, v) for c, v in zip(self.columns, row)) + "\n")
 
-    def to_text(self) -> str:
-        cells = [[self._fmt(c, v) or "--" for c, v in zip(self.columns, row)] for row in self.rows]
-        widths = [max(len(c), *(len(row[i]) for row in cells)) for i, c in enumerate(self.columns)]
-        lines = ["  ".join(c.rjust(w) for c, w in zip(self.columns, widths))]
-        lines.append("  ".join("-" * w for w in widths))
-        for row in cells:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
-
     def column(self, name: str) -> list:
         i = self.columns.index(name)
         return [row[i] for row in self.rows]
 
 
-def _meta_for(p: ModelParams) -> dict:
-    return {"params": f"alpha={p.alpha!r} beta={p.beta!r} sigma={p.sigma!r} gamma={p.gamma!r}"}
-
-
-def _norm_series(p, pair, grid, taus, kinds=("linf", "l2")):
-    """One list per norm kind of the pair's error norms over the maturities;
-    each difference curve is evaluated once and serves every kind."""
-    series = [[] for _ in kinds]
-    for tau in taus:
-        diff = difference_curve(p, pair, grid, tau)
-        for values, kind in zip(series, kinds):
-            norm = linf_norm if kind == "linf" else l2_norm
-            values.append(ErrorReport(tau, kind, norm(diff), tuple(pair)).value)
-    return series
-
-
-def _with_eoc(errs, taus):
-    rows = eoc(errs, taus)
-    return [r.eoc for r in rows] + [None]
+def _params_text(p: ModelParams) -> str:
+    return f"alpha={p.alpha!r} beta={p.beta!r} sigma={p.sigma!r}"
 
 
 def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
-                rate_grid: RateGrid | None = None,
-                taus=None,
                 pde_solutions: dict | None = None,
                 error_estimates: dict | None = None) -> Table:
     """Assemble one of the three benchmark tables.
@@ -286,71 +256,65 @@ def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
     T3: both norms of (approximation - PDE solution) for each solved gamma;
         requires ``pde_solutions`` as a mapping gamma -> PdeSolution and
         accepts ``error_estimates`` as gamma -> {(tau, kind): estimate}.
+        Its rows carry their own gamma, so the params line leaves gamma off.
     """
-    tid = table_id.upper().lstrip("T")
-    grid = rate_grid or DEFAULT_NORM_GRID
-    if tid == "1":
-        taus = MaturityGrid(taus or T1_TAUS).taus
+    tid = "T" + table_id.upper().lstrip("T")
+    grid = DEFAULT_NORM_GRID
+    if tid in _SERIES_TABLES:
+        golden, _, comparison = _SERIES_TABLES[tid]
+        taus = golden["taus"]
         p_cir = p.with_gamma(0.5)
-        linf_cw, l2_cw = _norm_series(p_cir, ("cw", "cir"), grid, taus)
-        linf_im, l2_im = _norm_series(p_cir, ("improved", "cir"), grid, taus)
-        cols = ["tau", "linf_cw", "eoc_linf_cw", "linf_improved", "eoc_linf_improved",
-                "l2_cw", "eoc_l2_cw", "l2_improved", "eoc_l2_improved"]
-        eocs = [_with_eoc(e, taus) for e in (linf_cw, linf_im, l2_cw, l2_im)]
-        rows = [
-            [taus[i], linf_cw[i], eocs[0][i], linf_im[i], eocs[1][i],
-             l2_cw[i], eocs[2][i], l2_im[i], eocs[3][i]]
-            for i in range(len(taus))
-        ]
-        meta = _meta_for(p_cir)
-        meta["norm_grid"] = f"[{grid.r_min!r}, {grid.r_max!r}] x {grid.n_points}"
-        meta["comparison"] = "cw vs cir and improved vs cir (log prices)"
-        return Table("T1", cols, rows, meta)
-    if tid == "2":
-        taus = MaturityGrid(taus or T2_TAUS).taus
-        p_cir = p.with_gamma(0.5)
-        (l2_cw,) = _norm_series(p_cir, ("cw", "cir"), grid, taus, ("l2",))
-        (l2_im,) = _norm_series(p_cir, ("improved", "cir"), grid, taus, ("l2",))
-        rows = [[taus[i], l2_cw[i], l2_im[i]] for i in range(len(taus))]
-        meta = _meta_for(p_cir)
-        meta["norm_grid"] = f"[{grid.r_min!r}, {grid.r_max!r}] x {grid.n_points}"
-        meta["comparison"] = "L2 of cw vs cir and improved vs cir (log prices)"
-        return Table("T2", ["tau", "l2_cw", "l2_improved"], rows, meta)
-    if tid == "3":
-        if not pde_solutions:
-            raise MissingPdeSolution("table 3 needs PDE solutions (mapping gamma -> PdeSolution)")
-        cols = ["gamma", "tau", "linf", "l2", "solver_est_linf", "solver_est_l2"]
-        rows = []
-        for g in sorted(pde_solutions):
-            sol = pde_solutions[g]
-            mask = sol.rates <= grid.r_max + 1e-12
-            r_sub = sol.rates[mask]
-            for tau in sol.taus:
-                if tau == 0:
-                    continue
-                diff = cw_log_price(sol.params, tau, r_sub) - sol.log_price_at(tau)[mask]
-                li = float(np.max(np.abs(diff)))
-                l2 = float(np.sqrt(np.trapezoid(diff**2, r_sub)))
-                est = (error_estimates or {}).get(g, {})
-                rows.append([g, tau, li, l2, est.get((tau, "linf")), est.get((tau, "l2"))])
-        cfg = next(iter(pde_solutions.values())).config
-        meta = _meta_for(p)
-        meta["norm_interval"] = f"[0, {grid.r_max!r}] on the solver grid"
-        meta["solver_grid"] = f"n_space={cfg.n_space} n_time={cfg.n_time} r_max={cfg.r_max!r}"
-        meta["comparison"] = "cw vs PDE solution (log prices)"
-        meta["note"] = (
+        # each difference curve is priced once and serves every norm kind
+        diffs = {m: [difference_curve(p_cir, (m, "cir"), grid, tau).values for tau in taus]
+                 for m in ("cw", "improved")}
+        data = {"tau": taus}
+        for col in list(golden)[1:]:
+            if col.startswith("eoc_"):
+                data[col] = [row.eoc for row in eoc(data[col[4:]], taus)] + [None]
+            else:
+                kind, method = col.split("_")
+                data[col] = [_norm(kind, d, grid.points) for d in diffs[method]]
+        meta = {
+            "params": f"{_params_text(p_cir)} gamma={p_cir.gamma!r}",
+            "norm_grid": f"[{grid.r_min!r}, {grid.r_max!r}] x {grid.n_points}",
+            "comparison": comparison,
+        }
+        return Table(tid, list(data), [list(row) for row in zip(*data.values())], meta)
+    if tid != "T3":
+        raise ValidationError(f"unknown table id {table_id!r}; choose 1, 2 or 3")
+    if not pde_solutions:
+        raise MissingPdeSolution("table 3 needs PDE solutions (mapping gamma -> PdeSolution)")
+    cols = ["gamma", "tau", "linf", "l2", "solver_est_linf", "solver_est_l2"]
+    rows = []
+    for g in sorted(pde_solutions):
+        sol = pde_solutions[g]
+        mask = _norm_mask(sol.rates)
+        r_sub = sol.rates[mask]
+        est = (error_estimates or {}).get(g, {})
+        for tau in sol.taus:
+            if tau == 0:
+                continue
+            diff = cw_log_price(sol.params, tau, r_sub) - sol.log_price_at(tau)[mask]
+            rows.append([g, tau, _norm("linf", diff, r_sub), _norm("l2", diff, r_sub),
+                         est.get((tau, "linf")), est.get((tau, "l2"))])
+    cfg = next(iter(pde_solutions.values())).config
+    meta = {
+        "params": _params_text(p),
+        "norm_interval": f"[0, {grid.r_max!r}] on the solver grid",
+        "solver_grid": f"n_space={cfg.n_space} n_time={cfg.n_time} r_max={cfg.r_max!r}",
+        "comparison": "cw vs PDE solution (log prices)",
+        "note": (
             "reference L2 values for this table are ~sqrt(2) above the trapezoid "
             "convention of tables 1-2; small-norm reference cells sit at the "
             "reference computation's own sampling/error floor"
-        )
-        return Table("T3", cols, rows, meta)
-    raise ValidationError(f"unknown table id {table_id!r}; choose 1, 2 or 3")
+        ),
+    }
+    return Table("T3", cols, rows, meta)
 
 
-def compute_table3_solutions(p: ModelParams, cfg: PdeConfig | None = None,
-                             gammas=T3_GAMMAS, taus=T1_TAUS):
-    """Run the PDE solves (plus half-resolution companions for a Richardson
-    error estimate) feeding table 3.
+def compute_table3_solutions(p: ModelParams, cfg: PdeConfig | None = None, gammas=T3_GAMMAS):
+    """Run the PDE solves at the table-1 maturities (plus half-resolution
+    companions for a Richardson error estimate) feeding table 3.
 
     Returns (pde_solutions, error_estimates) keyed by gamma, solved in the
     order given.
@@ -363,22 +327,16 @@ def compute_table3_solutions(p: ModelParams, cfg: PdeConfig | None = None,
     solutions, estimates = {}, {}
     for g in gammas:
         pg = p.with_gamma(g)
-        sol = solutions[g] = solve(pg, cfg, taus)
+        sol = solutions[g] = solve(pg, cfg, T1_TAUS)
         if coarse_cfg is None:
             continue
-        comp = solve(pg, coarse_cfg, taus)
-        est = {}
-        mask_f = sol.rates <= DEFAULT_NORM_GRID.r_max + 1e-12
-        mask_c = comp.rates <= DEFAULT_NORM_GRID.r_max + 1e-12
+        comp = solve(pg, coarse_cfg, T1_TAUS)
+        fine, coarse = _norm_mask(sol.rates), _norm_mask(comp.rates)
+        est = estimates[g] = {}
         for tau in sol.taus:
-            if tau == 0:
-                continue
-            fine = sol.log_price_at(tau)[mask_f][::2]
-            coarse = comp.log_price_at(tau)[mask_c]
-            d = fine - coarse
-            est[(tau, "linf")] = float(np.max(np.abs(d)) / 3.0)
-            est[(tau, "l2")] = float(np.sqrt(np.trapezoid(d**2, comp.rates[mask_c])) / 3.0)
-        estimates[g] = est
+            d = sol.log_price_at(tau)[fine][::2] - comp.log_price_at(tau)[coarse]
+            for kind in ("linf", "l2"):
+                est[(tau, kind)] = _norm(kind, d, comp.rates[coarse]) / 3.0
     return solutions, estimates
 
 
@@ -403,16 +361,6 @@ class CheckResult:
         )
 
 
-def _check_cells(cells):
-    worst = 0.0
-    out = []
-    for label, got, want, tol in cells:
-        rel = abs(got - want) / abs(want) if want != 0 else np.inf
-        worst = max(worst, rel)
-        out.append((label, got, want, tol, abs(got - want) <= tol))
-    return out, worst
-
-
 def check_table(table: Table, error_estimates: dict | None = None) -> CheckResult:
     """Compare a computed table against the golden values.
 
@@ -421,31 +369,20 @@ def check_table(table: Table, error_estimates: dict | None = None) -> CheckResul
     estimate); estimates come from the table's own columns or the
     ``error_estimates`` mapping.
     """
-    cells = []
-    if table.table_id == "T1":
-        for i, tau in enumerate(T1_GOLDEN["taus"]):
-            for col in ("linf_cw", "linf_improved", "l2_cw", "l2_improved"):
-                want = T1_GOLDEN[col][i]
-                got = table.column(col)[i]
-                cells.append((f"{col}@tau={tau:g}", got, want, T1_NORM_RTOL * want))
-        checked, worst = _check_cells(cells)
-        for col in ("eoc_linf_cw", "eoc_linf_improved", "eoc_l2_cw", "eoc_l2_improved"):
-            for i, want in enumerate(T1_GOLDEN[col]):
-                got = table.column(col)[i]
-                checked.append((f"{col}@row{i}", got, want, T1_EOC_ATOL, abs(got - want) <= T1_EOC_ATOL))
-                worst = max(worst, abs(got - want) / want)
-        return CheckResult("T1", checked, worst)
-    if table.table_id == "T2":
-        for i, tau in enumerate(T2_GOLDEN["taus"]):
-            for col in ("l2_cw", "l2_improved"):
-                want = T2_GOLDEN[col][i]
-                got = table.column(col)[i]
-                cells.append((f"{col}@tau={tau:g}", got, want, T2_NORM_RTOL * want))
-        checked, worst = _check_cells(cells)
-        return CheckResult("T2", checked, worst)
-    if table.table_id == "T3":
-        for row in table.rows:
-            g, tau, li, l2, est_li, est_l2 = row
+    cells = []  # (label, got, want, tolerance_abs)
+    if table.table_id in _SERIES_TABLES:
+        golden, rtol, _ = _SERIES_TABLES[table.table_id]
+        norm_cols = [c for c in list(golden)[1:] if not c.startswith("eoc_")]
+        for i, tau in enumerate(golden["taus"]):
+            for col in norm_cols:
+                want = golden[col][i]
+                cells.append((f"{col}@tau={tau:g}", table.column(col)[i], want, rtol * want))
+        for col in golden:
+            if col.startswith("eoc_"):
+                for i, want in enumerate(golden[col]):
+                    cells.append((f"{col}@row{i}", table.column(col)[i], want, T1_EOC_ATOL))
+    elif table.table_id == "T3":
+        for g, tau, li, l2, est_li, est_l2 in table.rows:
             if (g, tau) not in T3_GOLDEN:
                 continue
             want_li, want_l2 = T3_GOLDEN[(g, tau)]
@@ -456,6 +393,8 @@ def check_table(table: Table, error_estimates: dict | None = None) -> CheckResul
                           max(T3_NORM_RTOL * want_li, 2 * e_li)))
             cells.append((f"l2@gamma={g:g},tau={tau:g}", l2, want_l2,
                           max(T3_NORM_RTOL * want_l2, 2 * e_l2)))
-        checked, worst = _check_cells(cells)
-        return CheckResult("T3", checked, worst)
-    raise ValidationError(f"no golden values for table {table.table_id!r}")
+    else:
+        raise ValidationError(f"no golden values for table {table.table_id!r}")
+    checked = [(label, got, want, tol, abs(got - want) <= tol) for label, got, want, tol in cells]
+    rel = [abs(got - want) / abs(want) if want != 0 else np.inf for _, got, want, _ in cells]
+    return CheckResult(table.table_id, checked, max([0.0, *rel]))

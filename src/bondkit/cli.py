@@ -66,15 +66,10 @@ def _add_pde_flags(sub):
     sub.add_argument("--rmax", type=float, default=d.r_max, help=f"domain truncation (default {d.r_max})")
     sub.add_argument("--tfinal", type=float, default=None,
                      help="maturity horizon (default: largest requested tau)")
-    sub.add_argument("--force-gamma", action="store_true",
-                     help="allow gamma >= 1.5 despite the uniqueness caveat")
 
 
 def _pde_config(args, t_final: float) -> PdeConfig:
-    return PdeConfig(
-        r_max=args.rmax, n_space=args.nspace, n_time=args.ntime, t_final=t_final,
-        allow_gamma_beyond_range=args.force_gamma,
-    )
+    return PdeConfig(r_max=args.rmax, n_space=args.nspace, n_time=args.ntime, t_final=t_final)
 
 
 def _stamp(args) -> str | None:
@@ -101,6 +96,8 @@ def cmd_price(args) -> int:
     if not math.isfinite(args.rate):
         raise ValidationError(f"rate must be finite, got {args.rate}")
     if args.method == "pde":
+        if not 0 <= args.rate <= args.rmax:
+            raise ValidationError(f"--method pde prices rates on its grid [0, {args.rmax}], got {args.rate}")
         if args.tau == 0:
             lnp = 0.0
         else:

@@ -35,8 +35,8 @@ class GammaMismatch(ValidationError):
 
 
 class GammaOutOfRange(ValidationError):
-    """gamma >= 3/2 requested from the PDE solver without the override flag;
-    uniqueness of the continuous problem is only guaranteed below 3/2."""
+    """gamma >= 3/2 requested from the PDE solver; uniqueness of the
+    continuous problem is only guaranteed below 3/2."""
 
 
 class DomainError(BondkitError, ValueError):

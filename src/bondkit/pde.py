@@ -9,7 +9,8 @@ damp the startup of the degenerate corner.  The spatial operator uses
 central flux differences for the diffusion term and central differences for
 the drift (the drift is tiny relative to diffusion over the domains of
 interest, and the mesh Peclet number stays far below the oscillation
-threshold).
+threshold).  gamma >= 3/2 is refused with ``GammaOutOfRange``: uniqueness
+of the continuous problem is only guaranteed below it.
 
 Boundaries
 ----------
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import GammaOutOfRange, TridiagonalSingular, UnstableSolve, ValidationError
 from .model import ModelParams, _text_sink, validate_params
 
-__all__ = ["PdeConfig", "PdeSolution", "SolveDiagnostics", "BoundaryPolicy", "solve", "boundary_policy"]
+__all__ = ["PdeConfig", "PdeSolution", "SolveDiagnostics", "solve"]
 
 _PIVOT_FLOOR = 1e-300
 N_IMPLICIT_START = 10  # fully implicit (Rannacher) start-up steps
@@ -62,7 +63,6 @@ class PdeConfig:
     n_space: int = 4001
     n_time: int = 40000
     t_final: float = 1.0
-    allow_gamma_beyond_range: bool = False
 
     def __post_init__(self):
         if not self.r_max > 0:
@@ -73,34 +73,6 @@ class PdeConfig:
             raise ValidationError(f"n_time must be >= 1, got {self.n_time}")
         if not self.t_final > 0:
             raise ValidationError(f"t_final must be > 0, got {self.t_final}")
-
-
-@dataclass(frozen=True)
-class BoundaryPolicy:
-    """Human-readable description of the boundary rows actually assembled."""
-
-    left: str
-    right: str
-
-
-def boundary_policy(p: ModelParams, cfg: PdeConfig) -> BoundaryPolicy:
-    """Describe the boundary treatment :func:`solve` will use."""
-    if p.gamma > 0:
-        left = (
-            f"r=0: diffusion coefficient vanishes (gamma={p.gamma} > 0); impose the PDE "
-            "-P_tau + alpha P_r = 0 with an order-2 one-sided (inflow upwind) derivative"
-        )
-    else:
-        left = (
-            "r=0: gamma=0 leaves nonzero diffusion at the boundary, but the same drift-only "
-            "equation -P_tau + alpha P_r = 0 (order-2 one-sided) is imposed as a "
-            "modeling choice"
-        )
-    right = (
-        f"r=r_max={cfg.r_max}: zero second spatial derivative via linear-extrapolation "
-        "ghost node (ghost = 2 P_N - P_(N-1)); drift reduces to the one-sided backward difference"
-    )
-    return BoundaryPolicy(left=left, right=right)
 
 
 @dataclass
@@ -254,10 +226,9 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
     ``diagnostics.n_steps`` counts the full steps taken.
     """
     validate_params(p)
-    if p.gamma >= 1.5 and not cfg.allow_gamma_beyond_range:
+    if p.gamma >= 1.5:
         raise GammaOutOfRange(
-            f"gamma={p.gamma} >= 1.5: uniqueness of the continuous problem is not "
-            "guaranteed there; pass allow_gamma_beyond_range=True to solve anyway"
+            f"gamma={p.gamma} >= 1.5: uniqueness of the continuous problem is not guaranteed there"
         )
     taus = tuple(float(t) for t in snapshot_taus)
     if not all(0 <= t <= cfg.t_final + _TAU_MATCH for t in taus):

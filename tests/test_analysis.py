@@ -23,6 +23,7 @@ from bondkit import (
     yield_curve,
 )
 from bondkit.analysis import DEFAULT_NORM_GRID, T1_GOLDEN, T2_GOLDEN
+from bondkit.cli import main
 from bondkit.errors import (
     GridMismatch,
     MissingPdeSolution,
@@ -30,6 +31,36 @@ from bondkit.errors import (
     ValidationError,
     ZeroMaturity,
 )
+
+# the exact bytes of ``bondkit table --table 1|2 --out``
+T1_CSV = """\
+# table: T1
+# params: alpha=0.00315 beta=-0.0555 sigma=0.0894 gamma=0.5
+# norm_grid: [0.0, 0.15] x 1501
+# comparison: cw vs cir and improved vs cir (log prices)
+tau,linf_cw,eoc_linf_cw,linf_improved,eoc_linf_improved,l2_cw,eoc_l2_cw,l2_improved,eoc_l2_improved
+1,2.774e-07,4.930,4.682e-10,7.039,6.345e-08,4.933,9.828e-11,7.042
+0.75,6.717e-08,4.951,6.181e-11,7.028,1.535e-08,4.953,1.296e-11,7.031
+0.5,9.023e-09,4.972,3.576e-12,7.018,2.061e-09,4.973,7.492e-13,7.019
+0.25,2.876e-10,,2.760e-14,,6.563e-11,,5.777e-15,
+"""
+T2_CSV = """\
+# table: T2
+# params: alpha=0.00315 beta=-0.0555 sigma=0.0894 gamma=0.5
+# norm_grid: [0.0, 0.15] x 1501
+# comparison: L2 of cw vs cir and improved vs cir (log prices)
+tau,l2_cw,l2_improved
+1,6.345e-08,9.828e-11
+2,1.877e-06,1.314e-08
+3,1.314e-05,2.329e-07
+4,5.093e-05,1.799e-06
+5,1.427e-04,8.798e-06
+6,3.255e-04,3.217e-05
+7,6.441e-04,9.618e-05
+8,1.148e-03,2.479e-04
+9,1.890e-03,5.705e-04
+10,2.921e-03,1.200e-03
+"""
 
 
 def flat_curve(value, tau=1.0, grid=None):
@@ -201,6 +232,12 @@ class TestTables:
         assert a.getvalue() == b.getvalue()
         assert a.getvalue().count("2.774e-07") == 1
 
+    @pytest.mark.parametrize("table, want", [(1, T1_CSV), (2, T2_CSV)])
+    def test_cli_csv_bytes_pinned(self, tmp_path, table, want):
+        path = tmp_path / "t.csv"
+        assert main(["table", "--table", str(table), "--out", str(path)]) == 0
+        assert path.read_text() == want
+
     def test_csv_stamp_only_when_requested(self, params):
         buf = io.StringIO()
         build_table("T2", params).to_csv(buf, stamp="2024-01-01T00:00:00")
@@ -208,11 +245,6 @@ class TestTables:
         buf2 = io.StringIO()
         build_table("T2", params).to_csv(buf2)
         assert "generated" not in buf2.getvalue()
-
-    def test_text_rendering(self, params):
-        text = build_table("T1", params).to_text()
-        assert "--" in text  # final maturity has no EOC
-        assert "linf_cw" in text
 
     def test_table3_requires_solutions(self, params):
         with pytest.raises(MissingPdeSolution):
@@ -230,24 +262,6 @@ class TestTables:
     def test_unknown_table(self, params):
         with pytest.raises(ValidationError):
             build_table("T9", params)
-
-
-class TestErrorReport:
-    def test_from_named_pricers(self, params):
-        from bondkit import error_report
-
-        rep = error_report(params, ("cw", "cir"), DEFAULT_NORM_GRID, 1.0, "linf")
-        assert rep.method_pair == ("cw", "cir")
-        assert rep.value == pytest.approx(2.774e-7, rel=0.02)
-        assert rep.tau == 1.0 and rep.norm_kind == "linf"
-
-    def test_invariants(self):
-        from bondkit import ErrorReport
-
-        with pytest.raises(ValidationError):
-            ErrorReport(tau=1.0, norm_kind="sup", value=0.1, method_pair=("a", "b"))
-        with pytest.raises(ValidationError):
-            ErrorReport(tau=1.0, norm_kind="l2", value=-0.1, method_pair=("a", "b"))
 
 
 class TestGoldenStructure:

@@ -73,6 +73,14 @@ class TestPrice:
         assert code == 2 and out == ""
         assert "rate" in err
 
+    @pytest.mark.parametrize("rate", ["5.0", "-0.3"])
+    def test_pde_method_rate_outside_grid_exit_2(self, capsys, rate):
+        # the solver grid is [0, --rmax]; a rate beyond either end has no price there
+        code, out, err = run(capsys, "price", "--method", "pde", "--tau", "1", "--rate", rate,
+                             "--nspace", "201", "--ntime", "200")
+        assert code == 2 and out == ""
+        assert "rate" in err
+
     def test_pde_method_small_grid(self, capsys):
         base = ["--tau", "0.5", "--rate", "0.1", "--nspace", "401", "--ntime", "400"]
         code, out, _ = run(capsys, "price", "--method", "pde", *base)
@@ -134,6 +142,14 @@ class TestTable:
         data = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
         assert len(data) == 1 + 16  # header + 4 gammas x 4 maturities
         assert "solver_grid" in text
+
+    def test_table3_params_line_leaves_gamma_off(self, capsys, tmp_path):
+        # table 3 solves its own four gammas and prints them in each row
+        path = tmp_path / "t3.csv"
+        code, _, _ = run(capsys, "table", "--table", "3", "--gamma", "0.75", "--out", str(path),
+                         "--nspace", "201", "--ntime", "80")
+        assert code == 0
+        assert "# params: alpha=0.00315 beta=-0.0555 sigma=0.0894\n" in path.read_text()
 
     def test_table3_check_exits_4_when_out_of_band(self, capsys):
         # non-nestable grid -> no Richardson companion -> bands are the bare
@@ -201,8 +217,6 @@ class TestPde:
                 "--nspace", "101", "--ntime", "20", "--taus", "1"]
         code, _, err = run(capsys, *args)
         assert code == 3 and "1.5" in err
-        code2, _, _ = run(capsys, *args, "--force-gamma")
-        assert code2 == 0
 
     def test_off_level_snapshot_keeps_ntime(self, capsys, tmp_path):
         # tau = 0.333333 with t_final = 1 falls between time levels: the

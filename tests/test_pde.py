@@ -11,7 +11,6 @@ from bondkit import (
     ModelParams,
     PdeConfig,
     PdeSolution,
-    boundary_policy,
     cir_log_price,
     solve,
 )
@@ -41,13 +40,6 @@ class TestConfig:
 
 
 class TestBoundaryPolicy:
-    def test_descriptions(self, params):
-        pol = boundary_policy(params, PdeConfig())
-        assert "vanishes" in pol.left and "order-2" in pol.left
-        assert "ghost" in pol.right
-        pol0 = boundary_policy(params.with_gamma(0.0), PdeConfig())
-        assert "modeling choice" in pol0.left and "order-2" in pol0.left
-
     def test_zero_rate_node_near_constant_after_one_step(self, params):
         cfg = PdeConfig(n_space=51, n_time=1, t_final=0.01, r_max=0.5)
         sol = solve(params, cfg, [0.01])
@@ -162,9 +154,6 @@ class TestSolve:
         cfg = PdeConfig(n_space=101, n_time=10)
         with pytest.raises(GammaOutOfRange):
             solve(params.with_gamma(1.6), cfg, [1.0])
-        cfg_force = PdeConfig(n_space=101, n_time=10, allow_gamma_beyond_range=True)
-        sol = solve(params.with_gamma(1.6), cfg_force, [1.0])
-        assert np.all(np.isfinite(sol.log_price_at(1.0)))
 
     def test_unstable_solve_detected(self, params):
         bad = ModelParams(params.alpha, params.beta, 1e160, 0.5)
