@@ -37,12 +37,13 @@ EXIT_CHECK_FAILED = 4
 EXIT_UNSTABLE = 5
 
 
-def _add_model_flags(sub):
+def _add_model_flags(sub, gamma: bool = True):
     sub.add_argument("--params", metavar="FILE", help="parameter file (key = value lines)")
     sub.add_argument("--alpha", type=float, help=f"drift intercept (default {DEFAULT_PARAMS.alpha})")
     sub.add_argument("--beta", type=float, help=f"drift slope (default {DEFAULT_PARAMS.beta})")
     sub.add_argument("--sigma", type=float, help=f"volatility scale (default {DEFAULT_PARAMS.sigma})")
-    sub.add_argument("--gamma", type=float, help=f"volatility exponent (default {DEFAULT_PARAMS.gamma})")
+    if gamma:
+        sub.add_argument("--gamma", type=float, help=f"volatility exponent (default {DEFAULT_PARAMS.gamma})")
     sub.add_argument("--feller-check", action="store_true",
                      help="also require 2*alpha >= sigma^2 (off by default; the "
                           "benchmark parameter set violates it)")
@@ -54,18 +55,19 @@ def _resolve_params(args) -> ModelParams:
         alpha=base.alpha if args.alpha is None else args.alpha,
         beta=base.beta if args.beta is None else args.beta,
         sigma=base.sigma if args.sigma is None else args.sigma,
-        gamma=base.gamma if args.gamma is None else args.gamma,
+        gamma=base.gamma if getattr(args, "gamma", None) is None else args.gamma,
     )
     return validate_params(p, requires_cir_condition=args.feller_check)
 
 
-def _add_pde_flags(sub):
+def _add_pde_flags(sub, tfinal: bool = True):
     d = PdeConfig()
     sub.add_argument("--nspace", type=int, default=d.n_space, help=f"spatial nodes (default {d.n_space})")
     sub.add_argument("--ntime", type=int, default=d.n_time, help=f"time steps (default {d.n_time})")
     sub.add_argument("--rmax", type=float, default=d.r_max, help=f"domain truncation (default {d.r_max})")
-    sub.add_argument("--tfinal", type=float, default=None,
-                     help="maturity horizon (default: largest requested tau)")
+    if tfinal:
+        sub.add_argument("--tfinal", type=float, default=None,
+                         help="maturity horizon (default: largest requested tau)")
 
 
 def _pde_config(args, t_final: float) -> PdeConfig:
@@ -193,14 +195,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pde_flags(price)
     price.set_defaults(fn=cmd_price)
 
-    table = sub.add_parser("table", help="generate benchmark tables 1-3")
-    _add_model_flags(table)
+    table = sub.add_parser(
+        "table", help="generate benchmark tables 1-3",
+        description="Tables 1-2 price at gamma = 1/2 and table 3 solves its own four gammas "
+                    f"({', '.join(map(str, analysis.T3_GAMMAS))}) to tau = {max(analysis.T1_TAUS)}, "
+                    "so table takes no --gamma and no --tfinal; a --params file's gamma is not used.")
+    _add_model_flags(table, gamma=False)
     table.add_argument("--table", type=int, required=True, choices=(1, 2, 3))
     table.add_argument("--out", help="CSV output path")
     table.add_argument("--check", action="store_true",
                        help="compare against embedded golden values; exit 4 on deviation")
     table.add_argument("--stamp", action="store_true", help="add a timestamp metadata line")
-    _add_pde_flags(table)
+    _add_pde_flags(table, tfinal=False)
     table.set_defaults(fn=cmd_table)
 
     eoc_p = sub.add_parser("eoc", help="error norms and EOC over a maturity ladder")

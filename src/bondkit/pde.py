@@ -31,11 +31,16 @@ start-up step, c = dt/2 for a Crank-Nicolson step, whose explicit half is
 2I - (I - c L).  Each resolvent is LU-factored once with LAPACK ``dgttrf``
 and every solve is one ``dgttrs``.  A snapshot maturity between two time
 levels gets one partial step of its own size, with its own factorization.
-SciPy is imported by :func:`solve`, not with the package.
+``import bondkit`` loads no SciPy; the first factorization loads SciPy's
+LAPACK extension alone, not all of ``scipy.linalg`` (see :func:`_factor`).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,19 +139,36 @@ def _factor(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
     """LU-factor the tridiagonal matrix with sub-, main and super-diagonals
     (dl, d, du) by LAPACK ``dgttrf``.
 
+    Both routines come from SciPy's ``linalg/_flapack`` extension alone:
+    importing ``scipy.linalg`` costs about 280 ms of a ~560 ms PDE command.
+    Registered as ``scipy.linalg._flapack``, it is the one copy a later
+    ``import scipy.linalg`` reuses, so results are bit-identical to
+    ``scipy.linalg.lapack``, which is imported only when the extension is not
+    found (another SciPy layout).  A found extension that fails to load raises.
+
     Returns ``(solve_step, min_pivot, residual)``: a function mapping b to
     the solution of A x = b (b is overwritten), the smallest |U_ii|, and
     max |A x - 1| of a probe solve with a right-hand side of ones.
     """
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
-    *factors, info = dgttrf(dl, d, du)
+    name = "scipy.linalg._flapack"
+    lapack = sys.modules.get(name)
+    if lapack is None:
+        pkg = importlib.util.find_spec("scipy")
+        dirs = [os.path.join(p, "linalg") for p in pkg.submodule_search_locations] if pkg else []
+        spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+        if spec is None:
+            import scipy.linalg.lapack as lapack
+        else:
+            lapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(lapack)
+            sys.modules[name] = lapack
+    *factors, info = lapack.dgttrf(dl, d, du)
     min_pivot = float(np.min(np.abs(factors[1])))
     if info > 0 or min_pivot < _PIVOT_FLOOR:
         raise TridiagonalSingular(f"time-step matrix pivot {min_pivot} below {_PIVOT_FLOOR}")
 
     def solve_step(b):
-        return dgttrs(*factors, b, overwrite_b=True)[0]
+        return lapack.dgttrs(*factors, b, overwrite_b=True)[0]
 
     x = solve_step(np.ones(d.size))
     res = d * x - 1.0

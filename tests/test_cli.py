@@ -145,11 +145,31 @@ class TestTable:
 
     def test_table3_params_line_leaves_gamma_off(self, capsys, tmp_path):
         # table 3 solves its own four gammas and prints them in each row
+        params = tmp_path / "p.txt"
+        params.write_text("alpha = 0.00315\nbeta = -0.0555\nsigma = 0.0894\ngamma = 0.75\n")
         path = tmp_path / "t3.csv"
-        code, _, _ = run(capsys, "table", "--table", "3", "--gamma", "0.75", "--out", str(path),
+        code, _, _ = run(capsys, "table", "--table", "3", "--params", str(params), "--out", str(path),
                          "--nspace", "201", "--ntime", "80")
         assert code == 0
         assert "# params: alpha=0.00315 beta=-0.0555 sigma=0.0894\n" in path.read_text()
+
+    @pytest.mark.parametrize("argv", [("--table", "1", "--check", "--gamma", "0.75"),
+                                      ("--table", "3", "--check", "--tfinal", "2")])
+    def test_refuses_gamma_and_tfinal(self, capsys, argv):
+        # the tables fix their own gammas and horizon; a flag they ignore is refused
+        with pytest.raises(SystemExit) as exc:
+            main(["table", *argv])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
+
+    def test_help_names_the_table_gammas(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert exc.value.code == 0
+        assert "Tables 1-2 price at gamma = 1/2" in out
+        assert "table 3 solves its own four gammas (0.5, 0.75, 1.0, 1.32)" in out
 
     def test_table3_check_exits_4_when_out_of_band(self, capsys):
         # non-nestable grid -> no Richardson companion -> bands are the bare

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -219,10 +220,69 @@ class TestSolutionExport:
             sol.log_price_at(0.3 + 1e-9)
 
 
-def test_import_does_not_load_scipy():
-    # SciPy is imported by solve() only, so pricing and tables start faster
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter with this bondkit on its path, so no
+    import state leaks between tests; return its stdout."""
     src = os.path.dirname(os.path.dirname(bondkit.__file__))
-    code = "import sys, bondkit; assert 'scipy' not in sys.modules, sorted(sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def test_import_does_not_load_scipy(tmp_path):
+    # the package loads no SciPy, and a PDE command only its LAPACK extension,
+    # so pricing and tables start faster and PDE commands skip scipy.linalg
+    run_fresh("import sys, bondkit; assert 'scipy' not in sys.modules, sorted(sys.modules)")
+    run_fresh(
+        "import sys\n"
+        "from bondkit.cli import main\n"
+        f"assert main(['pde', '--nspace', '11', '--ntime', '4', '--out', {str(tmp_path / 'p.csv')!r}]) == 0\n"
+        "assert 'scipy.linalg._flapack' in sys.modules\n"
+        "assert 'scipy.linalg' not in sys.modules, sorted(sys.modules)\n"
+    )
+
+
+class TestLapackLoading:
+    """Both ways :func:`bondkit.pde._factor` reaches ``dgttrf``/``dgttrs``
+    give the same bits as an in-process solve."""
+
+    SOLVE = (
+        "import hashlib, sys\n"
+        "from bondkit import DEFAULT_PARAMS, PdeConfig, solve\n"
+        "def run():\n"
+        "    sol = solve(DEFAULT_PARAMS.with_gamma(1.32), PdeConfig(n_space=201, n_time=400), (0.25, 1/3, 1.0))\n"
+        "    return hashlib.sha256(sol.log_prices.tobytes()).hexdigest() + ' ' + repr(sol.diagnostics)\n"
+    )
+
+    @staticmethod
+    def expected(params):
+        sol = solve(params.with_gamma(1.32), PdeConfig(n_space=201, n_time=400), (0.25, 1 / 3, 1.0))
+        return hashlib.sha256(sol.log_prices.tobytes()).hexdigest() + " " + repr(sol.diagnostics)
+
+    def test_extension_not_found_falls_back_to_scipy_linalg(self, params):
+        # only bondkit's lookup misses; SciPy's own imports still find _flapack
+        out = run_fresh(self.SOLVE + (
+            "import importlib.machinery\n"
+            "find_spec = importlib.machinery.PathFinder.find_spec\n"
+            "def miss(name, path=None, target=None):\n"
+            "    if sys._getframe(1).f_globals['__name__'] == 'bondkit.pde':\n"
+            "        return None\n"
+            "    return find_spec(name, path, target)\n"
+            "importlib.machinery.PathFinder.find_spec = staticmethod(miss)\n"
+            "print(run())\n"
+            "assert 'scipy.linalg.lapack' in sys.modules\n"
+        ))
+        assert out.strip() == self.expected(params)
+
+    def test_later_scipy_linalg_import_reuses_the_extension(self, params):
+        out = run_fresh(self.SOLVE + (
+            "first = run()\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "import scipy.linalg\n"
+            "assert scipy.linalg.lapack.dgttrf is sys.modules['scipy.linalg._flapack'].dgttrf\n"
+            "assert scipy.linalg.lapack.dgttrs is sys.modules['scipy.linalg._flapack'].dgttrs\n"
+            "assert run() == first\n"
+            "print(first)\n"
+        ))
+        assert out.strip() == self.expected(params)
