@@ -107,10 +107,22 @@ def cmd_price(args) -> int:
             sol = solve(p, _pde_config(args, t_final), [args.tau])
             lnp = float(np.interp(args.rate, sol.rates, sol.log_price_at(args.tau)))
     elif args.method in analysis.METHODS:
-        lnp = analysis.METHODS[args.method](p, args.tau, args.rate)
+        # an overflow shows up as a non-finite lnP, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                lnp = analysis.METHODS[args.method](p, args.tau, args.rate)
+            except OverflowError:
+                lnp = math.inf
     else:  # pragma: no cover - argparse choices guard this
         raise ValidationError(f"unknown method {args.method!r}")
-    print(f"lnP={lnp:.17g} P={math.exp(lnp):.17g}")
+    try:
+        price = math.exp(lnp)
+    except OverflowError:
+        price = math.inf
+    if not (math.isfinite(lnp) and math.isfinite(price)):
+        raise ValidationError(f"--method {args.method} at tau={args.tau!r} gives lnP={lnp!r}: "
+                              "the price is out of floating-point range")
+    print(f"lnP={lnp:.17g} P={price:.17g}")
     return EXIT_OK
 
 

@@ -67,6 +67,22 @@ class TestPrice:
                          "--tau", "1", "--rate", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [("cw", "--tau", "1e308"), ("improved", "--tau", "100"),
+                                      ("improved", "--tau", "1e52"),
+                                      ("vasicek", "--gamma", "0", "--tau", "1e6")])
+    def test_out_of_range_price_exit_2(self, capsys, argv):
+        # neither NaN nor an overflow traceback: a refusal naming method, tau and lnP
+        method, *rest = argv
+        code, out, err = run(capsys, "price", "--method", method, *rest, "--rate", "0.05")
+        assert code == 2 and out == ""
+        assert f"--method {method} at tau=" in err and "lnP=" in err
+
+    def test_improved_long_maturity_still_prices(self, capsys):
+        code, out, _ = run(capsys, "price", "--method", "improved", "--tau", "30", "--rate", "0.05")
+        assert code == 0
+        lnp, p = parse_price(out)
+        assert np.isfinite(lnp) and np.isfinite(p)
+
     @pytest.mark.parametrize("method", ["cw", "improved", "cir"])
     def test_negative_rate_exit_2(self, capsys, method):
         code, out, err = run(capsys, "price", "--method", method, "--tau", "1", "--rate", "-0.1")

@@ -9,11 +9,15 @@ of the production code and act as frozen oracles:
     c6 = (s^2/360) (-2 a b^2 + 17 b s^2 r - 2 b^3 r + 2 a s^2)
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from _reference import mp_c5, mp_c6, mp_k4, mp_k5
-from bondkit import c5, c5_derivatives, c6, improved_log_price, k4, k5, q_factor
+from bondkit import (c5, c5_derivatives, c6, cw_partials, improved_log_price, k4, k5,
+                     q_factor)
+from bondkit.approximation import _c5_terms, _derive, _k5_terms
 from bondkit.errors import DomainError
 
 
@@ -142,6 +146,104 @@ class TestDomainGuards:
         assert np.isfinite(improved_log_price(p, 1.0, 0.0))
         with pytest.raises(DomainError):
             c6(params.with_gamma(1.32), 1e-8)  # c5'' ~ r^{2 gamma - 4}
+
+    # Refusals pinned per (function, gamma) as (r = 0 and 1e-7, r = -0.01 and
+    # NaN), by the name the message starts with; "q_factor<" is q_factor's own
+    # gamma < 1/2 rule.  The first check to fail names its function, so
+    # sharing one power table across a call must not move or drop a check.
+    REFUSALS = {
+        ("improved_log_price", 0.3): ("q_factor<", "q_factor"),
+        ("improved_log_price", 0.75): ("c5", "q_factor"),
+        ("improved_log_price", 1.0): (None, "q_factor"),
+        ("improved_log_price", 1.32): ("c5_derivatives", "q_factor"),
+        ("c6", 0.3): ("c5_derivatives", "c5_derivatives"),
+        ("c6", 0.75): ("c5_derivatives", "c5_derivatives"),
+        ("c6", 1.0): (None, "c5_derivatives"),
+        ("c6", 1.32): ("c5_derivatives", "c5_derivatives"),
+        ("c5_derivatives", 0.3): ("c5_derivatives", "c5_derivatives"),
+        ("c5_derivatives", 0.75): ("c5_derivatives", "c5_derivatives"),
+        ("c5_derivatives", 1.0): (None, "c5_derivatives"),
+        ("c5_derivatives", 1.32): ("c5_derivatives", "c5_derivatives"),
+        ("k5", 0.3): ("k5", "k5"),
+        ("k5", 0.75): ("k5", "k5"),
+        ("k5", 1.0): (None, "k5"),
+        ("k5", 1.32): (None, "k5"),
+        ("cw_partials", 0.3): ("q_factor<", "q_factor"),
+        ("cw_partials", 0.75): ("cw_partials", "q_factor"),
+        ("cw_partials", 1.0): (None, "q_factor"),
+        ("cw_partials", 1.32): ("cw_partials", "q_factor"),
+    }
+    FUNCTIONS = {
+        "improved_log_price": lambda p, r: improved_log_price(p, 1.0, r),
+        "c6": c6,
+        "c5_derivatives": c5_derivatives,
+        "k5": k5,
+        "cw_partials": lambda p, r: cw_partials(p, 1.0, r),
+    }
+
+    @staticmethod
+    def refusal(what, near_zero):
+        """The exact DomainError text a refusal by ``what`` carries."""
+        if not near_zero:
+            return f"{what}: negative or NaN rate"
+        if what == "q_factor<":
+            return "q_factor: singular as r -> 0 for gamma < 1/2; need r >= 1e-06"
+        return f"{what}: singular as r -> 0 for this gamma; need r >= 1e-06"
+
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    @pytest.mark.parametrize("gamma", [0.3, 0.75, 1.0, 1.32])
+    @pytest.mark.parametrize("r", [0.0, 1e-7, -0.01, math.nan])
+    def test_refusal_parity(self, params, name, gamma, r):
+        near_zero = r >= 0
+        what = self.REFUSALS[name, gamma][0 if near_zero else 1]
+        fn = self.FUNCTIONS[name]
+        if what is None:
+            values = np.atleast_1d(fn(params.with_gamma(gamma), r))
+            assert np.all(np.isfinite(values))
+            return
+        with pytest.raises(DomainError) as info:
+            fn(params.with_gamma(gamma), r)
+        assert type(info.value) is DomainError
+        assert str(info.value) == self.refusal(what, near_zero)
+
+
+class TestTermByTerm:
+    """Every coefficient equals its (coef, power) tables summed term by term
+    in table order, bit for bit: sharing powers of r between the tables of
+    one call must not merge coefficients or reorder a sum."""
+
+    GRID = np.linspace(1e-6, 0.3, 1501)
+
+    @staticmethod
+    def tsum(r, pref, terms):
+        arr = np.asarray(r, dtype=float)
+        out = np.zeros_like(arr)
+        for c, pw in terms:
+            if c != 0.0:
+                out = out + (c if pw == 0 else c * arr**pw)
+        return pref * out
+
+    def reference(self, p, r):
+        """(k4, k5, c5, c5', c5'', c6) at rates r."""
+        s2 = p.sigma**2
+        gs2 = p.gamma * s2
+        c5t, d1t = _c5_terms(p), _derive(_c5_terms(p))
+        d1 = self.tsum(r, -gs2 / 120.0, d1t)
+        d2 = self.tsum(r, -gs2 / 120.0, _derive(d1t))
+        k5r = self.tsum(r, gs2 / 120.0, _k5_terms(p))
+        arr = np.asarray(r, dtype=float)
+        c6r = (0.5 * s2 * arr ** (2 * p.gamma) * d2 + (p.alpha + p.beta * arr) * d1 - k5r) / 6.0
+        return (self.tsum(r, gs2 / 24.0, c5t), k5r, self.tsum(r, -gs2 / 120.0, c5t), d1, d2, c6r)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.75, 1.0, 1.32, 1.49])
+    @pytest.mark.parametrize("rates", ["grid", 1e-6, 0.01, 0.05, 0.3])
+    def test_bit_identical_to_table_sums(self, params, gamma, rates):
+        p = params.with_gamma(gamma)
+        r = self.GRID if rates == "grid" else rates
+        got = (k4(p, r), k5(p, r), c5(p, r), *c5_derivatives(p, r), c6(p, r))
+        for name, g, want in zip(("k4", "k5", "c5", "c5'", "c5''", "c6"), got,
+                                 self.reference(p, r)):
+            assert np.array_equal(g, want), name
 
 
 class TestReferenceOffHalf:

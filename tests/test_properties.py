@@ -9,8 +9,8 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bondkit import (DEFAULT_PARAMS, BondkitError, cir_partials, cw_partials, validate_params,
-                     vasicek_partials)
+from bondkit import (DEFAULT_PARAMS, BondkitError, c5, c6, cir_partials, cw_log_price,
+                     cw_partials, validate_params, vasicek_partials)
 from bondkit.analysis import METHODS
 
 NAN = st.just(math.nan)
@@ -46,6 +46,10 @@ def test_finite_or_typed_error(method, gamma, tau, r):
     if value is not None:
         # the rate domain does not depend on the maturity
         assert at_zero == 0.0
+        if method == "improved":
+            # each public function builds its own power table; the improved
+            # pricer shares one, and no bit of the composition moves
+            assert value == cw_log_price(p, tau, r) - c5(p, r) * tau**5 - c6(p, r) * tau**6
 
 
 @settings(max_examples=300, deadline=None, database=None)
