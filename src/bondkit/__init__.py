@@ -23,6 +23,7 @@ from .analysis import (
     yield_curve,
 )
 from .approximation import (
+    b_factor,
     c5,
     c5_derivatives,
     c6,
@@ -34,7 +35,7 @@ from .approximation import (
     pde_residual,
     q_factor,
 )
-from .closed_form import b_factor, cir_log_price, cir_partials, vasicek_log_price, vasicek_partials
+from .closed_form import cir_log_price, cir_partials, vasicek_log_price, vasicek_partials
 from .errors import BondkitError, DomainError, ValidationError
 from .model import (
     DEFAULT_PARAMS,

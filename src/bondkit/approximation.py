@@ -49,11 +49,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .closed_form import _check_maturity, b_factor
-from .errors import DomainError, StepTooLarge
+from .errors import DomainError, StepTooLarge, ValidationError
 from .model import ModelParams
 
 __all__ = [
+    "b_factor",
     "q_factor",
     "cw_log_price",
     "cw_partials",
@@ -70,8 +70,25 @@ __all__ = [
 #: Coefficient functions with negative r-exponents are rejected below this rate.
 R_FLOOR = 1e-6
 
+#: Below this |beta| the factor (e^{beta tau} - 1)/beta is replaced by its
+#: beta -> 0 limit tau (removable singularity).
+BETA_EPS = 1e-10
+
 #: |beta * tau| below which the beta-singular brackets switch to series form.
 _SERIES_SWITCH = 1e-2
+
+
+def _check_maturity(tau) -> None:
+    """Refuse a negative or NaN maturity."""
+    if not tau >= 0:
+        raise ValidationError(f"maturity must be >= 0, got {tau}")
+
+
+def b_factor(beta: float, tau: float) -> float:
+    """(e^{beta tau} - 1) / beta, continuously extended to tau at beta = 0."""
+    if abs(beta) < BETA_EPS:
+        return float(tau)
+    return np.expm1(beta * tau) / beta
 
 
 def _beta_brackets(alpha: float, beta: float, sigma: float, tau: float):

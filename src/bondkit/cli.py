@@ -27,7 +27,7 @@ from .errors import (
     UnstableSolve,
     ValidationError,
 )
-from .model import DEFAULT_PARAMS, MaturityGrid, ModelParams, load_params, validate_params
+from .model import DEFAULT_PARAMS, MaturityGrid, ModelParams, _text_sink, load_params, validate_params
 from .pde import PdeConfig, solve
 
 EXIT_OK = 0
@@ -106,15 +106,13 @@ def cmd_price(args) -> int:
             t_final = args.tfinal if args.tfinal is not None else args.tau
             sol = solve(p, _pde_config(args, t_final), [args.tau])
             lnp = float(np.interp(args.rate, sol.rates, sol.log_price_at(args.tau)))
-    elif args.method in analysis.METHODS:
+    else:
         # an overflow shows up as a non-finite lnP, refused below
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 lnp = analysis.METHODS[args.method](p, args.tau, args.rate)
             except OverflowError:
                 lnp = math.inf
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValidationError(f"unknown method {args.method!r}")
     try:
         price = math.exp(lnp)
     except OverflowError:
@@ -167,12 +165,8 @@ def cmd_eoc(args) -> int:
     for i, tau in enumerate(taus):
         e = f"{rows[i].eoc!r}" if i < len(rows) else ""
         lines.append(f"{tau!r},{errs[i]!r},{e}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _text_sink(args.out or sys.stdout) as buf:
+        buf.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -201,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     price = sub.add_parser("price", help="price a single (tau, r) point")
     _add_model_flags(price)
     price.add_argument("--method", required=True,
-                       choices=("cw", "improved", "cir", "vasicek", "pde"))
+                       choices=(*analysis.METHODS, "pde"))
     price.add_argument("--tau", type=float, required=True, help="maturity in years")
     price.add_argument("--rate", type=float, required=True, help="short rate (decimal)")
     _add_pde_flags(price)

@@ -7,10 +7,17 @@ marched forward in maturity on a truncated uniform grid [0, r_max] by
 Crank-Nicolson, with the first ``N_IMPLICIT_START`` steps fully implicit to
 damp the startup of the degenerate corner.  The spatial operator uses
 central flux differences for the diffusion term and central differences for
-the drift (the drift is tiny relative to diffusion over the domains of
-interest, and the mesh Peclet number stays far below the oscillation
-threshold).  gamma >= 3/2 is refused with ``GammaOutOfRange``: uniqueness
-of the continuous problem is only guaranteed below it.
+the drift.  The central drift is not monotone near r = 0 for gamma > 1/2:
+where (alpha + beta r) dr / 2 exceeds the diffusion coefficient
+(1/2) sigma^2 r^{2 gamma}, a row's sub-diagonal is negative.  With the
+default parameters on the desk grid (4001 nodes on [0, 0.5]) that happens in
+no row at gamma = 1/2, and in the first 10 (r <= 0.00125), 52 (r <= 0.0065)
+and 158 (r <= 0.01975) interior rows at gamma = 0.75, 1 and 1.32.  The
+truncation at r_max does not reach the rates of interest: doubling r_max
+from 0.5 to 1.0 at the same dr (401 vs 801 nodes, 1000 steps to tau = 1)
+leaves ln P on [0, 0.15] unchanged to the last bit at all four gammas.
+gamma >= 3/2 is refused with ``GammaOutOfRange``: uniqueness of the
+continuous problem is only guaranteed below it.
 
 Boundaries
 ----------

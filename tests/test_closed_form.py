@@ -11,6 +11,7 @@ from bondkit import (
     cir_log_price,
     cir_partials,
     cw_log_price,
+    cw_partials,
     pde_residual,
     vasicek_log_price,
     vasicek_partials,
@@ -44,8 +45,10 @@ class TestVasicek:
         assert vasicek_log_price(vas_params, 0.0, 0.07) == 0.0
 
     def test_gamma_guard(self, params):
-        with pytest.raises(GammaMismatch):
-            vasicek_log_price(params, 1.0, 0.05)
+        for gamma in (0.5, 1e-9, 1.0):
+            for fn in (vasicek_log_price, vasicek_partials):
+                with pytest.raises(GammaMismatch, match=fn.__name__):
+                    fn(params.with_gamma(gamma), 1.0, 0.05)
 
     def test_frozen_value(self, vas_params):
         # independently evaluated in 60-digit arithmetic
@@ -57,14 +60,19 @@ class TestVasicek:
     def test_pde_residual_vanishes(self, vas_params):
         f = functools.partial(vasicek_log_price, vas_params)
         part = functools.partial(vasicek_partials, vas_params)
-        for tau in (0.1, 0.5, 1.0, 4.0):
+        for tau in (0.1, 0.5, 1.0, 4.0, 10.0, 30.0):
             for r in (0.01, 0.05, 0.2):
                 assert abs(pde_residual(f, vas_params, tau, r, partials=part)) < 1e-12
 
     def test_bitwise_equal_to_general_formula(self, vas_params):
-        r = np.linspace(0.0, 0.3, 31)
-        for tau in (0.25, 1.0, 5.0):
+        # price and partials; Gaussian rates go negative, so the grid does too
+        r = np.linspace(-0.1, 0.3, 41)
+        for tau in (0.0, 0.25, 1.0, 5.0, 30.0):
             assert np.all(vasicek_log_price(vas_params, tau, r) == cw_log_price(vas_params, tau, r))
+            for rate in (r, -0.05, 0.07):
+                for got, want in zip(vasicek_partials(vas_params, tau, rate),
+                                     cw_partials(vas_params, tau, rate)):
+                    assert np.all(got == want)
 
     def test_continuous_in_beta_at_zero(self, vas_params):
         # no jump through beta = 0 beyond the genuine beta-sensitivity
@@ -86,8 +94,9 @@ class TestCir:
             assert cir_log_price(params, 0.0, r) == 0.0
 
     def test_gamma_guard(self, params):
-        with pytest.raises(GammaMismatch):
-            cir_log_price(params.with_gamma(1.0), 1.0, 0.05)
+        for fn in (cir_log_price, cir_partials):
+            with pytest.raises(GammaMismatch, match=fn.__name__):
+                fn(params.with_gamma(1.0), 1.0, 0.05)
 
     def test_negative_or_nan_rate_rejected(self, params):
         # P > 1 would come out of the formula for a negative rate
@@ -100,7 +109,8 @@ class TestCir:
     def test_pde_residual_grid(self, params):
         f = functools.partial(cir_log_price, params)
         part = functools.partial(cir_partials, params)
-        for tau in (0.1, 0.5, 1.0, 3.0):
+        # theta * tau = 1 falls at tau ~ 7.24: 10 and 30 check the factored form
+        for tau in (0.1, 0.5, 1.0, 3.0, 10.0, 30.0):
             for r in (0.005, 0.05, 0.1, 0.25):
                 assert abs(pde_residual(f, params, tau, r, partials=part)) < 1e-10
 

@@ -4,7 +4,10 @@ signatures stay as they are."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -38,3 +41,30 @@ SIGNATURES = {
 @pytest.mark.parametrize("name", list(SIGNATURES))
 def test_pricer_signatures_unchanged(name):
     assert str(inspect.signature(getattr(approximation, name))) == SIGNATURES[name]
+
+
+def import_alone(module: str, then: str = "") -> None:
+    """Import ``bondkit.<module>`` first in a fresh interpreter, with the
+    package's ``__init__`` not run (so its import order decides nothing),
+    then run the statement ``then``."""
+    code = (
+        "import importlib, sys, types\n"
+        "pkg = types.ModuleType('bondkit')\n"
+        f"pkg.__path__ = [{os.path.dirname(bondkit.__file__)!r}]\n"
+        "sys.modules['bondkit'] = pkg\n"
+        f"importlib.import_module('bondkit.{module}')\n"
+        f"{then}\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(bondkit.__path__)])
+def test_each_module_imports_first(module):
+    # a module cycle fails whichever of its modules is imported first
+    import_alone(module)
+
+
+def test_approximation_does_not_load_closed_form():
+    # the closed forms build on the approximation, not the other way round
+    import_alone("approximation", "assert 'bondkit.closed_form' not in sys.modules, sorted(sys.modules)")

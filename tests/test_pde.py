@@ -63,6 +63,30 @@ class TestBoundaryPolicy:
         got = lo[-1] * P[-2] + di[-1] * P[-1]
         assert got == pytest.approx(v * b_coef - cfg.r_max * P[-1], rel=1e-12)
 
+    @pytest.mark.parametrize("gamma, rows, r_top", [(0.5, 0, 0.0), (0.75, 10, 0.00125),
+                                                     (1.0, 52, 0.0065), (1.32, 158, 0.01975)])
+    def test_central_drift_negative_sub_diagonal_rows(self, params, gamma, rows, r_top):
+        # the module docstring's count on the desk grid: the rows whose
+        # central drift outweighs the vanishing diffusion are the first ones
+        from bondkit.pde import _spatial_operator
+
+        r = np.linspace(0.0, 0.5, 4001)
+        lo = _spatial_operator(params.with_gamma(gamma), r, r[1] - r[0])[0]
+        neg = np.flatnonzero(lo[1:-1] < 0) + 1
+        assert neg.tolist() == list(range(1, rows + 1))
+        assert r[rows] == pytest.approx(r_top, abs=1e-15)
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.75, 1.0, 1.32])
+    def test_rmax_truncation_does_not_reach_rates_of_interest(self, params, gamma):
+        # the module docstring's claim: r_max 1.0 instead of 0.5 at the same dr
+        # leaves ln P on [0, 0.15] bit-identical
+        p = params.with_gamma(gamma)
+        near, far = (solve(p, PdeConfig(r_max=r_max, n_space=n, n_time=1000), [1.0])
+                     for r_max, n in ((0.5, 401), (1.0, 801)))
+        m = near.rates <= 0.15
+        assert np.array_equal(near.rates[m], far.rates[: m.size][m])
+        assert np.array_equal(near.log_price_at(1.0)[m], far.log_price_at(1.0)[: m.size][m])
+
 
 class TestSolve:
     def test_tau_zero_snapshot_is_zero(self, params):
