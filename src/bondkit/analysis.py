@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
     ZeroMaturity,
 )
-from .model import DEFAULT_PARAMS, LogPriceCurve, ModelParams, RateGrid, _text_sink
+from .model import DEFAULT_PARAMS, LogPriceCurve, ModelParams, RateGrid, _write_csv
 from .pde import PdeConfig, solve
 
 __all__ = [
@@ -226,15 +226,8 @@ class Table:
         return f"{value:.3e}"
 
     def to_csv(self, path_or_buf, stamp: str | None = None) -> None:
-        with _text_sink(path_or_buf) as buf:
-            buf.write(f"# table: {self.table_id}\n")
-            for key, val in self.meta.items():
-                buf.write(f"# {key}: {val}\n")
-            if stamp:
-                buf.write(f"# generated: {stamp}\n")
-            buf.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                buf.write(",".join(self._fmt(c, v) for c, v in zip(self.columns, row)) + "\n")
+        rows = ([self._fmt(c, v) for c, v in zip(self.columns, row)] for row in self.rows)
+        _write_csv(path_or_buf, {"table": self.table_id, **self.meta}, self.columns, rows, stamp)
 
     def column(self, name: str) -> list:
         i = self.columns.index(name)

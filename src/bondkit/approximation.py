@@ -79,9 +79,9 @@ _SERIES_SWITCH = 1e-2
 
 
 def _check_maturity(tau) -> None:
-    """Refuse a negative or NaN maturity."""
-    if not tau >= 0:
-        raise ValidationError(f"maturity must be >= 0, got {tau}")
+    """Refuse a negative, infinite or NaN maturity."""
+    if not 0 <= tau < np.inf:
+        raise ValidationError(f"maturity must be finite and >= 0, got {tau}")
 
 
 def b_factor(beta: float, tau: float) -> float:

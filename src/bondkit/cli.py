@@ -27,7 +27,7 @@ from .errors import (
     UnstableSolve,
     ValidationError,
 )
-from .model import DEFAULT_PARAMS, MaturityGrid, ModelParams, _text_sink, load_params, validate_params
+from .model import DEFAULT_PARAMS, MaturityGrid, ModelParams, _write_csv, load_params, validate_params
 from .pde import PdeConfig, solve
 
 EXIT_OK = 0
@@ -160,13 +160,9 @@ def cmd_eoc(args) -> int:
     grid = analysis.DEFAULT_NORM_GRID
     norm = analysis.linf_norm if args.norm == "linf" else analysis.l2_norm
     errs = [norm(analysis.difference_curve(p, pair, grid, tau)) for tau in taus]
-    rows = analysis.eoc(errs, taus)
-    lines = ["tau,err,eoc"]
-    for i, tau in enumerate(taus):
-        e = f"{rows[i].eoc!r}" if i < len(rows) else ""
-        lines.append(f"{tau!r},{errs[i]!r},{e}")
-    with _text_sink(args.out or sys.stdout) as buf:
-        buf.write("\n".join(lines) + "\n")
+    eocs = [repr(row.eoc) for row in analysis.eoc(errs, taus)] + [""]
+    rows = ([repr(tau), repr(err), e] for tau, err, e in zip(taus, errs, eocs))
+    _write_csv(args.out or sys.stdout, {}, ["tau", "err", "eoc"], rows)
     return EXIT_OK
 
 
@@ -243,7 +239,7 @@ def main(argv=None) -> int:
     except UnstableSolve as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except (ValidationError, BondkitError, OSError) as exc:
+    except (BondkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

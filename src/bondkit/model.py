@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -191,12 +190,18 @@ def save_params(p: ModelParams, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-@contextmanager
-def _text_sink(path_or_buf):
-    """Yield a writable text stream for the CSV writers: a path is opened for
-    writing and closed afterwards, a buffer is passed through untouched."""
+def _write_csv(path_or_buf, meta: dict, header, rows, stamp: str | None = None) -> None:
+    """Write bondkit's one CSV layout: a ``# key: value`` line per ``meta``
+    item, ``# generated: <stamp>`` when a stamp is given, the header, then the
+    rows, each a sequence of formatted cells.  A path is opened and closed; a
+    buffer is written to and left open."""
     if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
         with open(path_or_buf, "w") as buf:
-            yield buf
-    else:
-        yield path_or_buf
+            return _write_csv(buf, meta, header, rows, stamp)
+    for key, val in meta.items():
+        path_or_buf.write(f"# {key}: {val}\n")
+    if stamp:
+        path_or_buf.write(f"# generated: {stamp}\n")
+    path_or_buf.write(",".join(header) + "\n")
+    for row in rows:
+        path_or_buf.write(",".join(row) + "\n")

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GammaOutOfRange, TridiagonalSingular, UnstableSolve, ValidationError
-from .model import ModelParams, _text_sink, validate_params
+from .model import ModelParams, _write_csv, validate_params
 
 __all__ = ["PdeConfig", "PdeSolution", "SolveDiagnostics", "solve"]
 
@@ -77,14 +77,13 @@ class PdeConfig:
     t_final: float = 1.0
 
     def __post_init__(self):
-        if not self.r_max > 0:
-            raise ValidationError(f"r_max must be > 0, got {self.r_max}")
+        for name in ("r_max", "t_final"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.n_space < 3:
             raise ValidationError(f"n_space must be >= 3, got {self.n_space}")
         if self.n_time < 1:
             raise ValidationError(f"n_time must be >= 1, got {self.n_time}")
-        if not self.t_final > 0:
-            raise ValidationError(f"t_final must be > 0, got {self.t_final}")
 
 
 @dataclass
@@ -122,24 +121,18 @@ class PdeSolution:
         Metadata lines (``#``-prefixed) record the configuration and
         parameters; numbers use shortest round-trip representation.
         """
-        with _text_sink(path_or_buf) as buf:
-            p, c = self.params, self.config
-            buf.write(f"# params: alpha={p.alpha!r} beta={p.beta!r} sigma={p.sigma!r} gamma={p.gamma!r}\n")
-            buf.write(
-                f"# config: r_max={c.r_max!r} n_space={c.n_space} n_time={c.n_time} "
-                f"t_final={c.t_final!r} theta=0.5 drift=central boundary_order=2\n"
-            )
-            if self.diagnostics is not None:
-                d = self.diagnostics
-                buf.write(
-                    f"# diagnostics: steps={d.n_steps} rannacher={d.n_rannacher_steps} "
-                    f"min_pivot={d.min_pivot!r} max_linear_residual={d.max_linear_residual!r}\n"
-                )
-            if stamp:
-                buf.write(f"# generated: {stamp}\n")
-            buf.write("r," + ",".join(f"lnP_tau{t!r}" for t in self.taus) + "\n")
-            for j, r in enumerate(self.rates):
-                buf.write(f"{float(r)!r}," + ",".join(f"{float(v)!r}" for v in self.log_prices[:, j]) + "\n")
+        p, c, d = self.params, self.config, self.diagnostics
+        meta = {
+            "params": f"alpha={p.alpha!r} beta={p.beta!r} sigma={p.sigma!r} gamma={p.gamma!r}",
+            "config": f"r_max={c.r_max!r} n_space={c.n_space} n_time={c.n_time} "
+                      f"t_final={c.t_final!r} theta=0.5 drift=central boundary_order=2",
+        }
+        if d is not None:
+            meta["diagnostics"] = (f"steps={d.n_steps} rannacher={d.n_rannacher_steps} "
+                                   f"min_pivot={d.min_pivot!r} max_linear_residual={d.max_linear_residual!r}")
+        header = ["r", *(f"lnP_tau{t!r}" for t in self.taus)]
+        rows = ([repr(r), *map(repr, lnp)] for r, lnp in zip(self.rates.tolist(), self.log_prices.T.tolist()))
+        _write_csv(path_or_buf, meta, header, rows, stamp)
 
 
 def _factor(dl: np.ndarray, d: np.ndarray, du: np.ndarray):

@@ -62,6 +62,34 @@ tau,l2_cw,l2_improved
 10,2.921e-03,1.200e-03
 """
 
+# the exact bytes of ``bondkit table --table 3 --nspace 41 --ntime 40 --out``
+T3_SMALL_CSV = """\
+# table: T3
+# params: alpha=0.00315 beta=-0.0555 sigma=0.0894
+# norm_interval: [0, 0.15] on the solver grid
+# solver_grid: n_space=41 n_time=40 r_max=0.5
+# comparison: cw vs PDE solution (log prices)
+# note: reference L2 values for this table are ~sqrt(2) above the trapezoid convention of tables 1-2; \
+small-norm reference cells sit at the reference computation's own sampling/error floor
+gamma,tau,linf,l2,solver_est_linf,solver_est_l2
+0.5,1,8.314e-05,1.479e-05,4.140e-04,7.494e-05
+0.5,0.75,8.417e-05,1.492e-05,2.953e-04,5.325e-05
+0.5,0.5,8.499e-05,1.500e-05,1.965e-04,3.531e-05
+0.5,0.25,8.569e-05,1.506e-05,7.343e-05,1.315e-05
+0.75,1,8.158e-05,1.442e-05,4.050e-04,7.280e-05
+0.75,0.75,8.278e-05,1.459e-05,2.901e-04,5.202e-05
+0.75,0.5,8.396e-05,1.476e-05,1.939e-04,3.471e-05
+0.75,0.25,8.512e-05,1.493e-05,7.285e-05,1.301e-05
+1,1,8.094e-05,1.428e-05,4.015e-04,7.206e-05
+1,0.75,8.223e-05,1.448e-05,2.880e-04,5.160e-05
+1,0.5,8.356e-05,1.468e-05,1.929e-04,3.450e-05
+1,0.25,8.490e-05,1.489e-05,7.262e-05,1.297e-05
+1.32,1,8.064e-05,1.423e-05,4.000e-04,7.177e-05
+1.32,0.75,8.199e-05,1.443e-05,2.871e-04,5.143e-05
+1.32,0.5,8.338e-05,1.465e-05,1.925e-04,3.442e-05
+1.32,0.25,8.480e-05,1.487e-05,7.252e-05,1.295e-05
+"""
+
 
 def flat_curve(value, tau=1.0, grid=None):
     g = grid or RateGrid(0.0, 0.15, 101)
@@ -237,6 +265,16 @@ class TestTables:
         path = tmp_path / "t.csv"
         assert main(["table", "--table", str(table), "--out", str(path)]) == 0
         assert path.read_text() == want
+
+    def test_table3_csv_bytes_pinned(self, params, tmp_path):
+        sols, ests = compute_table3_solutions(params, PdeConfig(n_space=41, n_time=40))
+        t = build_table("T3", params, pde_solutions=sols, error_estimates=ests)
+        buf = io.StringIO()
+        t.to_csv(buf)
+        assert buf.getvalue() == T3_SMALL_CSV
+        path = tmp_path / "t3.csv"
+        assert main(["table", "--table", "3", "--nspace", "41", "--ntime", "40", "--out", str(path)]) == 0
+        assert path.read_text() == T3_SMALL_CSV
 
     def test_csv_stamp_only_when_requested(self, params):
         buf = io.StringIO()

@@ -3,6 +3,15 @@ import pytest
 
 from bondkit.cli import main
 
+# the exact bytes of ``bondkit eoc`` (defaults), on stdout or in an --out file
+EOC_CSV = """\
+tau,err,eoc
+1.0,2.7744179850741624e-07,4.930366775301482
+0.75,6.717042484727376e-08,4.951037467978068
+0.5,9.022848676543127e-09,4.971622993540574
+0.25,2.8756499959037285e-10,
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -231,6 +240,12 @@ class TestEoc:
         assert code == 0 and out == ""
         assert path.read_text().startswith("tau,err,eoc")
 
+    def test_bytes_pinned(self, capsys, tmp_path):
+        path = tmp_path / "eoc.csv"
+        assert run(capsys, "eoc", "--out", str(path)) == (0, "", "")
+        assert path.read_text() == EOC_CSV
+        assert run(capsys, "eoc") == (0, EOC_CSV, "")
+
 
 class TestPde:
     def test_small_solve_with_diagnostics(self, capsys, tmp_path):
@@ -247,7 +262,16 @@ class TestPde:
                          "--nspace", "201", "--ntime", "100", "--taus", "1")
         assert code == 0
 
-    def test_gamma_beyond_range_needs_force(self, capsys, tmp_path):
+    @pytest.mark.parametrize("flag, name", [("--rmax", "r_max"), ("--tfinal", "t_final")])
+    def test_non_finite_grid_exit_2(self, capsys, tmp_path, flag, name):
+        # refused before any grid is built: no NumPy warning, no CSV
+        path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "pde", flag, "inf", "--out", str(path),
+                             "--nspace", "11", "--ntime", "4", "--taus", "1")
+        assert (code, out, err) == (2, "", f"error: {name} must be finite and > 0, got inf\n")
+        assert not path.exists()
+
+    def test_gamma_beyond_range_exit_3(self, capsys, tmp_path):
         path = tmp_path / "x.csv"
         args = ["pde", "--gamma", "1.6", "--out", str(path),
                 "--nspace", "101", "--ntime", "20", "--taus", "1"]

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -18,6 +19,26 @@ from bondkit import (
 from bondkit.errors import GammaOutOfRange, TridiagonalSingular, UnstableSolve, ValidationError
 from bondkit.pde import _factor
 
+# the exact bytes of ``solve(DEFAULT_PARAMS, PdeConfig(n_space=11, n_time=8,
+# t_final=1.0), [0.3, 1.0]).to_csv``: tau = 0.3 falls between time levels
+PDE_CSV = """\
+# params: alpha=0.00315 beta=-0.0555 sigma=0.0894 gamma=0.5
+# config: r_max=0.5 n_space=11 n_time=8 t_final=1.0 theta=0.5 drift=central boundary_order=2
+# diagnostics: steps=8 rannacher=8 min_pivot=1.0032911735601193 max_linear_residual=2.7755575615628914e-16
+r,lnP_tau0.3,lnP_tau1.0
+0.0,-0.00019291580943635357,-0.0017279492306143695
+0.05,-0.014976526531301422,-0.049961186767093935
+0.1,-0.029680615600158358,-0.09792298770925033
+0.15000000000000002,-0.04430610061825886,-0.14561764600573696
+0.2,-0.058853847869897315,-0.19304793569542253
+0.25,-0.07332470897259576,-0.24021656301280558
+0.30000000000000004,-0.08771952171701704,-0.2871262176291598
+0.35000000000000003,-0.10203911359820964,-0.3337798578651802
+0.4,-0.11628436577744256,-0.38018389351171855
+0.45,-0.13045731465329996,-0.42637821295742767
+0.5,-0.1445778063939994,-0.47267367516007475
+"""
+
 
 def linf_vs_cir(params, sol, tau, r_hi=0.15):
     mask = sol.rates <= r_hi + 1e-12
@@ -33,6 +54,9 @@ class TestConfig:
             PdeConfig(n_space=2)
         with pytest.raises(ValidationError):
             PdeConfig(n_time=0)
+        for bad in ({"r_max": np.inf}, {"t_final": np.inf}, {"r_max": np.nan}, {"t_final": np.nan}):
+            with pytest.raises(ValidationError, match="finite"):
+                PdeConfig(**bad)
 
     def test_minimal_grid_runs(self, params):
         # n_space = 3 is the documented lower bound: runs, untrusted accuracy
@@ -214,6 +238,17 @@ class TestThomasPivot:
 
 
 class TestSolutionExport:
+    def test_csv_bytes_pinned(self, params, tmp_path):
+        sol = solve(params, PdeConfig(n_space=11, n_time=8, t_final=1.0), [0.3, 1.0])
+        path = tmp_path / "pde.csv"
+        sol.to_csv(path)
+        assert path.read_text() == PDE_CSV
+        buf = io.StringIO()
+        sol.to_csv(buf, stamp="2024-01-01T00:00:00+00:00")
+        assert not buf.closed  # a buffer is left open for its owner
+        head, rows = PDE_CSV.split("r,lnP", 1)
+        assert buf.getvalue() == head + "# generated: 2024-01-01T00:00:00+00:00\nr,lnP" + rows
+
     def test_csv_layout(self, params, tmp_path):
         sol = solve(params, PdeConfig(n_space=11, n_time=8, t_final=1.0), [0.5, 1.0])
         path = tmp_path / "pde.csv"

@@ -1,21 +1,23 @@
 """Property tests over maturity, rate and gamma, including negative and NaN
-values: every closed-form pricer and every analytic-partials function, fed
-parameters that passed ``validate_params`` as the CLI feeds them, returns
-finite values or raises a ``BondkitError``, and every pricer prices par at
-zero maturity."""
+values and an infinite maturity: every closed-form pricer and every
+analytic-partials function, fed parameters that passed ``validate_params``
+as the CLI feeds them, returns finite values or raises a ``BondkitError``,
+and every pricer prices par at zero maturity."""
 
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bondkit import (DEFAULT_PARAMS, BondkitError, c5, c6, cir_partials, cw_log_price,
-                     cw_partials, validate_params, vasicek_partials)
+from bondkit import (DEFAULT_PARAMS, BondkitError, ModelParams, ValidationError, c5, c6,
+                     cir_partials, cw_log_price, cw_partials, validate_params, vasicek_log_price,
+                     vasicek_partials)
 from bondkit.analysis import METHODS
 
 NAN = st.just(math.nan)
 GAMMAS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.32]), st.floats(-1.0, 3.0), NAN)
-TAUS = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(-1.0, 50.0), NAN)
+TAUS = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(-1.0, 50.0), NAN, st.just(math.inf))
 RATES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-6, 0.05]), st.floats(-1.0, 1.0), NAN)
 
 
@@ -37,6 +39,9 @@ def attempt(fn, p, tau, r):
 @example(method="improved", gamma=0.75, tau=math.nan, r=0.05)
 @example(method="vasicek", gamma=0.0, tau=1.0, r=math.nan)
 @example(method="cw", gamma=0.25, tau=1.0, r=1e-300)
+@example(method="vasicek", gamma=0.0, tau=math.inf, r=0.05)
+@example(method="cw", gamma=0.75, tau=math.inf, r=0.05)
+@example(method="improved", gamma=0.5, tau=math.inf, r=0.05)
 def test_finite_or_typed_error(method, gamma, tau, r):
     p = DEFAULT_PARAMS.with_gamma(gamma)
     value = attempt(METHODS[method], p, tau, r)
@@ -59,8 +64,18 @@ def test_finite_or_typed_error(method, gamma, tau, r):
 @example(name="cir", gamma=0.5, tau=1.0, r=-0.5)
 @example(name="cw", gamma=0.0, tau=1.0, r=math.nan)
 @example(name="vasicek", gamma=0.0, tau=-1.0, r=0.05)
+@example(name="vasicek", gamma=0.0, tau=math.inf, r=0.05)
+@example(name="cir", gamma=0.5, tau=math.inf, r=0.05)
 def test_partials_finite_or_typed_error(name, gamma, tau, r):
     fn, fixed_gamma = PARTIALS[name]
     g = gamma if fixed_gamma is None else fixed_gamma
     values = attempt(fn, DEFAULT_PARAMS.with_gamma(g), tau, r)
     assert values is None or all(math.isfinite(v) for v in values)
+
+
+@pytest.mark.parametrize("fn", [vasicek_log_price, vasicek_partials])
+def test_vasicek_without_drift_slope_refuses_infinite_maturity(fn):
+    # at beta = 0 the tau = inf limit divided alpha by beta
+    p = validate_params(ModelParams(DEFAULT_PARAMS.alpha, 0.0, DEFAULT_PARAMS.sigma, 0.0))
+    with pytest.raises(ValidationError, match="maturity"):
+        fn(p, math.inf, 0.05)
