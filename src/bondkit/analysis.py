@@ -15,13 +15,7 @@ import numpy as np
 
 from .approximation import cw_log_price, improved_log_price
 from .closed_form import cir_log_price, vasicek_log_price
-from .errors import (
-    GridMismatch,
-    MissingPdeSolution,
-    NonPositiveError,
-    ValidationError,
-    ZeroMaturity,
-)
+from .errors import ValidationError
 from .model import DEFAULT_PARAMS, LogPriceCurve, ModelParams, RateGrid, _write_csv
 from .pde import PdeConfig, solve
 
@@ -102,7 +96,7 @@ def eoc(errs, taus) -> list:
     if len(errs) != len(taus) or len(errs) < 2:
         raise ValidationError(f"need matching lists of >= 2 errors/maturities, got {len(errs)}/{len(taus)}")
     if any(e <= 0 for e in errs):
-        raise NonPositiveError(
+        raise ValidationError(
             "error norm <= 0: the two pricers agree to machine precision, no order to estimate"
         )
     rows = []
@@ -115,14 +109,14 @@ def eoc(errs, taus) -> list:
 def yield_curve(log_price: LogPriceCurve) -> np.ndarray:
     """Continuously compounded yields R(tau, r) = -ln P / tau."""
     if log_price.tau == 0:
-        raise ZeroMaturity("yields are undefined at tau = 0")
+        raise ValidationError("yields are undefined at tau = 0")
     return -log_price.values / log_price.tau
 
 
 def relative_mispricing(ap: LogPriceCurve, ex: LogPriceCurve) -> np.ndarray:
     """(P_ap - P_ex) / P_ex, computed stably as expm1(ln P_ap - ln P_ex)."""
     if ap.grid != ex.grid or ap.tau != ex.tau:
-        raise GridMismatch("curves must share grid and maturity")
+        raise ValidationError("curves must share grid and maturity")
     return np.expm1(ap.values - ex.values)
 
 
@@ -276,7 +270,7 @@ def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
     if tid != "T3":
         raise ValidationError(f"unknown table id {table_id!r}; choose 1, 2 or 3")
     if not pde_solutions:
-        raise MissingPdeSolution("table 3 needs PDE solutions (mapping gamma -> PdeSolution)")
+        raise ValidationError("table 3 needs PDE solutions (mapping gamma -> PdeSolution)")
     cols = ["gamma", "tau", "linf", "l2", "solver_est_linf", "solver_est_l2"]
     rows = []
     for g in sorted(pde_solutions):
@@ -315,7 +309,7 @@ def compute_table3_solutions(p: ModelParams, cfg: PdeConfig | None = None, gamma
     cfg = cfg or PdeConfig()
     coarse_cfg = None
     if (cfg.n_space - 1) % 2 == 0 and cfg.n_time % 4 == 0 and cfg.n_space >= 7:
-        coarse_cfg = replace(cfg, n_space=(cfg.n_space - 1) // 2 + 1, n_time=max(cfg.n_time // 4, 1))
+        coarse_cfg = replace(cfg, n_space=(cfg.n_space - 1) // 2 + 1, n_time=cfg.n_time // 4)
 
     solutions, estimates = {}, {}
     for g in gammas:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, StepTooLarge, ValidationError
+from .errors import DomainError, ValidationError
 from .model import ModelParams
 
 __all__ = [
@@ -76,6 +76,9 @@ BETA_EPS = 1e-10
 
 #: |beta * tau| below which the beta-singular brackets switch to series form.
 _SERIES_SWITCH = 1e-2
+
+#: Finite-difference step of :func:`pde_residual` without analytic partials.
+H_FD = 1e-5
 
 
 def _check_maturity(tau) -> None:
@@ -425,8 +428,7 @@ def improved_log_price(p: ModelParams, tau: float, r):
     return lnp - a5 * tau**5 - a6 * tau**6
 
 
-def pde_residual(log_price_fn, p: ModelParams, tau: float, r: float,
-                 partials=None, h_fd: float = 1e-5):
+def pde_residual(log_price_fn, p: ModelParams, tau: float, r: float, partials=None):
     """Residual of a candidate log price f in the log-transformed pricing PDE
 
         -f_tau + (1/2) sigma^2 r^{2 gamma} [f_r^2 + f_rr]
@@ -440,14 +442,15 @@ def pde_residual(log_price_fn, p: ModelParams, tau: float, r: float,
     log_price_fn : callable (tau, r) -> log price
     partials : optional callable (tau, r) -> (f_tau, f_r, f_rr); when given,
         derivatives are analytic.  Otherwise central differences with step
-        ``h_fd`` plus one Richardson extrapolation level are used, which
-        resolves residuals down to roughly 1e-9.
+        ``H_FD`` (1e-5) plus one Richardson extrapolation level are used,
+        which resolves residuals down to roughly 1e-9; ``tau`` and ``r`` must
+        then be at least ``4 * H_FD``.
     """
     if partials is not None:
         f_tau, f_r, f_rr = partials(tau, r)
     else:
-        if h_fd > tau / 4 or h_fd > r / 4:
-            raise StepTooLarge(f"h_fd={h_fd} exceeds tau/4={tau / 4} or r/4={r / 4}")
+        if H_FD > tau / 4 or H_FD > r / 4:
+            raise ValidationError(f"h_fd={H_FD} exceeds tau/4={tau / 4} or r/4={r / 4}")
 
         def dtau(h):
             return (log_price_fn(tau + h, r) - log_price_fn(tau - h, r)) / (2 * h)
@@ -460,9 +463,9 @@ def pde_residual(log_price_fn, p: ModelParams, tau: float, r: float,
                 log_price_fn(tau, r + h) - 2 * log_price_fn(tau, r) + log_price_fn(tau, r - h)
             ) / (h * h)
 
-        f_tau = (4 * dtau(h_fd / 2) - dtau(h_fd)) / 3
-        f_r = (4 * dr(h_fd / 2) - dr(h_fd)) / 3
-        f_rr = (4 * drr(h_fd / 2) - drr(h_fd)) / 3
+        f_tau = (4 * dtau(H_FD / 2) - dtau(H_FD)) / 3
+        f_r = (4 * dr(H_FD / 2) - dr(H_FD)) / 3
+        f_rr = (4 * drr(H_FD / 2) - drr(H_FD)) / 3
     g = p.gamma
     r2g = 1.0 if g == 0 else r ** (2 * g)
     return (

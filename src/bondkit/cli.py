@@ -5,9 +5,10 @@ CSV, optionally checked against golden values), ``eoc`` (error norms and
 experimental order of convergence over a maturity ladder), ``pde`` (raw PDE
 solve exported as CSV).
 
-Exit codes: 0 success, 2 validation error, 3 method/gamma mismatch,
-4 golden-check failure, 5 unstable solve.  Output is deterministic: no
-timestamps unless ``--stamp`` is passed.
+Exit codes: 0 success, 2 ``ValidationError``/``DomainError`` (or an
+unreadable file), 3 ``GammaMismatch``, 4 golden-check failure,
+5 ``UnstableSolve``.  Output is deterministic: no timestamps unless
+``--stamp`` is passed.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import analysis
-from .errors import (
-    BondkitError,
-    GammaMismatch,
-    GammaOutOfRange,
-    UnstableSolve,
-    ValidationError,
-)
+from .errors import BondkitError, GammaMismatch, UnstableSolve, ValidationError
 from .model import DEFAULT_PARAMS, MaturityGrid, ModelParams, _write_csv, load_params, validate_params
 from .pde import PdeConfig, solve
 
@@ -44,9 +39,6 @@ def _add_model_flags(sub, gamma: bool = True):
     sub.add_argument("--sigma", type=float, help=f"volatility scale (default {DEFAULT_PARAMS.sigma})")
     if gamma:
         sub.add_argument("--gamma", type=float, help=f"volatility exponent (default {DEFAULT_PARAMS.gamma})")
-    sub.add_argument("--feller-check", action="store_true",
-                     help="also require 2*alpha >= sigma^2 (off by default; the "
-                          "benchmark parameter set violates it)")
 
 
 def _resolve_params(args) -> ModelParams:
@@ -57,7 +49,7 @@ def _resolve_params(args) -> ModelParams:
         sigma=base.sigma if args.sigma is None else args.sigma,
         gamma=base.gamma if getattr(args, "gamma", None) is None else args.gamma,
     )
-    return validate_params(p, requires_cir_condition=args.feller_check)
+    return validate_params(p)
 
 
 def _add_pde_flags(sub, tfinal: bool = True):
@@ -67,17 +59,21 @@ def _add_pde_flags(sub, tfinal: bool = True):
     sub.add_argument("--rmax", type=float, default=d.r_max, help=f"domain truncation (default {d.r_max})")
     if tfinal:
         sub.add_argument("--tfinal", type=float, default=None,
-                         help="maturity horizon (default: largest requested tau)")
+                         help=f"maturity horizon (default: largest requested tau, "
+                              f"{d.t_final} if every tau is 0)")
 
 
-def _pde_config(args, t_final: float) -> PdeConfig:
+def _pde_config(args, taus) -> PdeConfig:
+    """The grid flags, solved to ``--tfinal`` if given, else to the largest of
+    ``taus``, else (every maturity 0) to the default horizon."""
+    t_final = getattr(args, "tfinal", None)
+    if t_final is None:
+        t_final = max(taus) or PdeConfig.t_final
     return PdeConfig(r_max=args.rmax, n_space=args.nspace, n_time=args.ntime, t_final=t_final)
 
 
 def _stamp(args) -> str | None:
-    if getattr(args, "stamp", False):
-        return datetime.now(timezone.utc).isoformat()
-    return None
+    return datetime.now(timezone.utc).isoformat() if args.stamp else None
 
 
 def _parse_taus(text: str) -> list:
@@ -100,12 +96,8 @@ def cmd_price(args) -> int:
     if args.method == "pde":
         if not 0 <= args.rate <= args.rmax:
             raise ValidationError(f"--method pde prices rates on its grid [0, {args.rmax}], got {args.rate}")
-        if args.tau == 0:
-            lnp = 0.0
-        else:
-            t_final = args.tfinal if args.tfinal is not None else args.tau
-            sol = solve(p, _pde_config(args, t_final), [args.tau])
-            lnp = float(np.interp(args.rate, sol.rates, sol.log_price_at(args.tau)))
+        sol = solve(p, _pde_config(args, [args.tau]), [args.tau])
+        lnp = float(np.interp(args.rate, sol.rates, sol.log_price_at(args.tau)))
     else:
         # an overflow shows up as a non-finite lnP, refused below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -130,8 +122,7 @@ def cmd_table(args) -> int:
         raise ValidationError("table: need --out and/or --check")
     estimates = None
     if args.table == 3:
-        taus = analysis.T1_TAUS
-        cfg = _pde_config(args, max(taus))
+        cfg = _pde_config(args, analysis.T1_TAUS)
         solutions, estimates = analysis.compute_table3_solutions(p, cfg)
         table = analysis.build_table("T3", p, pde_solutions=solutions, error_estimates=estimates)
     else:
@@ -171,8 +162,7 @@ def cmd_pde(args) -> int:
     taus = sorted(_parse_taus(args.taus))
     if any(t < 0 for t in taus):
         raise ValidationError("snapshot maturities must be >= 0")
-    t_final = args.tfinal if args.tfinal is not None else max(taus)
-    sol = solve(p, _pde_config(args, t_final), taus)
+    sol = solve(p, _pde_config(args, taus), taus)
     sol.to_csv(args.out, stamp=_stamp(args))
     d = sol.diagnostics
     print(
@@ -233,7 +223,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (GammaMismatch, GammaOutOfRange) as exc:
+    except GammaMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_METHOD_MISMATCH
     except UnstableSolve as exc:

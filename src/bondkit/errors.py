@@ -1,4 +1,12 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package: one type per way a caller
+reacts, each mapped to one ``bondkit`` CLI exit code.
+
+- ``ValidationError`` (exit 2): a parameter, grid, maturity, curve or option
+  violates an invariant.
+- ``DomainError`` (exit 2): a formula was evaluated where it is singular or
+  undefined.
+- ``GammaMismatch`` (exit 3): a method does not cover this gamma.
+- ``UnstableSolve`` (exit 5): the PDE solve failed.
 
 Validation failures subclass ``ValueError`` so callers that only know the
 standard library still catch them naturally; solver failures subclass
@@ -11,32 +19,8 @@ class BondkitError(Exception):
 
 
 class ValidationError(BondkitError, ValueError):
-    """A model parameter, grid, or curve violates an invariant."""
-
-
-class NonPositiveAlpha(ValidationError):
-    """Drift intercept alpha must be strictly positive."""
-
-
-class NonPositiveSigma(ValidationError):
-    """Volatility scale sigma must be strictly positive."""
-
-
-class NegativeGamma(ValidationError):
-    """Volatility exponent gamma must be non-negative."""
-
-
-class FellerViolated(ValidationError):
-    """2*alpha >= sigma**2 requested (square-root model) but not satisfied."""
-
-
-class GammaMismatch(ValidationError):
-    """A closed form was requested for a gamma it does not cover."""
-
-
-class GammaOutOfRange(ValidationError):
-    """gamma >= 3/2 requested from the PDE solver; uniqueness of the
-    continuous problem is only guaranteed below 3/2."""
+    """A model parameter, grid, maturity, curve or option violates an
+    invariant."""
 
 
 class DomainError(BondkitError, ValueError):
@@ -44,30 +28,12 @@ class DomainError(BondkitError, ValueError):
     makes it singular or undefined."""
 
 
-class StepTooLarge(BondkitError, ValueError):
-    """Finite-difference step exceeds a quarter of tau or r."""
-
-
-class GridMismatch(ValidationError):
-    """Two curves that must share a grid and maturity do not."""
-
-
-class ZeroMaturity(ValidationError):
-    """Yields are undefined at tau == 0."""
-
-
-class NonPositiveError(ValidationError):
-    """An error norm of zero or less was fed to the EOC computation; the
-    two pricers agree to machine precision and no order can be estimated."""
-
-
-class MissingPdeSolution(ValidationError):
-    """Table 3 assembly requires at least one PDE solution."""
+class GammaMismatch(ValidationError):
+    """A method was asked for a gamma it does not cover: a closed form off
+    its gamma, or the PDE solver at gamma >= 3/2, where uniqueness of the
+    continuous problem is not guaranteed."""
 
 
 class UnstableSolve(BondkitError, RuntimeError):
-    """A non-finite value appeared during time stepping."""
-
-
-class TridiagonalSingular(BondkitError, RuntimeError):
-    """A pivot of the tridiagonal time-step matrix fell below 1e-300."""
+    """The PDE solve failed: a time-step matrix pivot fell below 1e-300, or
+    a non-finite or non-positive price appeared."""

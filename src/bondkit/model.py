@@ -18,13 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    FellerViolated,
-    NegativeGamma,
-    NonPositiveAlpha,
-    NonPositiveSigma,
-    ValidationError,
-)
+from .errors import ValidationError
 
 __all__ = [
     "ModelParams",
@@ -60,28 +54,22 @@ class ModelParams:
 DEFAULT_PARAMS = ModelParams(alpha=0.00315, beta=-0.0555, sigma=0.0894, gamma=0.5)
 
 
-def validate_params(p: ModelParams, requires_cir_condition: bool = False) -> ModelParams:
+def validate_params(p: ModelParams) -> ModelParams:
     """Return ``p`` unchanged if all invariants hold, else raise.
 
-    The Feller condition ``2*alpha >= sigma**2`` is enforced only when
-    ``requires_cir_condition`` is set: the closed-form price stays
-    well-defined without it (it matters for positivity of the rate process,
-    not for formula evaluation), and the benchmark parameter set violates it.
+    The Feller condition ``2*alpha >= sigma**2`` is not an invariant: it
+    matters for positivity of the rate process, not for any formula, and the
+    benchmark parameter set violates it.
     """
     for name in _KEYS:
         if not math.isfinite(getattr(p, name)):
             raise ValidationError(f"{name} must be finite, got {getattr(p, name)}")
     if not p.alpha > 0:
-        raise NonPositiveAlpha(f"alpha must be > 0, got {p.alpha}")
+        raise ValidationError(f"alpha must be > 0, got {p.alpha}")
     if not p.sigma > 0:
-        raise NonPositiveSigma(f"sigma must be > 0, got {p.sigma}")
+        raise ValidationError(f"sigma must be > 0, got {p.sigma}")
     if p.gamma < 0:
-        raise NegativeGamma(f"gamma must be >= 0, got {p.gamma}")
-    if requires_cir_condition and 2.0 * p.alpha < p.sigma**2:
-        raise FellerViolated(
-            f"2*alpha = {2.0 * p.alpha} < sigma^2 = {p.sigma**2}; "
-            "square-root-model positivity condition violated"
-        )
+        raise ValidationError(f"gamma must be >= 0, got {p.gamma}")
     return p
 
 

@@ -16,7 +16,7 @@ and 158 (r <= 0.01975) interior rows at gamma = 0.75, 1 and 1.32.  The
 truncation at r_max does not reach the rates of interest: doubling r_max
 from 0.5 to 1.0 at the same dr (401 vs 801 nodes, 1000 steps to tau = 1)
 leaves ln P on [0, 0.15] unchanged to the last bit at all four gammas.
-gamma >= 3/2 is refused with ``GammaOutOfRange``: uniqueness of the
+gamma >= 3/2 is refused with ``GammaMismatch``: uniqueness of the
 continuous problem is only guaranteed below it.
 
 Boundaries
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GammaOutOfRange, TridiagonalSingular, UnstableSolve, ValidationError
+from .errors import GammaMismatch, UnstableSolve, ValidationError
 from .model import ModelParams, _write_csv, validate_params
 
 __all__ = ["PdeConfig", "PdeSolution", "SolveDiagnostics", "solve"]
@@ -107,7 +107,7 @@ class PdeSolution:
     taus: tuple
     rates: np.ndarray
     log_prices: np.ndarray  # shape (len(taus), n_space)
-    diagnostics: SolveDiagnostics = field(compare=False, default=None)
+    diagnostics: SolveDiagnostics = field(compare=False)
 
     def log_price_at(self, tau: float) -> np.ndarray:
         for i, t in enumerate(self.taus):
@@ -126,10 +126,9 @@ class PdeSolution:
             "params": f"alpha={p.alpha!r} beta={p.beta!r} sigma={p.sigma!r} gamma={p.gamma!r}",
             "config": f"r_max={c.r_max!r} n_space={c.n_space} n_time={c.n_time} "
                       f"t_final={c.t_final!r} theta=0.5 drift=central boundary_order=2",
+            "diagnostics": f"steps={d.n_steps} rannacher={d.n_rannacher_steps} "
+                           f"min_pivot={d.min_pivot!r} max_linear_residual={d.max_linear_residual!r}",
         }
-        if d is not None:
-            meta["diagnostics"] = (f"steps={d.n_steps} rannacher={d.n_rannacher_steps} "
-                                   f"min_pivot={d.min_pivot!r} max_linear_residual={d.max_linear_residual!r}")
         header = ["r", *(f"lnP_tau{t!r}" for t in self.taus)]
         rows = ([repr(r), *map(repr, lnp)] for r, lnp in zip(self.rates.tolist(), self.log_prices.T.tolist()))
         _write_csv(path_or_buf, meta, header, rows, stamp)
@@ -165,7 +164,7 @@ def _factor(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
     *factors, info = lapack.dgttrf(dl, d, du)
     min_pivot = float(np.min(np.abs(factors[1])))
     if info > 0 or min_pivot < _PIVOT_FLOOR:
-        raise TridiagonalSingular(f"time-step matrix pivot {min_pivot} below {_PIVOT_FLOOR}")
+        raise UnstableSolve(f"time-step matrix pivot {min_pivot} below {_PIVOT_FLOOR}")
 
     def solve_step(b):
         return lapack.dgttrs(*factors, b, overwrite_b=True)[0]
@@ -249,7 +248,7 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
     """
     validate_params(p)
     if p.gamma >= 1.5:
-        raise GammaOutOfRange(
+        raise GammaMismatch(
             f"gamma={p.gamma} >= 1.5: uniqueness of the continuous problem is not guaranteed there"
         )
     taus = tuple(float(t) for t in snapshot_taus)

@@ -19,7 +19,7 @@ from bondkit import (
     vasicek_partials,
 )
 from bondkit.analysis import METHODS
-from bondkit.errors import DomainError, StepTooLarge, ValidationError
+from bondkit.errors import DomainError, ValidationError
 
 
 class TestQFactor:
@@ -122,11 +122,13 @@ class TestPdeResidual:
         assert fd == pytest.approx(exact, abs=5e-9)
 
     def test_step_guard(self, params):
+        # the fixed step 1e-5 needs tau and r of at least 4e-5
         f = functools.partial(cw_log_price, params)
-        with pytest.raises(StepTooLarge):
-            pde_residual(f, params, 0.02, 0.1, h_fd=1e-2)
-        with pytest.raises(StepTooLarge):
-            pde_residual(f, params, 1.0, 0.003, h_fd=1e-3)
+        with pytest.raises(ValidationError, match=r"^h_fd=1e-05 exceeds tau/4=5e-06 or r/4=0.025$"):
+            pde_residual(f, params, 2e-5, 0.1)
+        with pytest.raises(ValidationError, match=r"^h_fd=1e-05 exceeds tau/4=0.25 or r/4=7.5e-06$"):
+            pde_residual(f, params, 1.0, 3e-5)
+        assert np.isfinite(pde_residual(f, params, 4e-5, 4e-5))
 
     def test_residual_expansion_float64(self, params):
         # h(tau, r)/tau^4 = k4 + k5 tau + O(tau^2); resolvable in float64

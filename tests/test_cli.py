@@ -66,11 +66,6 @@ class TestPrice:
         assert code == 2 and out == ""
         assert flag[2:] in err
 
-    def test_feller_flag(self, capsys):
-        code, _, err = run(capsys, "price", "--method", "cw", "--feller-check",
-                           "--tau", "1", "--rate", "0.1")
-        assert code == 2 and "sigma" in err
-
     def test_domain_error_exit_2(self, capsys):
         code, _, _ = run(capsys, "price", "--method", "improved", "--gamma", "0.75",
                          "--tau", "1", "--rate", "0")
@@ -309,3 +304,50 @@ class TestPde:
         assert code == 0
         assert out.startswith("solved: 4 steps (4 implicit startup)")
         assert "rannacher=4 " in (tmp_path / "x.csv").read_text()
+
+
+class TestExitCodes:
+    """One command per exit code, each refusal naming the error type behind
+    it on stderr (exit 4, a failed golden check, is
+    ``TestTable::test_table3_check_exits_4_when_out_of_band``)."""
+
+    GRID = ("--nspace", "11", "--ntime", "4")
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("price", "--method", "cw", "--alpha", "-1", "--tau", "1", "--rate", "0.1"),
+         2, "alpha must be > 0, got -1.0"),  # ValidationError
+        (("price", "--method", "improved", "--gamma", "0.75", "--tau", "1", "--rate", "0"),
+         2, "c5: singular as r -> 0 for this gamma; need r >= 1e-06"),  # DomainError
+        (("price", "--method", "cir", "--gamma", "1.0", "--tau", "1", "--rate", "0.1"),
+         3, "cir_log_price requires gamma == 0.5, got 1.0"),  # GammaMismatch
+        (("pde", "--gamma", "1.6", "--taus", "1", *GRID),
+         3, "gamma=1.6 >= 1.5: uniqueness of the continuous problem is not guaranteed there"),
+        (("pde", "--sigma", "1e160", "--taus", "1", *GRID),
+         5, "non-finite time-step operator entries (parameter/grid overflow)"),  # UnstableSolve
+    ])
+    def test_refusal(self, capsys, tmp_path, argv, code, message):
+        path = tmp_path / "x.csv"
+        out_flag = ("--out", str(path)) if argv[0] == "pde" else ()
+        assert run(capsys, *argv, *out_flag) == (code, "", f"error: {message}\n")
+        assert not path.exists()
+
+    def test_singular_pivot_exit_5(self, capsys, tmp_path, monkeypatch):
+        # a singular step matrix is a failed solve, like a non-finite price
+        import bondkit.pde
+
+        monkeypatch.setattr(bondkit.pde, "_PIVOT_FLOOR", 1e300)
+        path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "pde", "--taus", "1", *self.GRID, "--out", str(path))
+        assert (code, out) == (5, "")
+        assert err.startswith("error: time-step matrix pivot ") and err.endswith(" below 1e+300\n")
+        assert not path.exists()
+
+    def test_zero_maturity_pde_exit_0(self, capsys, tmp_path):
+        # with every maturity 0 and no --tfinal, the solve keeps the default horizon
+        assert run(capsys, "price", "--method", "pde", "--tau", "0", "--rate", "0.05") == (0, "lnP=0 P=1\n", "")
+        path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "pde", "--taus", "0", *self.GRID, "--out", str(path))
+        assert (code, err) == (0, "") and out.startswith("solved: 0 steps (0 implicit startup)")
+        lines = path.read_text().splitlines()
+        assert " t_final=1.0 " in lines[1] and lines[3] == "r,lnP_tau0.0"
+        assert [ln.split(",")[1] for ln in lines[4:]] == ["0.0"] * 11

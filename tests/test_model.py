@@ -13,36 +13,27 @@ from bondkit import (
     save_params,
     validate_params,
 )
-from bondkit.errors import FellerViolated, NegativeGamma, NonPositiveAlpha, NonPositiveSigma
 
 
 class TestValidateParams:
     def test_benchmark_set_accepted_without_feller(self, params):
-        assert validate_params(params, requires_cir_condition=False) is params
-
-    def test_benchmark_set_violates_feller(self, params):
-        # 2*0.00315 = 0.0063 < 0.0894^2 = 0.00799236
-        with pytest.raises(FellerViolated):
-            validate_params(params, requires_cir_condition=True)
-
-    def test_feller_passes_when_satisfied(self):
-        p = ModelParams(alpha=0.01, beta=-0.1, sigma=0.1, gamma=0.5)
-        assert validate_params(p, requires_cir_condition=True) is p
+        # 2*0.00315 = 0.0063 < 0.0894^2 = 0.00799236: the Feller condition is no invariant
+        assert validate_params(params) is params
 
     def test_negative_alpha(self):
-        with pytest.raises(NonPositiveAlpha):
+        with pytest.raises(ValidationError, match=r"^alpha must be > 0, got -1.0$"):
             validate_params(ModelParams(-1.0, 0.0, 1.0, 0.5))
 
     def test_zero_alpha(self):
-        with pytest.raises(NonPositiveAlpha):
+        with pytest.raises(ValidationError, match=r"^alpha must be > 0, got 0.0$"):
             validate_params(ModelParams(0.0, 0.0, 1.0, 0.5))
 
     def test_non_positive_sigma(self):
-        with pytest.raises(NonPositiveSigma):
+        with pytest.raises(ValidationError, match=r"^sigma must be > 0, got 0.0$"):
             validate_params(ModelParams(0.1, 0.0, 0.0, 0.5))
 
     def test_negative_gamma(self):
-        with pytest.raises(NegativeGamma):
+        with pytest.raises(ValidationError, match=r"^gamma must be >= 0, got -0.25$"):
             validate_params(ModelParams(0.1, 0.0, 0.1, -0.25))
 
     @pytest.mark.parametrize("field,value", [("alpha", np.inf), ("beta", np.nan),
