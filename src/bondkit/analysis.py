@@ -16,7 +16,7 @@ import numpy as np
 from .approximation import cw_log_price, improved_log_price
 from .closed_form import cir_log_price, vasicek_log_price
 from .errors import ValidationError
-from .model import DEFAULT_PARAMS, LogPriceCurve, ModelParams, RateGrid, _write_csv
+from .model import DEFAULT_PARAMS, LogPriceCurve, MaturityGrid, ModelParams, RateGrid, _write_csv
 from .pde import PdeConfig, solve
 
 __all__ = [
@@ -90,11 +90,14 @@ def l2_norm(diff: LogPriceCurve) -> float:
 
 def eoc(errs, taus) -> list:
     """EOC_i = ln(err_i / err_{i+1}) / ln(tau_i / tau_{i+1}) for adjacent
-    maturities; the final maturity has no row (the tables print ``--``)."""
-    taus = tuple(taus)
+    maturities of a :class:`MaturityGrid`; the final maturity has no row (the
+    tables print ``--``)."""
+    taus = MaturityGrid(taus).taus
     errs = tuple(float(e) for e in errs)
     if len(errs) != len(taus) or len(errs) < 2:
         raise ValidationError(f"need matching lists of >= 2 errors/maturities, got {len(errs)}/{len(taus)}")
+    if not np.all(np.isfinite(errs)):
+        raise ValidationError(f"error norms must be finite, got {errs}")
     if any(e <= 0 for e in errs):
         raise ValidationError(
             "error norm <= 0: the two pricers agree to machine precision, no order to estimate"

@@ -43,6 +43,8 @@ Numerical notes
   gamma = 1.32 instead of 34.  Each domain check runs at most once per call,
   in table order, so the first table to fail still names itself in the
   DomainError.  The table lives only for the call: no cache, no knob.
+* The maturity rule lives in :func:`bondkit.model._check_maturity`.  A Python
+  ``**`` overflow inside a pricer is a ValidationError naming it and tau.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .model import ModelParams
+from .model import ModelParams, _check_maturity
 
 __all__ = [
     "b_factor",
@@ -79,12 +81,6 @@ _SERIES_SWITCH = 1e-2
 
 #: Finite-difference step of :func:`pde_residual` without analytic partials.
 H_FD = 1e-5
-
-
-def _check_maturity(tau) -> None:
-    """Refuse a negative, infinite or NaN maturity."""
-    if not 0 <= tau < np.inf:
-        raise ValidationError(f"maturity must be finite and >= 0, got {tau}")
 
 
 def b_factor(beta: float, tau: float) -> float:
@@ -278,7 +274,10 @@ def cw_log_price(p: ModelParams, tau: float, r):
     """
     _check_maturity(tau)
     pows = _Powers(r)
-    return pows.result(_cw(p, tau, pows))
+    try:
+        return pows.result(_cw(p, tau, pows))
+    except OverflowError:
+        raise ValidationError(f"cw_log_price: lnP out of float range at tau={tau!r}") from None
 
 
 def _cw(p: ModelParams, tau: float, pows: _Powers):
@@ -424,8 +423,11 @@ def improved_log_price(p: ModelParams, tau: float, r):
         return cw_log_price(p, tau, r)
     _check_maturity(tau)
     pows = _Powers(r)
-    lnp, a5, a6 = map(pows.result, (_cw(p, tau, pows), _c5(p, pows), _c6(p, pows)))
-    return lnp - a5 * tau**5 - a6 * tau**6
+    try:
+        lnp, a5, a6 = map(pows.result, (_cw(p, tau, pows), _c5(p, pows), _c6(p, pows)))
+        return lnp - a5 * tau**5 - a6 * tau**6
+    except OverflowError:
+        raise ValidationError(f"improved_log_price: lnP out of float range at tau={tau!r}") from None
 
 
 def pde_residual(log_price_fn, p: ModelParams, tau: float, r: float, partials=None):
@@ -446,6 +448,7 @@ def pde_residual(log_price_fn, p: ModelParams, tau: float, r: float, partials=No
         which resolves residuals down to roughly 1e-9; ``tau`` and ``r`` must
         then be at least ``4 * H_FD``.
     """
+    _check_maturity(tau)
     if partials is not None:
         f_tau, f_r, f_rr = partials(tau, r)
     else:

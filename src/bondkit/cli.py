@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import analysis
 from .errors import BondkitError, GammaMismatch, UnstableSolve, ValidationError
-from .model import DEFAULT_PARAMS, MaturityGrid, ModelParams, _write_csv, load_params, validate_params
+from .model import DEFAULT_PARAMS, ModelParams, _check_maturity, _write_csv, load_params, validate_params
 from .pde import PdeConfig, solve
 
 EXIT_OK = 0
@@ -43,13 +44,8 @@ def _add_model_flags(sub, gamma: bool = True):
 
 def _resolve_params(args) -> ModelParams:
     base = load_params(args.params) if args.params else DEFAULT_PARAMS
-    p = ModelParams(
-        alpha=base.alpha if args.alpha is None else args.alpha,
-        beta=base.beta if args.beta is None else args.beta,
-        sigma=base.sigma if args.sigma is None else args.sigma,
-        gamma=base.gamma if getattr(args, "gamma", None) is None else args.gamma,
-    )
-    return validate_params(p)
+    flags = {k: getattr(args, k, None) for k in ("alpha", "beta", "sigma", "gamma")}
+    return validate_params(replace(base, **{k: v for k, v in flags.items() if v is not None}))
 
 
 def _add_pde_flags(sub, tfinal: bool = True):
@@ -66,6 +62,7 @@ def _add_pde_flags(sub, tfinal: bool = True):
 def _pde_config(args, taus) -> PdeConfig:
     """The grid flags, solved to ``--tfinal`` if given, else to the largest of
     ``taus``, else (every maturity 0) to the default horizon."""
+    _check_maturity(*taus)
     t_final = getattr(args, "tfinal", None)
     if t_final is None:
         t_final = max(taus) or PdeConfig.t_final
@@ -77,34 +74,26 @@ def _stamp(args) -> str | None:
 
 
 def _parse_taus(text: str) -> list:
-    """The finite maturities of a comma-separated ``--taus`` value."""
+    """The maturities of a comma-separated ``--taus`` value, under the maturity rule."""
     try:
         taus = [float(t) for t in text.split(",")]
-    except ValueError as exc:
+        _check_maturity(*taus)
+    except ValueError as exc:  # a ValidationError is a ValueError
         raise ValidationError(f"bad --taus value: {exc}") from None
-    if not all(math.isfinite(t) for t in taus):
-        raise ValidationError(f"--taus must be finite, got {text!r}")
     return taus
 
 
 def cmd_price(args) -> int:
     p = _resolve_params(args)
-    if not 0 <= args.tau < math.inf:
-        raise ValidationError(f"tau must be finite and >= 0, got {args.tau}")
-    if not math.isfinite(args.rate):
-        raise ValidationError(f"rate must be finite, got {args.rate}")
     if args.method == "pde":
         if not 0 <= args.rate <= args.rmax:
             raise ValidationError(f"--method pde prices rates on its grid [0, {args.rmax}], got {args.rate}")
         sol = solve(p, _pde_config(args, [args.tau]), [args.tau])
         lnp = float(np.interp(args.rate, sol.rates, sol.log_price_at(args.tau)))
     else:
-        # an overflow shows up as a non-finite lnP, refused below
+        # a NumPy overflow shows up as a non-finite lnP, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                lnp = analysis.METHODS[args.method](p, args.tau, args.rate)
-            except OverflowError:
-                lnp = math.inf
+            lnp = analysis.METHODS[args.method](p, args.tau, args.rate)
     try:
         price = math.exp(lnp)
     except OverflowError:
@@ -142,9 +131,7 @@ def cmd_table(args) -> int:
 
 def cmd_eoc(args) -> int:
     p = _resolve_params(args)
-    taus = MaturityGrid(_parse_taus(args.taus))
-    if len(taus) < 2:
-        raise ValidationError("eoc needs at least two maturities")
+    taus = _parse_taus(args.taus)
     pair = tuple(args.method_pair.split(","))
     if len(pair) != 2:
         raise ValidationError(f"--method-pair needs two comma-separated names, got {args.method_pair!r}")
@@ -160,8 +147,6 @@ def cmd_eoc(args) -> int:
 def cmd_pde(args) -> int:
     p = _resolve_params(args)
     taus = sorted(_parse_taus(args.taus))
-    if any(t < 0 for t in taus):
-        raise ValidationError("snapshot maturities must be >= 0")
     sol = solve(p, _pde_config(args, taus), taus)
     sol.to_csv(args.out, stamp=_stamp(args))
     d = sol.diagnostics
@@ -223,15 +208,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except GammaMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_METHOD_MISMATCH
-    except UnstableSolve as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
     except (BondkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        codes = {GammaMismatch: EXIT_METHOD_MISMATCH, UnstableSolve: EXIT_UNSTABLE}
+        return codes.get(type(exc), EXIT_VALIDATION)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .approximation import _check_maturity, cw_log_price, cw_partials
-from .errors import DomainError, GammaMismatch
-from .model import ModelParams
+from .approximation import _Powers, cw_log_price, cw_partials
+from .errors import GammaMismatch
+from .model import ModelParams, _check_maturity
 
 __all__ = ["vasicek_log_price", "cir_log_price", "cir_partials", "vasicek_partials"]
 
@@ -47,6 +47,7 @@ def vasicek_log_price(p: ModelParams, tau: float, r):
     solution when gamma = 0, so this is :func:`cw_log_price` behind a gamma
     guard.
     """
+    _check_maturity(tau)
     if p.gamma != 0:
         raise GammaMismatch(f"vasicek_log_price requires gamma == 0, got {p.gamma}")
     return cw_log_price(p, tau, r)
@@ -57,25 +58,25 @@ def vasicek_partials(p: ModelParams, tau: float, r):
 
     :func:`cw_partials` behind a gamma guard, as for the price.
     """
+    _check_maturity(tau)
     if p.gamma != 0:
         raise GammaMismatch(f"vasicek_partials requires gamma == 0, got {p.gamma}")
     return cw_partials(p, tau, r)
 
 
-def _cir(p: ModelParams, tau: float, r, what: str):
+def _cir(p: ModelParams, tau: float, pows: _Powers, what: str):
     """Terms (log_a, b_term, dlog_a, db) of the gamma = 1/2 closed form
     ln P = (2 alpha / sigma^2) log_a - r b_term, with dlog_a and db the
     tau-derivatives of log_a and b_term.
 
-    Runs the gamma, maturity and rate checks, naming ``what`` in the
+    Runs the maturity, gamma and rate checks, naming ``what`` in the
     errors; then the direct form below the theta*tau switch, the factored
     form above it.
     """
+    _check_maturity(tau)
     if p.gamma != 0.5:
         raise GammaMismatch(f"{what} requires gamma == 0.5, got {p.gamma}")
-    _check_maturity(tau)
-    if not (np.asarray(r, dtype=float) >= 0).all():
-        raise DomainError(f"{what}: negative or NaN rate")
+    pows.check(what, False)
     b, s = p.beta, p.sigma
     th = np.sqrt(b * b + 2.0 * s * s)
     if th * tau <= _EXP_SWITCH:
@@ -111,9 +112,9 @@ def cir_log_price(p: ModelParams, tau: float, r):
     -------
     Log price, same shape as ``r``.
     """
-    log_a, b_term, _, _ = _cir(p, tau, r, "cir_log_price")
-    out = (2.0 * p.alpha / (p.sigma * p.sigma)) * log_a - np.asarray(r, dtype=float) * b_term
-    return float(out) if np.ndim(r) == 0 else out
+    pows = _Powers(r)
+    log_a, b_term, _, _ = _cir(p, tau, pows, "cir_log_price")
+    return pows.result((2.0 * p.alpha / (p.sigma * p.sigma)) * log_a - pows.arr * b_term)
 
 
 def cir_partials(p: ModelParams, tau: float, r):
@@ -121,10 +122,8 @@ def cir_partials(p: ModelParams, tau: float, r):
 
     The affine structure gives f_rr = 0 exactly.
     """
-    _, b_term, dlog_a, db = _cir(p, tau, r, "cir_partials")
-    rates = np.asarray(r, dtype=float)
-    f_tau = (2.0 * p.alpha / (p.sigma * p.sigma)) * dlog_a - rates * db
-    f_r = -b_term * np.ones_like(rates)
-    if np.ndim(r) == 0:
-        return float(f_tau), float(f_r), 0.0
-    return f_tau, f_r, np.zeros_like(f_r)
+    pows = _Powers(r)
+    _, b_term, dlog_a, db = _cir(p, tau, pows, "cir_partials")
+    f_tau = (2.0 * p.alpha / (p.sigma * p.sigma)) * dlog_a - pows.arr * db
+    f_r = -b_term * np.ones_like(pows.arr)
+    return pows.result(f_tau), pows.result(f_r), pows.result(np.zeros_like(f_r))

@@ -73,6 +73,13 @@ def validate_params(p: ModelParams) -> ModelParams:
     return p
 
 
+def _check_maturity(*taus) -> None:
+    """The one maturity rule of every entry point: refuse a negative, infinite or NaN tau."""
+    for tau in taus:
+        if not 0 <= tau < math.inf:
+            raise ValidationError(f"maturity tau must be finite and >= 0, got {tau}")
+
+
 @dataclass(frozen=True)
 class RateGrid:
     """Uniform grid of ``n_points`` rates on [r_min, r_max]."""
@@ -82,9 +89,9 @@ class RateGrid:
     n_points: int
 
     def __post_init__(self):
-        if not 0 <= self.r_min < self.r_max:
+        if not 0 <= self.r_min < self.r_max < math.inf:
             raise ValidationError(
-                f"need 0 <= r_min < r_max, got [{self.r_min}, {self.r_max}]"
+                f"need 0 <= r_min < r_max < inf, got [{self.r_min}, {self.r_max}]"
             )
         if self.n_points < 2:
             raise ValidationError(f"need n_points >= 2, got {self.n_points}")
@@ -100,20 +107,20 @@ class RateGrid:
 
 @dataclass(frozen=True)
 class MaturityGrid:
-    """Strictly monotone sequence of positive maturities (years)."""
+    """Strictly monotone sequence of positive, finite maturities (years)."""
 
     taus: tuple
 
     def __init__(self, taus):
         object.__setattr__(self, "taus", tuple(float(t) for t in taus))
+        _check_maturity(*self.taus)
         if len(self.taus) == 0:
             raise ValidationError("need at least one maturity")
         if not all(t > 0 for t in self.taus):
             raise ValidationError(f"all maturities must be > 0, got {self.taus}")
-        if len(self.taus) > 1:
-            diffs = np.diff(self.taus)
-            if not (np.all(diffs > 0) or np.all(diffs < 0)):
-                raise ValidationError(f"maturities must be strictly monotone, got {self.taus}")
+        diffs = np.diff(self.taus)
+        if not (np.all(diffs > 0) or np.all(diffs < 0)):
+            raise ValidationError(f"maturities must be strictly monotone, got {self.taus}")
 
     def __iter__(self):
         return iter(self.taus)
@@ -131,6 +138,7 @@ class LogPriceCurve:
     values: np.ndarray
 
     def __post_init__(self):
+        _check_maturity(self.tau)
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.grid.n_points,):

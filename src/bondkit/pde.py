@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GammaMismatch, UnstableSolve, ValidationError
-from .model import ModelParams, _write_csv, validate_params
+from .model import ModelParams, _check_maturity, _write_csv, validate_params
 
 __all__ = ["PdeConfig", "PdeSolution", "SolveDiagnostics", "solve"]
 
@@ -80,10 +81,10 @@ class PdeConfig:
         for name in ("r_max", "t_final"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if self.n_space < 3:
-            raise ValidationError(f"n_space must be >= 3, got {self.n_space}")
-        if self.n_time < 1:
-            raise ValidationError(f"n_time must be >= 1, got {self.n_time}")
+        for name, least in (("n_space", 3), ("n_time", 1)):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+                raise ValidationError(f"{name} must be an integer >= {least}, got {n!r}")
 
 
 @dataclass
@@ -240,20 +241,24 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
     """March P(0, .) = 1 forward and record log-price snapshots.
 
     ``snapshot_taus`` may be a MaturityGrid or any iterable of maturities in
-    [0, t_final]; tau = 0 returns the (identically zero) initial condition.
+    [0, t_final], distinct by more than ``_TAU_MATCH`` as ``log_price_at``
+    needs; tau = 0 returns the (identically zero) initial condition.
     A maturity that falls between time levels t_k < tau < t_(k+1) is
     reached by one partial step of size tau - t_k from t_k, of the same
     kind as step k+1.  The march stops at the last snapshot, so
     ``diagnostics.n_steps`` counts the full steps taken.
     """
     validate_params(p)
+    taus = tuple(float(t) for t in snapshot_taus)
+    _check_maturity(*taus)
     if p.gamma >= 1.5:
         raise GammaMismatch(
             f"gamma={p.gamma} >= 1.5: uniqueness of the continuous problem is not guaranteed there"
         )
-    taus = tuple(float(t) for t in snapshot_taus)
-    if not all(0 <= t <= cfg.t_final + _TAU_MATCH for t in taus):
+    if not all(t <= cfg.t_final + _TAU_MATCH for t in taus):
         raise ValidationError(f"snapshot maturities must lie in [0, t_final]; got {taus}")
+    if np.any(np.diff(sorted(taus)) <= _TAU_MATCH):
+        raise ValidationError(f"snapshot maturities must be distinct, got {taus}")
 
     r = np.linspace(0.0, cfg.r_max, cfg.n_space)
     dr = r[1] - r[0]

@@ -144,6 +144,16 @@ class TestEoc:
         with pytest.raises(ValidationError, match=r"^error norm <= 0: the two pricers agree"):
             eoc((1e-3, 0.0), (1.0, 0.5))
 
+    @pytest.mark.parametrize("errs", [(1e-3, np.inf), (np.nan, 1e-4)])
+    def test_non_finite_error(self, errs):
+        with pytest.raises(ValidationError, match=r"^error norms must be finite"):
+            eoc(errs, (1.0, 0.5))
+
+    @pytest.mark.parametrize("taus", [(1.0, 1.0), (1.0, 0.0), (1.0, -1.0)])
+    def test_ladder_is_a_maturity_grid(self, taus):
+        with pytest.raises(ValidationError):
+            eoc((1e-3, 1e-4), taus)
+
     def test_length_guard(self):
         with pytest.raises(ValidationError):
             eoc((1e-3,), (1.0,))

@@ -79,7 +79,27 @@ class TestPrice:
         method, *rest = argv
         code, out, err = run(capsys, "price", "--method", method, *rest, "--rate", "0.05")
         assert code == 2 and out == ""
-        assert f"--method {method} at tau=" in err and "lnP=" in err
+        if argv == ("improved", "--tau", "1e52"):
+            # tau**6 overflows inside the pricer, which refuses it by name
+            assert err == "error: improved_log_price: lnP out of float range at tau=1e+52\n"
+        else:
+            assert f"--method {method} at tau=" in err and "lnP=" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("cw", "--beta", "0", "--tau", "1e80"), "cw_log_price: lnP out of float range at tau=1e+80"),
+        (("vasicek", "--gamma", "0", "--beta", "1e103", "--tau", "1e-110"),
+         "cw_log_price: lnP out of float range at tau=1e-110"),
+        (("improved", "--sigma", "1e160", "--tau", "1"),
+         "improved_log_price: lnP out of float range at tau=1.0"),
+        (("improved", "--gamma", "1e200", "--tau", "1"),
+         "improved_log_price: lnP out of float range at tau=1.0"),
+    ], ids=["cw-beta-zero", "vasicek-huge-beta", "improved-huge-sigma", "improved-huge-gamma"])
+    def test_pricer_overflow_is_refused_by_the_pricer(self, capsys, argv, message):
+        # a Python float power that overflows (the beta -> 0 series, a huge
+        # sigma or gamma) is a typed refusal from the library, not a traceback
+        method, *rest = argv
+        code, out, err = run(capsys, "price", "--method", method, *rest, "--rate", "0.05")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_improved_long_maturity_still_prices(self, capsys):
         code, out, _ = run(capsys, "price", "--method", "improved", "--tau", "30", "--rate", "0.05")
@@ -296,6 +316,15 @@ class TestPde:
                              "--nspace", "11", "--ntime", "4")
         assert code == 2 and out == ""
         assert "--taus" in err
+        assert not path.exists()
+
+    def test_repeated_maturity_exit_2(self, capsys, tmp_path):
+        # two snapshots within the lookup tolerance would be one CSV column twice
+        path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "pde", "--taus", "0.5,0.5", "--nspace", "11", "--ntime", "4",
+                             "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: snapshot maturities must be distinct, got (0.5, 0.5)\n"
         assert not path.exists()
 
     def test_startup_steps_reported_within_step_count(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Every exported name resolves, so ``from bondkit import *`` (or from any
 of its modules) cannot meet a stale ``__all__`` entry, the pricer
-signatures stay as they are, and the error taxonomy stays at five types."""
+signatures stay as they are, the error taxonomy stays at five types and
+the maturity rule has one home."""
 
 import ast
 import importlib
@@ -93,3 +94,11 @@ def test_every_raise_names_an_error_type(source):
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             raised.add(ast.unparse(exc))
     assert raised <= ERROR_TYPES | {"KeyError"}
+
+
+def test_maturity_rule_defined_only_in_model():
+    # every entry point taking a maturity imports the one rule from model
+    defined = {source.name for source in SOURCES
+               for node in ast.walk(ast.parse(source.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "_check_maturity"}
+    assert defined == {"model.py"}

@@ -70,6 +70,11 @@ class TestRateGrid:
         with pytest.raises(ValidationError):
             RateGrid(0.0, 0.1, 1)
 
+    @pytest.mark.parametrize("r_max", [np.inf, np.nan])
+    def test_non_finite_r_max_rejected(self, r_max):
+        with pytest.raises(ValidationError, match="r_max < inf"):
+            RateGrid(0.0, r_max, 3)
+
 
 class TestMaturityGrid:
     def test_decreasing_and_increasing_ok(self):

@@ -58,6 +58,15 @@ class TestConfig:
             with pytest.raises(ValidationError, match="finite"):
                 PdeConfig(**bad)
 
+    @pytest.mark.parametrize("field", ["n_space", "n_time"])
+    @pytest.mark.parametrize("bad", [11.5, 2.5, True, np.float64(11.0)])
+    def test_non_integer_grid_size_rejected(self, field, bad):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
+            PdeConfig(**{field: bad})
+
+    def test_numpy_integer_grid_sizes_accepted(self):
+        assert PdeConfig(n_space=np.int64(11), n_time=np.int32(4)).n_time == 4
+
     def test_minimal_grid_runs(self, params):
         # n_space = 3 is the documented lower bound: runs, untrusted accuracy
         sol = solve(params, PdeConfig(n_space=3, n_time=4, t_final=0.5), [0.5])
@@ -121,6 +130,12 @@ class TestSolve:
         sol = solve(params, PdeConfig(n_space=101, n_time=40, t_final=1.0),
                     MaturityGrid((0.5, 1.0)))
         assert sol.taus == (0.5, 1.0)
+
+    @pytest.mark.parametrize("taus", [(0.5, 0.5), (0.5, 1.0, 0.5 + 1e-13)])
+    def test_repeated_snapshot_rejected(self, params, taus):
+        # log_price_at could not tell the two apart
+        with pytest.raises(ValidationError, match="must be distinct"):
+            solve(params, PdeConfig(n_space=11, n_time=4), taus)
 
     def test_snapshot_beyond_horizon_rejected(self, params):
         with pytest.raises(ValidationError):

@@ -42,6 +42,7 @@ def attempt(fn, p, tau, r):
 @example(method="vasicek", gamma=0.0, tau=math.inf, r=0.05)
 @example(method="cw", gamma=0.75, tau=math.inf, r=0.05)
 @example(method="improved", gamma=0.5, tau=math.inf, r=0.05)
+@example(method="improved", gamma=0.5, tau=1e52, r=0.05)
 def test_finite_or_typed_error(method, gamma, tau, r):
     p = DEFAULT_PARAMS.with_gamma(gamma)
     value = attempt(METHODS[method], p, tau, r)
