@@ -79,9 +79,6 @@ BETA_EPS = 1e-10
 #: |beta * tau| below which the beta-singular brackets switch to series form.
 _SERIES_SWITCH = 1e-2
 
-#: Finite-difference step of :func:`pde_residual` without analytic partials.
-H_FD = 1e-5
-
 
 def b_factor(beta: float, tau: float) -> float:
     """(e^{beta tau} - 1) / beta, continuously extended to tau at beta = 0."""
@@ -290,8 +287,7 @@ def cw_partials(p: ModelParams, tau: float, r):
     """Analytic (f_tau, f_r, f_rr) of :func:`cw_log_price`.
 
     Suitable as the ``partials`` argument of :func:`pde_residual`; resolves
-    residuals down to rounding level (~1e-15), far below what central
-    differences can reach.
+    residuals down to rounding level (~1e-15).
     """
     _check_maturity(tau)
     pows = _Powers(r)
@@ -430,7 +426,7 @@ def improved_log_price(p: ModelParams, tau: float, r):
         raise ValidationError(f"improved_log_price: lnP out of float range at tau={tau!r}") from None
 
 
-def pde_residual(log_price_fn, p: ModelParams, tau: float, r: float, partials=None):
+def pde_residual(partials, p: ModelParams, tau: float, r: float):
     """Residual of a candidate log price f in the log-transformed pricing PDE
 
         -f_tau + (1/2) sigma^2 r^{2 gamma} [f_r^2 + f_rr]
@@ -441,34 +437,11 @@ def pde_residual(log_price_fn, p: ModelParams, tau: float, r: float, partials=No
 
     Parameters
     ----------
-    log_price_fn : callable (tau, r) -> log price
-    partials : optional callable (tau, r) -> (f_tau, f_r, f_rr); when given,
-        derivatives are analytic.  Otherwise central differences with step
-        ``H_FD`` (1e-5) plus one Richardson extrapolation level are used,
-        which resolves residuals down to roughly 1e-9; ``tau`` and ``r`` must
-        then be at least ``4 * H_FD``.
+    partials : callable (p, tau, r) -> (f_tau, f_r, f_rr), the analytic
+        partials of f, such as :func:`cw_partials`
     """
     _check_maturity(tau)
-    if partials is not None:
-        f_tau, f_r, f_rr = partials(tau, r)
-    else:
-        if H_FD > tau / 4 or H_FD > r / 4:
-            raise ValidationError(f"h_fd={H_FD} exceeds tau/4={tau / 4} or r/4={r / 4}")
-
-        def dtau(h):
-            return (log_price_fn(tau + h, r) - log_price_fn(tau - h, r)) / (2 * h)
-
-        def dr(h):
-            return (log_price_fn(tau, r + h) - log_price_fn(tau, r - h)) / (2 * h)
-
-        def drr(h):
-            return (
-                log_price_fn(tau, r + h) - 2 * log_price_fn(tau, r) + log_price_fn(tau, r - h)
-            ) / (h * h)
-
-        f_tau = (4 * dtau(H_FD / 2) - dtau(H_FD)) / 3
-        f_r = (4 * dr(H_FD / 2) - dr(H_FD)) / 3
-        f_rr = (4 * drr(H_FD / 2) - drr(H_FD)) / 3
+    f_tau, f_r, f_rr = partials(p, tau, r)
     g = p.gamma
     r2g = 1.0 if g == 0 else r ** (2 * g)
     return (

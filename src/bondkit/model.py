@@ -12,6 +12,7 @@ real (mean reversion requires beta < 0).  Rates are annualized decimals
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,6 +81,12 @@ def _check_maturity(*taus) -> None:
             raise ValidationError(f"maturity tau must be finite and >= 0, got {tau}")
 
 
+def _check_count(name: str, n, least: int) -> None:
+    """The one rule for a grid size: an integer (not a bool) of at least ``least``."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class RateGrid:
     """Uniform grid of ``n_points`` rates on [r_min, r_max]."""
@@ -93,8 +100,7 @@ class RateGrid:
             raise ValidationError(
                 f"need 0 <= r_min < r_max < inf, got [{self.r_min}, {self.r_max}]"
             )
-        if self.n_points < 2:
-            raise ValidationError(f"need n_points >= 2, got {self.n_points}")
+        _check_count("n_points", self.n_points, 2)
 
     @property
     def spacing(self) -> float:
@@ -157,7 +163,7 @@ _KEYS = ("alpha", "beta", "sigma", "gamma")
 
 def load_params(path) -> ModelParams:
     """Read a ``key = value`` parameter file (keys alpha/beta/sigma/gamma,
-    decimal notation, ``#`` comments)."""
+    decimal notation, ``#`` comments); a key given twice is refused."""
     found = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -169,6 +175,8 @@ def load_params(path) -> ModelParams:
         key, val = m.group(1).lower(), m.group(2)
         if key not in _KEYS:
             raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in found:
+            raise ValidationError(f"{path}:{lineno}: key {key!r} given twice")
         try:
             found[key] = float(val)
         except ValueError:

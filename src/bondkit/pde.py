@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -54,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GammaMismatch, UnstableSolve, ValidationError
-from .model import ModelParams, _check_maturity, _write_csv, validate_params
+from .model import ModelParams, _check_count, _check_maturity, _write_csv, validate_params
 
 __all__ = ["PdeConfig", "PdeSolution", "SolveDiagnostics", "solve"]
 
@@ -82,9 +81,7 @@ class PdeConfig:
             if not 0 < getattr(self, name) < np.inf:
                 raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name, least in (("n_space", 3), ("n_time", 1)):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
-                raise ValidationError(f"{name} must be an integer >= {least}, got {n!r}")
+            _check_count(name, getattr(self, name), least)
 
 
 @dataclass

@@ -12,8 +12,9 @@ mp.mp.dps = 50
 
 
 def _c(x):
-    # exact binary-to-mp conversion so the oracle sees the same numbers
-    return mp.mpf(x)
+    # exact binary-to-mp conversion so the oracle sees the same numbers; a
+    # complex maturity (a Cauchy contour in tau) stays complex
+    return mp.mpc(x) if isinstance(x, (complex, mp.mpc)) else mp.mpf(x)
 
 
 def mp_b(beta, tau):

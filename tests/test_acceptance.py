@@ -30,7 +30,6 @@ Sub-float64 asymptotics (6a at small tau, 6c) are evaluated with the
 float64 code elsewhere in the suite.
 """
 
-import functools
 import time
 
 import mpmath as mp
@@ -156,12 +155,10 @@ def test_criterion_3c_table3_bands(capsys, desk_pde):
 
 
 def test_criterion_4_vasicek_exactness(capsys, vas_params, rng):
-    f = functools.partial(cw_log_price, vas_params)
-    part = functools.partial(cw_partials, vas_params)
     taus = rng.uniform(0.05, 5.0, 100)
     rates = rng.uniform(0.005, 0.3, 100)
     worst = max(
-        abs(pde_residual(f, vas_params, float(t), float(r), partials=part))
+        abs(pde_residual(cw_partials, vas_params, float(t), float(r)))
         for t, r in zip(taus, rates)
     )
     grid = np.linspace(0.0, 0.3, 301)
@@ -242,11 +239,9 @@ def test_criterion_6a_residual_expansion(capsys, params):
     order_ok = all(3.6 <= q <= 4.4 for q in ratios)  # O(tau^2) under halving
 
     # anchor the oracle to the production residual where float64 resolves it
-    f = functools.partial(cw_log_price, params)
-    part = functools.partial(cw_partials, params)
     anchor_ok = True
     for tau in (0.2, 0.1):
-        got = pde_residual(f, params, tau, r, partials=part)
+        got = pde_residual(cw_partials, params, tau, r)
         want = float(mp_log_pde_residual(mp_cw, params, tau, r))
         anchor_ok = anchor_ok and abs(got - want) <= 1e-6 * abs(want)
     ok = order_ok and anchor_ok

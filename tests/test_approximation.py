@@ -1,4 +1,3 @@
-import functools
 
 import numpy as np
 import pytest
@@ -114,41 +113,21 @@ class TestPartials:
 
 
 class TestPdeResidual:
-    def test_fd_agrees_with_analytic(self, params):
-        f = functools.partial(cw_log_price, params)
-        part = functools.partial(cw_partials, params)
-        exact = pde_residual(f, params, 0.2, 0.1, partials=part)
-        fd = pde_residual(f, params, 0.2, 0.1)
-        assert fd == pytest.approx(exact, abs=5e-9)
-
-    def test_step_guard(self, params):
-        # the fixed step 1e-5 needs tau and r of at least 4e-5
-        f = functools.partial(cw_log_price, params)
-        with pytest.raises(ValidationError, match=r"^h_fd=1e-05 exceeds tau/4=5e-06 or r/4=0.025$"):
-            pde_residual(f, params, 2e-5, 0.1)
-        with pytest.raises(ValidationError, match=r"^h_fd=1e-05 exceeds tau/4=0.25 or r/4=7.5e-06$"):
-            pde_residual(f, params, 1.0, 3e-5)
-        assert np.isfinite(pde_residual(f, params, 4e-5, 4e-5))
-
     def test_residual_expansion_float64(self, params):
         # h(tau, r)/tau^4 = k4 + k5 tau + O(tau^2); resolvable in float64
         # down to tau ~ 0.1
-        f = functools.partial(cw_log_price, params)
-        part = functools.partial(cw_partials, params)
         r = 0.1
         k4v, k5v = k4(params, r), k5(params, r)
         for tau in (0.2, 0.1):
-            h = pde_residual(f, params, tau, r, partials=part)
+            h = pde_residual(cw_partials, params, tau, r)
             rem = h / tau**4 - k4v - k5v * tau
             assert abs(rem) < 5e-9 * tau**2 + 1e-12
 
     @pytest.mark.parametrize("gamma", [0.75, 1.0, 1.32])
     def test_residual_expansion_other_gammas(self, params, gamma):
         p = params.with_gamma(gamma)
-        f = functools.partial(cw_log_price, p)
-        part = functools.partial(cw_partials, p)
         r = 0.1
-        h = pde_residual(f, p, 0.1, r, partials=part)
+        h = pde_residual(cw_partials, p, 0.1, r)
         assert h / 0.1**4 == pytest.approx(k4(p, r) + k5(p, r) * 0.1, rel=0.02)
 
 

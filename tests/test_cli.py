@@ -144,6 +144,14 @@ class TestPrice:
                            "--method", "cir", "--tau", "1", "--rate", "0.1")
         assert code == 0
 
+    def test_params_file_key_given_twice(self, capsys, tmp_path):
+        f = tmp_path / "p.txt"
+        f.write_text("alpha = 0.00315\nbeta = -0.0555\nsigma = 0.0894\ngamma = 0.5\nalpha = 0.1\n")
+        code, out, err = run(capsys, "price", "--params", str(f), "--method", "cir",
+                             "--tau", "1", "--rate", "0.1")
+        assert code == 2 and out == ""
+        assert f"{f}:5: key 'alpha' given twice" in err
+
 
 class TestTable:
     def test_table1_check_passes(self, capsys):

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -58,11 +57,9 @@ class TestVasicek:
         assert -0.06 < vasicek_log_price(vas_params, 1.0, 0.05) < -0.04
 
     def test_pde_residual_vanishes(self, vas_params):
-        f = functools.partial(vasicek_log_price, vas_params)
-        part = functools.partial(vasicek_partials, vas_params)
         for tau in (0.1, 0.5, 1.0, 4.0, 10.0, 30.0):
             for r in (0.01, 0.05, 0.2):
-                assert abs(pde_residual(f, vas_params, tau, r, partials=part)) < 1e-12
+                assert abs(pde_residual(vasicek_partials, vas_params, tau, r)) < 1e-12
 
     def test_bitwise_equal_to_general_formula(self, vas_params):
         # price and partials; Gaussian rates go negative, so the grid does too
@@ -107,16 +104,10 @@ class TestCir:
                 cir_partials(params, 1.0, r)
 
     def test_pde_residual_grid(self, params):
-        f = functools.partial(cir_log_price, params)
-        part = functools.partial(cir_partials, params)
         # theta * tau = 1 falls at tau ~ 7.24: 10 and 30 check the factored form
         for tau in (0.1, 0.5, 1.0, 3.0, 10.0, 30.0):
             for r in (0.005, 0.05, 0.1, 0.25):
-                assert abs(pde_residual(f, params, tau, r, partials=part)) < 1e-10
-
-    def test_pde_residual_fd_mode(self, params):
-        f = functools.partial(cir_log_price, params)
-        assert abs(pde_residual(f, params, 0.5, 0.1)) < 1e-7
+                assert abs(pde_residual(cir_partials, params, tau, r)) < 1e-10
 
     def test_small_tau_series(self, params):
         # ln P = -r tau + O(tau^2)

@@ -39,6 +39,7 @@ SIGNATURES = {
     "c5_derivatives": "(p: 'ModelParams', r)",
     "c6": "(p: 'ModelParams', r)",
     "improved_log_price": "(p: 'ModelParams', tau: 'float', r)",
+    "pde_residual": "(partials, p: 'ModelParams', tau: 'float', r: 'float')",
 }
 
 

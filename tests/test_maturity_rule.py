@@ -32,7 +32,7 @@ ENTRY_POINTS = {
     "LogPriceCurve": lambda tau: LogPriceCurve(GRID, tau, np.zeros(3)),
     "eoc": lambda tau: eoc([1e-3, 1e-4], [2.0, tau]),
     "solve": lambda tau: solve(DEFAULT_PARAMS, SMALL, [tau]),
-    "pde_residual": lambda tau: pde_residual(None, DEFAULT_PARAMS, tau, 0.05),
+    "pde_residual": lambda tau: pde_residual(cw_partials, DEFAULT_PARAMS, tau, 0.05),
 }
 
 

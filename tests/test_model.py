@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -75,6 +76,16 @@ class TestRateGrid:
         with pytest.raises(ValidationError, match="r_max < inf"):
             RateGrid(0.0, r_max, 3)
 
+    @pytest.mark.parametrize("bad", [2.5, True, np.float64(5.0)])
+    def test_non_integer_n_points_rejected(self, bad):
+        # the same rule and message as PdeConfig's grid sizes
+        with pytest.raises(ValidationError, match=r"^n_points must be an integer >= 2, got "):
+            RateGrid(0.0, 0.1, bad)
+
+    def test_numpy_integer_n_points_accepted(self):
+        g = RateGrid(0.0, 0.1, np.int64(5))
+        assert g.points.shape == (5,) and g.points[-1] == 0.1
+
 
 class TestMaturityGrid:
     def test_decreasing_and_increasing_ok(self):
@@ -136,6 +147,13 @@ class TestParamsFile:
         path = tmp_path / "p.txt"
         path.write_text("alpha = 0.1\nbeta = 0\nsigma = 0.1\ngamma = 0.5\nkappa = 1\n")
         with pytest.raises(ValidationError):
+            load_params(path)
+
+    def test_key_given_twice(self, tmp_path):
+        # the later value would otherwise win silently; keys are case-blind
+        path = tmp_path / "p.txt"
+        path.write_text("alpha = 0.1\nbeta = 0\nsigma = 0.1\ngamma = 0.5\nAlpha = 0.2\n")
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}:5: key 'alpha' given twice$"):
             load_params(path)
 
     def test_bad_number(self, tmp_path):

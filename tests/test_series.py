@@ -1,0 +1,39 @@
+"""The approximation against the exact tau-series of ln P (tests/_series.py),
+which is derived from the pricing PDE alone.
+
+The paper's claim, checked without a solver: the closed form cw agrees with
+the exact series through tau^4, and its tau^5 and tau^6 errors are the
+library's c5 and c6, so improved_log_price = cw - c5 tau^5 - c6 tau^6 is
+exact through tau^6.  cw's coefficients come from the 50-digit oracle
+``mp_cw`` by a Cauchy contour in tau.
+"""
+
+import pytest
+
+from _reference import mp_cw
+from _series import evaluate, series_tables, tau_coefficients
+from bondkit import DEFAULT_PARAMS, c5, c6
+
+R = 0.1
+
+
+@pytest.fixture(scope="module", params=[0.75, 1.0, 1.32])
+def coefficients(request):
+    """(p, cw's tau-coefficients 1-6, the series' a_1 ... a_6) at rate R."""
+    p = DEFAULT_PARAMS.with_gamma(request.param)
+    cw = tau_coefficients(lambda tau: mp_cw(p, tau, R), 6)
+    exact = [evaluate(table, R) for table in series_tables(p, 6)]
+    return p, cw, exact
+
+
+def test_cw_is_exact_through_tau4(coefficients):
+    _, cw, exact = coefficients
+    for n in range(4):
+        assert abs(cw[n] - exact[n]) <= 1e-40 * abs(exact[n]), f"tau^{n + 1}"
+
+
+def test_cw_errors_at_tau5_tau6_are_c5_c6(coefficients):
+    p, cw, exact = coefficients
+    for n, coef in ((4, c5), (5, c6)):
+        want = coef(p, R)
+        assert abs((cw[n] - exact[n]) - want) <= 1e-13 * abs(want), coef.__name__
