@@ -19,11 +19,11 @@ whose error is o(tau^6).
 
 Numerical notes
 ---------------
-* The three beta-singular brackets above have removable singularities at
-  beta = 0.  For |beta * tau| < 0.01 each is replaced by a four-term Taylor
-  expansion in beta (truncation ~1e-9 relative, matching the cancellation
-  noise of the exact path at the switch), so the formulas are continuous
-  through beta = 0.
+* B = expm1(beta tau)/beta is exact; it is tau where beta * tau underflows.
+  Below the one switch, |beta * tau| < 0.01, the beta-singular brackets t1,
+  eg and fh are four-term Taylor series in beta (truncation ~1e-9 relative,
+  the exact path's cancellation noise there).  As fh' = tau eg' for every
+  beta, the tau-derivative in cw_partials needs no series of its own.
 * Every polynomial coefficient (k4, k5, c5 and its r-derivatives, and the
   r-derivatives of r^{2 gamma} and q in cw_partials) is a (coef, power)
   table of monomials in r, summed by one evaluator with one domain rule:
@@ -72,17 +72,14 @@ __all__ = [
 #: Coefficient functions with negative r-exponents are rejected below this rate.
 R_FLOOR = 1e-6
 
-#: Below this |beta| the factor (e^{beta tau} - 1)/beta is replaced by its
-#: beta -> 0 limit tau (removable singularity).
-BETA_EPS = 1e-10
-
 #: |beta * tau| below which the beta-singular brackets switch to series form.
 _SERIES_SWITCH = 1e-2
 
 
 def b_factor(beta: float, tau: float) -> float:
-    """(e^{beta tau} - 1) / beta, continuously extended to tau at beta = 0."""
-    if abs(beta) < BETA_EPS:
+    """(e^{beta tau} - 1) / beta, and its limit tau where beta * tau is 0 or
+    subnormal (below 2**-1022): there the rounded product has lost digits."""
+    if beta == 0 or abs(beta * tau) < 2.0**-1022:
         return float(tau)
     return np.expm1(beta * tau) / beta
 
@@ -113,33 +110,6 @@ def _beta_brackets(alpha: float, beta: float, sigma: float, tau: float):
         B * B * (2 * beta * tau - 1) - 2 * B * (2 * tau - 3 / beta) + 2 * tau * tau - 6 * tau / beta
     )
     return B, t1, eg, fh
-
-
-def _beta_brackets_dtau(alpha: float, beta: float, sigma: float, tau: float):
-    """Tau-derivatives (Bp, t1p, egp, fhp) of the pieces above.
-
-    t1' = -alpha*B and eg' = sigma^2 B^2 / 2 hold exactly for every beta;
-    only fh' needs the series switch.
-    """
-    B = b_factor(beta, tau)
-    Bp = np.exp(beta * tau)
-    s2 = sigma * sigma
-    t1p = -alpha * B
-    egp = 0.5 * s2 * B * B
-    if abs(beta * tau) < _SERIES_SWITCH:
-        b1, b2, b3 = beta, beta * beta, beta**3
-        t3, t4 = tau**3, tau**4
-        fhp = s2 * (t3 / 2 + b1 * t4 / 2 + 7 * b2 * t4 * tau / 24 + b3 * t3 * t3 / 8)
-    else:
-        hp = (
-            2 * B * Bp * (2 * beta * tau - 1)
-            + 2 * beta * B * B
-            - 4 * tau * Bp
-            + 2 * B
-            + 4 * tau
-        )
-        fhp = (s2 / (8 * beta * beta)) * hp
-    return Bp, t1p, egp, fhp
 
 
 def _derive(terms):
@@ -284,7 +254,8 @@ def _cw(p: ModelParams, tau: float, pows: _Powers):
 
 
 def cw_partials(p: ModelParams, tau: float, r):
-    """Analytic (f_tau, f_r, f_rr) of :func:`cw_log_price`.
+    """Analytic (f_tau, f_r, f_rr) of :func:`cw_log_price`; as fh' = tau eg',
+    f_tau = -r e^{beta tau} - alpha B + (1/2) sigma^2 r^{2 gamma} B^2 + q eg.
 
     Suitable as the ``partials`` argument of :func:`pde_residual`; resolves
     residuals down to rounding level (~1e-15).
@@ -292,13 +263,15 @@ def cw_partials(p: ModelParams, tau: float, r):
     _check_maturity(tau)
     pows = _Powers(r)
     q, r2g = _q_and_r2g(p, pows, "cw_partials")
-    B, t1, eg, fh = _beta_brackets(p.alpha, p.beta, p.sigma, tau)
-    Bp, t1p, egp, fhp = _beta_brackets_dtau(p.alpha, p.beta, p.sigma, tau)
+    try:
+        B, _, eg, fh = _beta_brackets(p.alpha, p.beta, p.sigma, tau)
+    except OverflowError:
+        raise ValidationError(f"cw_partials: out of float range at tau={tau!r}") from None
     d1_terms = _derive([(1.0, 2 * p.gamma)])  # d/dr of r^{2 gamma}
     qp_terms = _derive(_q_terms(p))
     d1, d2, qp, qpp = (pows.sum(t, "cw_partials")
                        for t in (d1_terms, _derive(d1_terms), qp_terms, _derive(qp_terms)))
-    f_tau = -pows.arr * Bp + t1p + q * eg + (r2g + q * tau) * egp - q * fhp
+    f_tau = -pows.arr * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
     f_r = -B + (d1 + qp * tau) * eg - qp * fh
     f_rr = (d2 + qpp * tau) * eg - qpp * fh
     return pows.result(f_tau), pows.result(f_r), pows.result(f_rr)

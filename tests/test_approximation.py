@@ -1,4 +1,5 @@
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -83,6 +84,11 @@ class TestCwLogPrice:
             assert abs(v_lo - float(mp_cw(lo, tau, 0.1))) < 1e-12
             assert abs(v_hi - float(mp_cw(hi, tau, 0.1))) < 1e-12
 
+    def test_tiny_nonzero_beta_keeps_its_drift(self, params):
+        # B = tau at beta = 9e-11 would be off by ~6e-9 here
+        p = ModelParams(params.alpha, 9e-11, params.sigma, 0.5)
+        assert abs(cw_log_price(p, 30.0, 0.15) - mp_cw(p, 30.0, 0.15)) <= 1e-14
+
     def test_scalar_and_array_agree(self, params):
         r = np.array([0.01, 0.1, 0.2])
         arr = cw_log_price(params, 1.0, r)
@@ -110,6 +116,14 @@ class TestPartials:
         f_tau, f_r, f_rr = cw_partials(p, tau, r)
         fd_tau = (cw_log_price(p, tau + h, r) - cw_log_price(p, tau - h, r)) / (2 * h)
         assert f_tau == pytest.approx(fd_tau, rel=1e-7)
+
+    @pytest.mark.parametrize("beta, tau, r", [(-0.0555, 0.18, 0.001), (0.3, 10.0, 0.05)])
+    def test_f_tau_matches_reference_derivative(self, params, beta, tau, r):
+        # at 50 digits; from 100 digits on, mp.diff misreads mp_cw's
+        # 130-digit small-beta branch
+        p = ModelParams(params.alpha, beta, params.sigma, 0.5)
+        want = mp.diff(lambda t: mp_cw(p, t, r), tau)
+        assert abs(cw_partials(p, tau, r)[0] - want) <= 1e-14 * abs(want)
 
 
 class TestPdeResidual:
@@ -202,6 +216,12 @@ class TestInputGuards:
         for r in (float("nan"), np.array([0.05, np.nan])):
             with pytest.raises(DomainError):
                 fn(p, 1.0, r)
+
+    @pytest.mark.parametrize("fn, gamma", [(cw_partials, 0.75), (vasicek_partials, 0.0)])
+    def test_partials_overflow_is_typed(self, params, fn, gamma):
+        p = ModelParams(params.alpha, 0.0, params.sigma, gamma)
+        with pytest.raises(ValidationError, match=r"^cw_partials: out of float range at tau=1e\+80$"):
+            fn(p, 1e80, 0.05)
 
     def test_vasicek_keeps_negative_rates(self, vas_params):
         assert np.isfinite(cw_log_price(vas_params, 1.0, -0.05))

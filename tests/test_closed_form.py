@@ -34,9 +34,16 @@ class TestBFactor:
         expected = sum(x**k / math.factorial(k + 1) for k in range(20))
         assert b_factor(-0.0555, 1.0) == pytest.approx(expected, rel=1e-15)
 
-    def test_continuity_at_switch(self):
-        below, above = b_factor(0.9999e-10, 3.0), b_factor(1.0001e-10, 3.0)
-        assert below == pytest.approx(above, rel=1e-9)
+    def test_exact_for_tiny_nonzero_beta(self):
+        # no switch near 1e-10: expm1 keeps B exact however small beta is
+        for beta in (0.9999e-10, -0.9999e-10, 1.0001e-10, -1.0001e-10):
+            assert b_factor(beta, 3.0) == pytest.approx(math.expm1(beta * 3.0) / beta, rel=1e-15)
+
+    def test_subnormal_product_gives_the_limit(self):
+        # e^x - 1 = x to every digit once x = beta*tau is subnormal, but the
+        # rounded product divided by beta would not give tau back
+        for beta, tau in ((5e-324, 0.3), (-1e-320, 3.0), (1e-310, 0.3)):
+            assert b_factor(beta, tau) == tau
 
 
 class TestVasicek:

@@ -1,7 +1,8 @@
 """Every exported name resolves, so ``from bondkit import *`` (or from any
 of its modules) cannot meet a stale ``__all__`` entry, the pricer
-signatures stay as they are, the error taxonomy stays at five types and
-the maturity rule has one home."""
+signatures stay as they are, the error taxonomy stays at five types, the
+maturity rule has one home and the closed-form core keeps one beta
+threshold."""
 
 import ast
 import importlib
@@ -30,6 +31,7 @@ def test_all_names_resolve(module):
 #: The pricer and coefficient signatures.  The power table a call shares
 #: between its monomial tables is private to the call: no knob, no cache.
 SIGNATURES = {
+    "b_factor": "(beta: 'float', tau: 'float') -> 'float'",
     "q_factor": "(p: 'ModelParams', r)",
     "cw_log_price": "(p: 'ModelParams', tau: 'float', r)",
     "cw_partials": "(p: 'ModelParams', tau: 'float', r)",
@@ -83,6 +85,15 @@ SOURCES = sorted(Path(bondkit.__file__).parent.glob("*.py"))
 def test_errors_defines_the_five_types():
     tree = ast.parse(Path(errors.__file__).read_text())
     assert {node.name for node in tree.body if isinstance(node, ast.ClassDef)} == ERROR_TYPES
+
+
+def test_approximation_module_constants():
+    # one rate floor and one beta threshold (the series switch); B is
+    # exact through expm1, so it needs no threshold of its own
+    tree = ast.parse(Path(approximation.__file__).read_text())
+    names = {ast.unparse(target) for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])}
+    assert names == {"__all__", "R_FLOOR", "_SERIES_SWITCH"}
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)

@@ -4,25 +4,28 @@ which is derived from the pricing PDE alone.
 The paper's claim, checked without a solver: the closed form cw agrees with
 the exact series through tau^4, and its tau^5 and tau^6 errors are the
 library's c5 and c6, so improved_log_price = cw - c5 tau^5 - c6 tau^6 is
-exact through tau^6.  cw's coefficients come from the 50-digit oracle
-``mp_cw`` by a Cauchy contour in tau.
+exact through tau^6 and its error is c7 tau^7 + O(tau^8), with c7 and c8
+cw's own tau^7 and tau^8 errors.  cw's coefficients come from the 50-digit
+oracle ``mp_cw`` by a Cauchy contour in tau.
 """
 
 import pytest
 
 from _reference import mp_cw
 from _series import evaluate, series_tables, tau_coefficients
-from bondkit import DEFAULT_PARAMS, c5, c6
+from bondkit import DEFAULT_PARAMS, c5, c6, improved_log_price
 
 R = 0.1
+#: Terms summed for the exact log price; the last is < 4e-21 at tau = 1.
+N_EXACT = 14
 
 
 @pytest.fixture(scope="module", params=[0.75, 1.0, 1.32])
 def coefficients(request):
-    """(p, cw's tau-coefficients 1-6, the series' a_1 ... a_6) at rate R."""
+    """(p, cw's tau-coefficients 1-8, the series' a_1 ... a_N_EXACT) at rate R."""
     p = DEFAULT_PARAMS.with_gamma(request.param)
-    cw = tau_coefficients(lambda tau: mp_cw(p, tau, R), 6)
-    exact = [evaluate(table, R) for table in series_tables(p, 6)]
+    cw = tau_coefficients(lambda tau: mp_cw(p, tau, R), 8)
+    exact = [evaluate(table, R) for table in series_tables(p, N_EXACT)]
     return p, cw, exact
 
 
@@ -37,3 +40,14 @@ def test_cw_errors_at_tau5_tau6_are_c5_c6(coefficients):
     for n, coef in ((4, c5), (5, c6)):
         want = coef(p, R)
         assert abs((cw[n] - exact[n]) - want) <= 1e-13 * abs(want), coef.__name__
+
+
+def test_improved_error_is_c7_tau7(coefficients):
+    # (improved - exact) / (c7 tau^7) = 1 + (c8/c7) tau + O(tau^2); below
+    # tau = 0.5 float64 rounding in improved_log_price swamps the tau^7 term
+    p, cw, exact = coefficients
+    c7, c8 = cw[6] - exact[6], cw[7] - exact[7]
+    for tau in (0.5, 1.0):
+        truth = sum(a * tau ** (n + 1) for n, a in enumerate(exact))
+        ratio = (improved_log_price(p, tau, R) - truth) / (c7 * tau**7)
+        assert abs(ratio - (1 + c8 / c7 * tau)) <= 0.01, f"tau={tau}: {float(ratio)}"
