@@ -37,14 +37,16 @@ Numerical notes
 * k4 and c5 share one table, so c5 = -k4/5 holds to ~1e-15 relative.
 * One power table per call: each public function forms every power of r
   it needs (for q, r^{2 gamma} and each monomial table) at most once per
-  exact exponent float, and reuses it only for that same float.  No
-  coefficient is merged and every sum keeps its table order, so sharing
-  changes no bit of any result; improved_log_price forms 14 powers of r at
-  gamma = 1.32 instead of 34.  Each domain check runs at most once per call,
-  in table order, so the first table to fail still names itself in the
-  DomainError.  The table lives only for the call: no cache, no knob.
-* The maturity rule lives in :func:`bondkit.model._check_maturity`.  A Python
-  ``**`` overflow inside a pricer is a ValidationError naming it and tau.
+  exact exponent float, and reuses it only for that same float; a
+  composite passes its table as ``r`` to the public functions it is built
+  from.  No coefficient is merged and every sum keeps its table order, so
+  sharing changes no bit of any result; improved_log_price forms 14 powers
+  of r at gamma = 1.32 instead of 34.  Each domain check runs at most once
+  per call, in table order, so the first table to fail still names itself
+  in the DomainError.  The table lives only for the call: no cache, no knob.
+* Building the table applies the maturity rule of
+  :func:`bondkit.model._check_maturity`, and a Python ``**`` overflow in
+  its call is a ValidationError naming the outermost call and its tau.
 """
 
 from __future__ import annotations
@@ -118,22 +120,38 @@ def _derive(terms):
 
 
 class _Powers:
-    """The power table of one public call: the rates ``arr``, each
-    ``arr**pw`` formed at most once per exponent float, and which rate-domain
-    checks have already passed.
+    """The power table and context of one public call ``what`` (at
+    maturity ``tau``, if it takes one): the rates ``arr``, each ``arr**pw``
+    formed at most once per exponent float, and which rate-domain checks
+    have already passed.
 
-    Built afresh by every public function and dropped when it returns, so no
-    state outlives a call.  Keys are exact exponent floats: a power is reused
-    only where it would be recomputed bit for bit.
+    Built afresh by the outermost public function and dropped when it
+    returns, so no state outlives a call.  Keys are exact exponent floats:
+    a power is reused only where it would be recomputed bit for bit.
     """
 
-    __slots__ = ("scalar", "arr", "_pows", "_nonneg", "_floored")
+    __slots__ = ("scalar", "arr", "_pows", "_nonneg", "_floored", "_what", "_tau")
 
-    def __init__(self, r):
-        self.scalar = np.ndim(r) == 0
+    def __init__(self, r, what: str, *tau):
+        _check_maturity(*tau)
         self.arr = np.asarray(r, dtype=float)
+        self.scalar = self.arr.ndim == 0
         self._pows = {}
         self._nonneg = self._floored = False
+        self._what, self._tau = what, tau
+
+    @classmethod
+    def of(cls, r, what: str, *tau):
+        """A caller's table ``r`` as it is, else a new table for the rates ``r``."""
+        return r if isinstance(r, cls) else cls(r, what, *tau)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, OverflowError):
+            at = f" at tau={self._tau[0]!r}" if self._tau else ""
+            raise ValidationError(f"{self._what}: out of float range{at}") from None
 
     def __call__(self, pw):
         """arr**pw, formed on first use."""
@@ -189,19 +207,14 @@ def q_factor(p: ModelParams, r):
     factored form needs two powers of r instead of three, which keeps every
     :func:`cw_log_price` call 15-20 % cheaper.
     """
-    pows = _Powers(r)
-    return pows.result(_q(p, pows))
-
-
-def _q(p: ModelParams, pows: _Powers):
-    g = p.gamma
-    if g == 0:
-        return np.zeros_like(pows.arr)
-    pows.check("q_factor", g < 0.5, "gamma < 1/2")
-    s2 = p.sigma * p.sigma
-    return g * (2 * g - 1) * s2 * pows(2 * (2 * g - 1)) + 2 * g * pows(2 * g - 1) * (
-        p.alpha + p.beta * pows.arr
-    )
+    with _Powers.of(r, "q_factor") as pows:
+        g = p.gamma
+        if g == 0:
+            return pows.result(np.zeros_like(pows.arr))
+        pows.check("q_factor", g < 0.5, "gamma < 1/2")
+        s2 = p.sigma * p.sigma
+        return pows.result(g * (2 * g - 1) * s2 * pows(2 * (2 * g - 1))
+                           + 2 * g * pows(2 * g - 1) * (p.alpha + p.beta * pows.arr))
 
 
 def _q_terms(p: ModelParams):
@@ -216,7 +229,7 @@ def _q_terms(p: ModelParams):
 
 def _q_and_r2g(p: ModelParams, pows: _Powers, what: str):
     """q(r) and r^{2 gamma} under the rate domain of :func:`q_factor`."""
-    q = _q(p, pows)
+    q = q_factor(p, pows)
     if p.gamma != 0:
         return q, pows(2 * p.gamma)
     # q vanishes here without looking at r; Vasicek keeps negative rates
@@ -239,18 +252,10 @@ def cw_log_price(p: ModelParams, tau: float, r):
     -------
     Log price, same shape as ``r``.
     """
-    _check_maturity(tau)
-    pows = _Powers(r)
-    try:
-        return pows.result(_cw(p, tau, pows))
-    except OverflowError:
-        raise ValidationError(f"cw_log_price: lnP out of float range at tau={tau!r}") from None
-
-
-def _cw(p: ModelParams, tau: float, pows: _Powers):
-    q, r2g = _q_and_r2g(p, pows, "cw_log_price")
-    B, t1, eg, fh = _beta_brackets(p.alpha, p.beta, p.sigma, tau)
-    return -pows.arr * B + t1 + (r2g + q * tau) * eg - q * fh
+    with _Powers.of(r, "cw_log_price", tau) as pows:
+        q, r2g = _q_and_r2g(p, pows, "cw_log_price")
+        B, t1, eg, fh = _beta_brackets(p.alpha, p.beta, p.sigma, tau)
+        return pows.result(-pows.arr * B + t1 + (r2g + q * tau) * eg - q * fh)
 
 
 def cw_partials(p: ModelParams, tau: float, r):
@@ -260,21 +265,17 @@ def cw_partials(p: ModelParams, tau: float, r):
     Suitable as the ``partials`` argument of :func:`pde_residual`; resolves
     residuals down to rounding level (~1e-15).
     """
-    _check_maturity(tau)
-    pows = _Powers(r)
-    q, r2g = _q_and_r2g(p, pows, "cw_partials")
-    try:
+    with _Powers.of(r, "cw_partials", tau) as pows:
+        q, r2g = _q_and_r2g(p, pows, "cw_partials")
         B, _, eg, fh = _beta_brackets(p.alpha, p.beta, p.sigma, tau)
-    except OverflowError:
-        raise ValidationError(f"cw_partials: out of float range at tau={tau!r}") from None
-    d1_terms = _derive([(1.0, 2 * p.gamma)])  # d/dr of r^{2 gamma}
-    qp_terms = _derive(_q_terms(p))
-    d1, d2, qp, qpp = (pows.sum(t, "cw_partials")
-                       for t in (d1_terms, _derive(d1_terms), qp_terms, _derive(qp_terms)))
-    f_tau = -pows.arr * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
-    f_r = -B + (d1 + qp * tau) * eg - qp * fh
-    f_rr = (d2 + qpp * tau) * eg - qpp * fh
-    return pows.result(f_tau), pows.result(f_r), pows.result(f_rr)
+        d1_terms = _derive([(1.0, 2 * p.gamma)])  # d/dr of r^{2 gamma}
+        qp_terms = _derive(_q_terms(p))
+        d1, d2, qp, qpp = (pows.sum(t, "cw_partials")
+                           for t in (d1_terms, _derive(d1_terms), qp_terms, _derive(qp_terms)))
+        f_tau = -pows.arr * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
+        f_r = -B + (d1 + qp * tau) * eg - qp * fh
+        f_rr = (d2 + qpp * tau) * eg - qpp * fh
+        return pows.result(f_tau), pows.result(f_r), pows.result(f_rr)
 
 
 def _c5_terms(p: ModelParams):
@@ -321,43 +322,30 @@ def _coef(p: ModelParams, pows: _Powers, pref: float, terms, what: str):
 def k4(p: ModelParams, r):
     """Quartic residual coefficient: substituting the closed-form log price
     into the pricing PDE leaves h(tau, r) = k4 tau^4 + k5 tau^5 + o(tau^5)."""
-    pows = _Powers(r)
-    return pows.result(_coef(p, pows, p.gamma * p.sigma**2 / 24.0, _c5_terms(p), "k4"))
+    with _Powers.of(r, "k4") as pows:
+        return pows.result(_coef(p, pows, p.gamma * p.sigma**2 / 24.0, _c5_terms(p), "k4"))
 
 
 def k5(p: ModelParams, r):
     """Quintic residual coefficient; see :func:`k4`."""
-    pows = _Powers(r)
-    return pows.result(_k5(p, pows))
-
-
-def _k5(p: ModelParams, pows: _Powers):
-    return _coef(p, pows, p.gamma * p.sigma**2 / 120.0, _k5_terms(p), "k5")
+    with _Powers.of(r, "k5") as pows:
+        return pows.result(_coef(p, pows, p.gamma * p.sigma**2 / 120.0, _k5_terms(p), "k5"))
 
 
 def c5(p: ModelParams, r):
     """Leading log-price error coefficient: ln P_approx - ln P_exact =
     c5(r) tau^5 + o(tau^5).  Identically equal to -k4(r)/5."""
-    pows = _Powers(r)
-    return pows.result(_c5(p, pows))
-
-
-def _c5(p: ModelParams, pows: _Powers):
-    return _coef(p, pows, -p.gamma * p.sigma**2 / 120.0, _c5_terms(p), "c5")
+    with _Powers.of(r, "c5") as pows:
+        return pows.result(_coef(p, pows, -p.gamma * p.sigma**2 / 120.0, _c5_terms(p), "c5"))
 
 
 def c5_derivatives(p: ModelParams, r):
     """Analytic (c5'(r), c5''(r)) by term-by-term differentiation."""
-    pows = _Powers(r)
-    d1, d2 = _c5_derivatives(p, pows)
-    return pows.result(d1), pows.result(d2)
-
-
-def _c5_derivatives(p: ModelParams, pows: _Powers):
-    pref = -p.gamma * p.sigma**2 / 120.0
-    d1_terms = _derive(_c5_terms(p))
-    return (_coef(p, pows, pref, d1_terms, "c5_derivatives"),
-            _coef(p, pows, pref, _derive(d1_terms), "c5_derivatives"))
+    with _Powers.of(r, "c5_derivatives") as pows:
+        pref = -p.gamma * p.sigma**2 / 120.0
+        d1_terms = _derive(_c5_terms(p))
+        return (pows.result(_coef(p, pows, pref, d1_terms, "c5_derivatives")),
+                pows.result(_coef(p, pows, pref, _derive(d1_terms), "c5_derivatives")))
 
 
 def c6(p: ModelParams, r):
@@ -366,37 +354,29 @@ def c6(p: ModelParams, r):
         c6 = (1/6) [ (1/2) sigma^2 r^{2 gamma} c5''(r)
                      + (alpha + beta r) c5'(r) - k5(r) ].
     """
-    pows = _Powers(r)
-    return pows.result(_c6(p, pows))
-
-
-def _c6(p: ModelParams, pows: _Powers):
-    g = p.gamma
-    arr = pows.arr
-    if g == 0:
-        return np.zeros_like(arr)
-    d1, d2 = _c5_derivatives(p, pows)
-    return (
-        0.5 * p.sigma**2 * pows(2 * g) * d2 + (p.alpha + p.beta * arr) * d1 - _k5(p, pows)
-    ) / 6.0
+    with _Powers.of(r, "c6") as pows:
+        g = p.gamma
+        if g == 0:
+            return pows.result(np.zeros_like(pows.arr))
+        d1, d2 = c5_derivatives(p, pows)
+        return pows.result((
+            0.5 * p.sigma**2 * pows(2 * g) * d2 + (p.alpha + p.beta * pows.arr) * d1 - k5(p, pows)
+        ) / 6.0)
 
 
 def improved_log_price(p: ModelParams, tau: float, r):
     """Higher-order approximate log price:
     cw_log_price - c5(r) tau^5 - c6(r) tau^6 (error o(tau^6)).
 
-    One power table serves q, r^{2 gamma}, c5, c5', c5'' and k5.  At
-    gamma = 0, where c5 and c6 vanish, this is :func:`cw_log_price`.
+    The three terms share this call's power table, which serves q,
+    r^{2 gamma}, c5, c5', c5'' and k5, and a float overflow in any of them
+    is refused in this function's name.  At gamma = 0, where c5 and c6
+    vanish, this is :func:`cw_log_price`.
     """
     if p.gamma == 0:
         return cw_log_price(p, tau, r)
-    _check_maturity(tau)
-    pows = _Powers(r)
-    try:
-        lnp, a5, a6 = map(pows.result, (_cw(p, tau, pows), _c5(p, pows), _c6(p, pows)))
-        return lnp - a5 * tau**5 - a6 * tau**6
-    except OverflowError:
-        raise ValidationError(f"improved_log_price: lnP out of float range at tau={tau!r}") from None
+    with _Powers.of(r, "improved_log_price", tau) as pows:
+        return pows.result(cw_log_price(p, tau, pows) - c5(p, pows) * tau**5 - c6(p, pows) * tau**6)
 
 
 def pde_residual(partials, p: ModelParams, tau: float, r: float):
@@ -415,11 +395,9 @@ def pde_residual(partials, p: ModelParams, tau: float, r: float):
     """
     _check_maturity(tau)
     f_tau, f_r, f_rr = partials(p, tau, r)
-    g = p.gamma
-    r2g = 1.0 if g == 0 else r ** (2 * g)
     return (
         -f_tau
-        + 0.5 * p.sigma**2 * r2g * (f_r * f_r + f_rr)
+        + 0.5 * p.sigma**2 * r ** (2 * p.gamma) * (f_r * f_r + f_rr)
         + (p.alpha + p.beta * r) * f_r
         - r
     )

@@ -69,11 +69,10 @@ def _cir(p: ModelParams, tau: float, pows: _Powers, what: str):
     ln P = (2 alpha / sigma^2) log_a - r b_term, with dlog_a and db the
     tau-derivatives of log_a and b_term.
 
-    Runs the maturity, gamma and rate checks, naming ``what`` in the
-    errors; then the direct form below the theta*tau switch, the factored
-    form above it.
+    Runs the gamma and rate checks, naming ``what`` in the errors (``pows``
+    has applied the maturity rule); then the direct form below the
+    theta*tau switch, the factored form above it.
     """
-    _check_maturity(tau)
     if p.gamma != 0.5:
         raise GammaMismatch(f"{what} requires gamma == 0.5, got {p.gamma}")
     pows.check(what, False)
@@ -112,7 +111,7 @@ def cir_log_price(p: ModelParams, tau: float, r):
     -------
     Log price, same shape as ``r``.
     """
-    pows = _Powers(r)
+    pows = _Powers(r, "cir_log_price", tau)
     log_a, b_term, _, _ = _cir(p, tau, pows, "cir_log_price")
     return pows.result((2.0 * p.alpha / (p.sigma * p.sigma)) * log_a - pows.arr * b_term)
 
@@ -122,7 +121,7 @@ def cir_partials(p: ModelParams, tau: float, r):
 
     The affine structure gives f_rr = 0 exactly.
     """
-    pows = _Powers(r)
+    pows = _Powers(r, "cir_partials", tau)
     _, b_term, dlog_a, db = _cir(p, tau, pows, "cir_partials")
     f_tau = (2.0 * p.alpha / (p.sigma * p.sigma)) * dlog_a - pows.arr * db
     f_r = -b_term * np.ones_like(pows.arr)

@@ -182,7 +182,7 @@ def _spatial_operator(p: ModelParams, r: np.ndarray, dr: float):
     di = np.zeros(n)
     up = np.zeros(n)
     s2 = np.float64(p.sigma) ** 2  # inf rather than OverflowError for absurd sigma
-    a = 0.5 * s2 * r ** (2 * p.gamma) if p.gamma > 0 else np.full(n, 0.5 * s2)
+    a = 0.5 * s2 * r ** (2 * p.gamma)
     v = p.alpha + p.beta * r
     j = np.arange(1, n - 1)
     lo[j] = a[j] / dr**2 - v[j] / (2 * dr)

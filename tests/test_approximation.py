@@ -6,6 +6,9 @@ import pytest
 from _reference import mp_cir, mp_cw, mp_improved
 from bondkit import (
     ModelParams,
+    c5,
+    c5_derivatives,
+    c6,
     cir_log_price,
     cw_log_price,
     cir_partials,
@@ -222,6 +225,20 @@ class TestInputGuards:
         p = ModelParams(params.alpha, 0.0, params.sigma, gamma)
         with pytest.raises(ValidationError, match=r"^cw_partials: out of float range at tau=1e\+80$"):
             fn(p, 1e80, 0.05)
+
+    @pytest.mark.parametrize("fn", [k4, k5, c5, c5_derivatives, c6], ids=lambda fn: fn.__name__)
+    def test_coefficient_overflow_is_typed(self, fn):
+        # sigma**2 overflows in the prefactor
+        p = ModelParams(0.00315, -0.0555, 1e160, 0.75)
+        with pytest.raises(ValidationError, match=rf"^{fn.__name__}: out of float range$"):
+            fn(p, 0.05)
+
+    def test_nested_overflow_names_the_outer_call(self):
+        # the beta -> 0 series overflows inside the cw term, which improved
+        # evaluates on its own power table, so improved is the one refusing
+        p = ModelParams(0.00315, 0.0, 0.0894, 0.75)
+        with pytest.raises(ValidationError, match=r"^improved_log_price: out of float range at tau=1e\+80$"):
+            improved_log_price(p, 1e80, 0.05)
 
     def test_vasicek_keeps_negative_rates(self, vas_params):
         assert np.isfinite(cw_log_price(vas_params, 1.0, -0.05))

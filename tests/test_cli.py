@@ -81,18 +81,18 @@ class TestPrice:
         assert code == 2 and out == ""
         if argv == ("improved", "--tau", "1e52"):
             # tau**6 overflows inside the pricer, which refuses it by name
-            assert err == "error: improved_log_price: lnP out of float range at tau=1e+52\n"
+            assert err == "error: improved_log_price: out of float range at tau=1e+52\n"
         else:
             assert f"--method {method} at tau=" in err and "lnP=" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (("cw", "--beta", "0", "--tau", "1e80"), "cw_log_price: lnP out of float range at tau=1e+80"),
+        (("cw", "--beta", "0", "--tau", "1e80"), "cw_log_price: out of float range at tau=1e+80"),
         (("vasicek", "--gamma", "0", "--beta", "1e103", "--tau", "1e-110"),
-         "cw_log_price: lnP out of float range at tau=1e-110"),
+         "cw_log_price: out of float range at tau=1e-110"),
         (("improved", "--sigma", "1e160", "--tau", "1"),
-         "improved_log_price: lnP out of float range at tau=1.0"),
+         "improved_log_price: out of float range at tau=1.0"),
         (("improved", "--gamma", "1e200", "--tau", "1"),
-         "improved_log_price: lnP out of float range at tau=1.0"),
+         "improved_log_price: out of float range at tau=1.0"),
     ], ids=["cw-beta-zero", "vasicek-huge-beta", "improved-huge-sigma", "improved-huge-gamma"])
     def test_pricer_overflow_is_refused_by_the_pricer(self, capsys, argv, message):
         # a Python float power that overflows (the beta -> 0 series, a huge

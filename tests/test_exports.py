@@ -1,8 +1,9 @@
 """Every exported name resolves, so ``from bondkit import *`` (or from any
 of its modules) cannot meet a stale ``__all__`` entry, the pricer
 signatures stay as they are, the error taxonomy stays at five types, the
-maturity rule has one home and the closed-form core keeps one beta
-threshold."""
+maturity rule has one home, the closed-form core keeps one beta
+threshold, each approximation function is written once and the float
+overflow rule has one home."""
 
 import ast
 import importlib
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import bondkit
-from bondkit import approximation, errors
+from bondkit import approximation, closed_form, errors
 
 MODULES = [bondkit] + [importlib.import_module(f"bondkit.{m.name}")
                        for m in pkgutil.iter_modules(bondkit.__path__)]
@@ -94,6 +95,25 @@ def test_approximation_module_constants():
     names = {ast.unparse(target) for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])}
     assert names == {"__all__", "R_FLOOR", "_SERIES_SWITCH"}
+
+
+def test_approximation_module_functions():
+    # a composite passes its power table to the public functions it is
+    # built from, so no public function has a private twin
+    tree = ast.parse(Path(approximation.__file__).read_text())
+    names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    public = {n for n in approximation.__all__ if inspect.isfunction(getattr(approximation, n))}
+    assert names == public | {"_beta_brackets", "_derive", "_q_terms", "_q_and_r2g",
+                              "_c5_terms", "_k5_terms", "_coef"}
+
+
+def test_overflow_rule_has_one_home():
+    # the power table that is the context of every call turns a Python float
+    # overflow into a ValidationError; no function catches it on its own
+    named = [source.name for source in map(Path, (approximation.__file__, closed_form.__file__))
+             for node in ast.walk(ast.parse(source.read_text()))
+             if isinstance(node, ast.Name) and node.id == "OverflowError"]
+    assert named == ["approximation.py"]
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)

@@ -39,6 +39,25 @@ r,lnP_tau0.3,lnP_tau1.0
 0.5,-0.1445778063939994,-0.47267367516007475
 """
 
+# the same at gamma = 0, where the diffusion coefficient is sigma^2/2 * r**0.0
+PDE_CSV_VASICEK = """\
+# params: alpha=0.00315 beta=-0.0555 sigma=0.0894 gamma=0.0
+# config: r_max=0.5 n_space=11 n_time=8 t_final=1.0 theta=0.5 drift=central boundary_order=2
+# diagnostics: steps=8 rannacher=8 min_pivot=1.003157372573838 max_linear_residual=3.0531133177191805e-16
+r,lnP_tau0.3,lnP_tau1.0
+0.0,-0.0001919773918573656,-0.0016940491163484268
+0.05,-0.01491230116241586,-0.0488374001590802
+0.1,-0.02960936160064539,-0.09653569457849824
+0.15000000000000002,-0.044237867818713285,-0.14422750394790132
+0.2,-0.058790285043442796,-0.19173128752139276
+0.25,-0.07326598224130229,-0.23899350500490094
+0.30000000000000004,-0.08766555782346719,-0.28600182499224663
+0.35000000000000003,-0.1019899054761615,-0.33276082693794495
+0.4,-0.11624059284165038,-0.37930030442326756
+0.45,-0.13042365360893815,-0.42574268402218357
+0.5,-0.14457539745403902,-0.47257970777406005
+"""
+
 
 def linf_vs_cir(params, sol, tau, r_hi=0.15):
     mask = sol.rates <= r_hi + 1e-12
@@ -263,6 +282,12 @@ class TestSolutionExport:
         assert not buf.closed  # a buffer is left open for its owner
         head, rows = PDE_CSV.split("r,lnP", 1)
         assert buf.getvalue() == head + "# generated: 2024-01-01T00:00:00+00:00\nr,lnP" + rows
+
+    def test_csv_bytes_pinned_gamma_zero(self, vas_params):
+        sol = solve(vas_params, PdeConfig(n_space=11, n_time=8, t_final=1.0), [0.3, 1.0])
+        buf = io.StringIO()
+        sol.to_csv(buf)
+        assert buf.getvalue() == PDE_CSV_VASICEK
 
     def test_csv_layout(self, params, tmp_path):
         sol = solve(params, PdeConfig(n_space=11, n_time=8, t_final=1.0), [0.5, 1.0])

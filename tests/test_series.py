@@ -6,9 +6,11 @@ the exact series through tau^4, and its tau^5 and tau^6 errors are the
 library's c5 and c6, so improved_log_price = cw - c5 tau^5 - c6 tau^6 is
 exact through tau^6 and its error is c7 tau^7 + O(tau^8), with c7 and c8
 cw's own tau^7 and tau^8 errors.  cw's coefficients come from the 50-digit
-oracle ``mp_cw`` by a Cauchy contour in tau.
+oracle ``mp_cw`` by a Cauchy contour in tau.  The desk PDE solutions agree
+with the same series wherever it has converged.
 """
 
+import mpmath as mp
 import pytest
 
 from _reference import mp_cw
@@ -18,6 +20,9 @@ from bondkit import DEFAULT_PARAMS, c5, c6, improved_log_price
 R = 0.1
 #: Terms summed for the exact log price; the last is < 4e-21 at tau = 1.
 N_EXACT = 14
+#: Terms summed against the desk solutions; the series counts as converged
+#: where its last two terms are below SERIES_TAIL.
+N_DESK, SERIES_TAIL = 16, 1e-15
 
 
 @pytest.fixture(scope="module", params=[0.75, 1.0, 1.32])
@@ -51,3 +56,21 @@ def test_improved_error_is_c7_tau7(coefficients):
         truth = sum(a * tau ** (n + 1) for n, a in enumerate(exact))
         ratio = (improved_log_price(p, tau, R) - truth) / (c7 * tau**7)
         assert abs(ratio - (1 + c8 / c7 * tau)) <= 0.01, f"tau={tau}: {float(ratio)}"
+
+
+@pytest.mark.parametrize("gamma", [0.75, 1.0, 1.32])
+def test_desk_pde_matches_the_series(desk_pde, gamma):
+    # away from r = 0, where the negative powers of r make the series
+    # diverge; the bound is the solver's implicit start-up error, which
+    # dominates its O(dt^2) and O(dr^2) errors on the desk grid
+    sol = desk_pde[0][gamma]
+    tables = series_tables(DEFAULT_PARAMS.with_gamma(gamma), N_DESK)
+    for i in range(0, sol.rates.size, 40):
+        r = sol.rates[i]
+        if not 0.005 <= r <= 0.15 + 1e-12:
+            continue
+        coefs = [evaluate(table, r) for table in tables]
+        for tau in (1.0, 0.75, 0.5, 0.25):
+            terms = [a * tau ** (n + 1) for n, a in enumerate(coefs)]
+            assert max(abs(terms[-2]), abs(terms[-1])) < SERIES_TAIL, f"r={r}, tau={tau}: not converged"
+            assert abs(sol.log_price_at(tau)[i] - mp.fsum(terms)) <= 1e-10, f"r={r}, tau={tau}"
