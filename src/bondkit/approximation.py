@@ -42,11 +42,11 @@ Numerical notes
   from.  No coefficient is merged and every sum keeps its table order, so
   sharing changes no bit of any result; improved_log_price forms 14 powers
   of r at gamma = 1.32 instead of 34.  Each domain check runs at most once
-  per call, in table order, so the first table to fail still names itself
-  in the DomainError.  The table lives only for the call: no cache, no knob.
+  per call, in table order, and every refusal names the outermost call.
+  The table lives only for the call: no cache, no knob.
 * Building the table applies the maturity rule of
-  :func:`bondkit.model._check_maturity`, and a Python ``**`` overflow in
-  its call is a ValidationError naming the outermost call and its tau.
+  :func:`bondkit.model._check_maturity`; a Python float overflow (or zero
+  division) in its call is a ValidationError naming the call and its tau.
 """
 
 from __future__ import annotations
@@ -123,14 +123,14 @@ class _Powers:
     """The power table and context of one public call ``what`` (at
     maturity ``tau``, if it takes one): the rates ``arr``, each ``arr**pw``
     formed at most once per exponent float, and which rate-domain checks
-    have already passed.
+    have already passed.  Every refusal through it names ``what``.
 
     Built afresh by the outermost public function and dropped when it
     returns, so no state outlives a call.  Keys are exact exponent floats:
     a power is reused only where it would be recomputed bit for bit.
     """
 
-    __slots__ = ("scalar", "arr", "_pows", "_nonneg", "_floored", "_what", "_tau")
+    __slots__ = ("scalar", "arr", "what", "_pows", "_nonneg", "_floored", "_tau")
 
     def __init__(self, r, what: str, *tau):
         _check_maturity(*tau)
@@ -138,7 +138,7 @@ class _Powers:
         self.scalar = self.arr.ndim == 0
         self._pows = {}
         self._nonneg = self._floored = False
-        self._what, self._tau = what, tau
+        self.what, self._tau = what, tau
 
     @classmethod
     def of(cls, r, what: str, *tau):
@@ -149,9 +149,9 @@ class _Powers:
         return self
 
     def __exit__(self, kind, exc, tb):
-        if kind is not None and issubclass(kind, OverflowError):
+        if kind is not None and issubclass(kind, (OverflowError, ZeroDivisionError)):
             at = f" at tau={self._tau[0]!r}" if self._tau else ""
-            raise ValidationError(f"{self._what}: out of float range{at}") from None
+            raise ValidationError(f"{self.what}: out of float range{at}") from None
 
     def __call__(self, pw):
         """arr**pw, formed on first use."""
@@ -160,19 +160,19 @@ class _Powers:
             out = self._pows[pw] = self.arr**pw
         return out
 
-    def check(self, what: str, singular: bool, why: str = "this gamma"):
-        """Refuse a negative or NaN rate and, if ``singular``, a rate below
-        R_FLOOR; a check that has passed once is not run again."""
+    def check(self, singular: bool):
+        """Refuse, in the call's name, a negative or NaN rate and, if
+        ``singular``, a rate below R_FLOOR; a passed check is not run again."""
         if not self._nonneg:
             if not (self.arr >= 0).all():
-                raise DomainError(f"{what}: negative or NaN rate")
+                raise DomainError(f"{self.what}: negative or NaN rate")
             self._nonneg = True
         if singular and not self._floored:
             if (self.arr < R_FLOOR).any():
-                raise DomainError(f"{what}: singular as r -> 0 for {why}; need r >= {R_FLOOR}")
+                raise DomainError(f"{self.what}: singular as r -> 0 for this gamma; need r >= {R_FLOOR}")
             self._floored = True
 
-    def sum(self, terms, what: str):
+    def sum(self, terms):
         """Sum coef * r**power over a (coef, power) table, in table order,
         under the module's one domain rule.
 
@@ -185,7 +185,7 @@ class _Powers:
         out = np.zeros_like(self.arr)
         if not live:
             return out
-        self.check(what, any(pw < 0 for _, pw in live))
+        self.check(any(pw < 0 for _, pw in live))
         for c, pw in live:
             out = out + (c if pw == 0 else c * self(pw))
         return out
@@ -211,7 +211,7 @@ def q_factor(p: ModelParams, r):
         g = p.gamma
         if g == 0:
             return pows.result(np.zeros_like(pows.arr))
-        pows.check("q_factor", g < 0.5, "gamma < 1/2")
+        pows.check(g < 0.5)
         s2 = p.sigma * p.sigma
         return pows.result(g * (2 * g - 1) * s2 * pows(2 * (2 * g - 1))
                            + 2 * g * pows(2 * g - 1) * (p.alpha + p.beta * pows.arr))
@@ -227,14 +227,14 @@ def _q_terms(p: ModelParams):
     ]
 
 
-def _q_and_r2g(p: ModelParams, pows: _Powers, what: str):
+def _q_and_r2g(p: ModelParams, pows: _Powers):
     """q(r) and r^{2 gamma} under the rate domain of :func:`q_factor`."""
     q = q_factor(p, pows)
     if p.gamma != 0:
         return q, pows(2 * p.gamma)
     # q vanishes here without looking at r; Vasicek keeps negative rates
     if np.isnan(pows.arr).any():
-        raise DomainError(f"{what}: NaN rate")
+        raise DomainError(f"{pows.what}: NaN rate")
     return q, np.ones_like(pows.arr)
 
 
@@ -253,7 +253,7 @@ def cw_log_price(p: ModelParams, tau: float, r):
     Log price, same shape as ``r``.
     """
     with _Powers.of(r, "cw_log_price", tau) as pows:
-        q, r2g = _q_and_r2g(p, pows, "cw_log_price")
+        q, r2g = _q_and_r2g(p, pows)
         B, t1, eg, fh = _beta_brackets(p.alpha, p.beta, p.sigma, tau)
         return pows.result(-pows.arr * B + t1 + (r2g + q * tau) * eg - q * fh)
 
@@ -266,11 +266,11 @@ def cw_partials(p: ModelParams, tau: float, r):
     residuals down to rounding level (~1e-15).
     """
     with _Powers.of(r, "cw_partials", tau) as pows:
-        q, r2g = _q_and_r2g(p, pows, "cw_partials")
+        q, r2g = _q_and_r2g(p, pows)
         B, _, eg, fh = _beta_brackets(p.alpha, p.beta, p.sigma, tau)
         d1_terms = _derive([(1.0, 2 * p.gamma)])  # d/dr of r^{2 gamma}
         qp_terms = _derive(_q_terms(p))
-        d1, d2, qp, qpp = (pows.sum(t, "cw_partials")
+        d1, d2, qp, qpp = (pows.sum(t)
                            for t in (d1_terms, _derive(d1_terms), qp_terms, _derive(qp_terms)))
         f_tau = -pows.arr * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
         f_r = -B + (d1 + qp * tau) * eg - qp * fh
@@ -313,30 +313,30 @@ def _k5_terms(p: ModelParams):
     ]
 
 
-def _coef(p: ModelParams, pows: _Powers, pref: float, terms, what: str):
+def _coef(p: ModelParams, pows: _Powers, pref: float, terms):
     """``pref`` times the sum of a monomial table; identically zero for
     gamma = 0."""
-    return np.zeros_like(pows.arr) if p.gamma == 0 else pref * pows.sum(terms, what)
+    return np.zeros_like(pows.arr) if p.gamma == 0 else pref * pows.sum(terms)
 
 
 def k4(p: ModelParams, r):
     """Quartic residual coefficient: substituting the closed-form log price
     into the pricing PDE leaves h(tau, r) = k4 tau^4 + k5 tau^5 + o(tau^5)."""
     with _Powers.of(r, "k4") as pows:
-        return pows.result(_coef(p, pows, p.gamma * p.sigma**2 / 24.0, _c5_terms(p), "k4"))
+        return pows.result(_coef(p, pows, p.gamma * p.sigma**2 / 24.0, _c5_terms(p)))
 
 
 def k5(p: ModelParams, r):
     """Quintic residual coefficient; see :func:`k4`."""
     with _Powers.of(r, "k5") as pows:
-        return pows.result(_coef(p, pows, p.gamma * p.sigma**2 / 120.0, _k5_terms(p), "k5"))
+        return pows.result(_coef(p, pows, p.gamma * p.sigma**2 / 120.0, _k5_terms(p)))
 
 
 def c5(p: ModelParams, r):
     """Leading log-price error coefficient: ln P_approx - ln P_exact =
     c5(r) tau^5 + o(tau^5).  Identically equal to -k4(r)/5."""
     with _Powers.of(r, "c5") as pows:
-        return pows.result(_coef(p, pows, -p.gamma * p.sigma**2 / 120.0, _c5_terms(p), "c5"))
+        return pows.result(_coef(p, pows, -p.gamma * p.sigma**2 / 120.0, _c5_terms(p)))
 
 
 def c5_derivatives(p: ModelParams, r):
@@ -344,8 +344,8 @@ def c5_derivatives(p: ModelParams, r):
     with _Powers.of(r, "c5_derivatives") as pows:
         pref = -p.gamma * p.sigma**2 / 120.0
         d1_terms = _derive(_c5_terms(p))
-        return (pows.result(_coef(p, pows, pref, d1_terms, "c5_derivatives")),
-                pows.result(_coef(p, pows, pref, _derive(d1_terms), "c5_derivatives")))
+        return (pows.result(_coef(p, pows, pref, d1_terms)),
+                pows.result(_coef(p, pows, pref, _derive(d1_terms))))
 
 
 def c6(p: ModelParams, r):
@@ -369,13 +369,14 @@ def improved_log_price(p: ModelParams, tau: float, r):
     cw_log_price - c5(r) tau^5 - c6(r) tau^6 (error o(tau^6)).
 
     The three terms share this call's power table, which serves q,
-    r^{2 gamma}, c5, c5', c5'' and k5, and a float overflow in any of them
-    is refused in this function's name.  At gamma = 0, where c5 and c6
+    r^{2 gamma}, c5, c5', c5'' and k5, and a refusal from any of them is
+    in this function's name.  At gamma = 0, where c5 and c6
     vanish, this is :func:`cw_log_price`.
     """
+    pows = _Powers.of(r, "improved_log_price", tau)
     if p.gamma == 0:
-        return cw_log_price(p, tau, r)
-    with _Powers.of(r, "improved_log_price", tau) as pows:
+        return cw_log_price(p, tau, pows)
+    with pows:
         return pows.result(cw_log_price(p, tau, pows) - c5(p, pows) * tau**5 - c6(p, pows) * tau**6)
 
 

@@ -31,13 +31,19 @@ import numpy as np
 
 from .approximation import _Powers, cw_log_price, cw_partials
 from .errors import GammaMismatch
-from .model import ModelParams, _check_maturity
+from .model import ModelParams
 
 __all__ = ["vasicek_log_price", "cir_log_price", "cir_partials", "vasicek_partials"]
 
 #: Above this theta*tau the exponential is factored out of the gamma=1/2
 #: closed form (uniformly stable and overflow-free; see module docstring).
 _EXP_SWITCH = 1.0
+
+
+def _require_gamma(p: ModelParams, pows: _Powers, gamma: float):
+    """Refuse a gamma off the closed form's own, in the call's name."""
+    if p.gamma != gamma:
+        raise GammaMismatch(f"{pows.what} requires gamma == {gamma}, got {p.gamma}")
 
 
 def vasicek_log_price(p: ModelParams, tau: float, r):
@@ -47,10 +53,9 @@ def vasicek_log_price(p: ModelParams, tau: float, r):
     solution when gamma = 0, so this is :func:`cw_log_price` behind a gamma
     guard.
     """
-    _check_maturity(tau)
-    if p.gamma != 0:
-        raise GammaMismatch(f"vasicek_log_price requires gamma == 0, got {p.gamma}")
-    return cw_log_price(p, tau, r)
+    pows = _Powers(r, "vasicek_log_price", tau)
+    _require_gamma(p, pows, 0)
+    return cw_log_price(p, tau, pows)
 
 
 def vasicek_partials(p: ModelParams, tau: float, r):
@@ -58,24 +63,22 @@ def vasicek_partials(p: ModelParams, tau: float, r):
 
     :func:`cw_partials` behind a gamma guard, as for the price.
     """
-    _check_maturity(tau)
-    if p.gamma != 0:
-        raise GammaMismatch(f"vasicek_partials requires gamma == 0, got {p.gamma}")
-    return cw_partials(p, tau, r)
+    pows = _Powers(r, "vasicek_partials", tau)
+    _require_gamma(p, pows, 0)
+    return cw_partials(p, tau, pows)
 
 
-def _cir(p: ModelParams, tau: float, pows: _Powers, what: str):
+def _cir(p: ModelParams, tau: float, pows: _Powers):
     """Terms (log_a, b_term, dlog_a, db) of the gamma = 1/2 closed form
     ln P = (2 alpha / sigma^2) log_a - r b_term, with dlog_a and db the
     tau-derivatives of log_a and b_term.
 
-    Runs the gamma and rate checks, naming ``what`` in the errors (``pows``
-    has applied the maturity rule); then the direct form below the
-    theta*tau switch, the factored form above it.
+    Runs the gamma and rate checks in the name of the call ``pows`` belongs
+    to (building ``pows`` applied the maturity rule); then the direct form
+    below the theta*tau switch, the factored form above it.
     """
-    if p.gamma != 0.5:
-        raise GammaMismatch(f"{what} requires gamma == 0.5, got {p.gamma}")
-    pows.check(what, False)
+    _require_gamma(p, pows, 0.5)
+    pows.check(False)
     b, s = p.beta, p.sigma
     th = np.sqrt(b * b + 2.0 * s * s)
     if th * tau <= _EXP_SWITCH:
@@ -111,9 +114,9 @@ def cir_log_price(p: ModelParams, tau: float, r):
     -------
     Log price, same shape as ``r``.
     """
-    pows = _Powers(r, "cir_log_price", tau)
-    log_a, b_term, _, _ = _cir(p, tau, pows, "cir_log_price")
-    return pows.result((2.0 * p.alpha / (p.sigma * p.sigma)) * log_a - pows.arr * b_term)
+    with _Powers(r, "cir_log_price", tau) as pows:
+        log_a, b_term, _, _ = _cir(p, tau, pows)
+        return pows.result((2.0 * p.alpha / (p.sigma * p.sigma)) * log_a - pows.arr * b_term)
 
 
 def cir_partials(p: ModelParams, tau: float, r):
@@ -121,8 +124,8 @@ def cir_partials(p: ModelParams, tau: float, r):
 
     The affine structure gives f_rr = 0 exactly.
     """
-    pows = _Powers(r, "cir_partials", tau)
-    _, b_term, dlog_a, db = _cir(p, tau, pows, "cir_partials")
-    f_tau = (2.0 * p.alpha / (p.sigma * p.sigma)) * dlog_a - pows.arr * db
-    f_r = -b_term * np.ones_like(pows.arr)
-    return pows.result(f_tau), pows.result(f_r), pows.result(np.zeros_like(f_r))
+    with _Powers(r, "cir_partials", tau) as pows:
+        _, b_term, dlog_a, db = _cir(p, tau, pows)
+        f_tau = (2.0 * p.alpha / (p.sigma * p.sigma)) * dlog_a - pows.arr * db
+        f_r = -b_term * np.ones_like(pows.arr)
+        return pows.result(f_tau), pows.result(f_r), pows.result(np.zeros_like(f_r))

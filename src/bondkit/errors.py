@@ -13,6 +13,8 @@ standard library still catch them naturally; solver failures subclass
 ``RuntimeError``.
 """
 
+__all__ = ["BondkitError", "ValidationError", "DomainError", "GammaMismatch", "UnstableSolve"]
+
 
 class BondkitError(Exception):
     """Base class for all package-specific errors."""

@@ -223,7 +223,7 @@ class TestInputGuards:
     @pytest.mark.parametrize("fn, gamma", [(cw_partials, 0.75), (vasicek_partials, 0.0)])
     def test_partials_overflow_is_typed(self, params, fn, gamma):
         p = ModelParams(params.alpha, 0.0, params.sigma, gamma)
-        with pytest.raises(ValidationError, match=r"^cw_partials: out of float range at tau=1e\+80$"):
+        with pytest.raises(ValidationError, match=rf"^{fn.__name__}: out of float range at tau=1e\+80$"):
             fn(p, 1e80, 0.05)
 
     @pytest.mark.parametrize("fn", [k4, k5, c5, c5_derivatives, c6], ids=lambda fn: fn.__name__)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -88,15 +90,18 @@ class TestPrice:
     @pytest.mark.parametrize("argv, message", [
         (("cw", "--beta", "0", "--tau", "1e80"), "cw_log_price: out of float range at tau=1e+80"),
         (("vasicek", "--gamma", "0", "--beta", "1e103", "--tau", "1e-110"),
-         "cw_log_price: out of float range at tau=1e-110"),
+         "vasicek_log_price: out of float range at tau=1e-110"),
         (("improved", "--sigma", "1e160", "--tau", "1"),
          "improved_log_price: out of float range at tau=1.0"),
         (("improved", "--gamma", "1e200", "--tau", "1"),
          "improved_log_price: out of float range at tau=1.0"),
-    ], ids=["cw-beta-zero", "vasicek-huge-beta", "improved-huge-sigma", "improved-huge-gamma"])
+        (("cir", "--sigma", "1e-170", "--tau", "1"), "cir_log_price: out of float range at tau=1.0"),
+    ], ids=["cw-beta-zero", "vasicek-huge-beta", "improved-huge-sigma", "improved-huge-gamma",
+            "cir-tiny-sigma"])
     def test_pricer_overflow_is_refused_by_the_pricer(self, capsys, argv, message):
         # a Python float power that overflows (the beta -> 0 series, a huge
-        # sigma or gamma) is a typed refusal from the library, not a traceback
+        # sigma or gamma), or a division by a sigma**2 that underflowed to 0,
+        # is a typed refusal from the library, not a traceback
         method, *rest = argv
         code, out, err = run(capsys, "price", "--method", method, *rest, "--rate", "0.05")
         assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -354,18 +359,23 @@ class TestExitCodes:
         (("price", "--method", "cw", "--alpha", "-1", "--tau", "1", "--rate", "0.1"),
          2, "alpha must be > 0, got -1.0"),  # ValidationError
         (("price", "--method", "improved", "--gamma", "0.75", "--tau", "1", "--rate", "0"),
-         2, "c5: singular as r -> 0 for this gamma; need r >= 1e-06"),  # DomainError
+         2, "improved_log_price: singular as r -> 0 for this gamma; need r >= 1e-06"),  # DomainError
         (("price", "--method", "cir", "--gamma", "1.0", "--tau", "1", "--rate", "0.1"),
          3, "cir_log_price requires gamma == 0.5, got 1.0"),  # GammaMismatch
         (("pde", "--gamma", "1.6", "--taus", "1", *GRID),
          3, "gamma=1.6 >= 1.5: uniqueness of the continuous problem is not guaranteed there"),
         (("pde", "--sigma", "1e160", "--taus", "1", *GRID),
          5, "non-finite time-step operator entries (parameter/grid overflow)"),  # UnstableSolve
+        (("pde", "--alpha", "0.01", "--beta", "1000", "--sigma", "0.1", "--gamma", "0", "--rmax", "0.2",
+          "--nspace", "5", "--ntime", "400", "--taus", "1"),
+         5, re.compile(r"non-finite price after step \d+")),  # the step depends on LAPACK rounding
     ])
     def test_refusal(self, capsys, tmp_path, argv, code, message):
         path = tmp_path / "x.csv"
         out_flag = ("--out", str(path)) if argv[0] == "pde" else ()
-        assert run(capsys, *argv, *out_flag) == (code, "", f"error: {message}\n")
+        pattern = message.pattern if isinstance(message, re.Pattern) else re.escape(message)
+        got, out, err = run(capsys, *argv, *out_flag)
+        assert (got, out) == (code, "") and re.fullmatch(f"error: {pattern}\n", err), err
         assert not path.exists()
 
     def test_singular_pivot_exit_5(self, capsys, tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from bondkit import (
     vasicek_log_price,
     vasicek_partials,
 )
-from bondkit.errors import DomainError, GammaMismatch
+from bondkit.errors import DomainError, GammaMismatch, ValidationError
 
 
 class TestBFactor:
@@ -109,6 +109,12 @@ class TestCir:
                 cir_log_price(params, 1.0, r)
             with pytest.raises(DomainError):
                 cir_partials(params, 1.0, r)
+
+    @pytest.mark.parametrize("fn", [cir_log_price, cir_partials], ids=lambda fn: fn.__name__)
+    def test_underflowing_sigma_is_typed(self, fn):
+        # sigma * sigma underflows to 0 under 2 alpha / sigma^2
+        with pytest.raises(ValidationError, match=rf"^{fn.__name__}: out of float range at tau=1\.0$"):
+            fn(ModelParams(0.00315, -0.0555, 1e-170, 0.5), 1.0, 0.05)
 
     def test_pde_residual_grid(self, params):
         # theta * tau = 1 falls at tau ~ 7.24: 10 and 30 check the factored form

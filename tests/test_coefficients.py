@@ -147,32 +147,12 @@ class TestDomainGuards:
         with pytest.raises(DomainError):
             c6(params.with_gamma(1.32), 1e-8)  # c5'' ~ r^{2 gamma - 4}
 
-    # Refusals pinned per (function, gamma) as (r = 0 and 1e-7, r = -0.01 and
-    # NaN), by the name the message starts with; "q_factor<" is q_factor's own
-    # gamma < 1/2 rule.  The first check to fail names its function, so
-    # sharing one power table across a call must not move or drop a check.
-    REFUSALS = {
-        ("improved_log_price", 0.3): ("q_factor<", "q_factor"),
-        ("improved_log_price", 0.75): ("c5", "q_factor"),
-        ("improved_log_price", 1.0): (None, "q_factor"),
-        ("improved_log_price", 1.32): ("c5_derivatives", "q_factor"),
-        ("c6", 0.3): ("c5_derivatives", "c5_derivatives"),
-        ("c6", 0.75): ("c5_derivatives", "c5_derivatives"),
-        ("c6", 1.0): (None, "c5_derivatives"),
-        ("c6", 1.32): ("c5_derivatives", "c5_derivatives"),
-        ("c5_derivatives", 0.3): ("c5_derivatives", "c5_derivatives"),
-        ("c5_derivatives", 0.75): ("c5_derivatives", "c5_derivatives"),
-        ("c5_derivatives", 1.0): (None, "c5_derivatives"),
-        ("c5_derivatives", 1.32): ("c5_derivatives", "c5_derivatives"),
-        ("k5", 0.3): ("k5", "k5"),
-        ("k5", 0.75): ("k5", "k5"),
-        ("k5", 1.0): (None, "k5"),
-        ("k5", 1.32): (None, "k5"),
-        ("cw_partials", 0.3): ("q_factor<", "q_factor"),
-        ("cw_partials", 0.75): ("cw_partials", "q_factor"),
-        ("cw_partials", 1.0): (None, "q_factor"),
-        ("cw_partials", 1.32): ("cw_partials", "q_factor"),
-    }
+    # Every negative or NaN rate is refused, and so are r = 0 and 1e-7 except
+    # at these (function, gamma).  Each refusal names the function called,
+    # whichever of its tables fails, so sharing one power table across a call
+    # must not move or drop a check.
+    PRICES_NEAR_ZERO = {("improved_log_price", 1.0), ("c6", 1.0), ("c5_derivatives", 1.0),
+                        ("k5", 1.0), ("k5", 1.32), ("cw_partials", 1.0)}
     FUNCTIONS = {
         "improved_log_price": lambda p, r: improved_log_price(p, 1.0, r),
         "c6": c6,
@@ -182,29 +162,26 @@ class TestDomainGuards:
     }
 
     @staticmethod
-    def refusal(what, near_zero):
-        """The exact DomainError text a refusal by ``what`` carries."""
+    def refusal(name, near_zero):
+        """The exact DomainError text a refusal by ``name`` carries."""
         if not near_zero:
-            return f"{what}: negative or NaN rate"
-        if what == "q_factor<":
-            return "q_factor: singular as r -> 0 for gamma < 1/2; need r >= 1e-06"
-        return f"{what}: singular as r -> 0 for this gamma; need r >= 1e-06"
+            return f"{name}: negative or NaN rate"
+        return f"{name}: singular as r -> 0 for this gamma; need r >= 1e-06"
 
     @pytest.mark.parametrize("name", list(FUNCTIONS))
     @pytest.mark.parametrize("gamma", [0.3, 0.75, 1.0, 1.32])
     @pytest.mark.parametrize("r", [0.0, 1e-7, -0.01, math.nan])
     def test_refusal_parity(self, params, name, gamma, r):
         near_zero = r >= 0
-        what = self.REFUSALS[name, gamma][0 if near_zero else 1]
         fn = self.FUNCTIONS[name]
-        if what is None:
+        if near_zero and (name, gamma) in self.PRICES_NEAR_ZERO:
             values = np.atleast_1d(fn(params.with_gamma(gamma), r))
             assert np.all(np.isfinite(values))
             return
         with pytest.raises(DomainError) as info:
             fn(params.with_gamma(gamma), r)
         assert type(info.value) is DomainError
-        assert str(info.value) == self.refusal(what, near_zero)
+        assert str(info.value) == self.refusal(name, near_zero)
 
 
 class TestTermByTerm:

@@ -1,9 +1,10 @@
 """Every exported name resolves, so ``from bondkit import *`` (or from any
-of its modules) cannot meet a stale ``__all__`` entry, the pricer
-signatures stay as they are, the error taxonomy stays at five types, the
-maturity rule has one home, the closed-form core keeps one beta
-threshold, each approximation function is written once and the float
-overflow rule has one home."""
+of its modules) cannot meet a stale ``__all__`` entry, the package exports
+exactly its modules' ``__all__`` lists, the pricer signatures stay as they
+are, the error taxonomy stays at five types, the maturity rule has one
+home, the closed-form core keeps one beta threshold, each approximation
+function is written once, the float overflow rule has one home and each
+pricer's name is written once for its refusals."""
 
 import ast
 import importlib
@@ -27,6 +28,13 @@ MODULES = [bondkit] + [importlib.import_module(f"bondkit.{m.name}")
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_all_names_resolve(module):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_package_exports_every_module_list():
+    # each module's __all__ is the one list of its public names
+    joined = [n for module in MODULES[1:] for n in getattr(module, "__all__", ())]
+    assert sorted(bondkit.__all__) == sorted(joined)
+    assert bondkit.UnstableSolve is errors.UnstableSolve
 
 
 #: The pricer and coefficient signatures.  The power table a call shares
@@ -109,11 +117,24 @@ def test_approximation_module_functions():
 
 def test_overflow_rule_has_one_home():
     # the power table that is the context of every call turns a Python float
-    # overflow into a ValidationError; no function catches it on its own
-    named = [source.name for source in map(Path, (approximation.__file__, closed_form.__file__))
-             for node in ast.walk(ast.parse(source.read_text()))
-             if isinstance(node, ast.Name) and node.id == "OverflowError"]
-    assert named == ["approximation.py"]
+    # overflow or zero division into a ValidationError; no function catches
+    # either on its own
+    named = sorted((source.name, node.id) for source in map(Path, (approximation.__file__, closed_form.__file__))
+                   for node in ast.walk(ast.parse(source.read_text()))
+                   if isinstance(node, ast.Name) and node.id in ("OverflowError", "ZeroDivisionError"))
+    assert named == [("approximation.py", "OverflowError"), ("approximation.py", "ZeroDivisionError")]
+
+
+@pytest.mark.parametrize("module", [approximation, closed_form], ids=lambda m: m.__name__)
+def test_each_pricer_name_is_written_once(module):
+    # a refusal takes its name from the power table of the call, so a public
+    # name is a string only in __all__ and where the call opens its table
+    tree = ast.parse(Path(module.__file__).read_text())
+    counts = {name: 0 for name in module.__all__}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in counts:
+            counts[node.value] += 1
+    assert {name: n for name, n in counts.items() if n > 2} == {}
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)

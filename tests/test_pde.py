@@ -243,6 +243,18 @@ class TestSolve:
         with pytest.raises(UnstableSolve):
             solve(bad, PdeConfig(n_space=51, n_time=5, t_final=0.5), [0.5])
 
+    def test_non_finite_price_detected(self):
+        # a steep drift on a five-node grid blows the march up part way; the
+        # step that catches it depends on LAPACK rounding, so it is not pinned
+        with pytest.raises(UnstableSolve, match=r"^non-finite price after step \d+$"):
+            solve(ModelParams(0.01, 1000.0, 0.1, 0.0), PdeConfig(r_max=0.2, n_space=5, n_time=400), [1.0])
+
+    def test_non_positive_snapshot_price_detected(self):
+        # one implicit step of length 1 over a wide domain at a steep drift
+        # stays finite but leaves a price at or below zero
+        with pytest.raises(UnstableSolve, match=r"^non-positive price in snapshot at tau=1\.0$"):
+            solve(ModelParams(0.00315, 5.0, 0.0894, 0.0), PdeConfig(r_max=50.0, n_space=11, n_time=1), [1.0])
+
     def test_diagnostics_populated(self, params):
         sol = solve(params, PdeConfig(n_space=101, n_time=20, t_final=0.5), [0.5])
         d = sol.diagnostics
