@@ -46,10 +46,14 @@ Numerical notes
   The table lives only for the call: no cache, no knob.
 * Building the table applies the maturity rule of
   :func:`bondkit.model._check_maturity`; a Python float overflow (or zero
-  division) in its call is a ValidationError naming the call and its tau.
+  division) in its call is a ValidationError naming the call and its tau,
+  and so is a model constant that a float product rounds to inf or NaN
+  (sigma^2, q's gamma (2 gamma - 1) sigma^2, the square-root model's theta).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -86,7 +90,7 @@ def b_factor(beta: float, tau: float) -> float:
     return np.expm1(beta * tau) / beta
 
 
-def _beta_brackets(alpha: float, beta: float, sigma: float, tau: float):
+def _beta_brackets(p: ModelParams, tau: float, pows):
     """Return (B, t1, eg, fh): the three beta-singular building blocks
 
         t1 = (alpha/beta)(tau - B)
@@ -94,10 +98,13 @@ def _beta_brackets(alpha: float, beta: float, sigma: float, tau: float):
         fh = sigma^2/(8 beta^2) * [B^2(2 beta tau - 1) - 2B(2 tau - 3/beta)
                                    + 2 tau^2 - 6 tau/beta]
 
-    switching to 4-term beta-series below |beta*tau| = 0.01.
+    switching to 4-term beta-series below |beta*tau| = 0.01.  A sigma^2
+    that overflows is refused in the name of the call ``pows`` belongs to.
     """
+    alpha, beta = p.alpha, p.beta
     B = b_factor(beta, tau)
-    s2 = sigma * sigma
+    s2 = p.sigma * p.sigma
+    pows.finite(s2)
     if abs(beta * tau) < _SERIES_SWITCH:
         b1, b2, b3 = beta, beta * beta, beta**3
         t2, t3, t4 = tau * tau, tau**3, tau**4
@@ -150,8 +157,19 @@ class _Powers:
 
     def __exit__(self, kind, exc, tb):
         if kind is not None and issubclass(kind, (OverflowError, ZeroDivisionError)):
-            at = f" at tau={self._tau[0]!r}" if self._tau else ""
-            raise ValidationError(f"{self.what}: out of float range{at}") from None
+            raise ValidationError(self._out_of_range()) from None
+
+    def _out_of_range(self):
+        at = f" at tau={self._tau[0]!r}" if self._tau else ""
+        return f"{self.what}: out of float range{at}"
+
+    def finite(self, constant):
+        """Refuse, in the call's name, a model constant that is not finite:
+        a float product that overflows rounds to inf (or NaN), where a float
+        power raises the OverflowError that ``__exit__`` turns into the same
+        refusal."""
+        if not math.isfinite(constant):
+            raise ValidationError(self._out_of_range())
 
     def __call__(self, pw):
         """arr**pw, formed on first use."""
@@ -212,8 +230,9 @@ def q_factor(p: ModelParams, r):
         if g == 0:
             return pows.result(np.zeros_like(pows.arr))
         pows.check(g < 0.5)
-        s2 = p.sigma * p.sigma
-        return pows.result(g * (2 * g - 1) * s2 * pows(2 * (2 * g - 1))
+        c = g * (2 * g - 1) * (p.sigma * p.sigma)
+        pows.finite(c)
+        return pows.result(c * pows(2 * (2 * g - 1))
                            + 2 * g * pows(2 * g - 1) * (p.alpha + p.beta * pows.arr))
 
 
@@ -254,7 +273,7 @@ def cw_log_price(p: ModelParams, tau: float, r):
     """
     with _Powers.of(r, "cw_log_price", tau) as pows:
         q, r2g = _q_and_r2g(p, pows)
-        B, t1, eg, fh = _beta_brackets(p.alpha, p.beta, p.sigma, tau)
+        B, t1, eg, fh = _beta_brackets(p, tau, pows)
         return pows.result(-pows.arr * B + t1 + (r2g + q * tau) * eg - q * fh)
 
 
@@ -267,7 +286,7 @@ def cw_partials(p: ModelParams, tau: float, r):
     """
     with _Powers.of(r, "cw_partials", tau) as pows:
         q, r2g = _q_and_r2g(p, pows)
-        B, _, eg, fh = _beta_brackets(p.alpha, p.beta, p.sigma, tau)
+        B, _, eg, fh = _beta_brackets(p, tau, pows)
         d1_terms = _derive([(1.0, 2 * p.gamma)])  # d/dr of r^{2 gamma}
         qp_terms = _derive(_q_terms(p))
         d1, d2, qp, qpp = (pows.sum(t)

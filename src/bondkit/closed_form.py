@@ -81,6 +81,7 @@ def _cir(p: ModelParams, tau: float, pows: _Powers):
     pows.check(False)
     b, s = p.beta, p.sigma
     th = np.sqrt(b * b + 2.0 * s * s)
+    pows.finite(th)
     if th * tau <= _EXP_SWITCH:
         em = np.expm1(th * tau)
         ep = em + 1.0

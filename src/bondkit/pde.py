@@ -35,11 +35,18 @@ r_max   Zero second spatial derivative via a linear-extrapolation ghost node
 
 Every step is one solve with a resolvent I - c L: c = dt for an implicit
 start-up step, c = dt/2 for a Crank-Nicolson step, whose explicit half is
-2I - (I - c L).  Each resolvent is LU-factored once with LAPACK ``dgttrf``
-and every solve is one ``dgttrs``.  A snapshot maturity between two time
-levels gets one partial step of its own size, with its own factorization.
-``import bondkit`` loads no SciPy; the first factorization loads SciPy's
-LAPACK extension alone, not all of ``scipy.linalg`` (see :func:`_factor`).
+2I - (I - c L).  Each resolvent is LU-factored once with LAPACK ``dgttrf``.
+A step then makes three passes over two preallocated buffers and allocates
+nothing: it writes the right-hand side (2P for Crank-Nicolson, P for
+backward Euler, with row 0 reduced), solves in place with one ``dgttrs``,
+and for Crank-Nicolson forms P' = 2x - P in place as (solution of 2P) - P;
+the buffers then swap roles.  A snapshot maturity between two time levels
+gets one partial step of its own size, with its own factorization, through
+the same step code.  The prices are checked for finiteness once per
+snapshot maturity, after its full steps, not after every step (see
+:func:`solve`).  ``import bondkit`` loads no SciPy; the first factorization
+loads SciPy's LAPACK extension alone, not all of ``scipy.linalg`` (see
+:func:`_lapack`).
 """
 
 from __future__ import annotations
@@ -132,20 +139,14 @@ class PdeSolution:
         _write_csv(path_or_buf, meta, header, rows, stamp)
 
 
-def _factor(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
-    """LU-factor the tridiagonal matrix with sub-, main and super-diagonals
-    (dl, d, du) by LAPACK ``dgttrf``.
-
-    Both routines come from SciPy's ``linalg/_flapack`` extension alone:
-    importing ``scipy.linalg`` costs about 280 ms of a ~560 ms PDE command.
-    Registered as ``scipy.linalg._flapack``, it is the one copy a later
-    ``import scipy.linalg`` reuses, so results are bit-identical to
-    ``scipy.linalg.lapack``, which is imported only when the extension is not
-    found (another SciPy layout).  A found extension that fails to load raises.
-
-    Returns ``(solve_step, min_pivot, residual)``: a function mapping b to
-    the solution of A x = b (b is overwritten), the smallest |U_ii|, and
-    max |A x - 1| of a probe solve with a right-hand side of ones.
+def _lapack():
+    """SciPy's ``linalg/_flapack`` extension, which holds ``dgttrf`` and
+    ``dgttrs``, loaded alone: importing ``scipy.linalg`` costs about 280 ms
+    of a ~560 ms PDE command.  Registered as ``scipy.linalg._flapack``, it is
+    the one copy a later ``import scipy.linalg`` reuses, so results are
+    bit-identical to ``scipy.linalg.lapack``, which is imported only when the
+    extension is not found (another SciPy layout).  A found extension that
+    fails to load raises.
     """
     name = "scipy.linalg._flapack"
     lapack = sys.modules.get(name)
@@ -159,19 +160,27 @@ def _factor(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
             lapack = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(lapack)
             sys.modules[name] = lapack
-    *factors, info = lapack.dgttrf(dl, d, du)
-    min_pivot = float(np.min(np.abs(factors[1])))
+    return lapack
+
+
+def _factor(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
+    """LU-factor the tridiagonal matrix with sub-, main and super-diagonals
+    (dl, d, du) by LAPACK ``dgttrf``.
+
+    Returns ``(lu, min_pivot, residual)``: the factors as ``dgttrs`` takes
+    them before its right-hand side, the smallest |U_ii|, and max |A x - 1|
+    of a probe solve with a right-hand side of ones.
+    """
+    lapack = _lapack()
+    *lu, info = lapack.dgttrf(dl, d, du)
+    min_pivot = float(np.min(np.abs(lu[1])))
     if info > 0 or min_pivot < _PIVOT_FLOOR:
         raise UnstableSolve(f"time-step matrix pivot {min_pivot} below {_PIVOT_FLOOR}")
-
-    def solve_step(b):
-        return lapack.dgttrs(*factors, b, overwrite_b=True)[0]
-
-    x = solve_step(np.ones(d.size))
+    x = lapack.dgttrs(*lu, np.ones(d.size), overwrite_b=True)[0]
     res = d * x - 1.0
     res[:-1] += du * x[1:]
     res[1:] += dl * x[:-1]
-    return solve_step, min_pivot, float(np.max(np.abs(res)))
+    return tuple(lu), min_pivot, float(np.max(np.abs(res)))
 
 
 def _spatial_operator(p: ModelParams, r: np.ndarray, dr: float):
@@ -209,29 +218,49 @@ def _resolvent(lo, di, up, b0, c):
 
 
 def _stepper(lo, di, up, b0, h: float, implicit: bool):
-    """One time step of size h: backward Euler (``implicit``) or
+    """Factor one time step of size h: backward Euler (``implicit``) or
     Crank-Nicolson, each one solve with the factored resolvent.
 
-    Returns ``(step, min_pivot, residual)`` with ``step(P)`` the new price
-    vector.  Backward Euler solves (I - h L) P' = P.  Crank-Nicolson uses
-    c = h/2: its explicit half I + cL equals 2I - (I - cL), row 0 included,
-    so P' = 2 (I - cL)^{-1} P - P.  Either way the right-hand side only
-    takes the row reduction of row 0.
+    Backward Euler solves (I - h L) P' = P.  Crank-Nicolson uses c = h/2:
+    its explicit half I + cL equals 2I - (I - cL), row 0 included, so
+    P' = (I - cL)^{-1} (2P) - P.  Solving with 2P gives exactly twice the
+    solution of P: a factor of 2 passes unrounded through the row-0
+    reduction and every operation of the LU solve, short of an overflow
+    that only a march already blowing up reaches.  Either way the
+    right-hand side only takes the row reduction of row 0.
+
+    Returns ``(step, min_pivot, residual)`` with ``step = (lu, mult, scale)``
+    as :func:`_march` takes it: the LU factors, the row-0 multiplier and the
+    right-hand side's factor (1 for backward Euler, 2 for Crank-Nicolson).
     """
     c = h if implicit else 0.5 * h
     with np.errstate(over="ignore", invalid="ignore"):
         bands, mult = _resolvent(lo, di, up, b0, c)
     if not all(np.all(np.isfinite(a)) for a in bands):
         raise UnstableSolve("non-finite time-step operator entries (parameter/grid overflow)")
-    solve_lu, min_pivot, residual = _factor(*bands)
+    lu, min_pivot, residual = _factor(*bands)
+    return (lu, mult, 1.0 if implicit else 2.0), min_pivot, residual
 
-    def step(P):
-        b = P.copy()
-        b[0] -= mult * b[1]
-        x = solve_lu(b)
-        return x if implicit else 2.0 * x - P
 
-    return step, min_pivot, residual
+def _march(step, P: np.ndarray, out: np.ndarray, n: int):
+    """Take n steps of one kind from the price P; return ``(price, spare)``.
+
+    Each step is three passes over the grid and nothing more: the
+    right-hand side ``scale * P`` written into ``out`` (row 0 reduced), one
+    ``dgttrs`` solve in place, and for Crank-Nicolson the in-place update
+    ``out -= P``.  Then the two buffers swap roles.  P itself is never
+    written, so one step to a snapshot leaves the march's price as it was.
+    """
+    dgttrs = _lapack().dgttrs
+    (dl, d, du, du2, ipiv), mult, scale = step
+    for _ in range(n):
+        np.multiply(P, scale, out)  # out as a keyword costs ~2 us more per call
+        out[0] -= mult * out[1]
+        out = dgttrs(dl, d, du, du2, ipiv, out, overwrite_b=True)[0]
+        if scale == 2.0:
+            np.subtract(out, P, out)
+        P, out = out, P
+    return P, out
 
 
 def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
@@ -240,10 +269,18 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
     ``snapshot_taus`` may be a MaturityGrid or any iterable of maturities in
     [0, t_final], distinct by more than ``_TAU_MATCH`` as ``log_price_at``
     needs; tau = 0 returns the (identically zero) initial condition.
-    A maturity that falls between time levels t_k < tau < t_(k+1) is
-    reached by one partial step of size tau - t_k from t_k, of the same
-    kind as step k+1.  The march stops at the last snapshot, so
+    Time level k sits at k dt.  The full steps toward a maturity tau run up
+    to the last level k with k dt <= tau + ``_TAU_MATCH``; their number is
+    worked out once, and they run as two plain loops, the implicit start-up
+    and then Crank-Nicolson.  A maturity that falls between time levels
+    t_k < tau < t_(k+1) is then reached by one partial step of size
+    tau - t_k from t_k, of the same kind as step k+1.  The march stops at the last snapshot, so
     ``diagnostics.n_steps`` counts the full steps taken.
+
+    The prices are checked for finiteness once per maturity, after its full
+    steps, not after every step: a non-finite entry spreads to the whole
+    vector within one tridiagonal solve and never becomes finite again, so
+    no blow-up escapes the check.  It still reports the step it ran after.
     """
     validate_params(p)
     taus = tuple(float(t) for t in snapshot_taus)
@@ -267,21 +304,28 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
     pivots, residuals = [piv_im, piv_cn], [res_im, res_cn]
 
     snaps = np.zeros((len(taus), cfg.n_space))
-    P = np.ones(cfg.n_space)
+    P, spare = np.ones(cfg.n_space), np.empty(cfg.n_space)
     k = 0  # full steps taken; P is the price at t_k = k dt
     for i in sorted(range(len(taus)), key=taus.__getitem__):
         tau = taus[i]
-        while k < cfg.n_time and (k + 1) * dt <= tau + _TAU_MATCH:
-            P = (step_im if k < N_IMPLICIT_START else step_cn)(P)
-            k += 1
-            if not np.all(np.isfinite(P)):
-                raise UnstableSolve(f"non-finite price after step {k}")
+        # the last level with end dt <= tau + _TAU_MATCH; int() + 1 is never below it
+        end = min(cfg.n_time, int((tau + _TAU_MATCH) / dt) + 1)
+        while end > k and end * dt > tau + _TAU_MATCH:
+            end -= 1
+        n_implicit = max(0, min(end, N_IMPLICIT_START) - k)
+        # a blow-up runs on as inf/NaN until the check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            P, spare = _march(step_im, P, spare, n_implicit)
+            P, spare = _march(step_cn, P, spare, end - k - n_implicit)
+        k = end
+        if not np.isfinite(P).all():
+            raise UnstableSolve(f"non-finite price after step {k}")
         snap = P
         if tau - k * dt > _TAU_MATCH:
             partial, piv, res = _stepper(*operator, tau - k * dt, implicit=k < N_IMPLICIT_START)
             pivots.append(piv)
             residuals.append(res)
-            snap = partial(P)
+            snap = _march(partial, P, spare, 1)[0]
         if np.any(snap <= 0):
             raise UnstableSolve(f"non-positive price in snapshot at tau={tau}")
         snaps[i] = np.log(snap)

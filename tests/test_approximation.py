@@ -240,6 +240,32 @@ class TestInputGuards:
         with pytest.raises(ValidationError, match=r"^improved_log_price: out of float range at tau=1e\+80$"):
             improved_log_price(p, 1e80, 0.05)
 
+    @pytest.mark.parametrize("fn, gamma", [(cw_log_price, 0.75), (vasicek_log_price, 0.0),
+                                           (cir_log_price, 0.5), (improved_log_price, 0.75),
+                                           (cw_partials, 0.75), (cir_partials, 0.5)],
+                             ids=lambda v: getattr(v, "__name__", repr(v)))
+    def test_overflowing_sigma_squared_is_typed(self, fn, gamma):
+        # sigma * sigma rounds to inf without an OverflowError; no NaN, no RuntimeWarning
+        p = ModelParams(0.00315, -0.0555, 1e160, gamma)
+        for r in (0.05, np.array([0.0, 0.05, 0.15])):
+            with pytest.raises(ValidationError, match=rf"^{fn.__name__}: out of float range at tau=1\.0$"):
+                fn(p, 1.0, r)
+
+    @pytest.mark.parametrize("fn", [cw_log_price, improved_log_price, cw_partials],
+                             ids=lambda fn: fn.__name__)
+    def test_overflowing_q_constant_is_typed(self, fn):
+        # gamma (2 gamma - 1) sigma^2 is inf at gamma = 1e200
+        p = ModelParams(0.00315, -0.0555, 0.0894, 1e200)
+        for r in (0.05, np.array([0.0, 0.05, 0.15])):
+            with pytest.raises(ValidationError, match=rf"^{fn.__name__}: out of float range at tau=1\.0$"):
+                fn(p, 1.0, r)
+
+    @pytest.mark.parametrize("sigma, gamma", [(1e160, 0.75), (1e160, 0.5), (0.0894, 1e200)])
+    def test_q_factor_constant_overflow_is_typed(self, sigma, gamma):
+        p = ModelParams(0.00315, -0.0555, sigma, gamma)
+        with pytest.raises(ValidationError, match=r"^q_factor: out of float range$"):
+            q_factor(p, 0.05)
+
     def test_vasicek_keeps_negative_rates(self, vas_params):
         assert np.isfinite(cw_log_price(vas_params, 1.0, -0.05))
         assert np.all(np.isfinite(cw_partials(vas_params, 1.0, -0.05)))

@@ -249,6 +249,16 @@ class TestSolve:
         with pytest.raises(UnstableSolve, match=r"^non-finite price after step \d+$"):
             solve(ModelParams(0.01, 1000.0, 0.1, 0.0), PdeConfig(r_max=0.2, n_space=5, n_time=400), [1.0])
 
+    def test_non_finite_price_detected_at_the_first_snapshot(self):
+        # the march blows up some 40 steps before tau = 0.95 (level 380); the
+        # finiteness check runs once that maturity's steps are done, without a
+        # NumPy warning from the non-finite steps in between, and the march
+        # does not run on to tau = 1
+        with pytest.raises(UnstableSolve, match=r"^non-finite price after step \d+$") as err:
+            solve(ModelParams(0.01, 1000.0, 0.1, 0.0), PdeConfig(r_max=0.2, n_space=5, n_time=400),
+                  [1.0, 0.95])
+        assert int(str(err.value).rsplit(" ", 1)[1]) <= 380
+
     def test_non_positive_snapshot_price_detected(self):
         # one implicit step of length 1 over a wide domain at a steep drift
         # stays finite but leaves a price at or below zero
@@ -267,6 +277,23 @@ class TestSolve:
         sol = solve(params, PdeConfig(n_space=11, n_time=4, t_final=1.0), [1.0])
         assert sol.diagnostics.n_steps == 4
         assert sol.diagnostics.n_rannacher_steps == 4
+
+
+# SHA-256 of log_prices.tobytes() + repr(diagnostics) on 401 x 1000 for the
+# maturities (0.004, 0.25, 1/3, 1.0): 0.004 falls inside the implicit start-up
+# and 1/3 takes a partial step.  The bits are those of this solver with one
+# LAPACK build; another build may round differently.
+SOLVE_SHA256 = {
+    0.5: "b85fb9cbc256147625538db6be615d1a6b88ef056e13768e69511a02e1b99371",
+    1.32: "428a25ee09f44713a4ea08adc8868d71191feda44cc7e7df0e2dacd37f643755",
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(SOLVE_SHA256))
+def test_solver_bits_pinned(params, gamma):
+    sol = solve(params.with_gamma(gamma), PdeConfig(n_space=401, n_time=1000), (0.004, 0.25, 1 / 3, 1.0))
+    digest = hashlib.sha256(sol.log_prices.tobytes() + repr(sol.diagnostics).encode()).hexdigest()
+    assert digest == SOLVE_SHA256[gamma]
 
 
 class TestThomasPivot:
@@ -355,7 +382,7 @@ def test_import_does_not_load_scipy(tmp_path):
 
 
 class TestLapackLoading:
-    """Both ways :func:`bondkit.pde._factor` reaches ``dgttrf``/``dgttrs``
+    """Both ways :func:`bondkit.pde._lapack` reaches ``dgttrf``/``dgttrs``
     give the same bits as an in-process solve."""
 
     SOLVE = (
