@@ -45,10 +45,10 @@ Numerical notes
   per call, in table order, and every refusal names the outermost call.
   The table lives only for the call: no cache, no knob.
 * Building the table applies the maturity rule of
-  :func:`bondkit.model._check_maturity`; a Python float overflow (or zero
-  division) in its call is a ValidationError naming the call and its tau,
-  and so is a model constant that a float product rounds to inf or NaN
-  (sigma^2, q's gamma (2 gamma - 1) sigma^2, the square-root model's theta).
+  :func:`bondkit.model._check_maturity`.  The rule tests results, not
+  constants: a non-finite value from the outermost call, a Python float
+  overflow or zero division, and a NumPy floating-point warning raised as
+  an error (``-W error``) are each a ValidationError naming call and tau.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def b_factor(beta: float, tau: float) -> float:
     return np.expm1(beta * tau) / beta
 
 
-def _beta_brackets(p: ModelParams, tau: float, pows):
+def _beta_brackets(p: ModelParams, tau: float):
     """Return (B, t1, eg, fh): the three beta-singular building blocks
 
         t1 = (alpha/beta)(tau - B)
@@ -98,13 +98,11 @@ def _beta_brackets(p: ModelParams, tau: float, pows):
         fh = sigma^2/(8 beta^2) * [B^2(2 beta tau - 1) - 2B(2 tau - 3/beta)
                                    + 2 tau^2 - 6 tau/beta]
 
-    switching to 4-term beta-series below |beta*tau| = 0.01.  A sigma^2
-    that overflows is refused in the name of the call ``pows`` belongs to.
+    switching to 4-term beta-series below |beta*tau| = 0.01.
     """
     alpha, beta = p.alpha, p.beta
     B = b_factor(beta, tau)
     s2 = p.sigma * p.sigma
-    pows.finite(s2)
     if abs(beta * tau) < _SERIES_SWITCH:
         b1, b2, b3 = beta, beta * beta, beta**3
         t2, t3, t4 = tau * tau, tau**3, tau**4
@@ -135,16 +133,19 @@ class _Powers:
     Built afresh by the outermost public function and dropped when it
     returns, so no state outlives a call.  Keys are exact exponent floats:
     a power is reused only where it would be recomputed bit for bit.
+
+    As the call's context it refuses the outermost result (``_depth`` 1)
+    if not finite, and a float error on the way, as out of float range.
     """
 
-    __slots__ = ("scalar", "arr", "what", "_pows", "_nonneg", "_floored", "_tau")
+    __slots__ = ("scalar", "arr", "what", "_pows", "_nonneg", "_floored", "_tau", "_depth")
 
     def __init__(self, r, what: str, *tau):
         _check_maturity(*tau)
         self.arr = np.asarray(r, dtype=float)
         self.scalar = self.arr.ndim == 0
         self._pows = {}
-        self._nonneg = self._floored = False
+        self._nonneg, self._floored, self._depth = False, False, 0
         self.what, self._tau = what, tau
 
     @classmethod
@@ -153,23 +154,17 @@ class _Powers:
         return r if isinstance(r, cls) else cls(r, what, *tau)
 
     def __enter__(self):
+        self._depth += 1
         return self
 
     def __exit__(self, kind, exc, tb):
-        if kind is not None and issubclass(kind, (OverflowError, ZeroDivisionError)):
+        self._depth -= 1
+        if kind is not None and issubclass(kind, (OverflowError, ZeroDivisionError, RuntimeWarning)):
             raise ValidationError(self._out_of_range()) from None
 
     def _out_of_range(self):
         at = f" at tau={self._tau[0]!r}" if self._tau else ""
         return f"{self.what}: out of float range{at}"
-
-    def finite(self, constant):
-        """Refuse, in the call's name, a model constant that is not finite:
-        a float product that overflows rounds to inf (or NaN), where a float
-        power raises the OverflowError that ``__exit__`` turns into the same
-        refusal."""
-        if not math.isfinite(constant):
-            raise ValidationError(self._out_of_range())
 
     def __call__(self, pw):
         """arr**pw, formed on first use."""
@@ -209,8 +204,15 @@ class _Powers:
         return out
 
     def result(self, out):
-        """``out`` as a float for a scalar rate, else as computed."""
-        return float(out) if self.scalar else out
+        """``out`` as a float for a scalar rate, else as computed; refused
+        in the call's name if it is the outermost call's and not finite."""
+        out = float(out) if self.scalar else out
+        # an inf or NaN makes the sum of squares non-finite; that one BLAS
+        # pass raises no overflow warning and costs a third of np.isfinite
+        if self._depth == 1 and not (math.isfinite(out) if self.scalar else
+                                     math.isfinite(np.vdot(out, out)) or np.isfinite(out).all()):
+            raise ValidationError(self._out_of_range())
+        return out
 
 
 def q_factor(p: ModelParams, r):
@@ -230,9 +232,7 @@ def q_factor(p: ModelParams, r):
         if g == 0:
             return pows.result(np.zeros_like(pows.arr))
         pows.check(g < 0.5)
-        c = g * (2 * g - 1) * (p.sigma * p.sigma)
-        pows.finite(c)
-        return pows.result(c * pows(2 * (2 * g - 1))
+        return pows.result(g * (2 * g - 1) * (p.sigma * p.sigma) * pows(2 * (2 * g - 1))
                            + 2 * g * pows(2 * g - 1) * (p.alpha + p.beta * pows.arr))
 
 
@@ -273,7 +273,7 @@ def cw_log_price(p: ModelParams, tau: float, r):
     """
     with _Powers.of(r, "cw_log_price", tau) as pows:
         q, r2g = _q_and_r2g(p, pows)
-        B, t1, eg, fh = _beta_brackets(p, tau, pows)
+        B, t1, eg, fh = _beta_brackets(p, tau)
         return pows.result(-pows.arr * B + t1 + (r2g + q * tau) * eg - q * fh)
 
 
@@ -286,7 +286,7 @@ def cw_partials(p: ModelParams, tau: float, r):
     """
     with _Powers.of(r, "cw_partials", tau) as pows:
         q, r2g = _q_and_r2g(p, pows)
-        B, _, eg, fh = _beta_brackets(p, tau, pows)
+        B, _, eg, fh = _beta_brackets(p, tau)
         d1_terms = _derive([(1.0, 2 * p.gamma)])  # d/dr of r^{2 gamma}
         qp_terms = _derive(_q_terms(p))
         d1, d2, qp, qpp = (pows.sum(t)

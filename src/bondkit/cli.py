@@ -91,16 +91,14 @@ def cmd_price(args) -> int:
         sol = solve(p, _pde_config(args, [args.tau]), [args.tau])
         lnp = float(np.interp(args.rate, sol.rates, sol.log_price_at(args.tau)))
     else:
-        # a NumPy overflow shows up as a non-finite lnP, refused below
+        # the pricer refuses a non-finite lnP; no NumPy warning joins that line
         with np.errstate(over="ignore", invalid="ignore"):
             lnp = analysis.METHODS[args.method](p, args.tau, args.rate)
     try:
         price = math.exp(lnp)
     except OverflowError:
-        price = math.inf
-    if not (math.isfinite(lnp) and math.isfinite(price)):
         raise ValidationError(f"--method {args.method} at tau={args.tau!r} gives lnP={lnp!r}: "
-                              "the price is out of floating-point range")
+                              "the price is out of floating-point range") from None
     print(f"lnP={lnp:.17g} P={price:.17g}")
     return EXIT_OK
 

@@ -9,7 +9,8 @@ vanishes.
 The general closed-form approximation is exact at gamma = 0, so the Vasicek
 price and partials are :func:`~bondkit.approximation.cw_log_price` and
 :func:`~bondkit.approximation.cw_partials` behind a gamma guard.  The
-square-root price and partials come from one evaluation, :func:`_cir`.
+square-root price and partials come from one evaluation, :func:`_cir`; only
+:func:`cir_partials` forms the tau-derivatives, which may overflow alone.
 
 With theta = sqrt(beta^2 + 2 sigma^2) and D(tau) = (theta-beta)(e^{theta tau}-1)
 + 2 theta, the gamma = 1/2 price is
@@ -69,9 +70,9 @@ def vasicek_partials(p: ModelParams, tau: float, r):
 
 
 def _cir(p: ModelParams, tau: float, pows: _Powers):
-    """Terms (log_a, b_term, dlog_a, db) of the gamma = 1/2 closed form
-    ln P = (2 alpha / sigma^2) log_a - r b_term, with dlog_a and db the
-    tau-derivatives of log_a and b_term.
+    """Terms (log_a, b_term, th, e_neg, C) of the gamma = 1/2 closed form
+    ln P = (2 alpha / sigma^2) log_a - r b_term, with theta, e^{-theta tau}
+    and C = D e^{-theta tau} for the tau-derivatives.
 
     Runs the gamma and rate checks in the name of the call ``pows`` belongs
     to (building ``pows`` applied the maturity rule); then the direct form
@@ -81,25 +82,21 @@ def _cir(p: ModelParams, tau: float, pows: _Powers):
     pows.check(False)
     b, s = p.beta, p.sigma
     th = np.sqrt(b * b + 2.0 * s * s)
-    pows.finite(th)
     if th * tau <= _EXP_SWITCH:
         em = np.expm1(th * tau)
-        ep = em + 1.0
         D = (th - b) * em + 2.0 * th
         # log of 2*theta*exp((theta-beta)tau/2)/D, written as log1p of the
         # small ratio so short maturities keep full precision
         log_a = (th - b) * tau / 2.0 + np.log1p(-(th - b) * em / D)
         b_term = 2.0 * em / D
-        db = 4.0 * th * th * ep / (D * D)
-        dlog_a = (th - b) / 2.0 - th * ep * (th - b) / D
+        ep = em + 1.0
+        e_neg, C = 1.0 / ep, D / ep
     else:
         e_neg = np.exp(-th * tau)
         C = (th - b) * (1.0 - e_neg) + 2.0 * th * e_neg
         log_a = np.log(2.0 * th) + (th - b) * tau / 2.0 - th * tau - np.log(C)
         b_term = 2.0 * (1.0 - e_neg) / C
-        db = 4.0 * th * th * e_neg / (C * C)
-        dlog_a = (th - b) / 2.0 - th * (th - b) / C
-    return log_a, b_term, dlog_a, db
+    return log_a, b_term, th, e_neg, C
 
 
 def cir_log_price(p: ModelParams, tau: float, r):
@@ -116,7 +113,7 @@ def cir_log_price(p: ModelParams, tau: float, r):
     Log price, same shape as ``r``.
     """
     with _Powers(r, "cir_log_price", tau) as pows:
-        log_a, b_term, _, _ = _cir(p, tau, pows)
+        log_a, b_term, *_ = _cir(p, tau, pows)
         return pows.result((2.0 * p.alpha / (p.sigma * p.sigma)) * log_a - pows.arr * b_term)
 
 
@@ -126,7 +123,9 @@ def cir_partials(p: ModelParams, tau: float, r):
     The affine structure gives f_rr = 0 exactly.
     """
     with _Powers(r, "cir_partials", tau) as pows:
-        _, b_term, dlog_a, db = _cir(p, tau, pows)
+        _, b_term, th, e_neg, C = _cir(p, tau, pows)
+        dlog_a = (th - p.beta) / 2.0 - th * (th - p.beta) / C
+        db = 4.0 * th * th * e_neg / (C * C)
         f_tau = (2.0 * p.alpha / (p.sigma * p.sigma)) * dlog_a - pows.arr * db
         f_r = -b_term * np.ones_like(pows.arr)
         return pows.result(f_tau), pows.result(f_r), pows.result(np.zeros_like(f_r))

@@ -245,7 +245,8 @@ class TestInputGuards:
                                            (cw_partials, 0.75), (cir_partials, 0.5)],
                              ids=lambda v: getattr(v, "__name__", repr(v)))
     def test_overflowing_sigma_squared_is_typed(self, fn, gamma):
-        # sigma * sigma rounds to inf without an OverflowError; no NaN, no RuntimeWarning
+        # sigma * sigma rounds to inf without an OverflowError; the NaN that
+        # follows, or its RuntimeWarning under -W error, is refused by name
         p = ModelParams(0.00315, -0.0555, 1e160, gamma)
         for r in (0.05, np.array([0.0, 0.05, 0.15])):
             with pytest.raises(ValidationError, match=rf"^{fn.__name__}: out of float range at tau=1\.0$"):
@@ -265,6 +266,26 @@ class TestInputGuards:
         p = ModelParams(0.00315, -0.0555, sigma, gamma)
         with pytest.raises(ValidationError, match=r"^q_factor: out of float range$"):
             q_factor(p, 0.05)
+
+    @pytest.mark.parametrize("fn, sigma, gamma, tau, r", [
+        (cw_log_price, 1e100, 0.75, 1.0, 0.05),
+        (improved_log_price, 1e100, 0.75, 1.0, 0.05),
+        (cw_log_price, 0.0894, 0.5, 1e308, 0.05),
+        (cw_log_price, 0.0894, 0.5, 1.0, np.inf),
+        (improved_log_price, 0.0894, 0.75, 1.0, np.inf),
+        (c5, 0.0894, 0.75, None, np.inf),
+        (cir_log_price, 0.0894, 0.5, 1.0, np.inf),
+        (vasicek_log_price, 0.0894, 0.0, 1.0, np.inf),
+    ], ids=lambda v: getattr(v, "__name__", repr(v)))
+    def test_non_finite_result_is_refused(self, params, fn, sigma, gamma, tau, r):
+        # finite constants whose products overflow, a huge maturity or an
+        # infinite rate: the call's power table refuses the non-finite result
+        p = ModelParams(params.alpha, params.beta, sigma, gamma)
+        curve = np.linspace(0.01, 0.15, 1501)
+        curve[-1] = r
+        for rate in (r, curve):
+            with pytest.raises(ValidationError, match=rf"^{fn.__name__}: out of float range"):
+                fn(p, rate) if tau is None else fn(p, tau, rate)
 
     def test_vasicek_keeps_negative_rates(self, vas_params):
         assert np.isfinite(cw_log_price(vas_params, 1.0, -0.05))

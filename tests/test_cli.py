@@ -1,8 +1,12 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bondkit
 from bondkit.cli import main
 
 # the exact bytes of ``bondkit eoc`` (defaults), on stdout or in an --out file
@@ -77,13 +81,15 @@ class TestPrice:
                                       ("improved", "--tau", "1e52"),
                                       ("vasicek", "--gamma", "0", "--tau", "1e6")])
     def test_out_of_range_price_exit_2(self, capsys, argv):
-        # neither NaN nor an overflow traceback: a refusal naming method, tau and lnP
+        # neither NaN nor an overflow traceback: the pricer's refusal of its
+        # own overflow, or the CLI's refusal naming method, tau and lnP
         method, *rest = argv
         code, out, err = run(capsys, "price", "--method", method, *rest, "--rate", "0.05")
         assert code == 2 and out == ""
-        if argv == ("improved", "--tau", "1e52"):
-            # tau**6 overflows inside the pricer, which refuses it by name
-            assert err == "error: improved_log_price: out of float range at tau=1e+52\n"
+        refused_by_pricer = {("cw", "--tau", "1e308"): "cw_log_price: out of float range at tau=1e+308",
+                             ("improved", "--tau", "1e52"): "improved_log_price: out of float range at tau=1e+52"}
+        if argv in refused_by_pricer:
+            assert err == f"error: {refused_by_pricer[argv]}\n"
         else:
             assert f"--method {method} at tau=" in err and "lnP=" in err
 
@@ -105,6 +111,17 @@ class TestPrice:
         method, *rest = argv
         code, out, err = run(capsys, "price", "--method", method, *rest, "--rate", "0.05")
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_pricer_refusal_is_the_only_stderr_line(self):
+        # under default warning filters, NumPy's overflow warnings do not
+        # reach stderr ahead of the pricer's refusal of its NaN result
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(bondkit.__file__))
+        proc = subprocess.run([sys.executable, "-m", "bondkit.cli", "price", "--method", "cw", "--sigma", "1e100",
+                               "--gamma", "0.75", "--tau", "1", "--rate", "0.05"],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: cw_log_price: out of float range at tau=1.0\n")
 
     def test_improved_long_maturity_still_prices(self, capsys):
         code, out, _ = run(capsys, "price", "--method", "improved", "--tau", "30", "--rate", "0.05")

@@ -1,5 +1,5 @@
-"""Property tests over maturity, rate and gamma, including negative and NaN
-values and an infinite maturity: every closed-form pricer and every
+"""Property tests over maturity, rate and gamma, including negative, NaN and
+infinite values and maturities up to 1e308: every closed-form pricer and every
 analytic-partials function, fed parameters that passed ``validate_params``
 as the CLI feeds them, returns finite values or raises a ``BondkitError``,
 and every pricer prices par at zero maturity."""
@@ -17,8 +17,10 @@ from bondkit.analysis import METHODS
 
 NAN = st.just(math.nan)
 GAMMAS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.32]), st.floats(-1.0, 3.0), NAN)
-TAUS = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(-1.0, 50.0), NAN, st.just(math.inf))
-RATES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-6, 0.05]), st.floats(-1.0, 1.0), NAN)
+TAUS = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(-1.0, 50.0), st.floats(-1.0, 1e308), NAN,
+                 st.just(math.inf))
+RATES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-6, 0.05]), st.floats(-1.0, 1.0), NAN,
+                  st.sampled_from([math.inf, -math.inf]))
 
 
 #: Analytic (f_tau, f_r, f_rr) functions and the gamma each requires (None: any).
@@ -43,6 +45,7 @@ def attempt(fn, p, tau, r):
 @example(method="cw", gamma=0.75, tau=math.inf, r=0.05)
 @example(method="improved", gamma=0.5, tau=math.inf, r=0.05)
 @example(method="improved", gamma=0.5, tau=1e52, r=0.05)
+@example(method="improved", gamma=0.0, tau=2.375668978229577e+51, r=0.0)
 def test_finite_or_typed_error(method, gamma, tau, r):
     p = DEFAULT_PARAMS.with_gamma(gamma)
     value = attempt(METHODS[method], p, tau, r)
@@ -55,7 +58,10 @@ def test_finite_or_typed_error(method, gamma, tau, r):
         if method == "improved":
             # each public function builds its own power table; the improved
             # pricer shares one, and no bit of the composition moves
-            assert value == cw_log_price(p, tau, r) - c5(p, r) * tau**5 - c6(p, r) * tau**6
+            expected = cw_log_price(p, tau, r)
+            if gamma != 0:  # at gamma = 0 it is cw alone, and tau**6 may overflow
+                expected = expected - c5(p, r) * tau**5 - c6(p, r) * tau**6
+            assert value == expected
 
 
 @settings(max_examples=300, deadline=None, database=None)
