@@ -46,9 +46,9 @@ Numerical notes
   The table lives only for the call: no cache, no knob.
 * Building the table applies the maturity rule of
   :func:`bondkit.model._check_maturity`.  The rule tests results, not
-  constants: a non-finite value from the outermost call, a Python float
-  overflow or zero division, and a NumPy floating-point warning raised as
-  an error (``-W error``) are each a ValidationError naming call and tau.
+  constants: a non-finite value from any call, a Python float overflow or
+  zero division, and a NumPy floating-point warning raised as an error
+  (``-W error``) are each a ValidationError naming call and tau.
 """
 
 from __future__ import annotations
@@ -134,18 +134,19 @@ class _Powers:
     returns, so no state outlives a call.  Keys are exact exponent floats:
     a power is reused only where it would be recomputed bit for bit.
 
-    As the call's context it refuses the outermost result (``_depth`` 1)
-    if not finite, and a float error on the way, as out of float range.
+    As the call's context it refuses any call's result if not finite, and
+    a float error on the way, as out of float range.  A nested call shares
+    its caller's table, so the refusal names the same function.
     """
 
-    __slots__ = ("scalar", "arr", "what", "_pows", "_nonneg", "_floored", "_tau", "_depth")
+    __slots__ = ("scalar", "arr", "what", "_pows", "_nonneg", "_floored", "_tau")
 
     def __init__(self, r, what: str, *tau):
         _check_maturity(*tau)
         self.arr = np.asarray(r, dtype=float)
         self.scalar = self.arr.ndim == 0
         self._pows = {}
-        self._nonneg, self._floored, self._depth = False, False, 0
+        self._nonneg, self._floored = False, False
         self.what, self._tau = what, tau
 
     @classmethod
@@ -154,11 +155,9 @@ class _Powers:
         return r if isinstance(r, cls) else cls(r, what, *tau)
 
     def __enter__(self):
-        self._depth += 1
         return self
 
     def __exit__(self, kind, exc, tb):
-        self._depth -= 1
         if kind is not None and issubclass(kind, (OverflowError, ZeroDivisionError, RuntimeWarning)):
             raise ValidationError(self._out_of_range()) from None
 
@@ -205,12 +204,12 @@ class _Powers:
 
     def result(self, out):
         """``out`` as a float for a scalar rate, else as computed; refused
-        in the call's name if it is the outermost call's and not finite."""
+        in the call's name if not finite."""
         out = float(out) if self.scalar else out
         # an inf or NaN makes the sum of squares non-finite; that one BLAS
         # pass raises no overflow warning and costs a third of np.isfinite
-        if self._depth == 1 and not (math.isfinite(out) if self.scalar else
-                                     math.isfinite(np.vdot(out, out)) or np.isfinite(out).all()):
+        if not (math.isfinite(out) if self.scalar else
+                math.isfinite(np.vdot(out, out)) or np.isfinite(out).all()):
             raise ValidationError(self._out_of_range())
         return out
 
@@ -377,6 +376,7 @@ def c6(p: ModelParams, r):
         g = p.gamma
         if g == 0:
             return pows.result(np.zeros_like(pows.arr))
+        pows.check(False)  # the rate enters below even where every monomial vanishes
         d1, d2 = c5_derivatives(p, pows)
         return pows.result((
             0.5 * p.sigma**2 * pows(2 * g) * d2 + (p.alpha + p.beta * pows.arr) * d1 - k5(p, pows)
@@ -392,10 +392,9 @@ def improved_log_price(p: ModelParams, tau: float, r):
     in this function's name.  At gamma = 0, where c5 and c6
     vanish, this is :func:`cw_log_price`.
     """
-    pows = _Powers.of(r, "improved_log_price", tau)
-    if p.gamma == 0:
-        return cw_log_price(p, tau, pows)
-    with pows:
+    with _Powers.of(r, "improved_log_price", tau) as pows:
+        if p.gamma == 0:
+            return cw_log_price(p, tau, pows)
         return pows.result(cw_log_price(p, tau, pows) - c5(p, pows) * tau**5 - c6(p, pows) * tau**6)
 
 
@@ -406,18 +405,19 @@ def pde_residual(partials, p: ModelParams, tau: float, r: float):
         + (alpha + beta r) f_r - r.
 
     Exact solutions give 0; the closed-form approximation gives
-    k4(r) tau^4 + k5(r) tau^5 + o(tau^5).
+    k4(r) tau^4 + k5(r) tau^5 + o(tau^5).  A residual that is not finite
+    is refused as out of float range, like a pricer's result.
 
     Parameters
     ----------
     partials : callable (p, tau, r) -> (f_tau, f_r, f_rr), the analytic
         partials of f, such as :func:`cw_partials`
     """
-    _check_maturity(tau)
-    f_tau, f_r, f_rr = partials(p, tau, r)
-    return (
-        -f_tau
-        + 0.5 * p.sigma**2 * r ** (2 * p.gamma) * (f_r * f_r + f_rr)
-        + (p.alpha + p.beta * r) * f_r
-        - r
-    )
+    with _Powers(r, "pde_residual", tau) as pows:
+        f_tau, f_r, f_rr = partials(p, tau, r)
+        return pows.result(
+            -f_tau
+            + 0.5 * p.sigma**2 * pows(2 * p.gamma) * (f_r * f_r + f_rr)
+            + (p.alpha + p.beta * pows.arr) * f_r
+            - pows.arr
+        )

@@ -42,11 +42,11 @@ backward Euler, with row 0 reduced), solves in place with one ``dgttrs``,
 and for Crank-Nicolson forms P' = 2x - P in place as (solution of 2P) - P;
 the buffers then swap roles.  A snapshot maturity between two time levels
 gets one partial step of its own size, with its own factorization, through
-the same step code.  The prices are checked for finiteness once per
-snapshot maturity, after its full steps, not after every step (see
-:func:`solve`).  ``import bondkit`` loads no SciPy; the first factorization
-loads SciPy's LAPACK extension alone, not all of ``scipy.linalg`` (see
-:func:`_lapack`).
+the same step code.  A solve runs in one NumPy error context, and each
+snapshot is checked once, finite and then positive, not after every step
+(see :func:`solve`).  ``import bondkit`` loads no SciPy; the first
+factorization loads SciPy's LAPACK extension alone, not all of
+``scipy.linalg`` (see :func:`_lapack`).
 """
 
 from __future__ import annotations
@@ -186,40 +186,25 @@ def _factor(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
 def _spatial_operator(p: ModelParams, r: np.ndarray, dr: float):
     """Diagonals (lo, di, up) of L (interior + r_max row) plus the 3-point
     r=0 boundary row coefficients b0 for [P0, P1, P2]."""
-    n = r.size
-    lo = np.zeros(n)
-    di = np.zeros(n)
-    up = np.zeros(n)
+    lo, di, up = np.zeros(r.size), np.zeros(r.size), np.zeros(r.size)
     s2 = np.float64(p.sigma) ** 2  # inf rather than OverflowError for absurd sigma
-    a = 0.5 * s2 * r ** (2 * p.gamma)
+    a = 0.5 * s2 * r[1:-1] ** (2 * p.gamma)
     v = p.alpha + p.beta * r
-    j = np.arange(1, n - 1)
-    lo[j] = a[j] / dr**2 - v[j] / (2 * dr)
-    di[j] = -2.0 * a[j] / dr**2 - r[j]
-    up[j] = a[j] / dr**2 + v[j] / (2 * dr)
+    lo[1:-1] = a / dr**2 - v[1:-1] / (2 * dr)
+    di[1:-1] = -2.0 * a / dr**2 - r[1:-1]
+    up[1:-1] = a / dr**2 + v[1:-1] / (2 * dr)
     # r_max row: ghost = 2 P_N - P_(N-1) kills the diffusion term and turns
     # the central drift difference into the backward difference
-    lo[n - 1] = -v[n - 1] / dr
-    di[n - 1] = v[n - 1] / dr - r[n - 1]
+    lo[-1] = -v[-1] / dr
+    di[-1] = v[-1] / dr - r[-1]
     b0 = np.array([-1.5 * p.alpha / dr, 2.0 * p.alpha / dr, -0.5 * p.alpha / dr])
     return lo, di, up, b0
 
 
-def _resolvent(lo, di, up, b0, c):
-    """Diagonals (sub, main, super) of I - c L with the 3-point r=0 row
-    reduced to the band, and the multiplier of that row reduction."""
-    sub = -c * lo[1:]
-    main = 1.0 - c * di
-    sup = -c * up[:-1]
-    mult = -c * b0[2] / sup[1]  # eliminate the P2 entry against row 1
-    main[0] = 1.0 - c * b0[0] - mult * sub[0]
-    sup[0] = -c * b0[1] - mult * main[1]
-    return (sub, main, sup), mult
-
-
 def _stepper(lo, di, up, b0, h: float, implicit: bool):
     """Factor one time step of size h: backward Euler (``implicit``) or
-    Crank-Nicolson, each one solve with the factored resolvent.
+    Crank-Nicolson, each one solve with the factored resolvent I - c L,
+    whose 3-point r=0 row is reduced to the band against row 1.
 
     Backward Euler solves (I - h L) P' = P.  Crank-Nicolson uses c = h/2:
     its explicit half I + cL equals 2I - (I - cL), row 0 included, so
@@ -234,11 +219,13 @@ def _stepper(lo, di, up, b0, h: float, implicit: bool):
     right-hand side's factor (1 for backward Euler, 2 for Crank-Nicolson).
     """
     c = h if implicit else 0.5 * h
-    with np.errstate(over="ignore", invalid="ignore"):
-        bands, mult = _resolvent(lo, di, up, b0, c)
-    if not all(np.all(np.isfinite(a)) for a in bands):
+    sub, main, sup = -c * lo[1:], 1.0 - c * di, -c * up[:-1]
+    mult = -c * b0[2] / sup[1]  # eliminate the P2 entry against row 1
+    main[0] = 1.0 - c * b0[0] - mult * sub[0]
+    sup[0] = -c * b0[1] - mult * main[1]
+    if not all(np.all(np.isfinite(a)) for a in (sub, main, sup)):
         raise UnstableSolve("non-finite time-step operator entries (parameter/grid overflow)")
-    lu, min_pivot, residual = _factor(*bands)
+    lu, min_pivot, residual = _factor(sub, main, sup)
     return (lu, mult, 1.0 if implicit else 2.0), min_pivot, residual
 
 
@@ -277,10 +264,12 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
     tau - t_k from t_k, of the same kind as step k+1.  The march stops at the last snapshot, so
     ``diagnostics.n_steps`` counts the full steps taken.
 
-    The prices are checked for finiteness once per maturity, after its full
-    steps, not after every step: a non-finite entry spreads to the whole
-    vector within one tridiagonal solve and never becomes finite again, so
-    no blow-up escapes the check.  It still reports the step it ran after.
+    Assembly, factorizations and march run in one NumPy error context that
+    lets overflow and invalid operations through as inf and NaN.  Each
+    snapshot is checked once, finite and then positive, not after every
+    step: a non-finite entry spreads to the whole vector within one
+    tridiagonal solve and never becomes finite again, so no blow-up escapes
+    the check, which reports the last full step before it.
     """
     validate_params(p)
     taus = tuple(float(t) for t in snapshot_taus)
@@ -295,42 +284,37 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
         raise ValidationError(f"snapshot maturities must be distinct, got {taus}")
 
     r = np.linspace(0.0, cfg.r_max, cfg.n_space)
-    dr = r[1] - r[0]
     dt = cfg.t_final / cfg.n_time
-    with np.errstate(over="ignore", invalid="ignore"):
-        operator = _spatial_operator(p, r, dr)
-    step_im, piv_im, res_im = _stepper(*operator, dt, implicit=True)
-    step_cn, piv_cn, res_cn = _stepper(*operator, dt, implicit=False)
-    pivots, residuals = [piv_im, piv_cn], [res_im, res_cn]
-
     snaps = np.zeros((len(taus), cfg.n_space))
-    P, spare = np.ones(cfg.n_space), np.empty(cfg.n_space)
-    k = 0  # full steps taken; P is the price at t_k = k dt
-    for i in sorted(range(len(taus)), key=taus.__getitem__):
-        tau = taus[i]
-        # the last level with end dt <= tau + _TAU_MATCH; int() + 1 is never below it
-        end = min(cfg.n_time, int((tau + _TAU_MATCH) / dt) + 1)
-        while end > k and end * dt > tau + _TAU_MATCH:
-            end -= 1
-        n_implicit = max(0, min(end, N_IMPLICIT_START) - k)
-        # a blow-up runs on as inf/NaN until the check below
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow is refused by _stepper's operator test or the snapshot check
+    with np.errstate(over="ignore", invalid="ignore"):
+        operator = _spatial_operator(p, r, r[1] - r[0])
+        step_im, piv_im, res_im = _stepper(*operator, dt, implicit=True)
+        step_cn, piv_cn, res_cn = _stepper(*operator, dt, implicit=False)
+        pivots, residuals = [piv_im, piv_cn], [res_im, res_cn]
+        P, spare = np.ones(cfg.n_space), np.empty(cfg.n_space)
+        k = 0  # full steps taken; P is the price at t_k = k dt
+        for i in sorted(range(len(taus)), key=taus.__getitem__):
+            tau = taus[i]
+            # the last level with end dt <= tau + _TAU_MATCH; int() + 1 is never below it
+            end = min(cfg.n_time, int((tau + _TAU_MATCH) / dt) + 1)
+            while end > k and end * dt > tau + _TAU_MATCH:
+                end -= 1
+            n_implicit = max(0, min(end, N_IMPLICIT_START) - k)
             P, spare = _march(step_im, P, spare, n_implicit)
             P, spare = _march(step_cn, P, spare, end - k - n_implicit)
-        k = end
-        if not np.isfinite(P).all():
-            raise UnstableSolve(f"non-finite price after step {k}")
-        snap = P
-        if tau - k * dt > _TAU_MATCH:
-            partial, piv, res = _stepper(*operator, tau - k * dt, implicit=k < N_IMPLICIT_START)
-            pivots.append(piv)
-            residuals.append(res)
-            snap = _march(partial, P, spare, 1)[0]
-        if np.any(snap <= 0):
-            raise UnstableSolve(f"non-positive price in snapshot at tau={tau}")
-        snaps[i] = np.log(snap)
-    if not np.all(np.isfinite(snaps)):
-        raise UnstableSolve("non-finite log price in snapshots")
+            k = end
+            snap = P
+            if tau - k * dt > _TAU_MATCH:
+                partial, piv, res = _stepper(*operator, tau - k * dt, implicit=k < N_IMPLICIT_START)
+                pivots.append(piv)
+                residuals.append(res)
+                snap = _march(partial, P, spare, 1)[0]
+            if not np.isfinite(snap).all():
+                raise UnstableSolve(f"non-finite price after step {k}")
+            if np.any(snap <= 0):
+                raise UnstableSolve(f"non-positive price in snapshot at tau={tau}")
+            snaps[i] = np.log(snap)
     diag = SolveDiagnostics(n_steps=k, n_rannacher_steps=min(N_IMPLICIT_START, k),
                             min_pivot=min(pivots), max_linear_residual=max(residuals))
     return PdeSolution(config=cfg, params=p, taus=taus, rates=r, log_prices=snaps, diagnostics=diag)

@@ -147,6 +147,13 @@ class TestPdeResidual:
         h = pde_residual(cw_partials, p, 0.1, r)
         assert h / 0.1**4 == pytest.approx(k4(p, r) + k5(p, r) * 0.1, rel=0.02)
 
+    @pytest.mark.parametrize("r", [0.05, np.linspace(0.0, 0.3, 301)], ids=["scalar", "grid"])
+    def test_non_finite_residual_is_refused(self, r):
+        # finite partials, but sigma^2 f_r^2 overflows
+        p = ModelParams(0.00315, -0.0555, 1e60, 0.5)
+        with pytest.raises(ValidationError, match=r"^pde_residual: out of float range at tau=1\.0$"):
+            pde_residual(cw_partials, p, 1.0, r)
+
 
 class TestImproved:
     def test_zero_maturity(self, params):

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from _reference import mp_c5, mp_c6, mp_k4, mp_k5
-from bondkit import (c5, c5_derivatives, c6, cw_partials, improved_log_price, k4, k5,
-                     q_factor)
+from bondkit import (ModelParams, c5, c5_derivatives, c6, cw_partials, improved_log_price, k4,
+                     k5, q_factor)
 from bondkit.approximation import _c5_terms, _derive, _k5_terms
 from bondkit.errors import DomainError
 
@@ -146,6 +146,14 @@ class TestDomainGuards:
         assert np.isfinite(improved_log_price(p, 1.0, 0.0))
         with pytest.raises(DomainError):
             c6(params.with_gamma(1.32), 1e-8)  # c5'' ~ r^{2 gamma - 4}
+
+    @pytest.mark.parametrize("r", [math.nan, -0.1])
+    def test_c6_checks_the_rate_where_every_monomial_vanishes(self, r):
+        # sigma^2 underflows to 0 and beta = 0, so no monomial of c5', c5''
+        # or k5 survives to run the check; c6 still reads the rate itself
+        p = ModelParams(0.00315, 0.0, 1e-170, 0.5)
+        with pytest.raises(DomainError, match=r"^c6: negative or NaN rate$"):
+            c6(p, r)
 
     # Every negative or NaN rate is refused, and so are r = 0 and 1e-7 except
     # at these (function, gamma).  Each refusal names the function called,

@@ -1,8 +1,10 @@
 """Property tests over maturity, rate and gamma, including negative, NaN and
-infinite values and maturities up to 1e308: every closed-form pricer and every
-analytic-partials function, fed parameters that passed ``validate_params``
-as the CLI feeds them, returns finite values or raises a ``BondkitError``,
-and every pricer prices par at zero maturity."""
+infinite values and maturities up to 1e308, at volatilities from 1e-170 to
+5e153 and drift slopes of either sign: every closed-form pricer, every
+analytic-partials function and the PDE residual of those partials, fed
+parameters that passed ``validate_params`` as the CLI feeds them, return
+finite values or raise a ``BondkitError``, and every pricer prices par at
+zero maturity."""
 
 import math
 
@@ -11,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bondkit import (DEFAULT_PARAMS, BondkitError, ModelParams, ValidationError, c5, c6,
-                     cir_partials, cw_log_price, cw_partials, validate_params, vasicek_log_price,
-                     vasicek_partials)
+                     cir_partials, cw_log_price, cw_partials, pde_residual, validate_params,
+                     vasicek_log_price, vasicek_partials)
 from bondkit.analysis import METHODS
 
 NAN = st.just(math.nan)
@@ -21,10 +23,19 @@ TAUS = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(-1.0, 50.0), st.fl
                  st.just(math.inf))
 RATES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-6, 0.05]), st.floats(-1.0, 1.0), NAN,
                   st.sampled_from([math.inf, -math.inf]))
+#: sigma squared underflows at 1e-170 and is still finite at 5e153, where
+#: products with it overflow; the defaults come first, where draws shrink.
+SIGMAS = st.sampled_from([DEFAULT_PARAMS.sigma, 1e-170, 1e60, 1e100, 5e153])
+BETAS = st.sampled_from([DEFAULT_PARAMS.beta, 0.0, 2.0])
+AT_DEFAULT = {"sigma": DEFAULT_PARAMS.sigma, "beta": DEFAULT_PARAMS.beta}
 
 
 #: Analytic (f_tau, f_r, f_rr) functions and the gamma each requires (None: any).
 PARTIALS = {"cw": (cw_partials, None), "cir": (cir_partials, 0.5), "vasicek": (vasicek_partials, 0.0)}
+
+
+def params(sigma, beta, gamma):
+    return ModelParams(DEFAULT_PARAMS.alpha, beta, sigma, gamma)
 
 
 def attempt(fn, p, tau, r):
@@ -36,18 +47,19 @@ def attempt(fn, p, tau, r):
 
 
 @settings(max_examples=400, deadline=None, database=None)
-@given(method=st.sampled_from(sorted(METHODS)), gamma=GAMMAS, tau=TAUS, r=RATES)
-@example(method="cw", gamma=0.5, tau=-1.0, r=0.05)
-@example(method="improved", gamma=0.75, tau=math.nan, r=0.05)
-@example(method="vasicek", gamma=0.0, tau=1.0, r=math.nan)
-@example(method="cw", gamma=0.25, tau=1.0, r=1e-300)
-@example(method="vasicek", gamma=0.0, tau=math.inf, r=0.05)
-@example(method="cw", gamma=0.75, tau=math.inf, r=0.05)
-@example(method="improved", gamma=0.5, tau=math.inf, r=0.05)
-@example(method="improved", gamma=0.5, tau=1e52, r=0.05)
-@example(method="improved", gamma=0.0, tau=2.375668978229577e+51, r=0.0)
-def test_finite_or_typed_error(method, gamma, tau, r):
-    p = DEFAULT_PARAMS.with_gamma(gamma)
+@given(method=st.sampled_from(sorted(METHODS)), sigma=SIGMAS, beta=BETAS, gamma=GAMMAS, tau=TAUS,
+       r=RATES)
+@example(method="cw", gamma=0.5, tau=-1.0, r=0.05, **AT_DEFAULT)
+@example(method="improved", gamma=0.75, tau=math.nan, r=0.05, **AT_DEFAULT)
+@example(method="vasicek", gamma=0.0, tau=1.0, r=math.nan, **AT_DEFAULT)
+@example(method="cw", gamma=0.25, tau=1.0, r=1e-300, **AT_DEFAULT)
+@example(method="vasicek", gamma=0.0, tau=math.inf, r=0.05, **AT_DEFAULT)
+@example(method="cw", gamma=0.75, tau=math.inf, r=0.05, **AT_DEFAULT)
+@example(method="improved", gamma=0.5, tau=math.inf, r=0.05, **AT_DEFAULT)
+@example(method="improved", gamma=0.5, tau=1e52, r=0.05, **AT_DEFAULT)
+@example(method="improved", gamma=0.0, tau=2.375668978229577e+51, r=0.0, **AT_DEFAULT)
+def test_finite_or_typed_error(method, sigma, beta, gamma, tau, r):
+    p = params(sigma, beta, gamma)
     value = attempt(METHODS[method], p, tau, r)
     assert value is None or math.isfinite(value)
     at_zero = attempt(METHODS[method], p, 0.0, r)
@@ -65,19 +77,23 @@ def test_finite_or_typed_error(method, gamma, tau, r):
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(name=st.sampled_from(sorted(PARTIALS)), gamma=GAMMAS, tau=TAUS, r=RATES)
-@example(name="cw", gamma=0.5, tau=math.nan, r=0.1)
-@example(name="cir", gamma=0.5, tau=math.nan, r=0.1)
-@example(name="cir", gamma=0.5, tau=1.0, r=-0.5)
-@example(name="cw", gamma=0.0, tau=1.0, r=math.nan)
-@example(name="vasicek", gamma=0.0, tau=-1.0, r=0.05)
-@example(name="vasicek", gamma=0.0, tau=math.inf, r=0.05)
-@example(name="cir", gamma=0.5, tau=math.inf, r=0.05)
-def test_partials_finite_or_typed_error(name, gamma, tau, r):
+@given(name=st.sampled_from(sorted(PARTIALS)), sigma=SIGMAS, beta=BETAS, gamma=GAMMAS, tau=TAUS,
+       r=RATES)
+@example(name="cw", gamma=0.5, tau=math.nan, r=0.1, **AT_DEFAULT)
+@example(name="cir", gamma=0.5, tau=math.nan, r=0.1, **AT_DEFAULT)
+@example(name="cir", gamma=0.5, tau=1.0, r=-0.5, **AT_DEFAULT)
+@example(name="cw", gamma=0.0, tau=1.0, r=math.nan, **AT_DEFAULT)
+@example(name="vasicek", gamma=0.0, tau=-1.0, r=0.05, **AT_DEFAULT)
+@example(name="vasicek", gamma=0.0, tau=math.inf, r=0.05, **AT_DEFAULT)
+@example(name="cir", gamma=0.5, tau=math.inf, r=0.05, **AT_DEFAULT)
+@example(name="cw", sigma=DEFAULT_PARAMS.sigma, beta=0.0, gamma=0.25, tau=1e52, r=0.05)
+def test_partials_finite_or_typed_error(name, sigma, beta, gamma, tau, r):
     fn, fixed_gamma = PARTIALS[name]
-    g = gamma if fixed_gamma is None else fixed_gamma
-    values = attempt(fn, DEFAULT_PARAMS.with_gamma(g), tau, r)
+    p = params(sigma, beta, gamma if fixed_gamma is None else fixed_gamma)
+    values = attempt(fn, p, tau, r)
     assert values is None or all(math.isfinite(v) for v in values)
+    residual = attempt(lambda p, tau, r: pde_residual(fn, p, tau, r), p, tau, r)
+    assert residual is None or math.isfinite(residual)
 
 
 @pytest.mark.parametrize("fn", [vasicek_log_price, vasicek_partials])
