@@ -39,11 +39,12 @@ Numerical notes
   it needs (for q, r^{2 gamma} and each monomial table) at most once per
   exact exponent float, and reuses it only for that same float; a
   composite passes its table as ``r`` to the public functions it is built
-  from.  No coefficient is merged and every sum keeps its table order, so
-  sharing changes no bit of any result; improved_log_price forms 14 powers
-  of r at gamma = 1.32 instead of 34.  Each domain check runs at most once
-  per call, in table order, and every refusal names the outermost call.
-  The table lives only for the call: no cache, no knob.
+  from.  r**0 is 1.0 and r**1 is r (exact for every x, NaN included), and
+  q and r^{2 gamma} at gamma = 0 are 0.0 and 1.0.  No coefficient is
+  merged and every sum keeps its table order, so sharing changes no bit
+  of any result; improved_log_price forms 14 powers of r at gamma = 1.32
+  instead of 34.  The domain checks read one reduction, the least rate,
+  and every refusal names the outermost call.  No cache, no knob.
 * Building the table applies the maturity rule of
   :func:`bondkit.model._check_maturity`.  The rule tests results, not
   constants: a non-finite value from any call, a Python float overflow or
@@ -127,8 +128,8 @@ def _derive(terms):
 class _Powers:
     """The power table and context of one public call ``what`` (at
     maturity ``tau``, if it takes one): the rates ``arr``, each ``arr**pw``
-    formed at most once per exponent float, and which rate-domain checks
-    have already passed.  Every refusal through it names ``what``.
+    formed at most once per exponent float, and the least rate, which every
+    rate-domain check reads.  Every refusal through it names ``what``.
 
     Built afresh by the outermost public function and dropped when it
     returns, so no state outlives a call.  Keys are exact exponent floats:
@@ -139,14 +140,14 @@ class _Powers:
     its caller's table, so the refusal names the same function.
     """
 
-    __slots__ = ("scalar", "arr", "what", "_pows", "_nonneg", "_floored", "_tau")
+    __slots__ = ("scalar", "arr", "what", "_pows", "_low", "_tau")
 
     def __init__(self, r, what: str, *tau):
         _check_maturity(*tau)
         self.arr = np.asarray(r, dtype=float)
         self.scalar = self.arr.ndim == 0
         self._pows = {}
-        self._nonneg, self._floored = False, False
+        self._low = None
         self.what, self._tau = what, tau
 
     @classmethod
@@ -166,23 +167,26 @@ class _Powers:
         return f"{self.what}: out of float range{at}"
 
     def __call__(self, pw):
-        """arr**pw, formed on first use."""
+        """arr**pw, formed on first use; 1.0 and the rates themselves for
+        pw = 0 and 1, so no caller may write into what this returns."""
         out = self._pows.get(pw)
         if out is None:
-            out = self._pows[pw] = self.arr**pw
+            out = self._pows[pw] = 1.0 if pw == 0 else self.arr if pw == 1 else self.arr**pw
         return out
+
+    def low(self):
+        """The least rate (NaN if any is NaN, inf if none), reduced once."""
+        if self._low is None:
+            self._low = np.minimum.reduce(self.arr, axis=None, initial=math.inf)
+        return self._low
 
     def check(self, singular: bool):
         """Refuse, in the call's name, a negative or NaN rate and, if
-        ``singular``, a rate below R_FLOOR; a passed check is not run again."""
-        if not self._nonneg:
-            if not (self.arr >= 0).all():
-                raise DomainError(f"{self.what}: negative or NaN rate")
-            self._nonneg = True
-        if singular and not self._floored:
-            if (self.arr < R_FLOOR).any():
-                raise DomainError(f"{self.what}: singular as r -> 0 for this gamma; need r >= {R_FLOOR}")
-            self._floored = True
+        ``singular``, a rate below R_FLOOR."""
+        if not self.low() >= 0:
+            raise DomainError(f"{self.what}: negative or NaN rate")
+        if singular and self.low() < R_FLOOR:
+            raise DomainError(f"{self.what}: singular as r -> 0 for this gamma; need r >= {R_FLOOR}")
 
     def sum(self, terms):
         """Sum coef * r**power over a (coef, power) table, in table order,
@@ -194,12 +198,14 @@ class _Powers:
         when a surviving monomial has a negative power.
         """
         live = [(c, pw) for c, pw in terms if c != 0.0]
-        out = np.zeros_like(self.arr)
+        # in place for arrays; [()] makes a scalar's sum a NumPy scalar,
+        # which adds an order of magnitude faster than a 0-d array
+        out = np.zeros_like(self.arr)[()]
         if not live:
             return out
         self.check(any(pw < 0 for _, pw in live))
         for c, pw in live:
-            out = out + (c if pw == 0 else c * self(pw))
+            out += c * self(pw)
         return out
 
     def result(self, out):
@@ -223,8 +229,7 @@ def q_factor(p: ModelParams, r):
     0 < gamma < 1/2, so those gammas need r >= R_FLOOR.
 
     Kept in factored form rather than summed from :func:`_q_terms`: the
-    factored form needs two powers of r instead of three, which keeps every
-    :func:`cw_log_price` call 15-20 % cheaper.
+    factored form needs two powers of r instead of three.
     """
     with _Powers.of(r, "q_factor") as pows:
         g = p.gamma
@@ -246,14 +251,13 @@ def _q_terms(p: ModelParams):
 
 
 def _q_and_r2g(p: ModelParams, pows: _Powers):
-    """q(r) and r^{2 gamma} under the rate domain of :func:`q_factor`."""
-    q = q_factor(p, pows)
+    """q(r) and r^{2 gamma} (0.0 and 1.0 at gamma = 0) under the rate domain of :func:`q_factor`."""
     if p.gamma != 0:
-        return q, pows(2 * p.gamma)
+        return q_factor(p, pows), pows(2 * p.gamma)
     # q vanishes here without looking at r; Vasicek keeps negative rates
-    if np.isnan(pows.arr).any():
+    if math.isnan(pows.low()):
         raise DomainError(f"{pows.what}: NaN rate")
-    return q, np.ones_like(pows.arr)
+    return 0.0, 1.0
 
 
 def cw_log_price(p: ModelParams, tau: float, r):
@@ -273,7 +277,7 @@ def cw_log_price(p: ModelParams, tau: float, r):
     with _Powers.of(r, "cw_log_price", tau) as pows:
         q, r2g = _q_and_r2g(p, pows)
         B, t1, eg, fh = _beta_brackets(p, tau)
-        return pows.result(-pows.arr * B + t1 + (r2g + q * tau) * eg - q * fh)
+        return pows.result(t1 - pows.arr * B + (r2g + q * tau) * eg - q * fh)
 
 
 def cw_partials(p: ModelParams, tau: float, r):

@@ -123,7 +123,10 @@ def cir_partials(p: ModelParams, tau: float, r):
     The affine structure gives f_rr = 0 exactly.
     """
     with _Powers(r, "cir_partials", tau) as pows:
-        _, b_term, th, e_neg, C = _cir(p, tau, pows)
+        # theta*tau and (theta-beta)*tau may overflow in the factored form's
+        # log_a, which the partials do not use; e^{-theta tau} is then 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, b_term, th, e_neg, C = _cir(p, tau, pows)
         dlog_a = (th - p.beta) / 2.0 - th * (th - p.beta) / C
         db = 4.0 * th * th * e_neg / (C * C)
         f_tau = (2.0 * p.alpha / (p.sigma * p.sigma)) * dlog_a - pows.arr * db

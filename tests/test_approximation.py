@@ -298,3 +298,36 @@ class TestInputGuards:
         assert np.isfinite(cw_log_price(vas_params, 1.0, -0.05))
         assert np.all(np.isfinite(cw_partials(vas_params, 1.0, -0.05)))
         assert np.all(np.isfinite(vasicek_partials(vas_params, 1.0, -0.05)))
+
+
+class TestCallContract:
+    """Every public pricer, partials and coefficient function: a scalar rate
+    gives Python floats, and an array rate, read-only here, gives new arrays
+    of its shape, empty included; so no call writes into the caller's rates
+    or hands them back."""
+
+    TAKES_TAU = (cw_log_price, cw_partials, improved_log_price, vasicek_log_price,
+                 vasicek_partials, cir_log_price, cir_partials)
+    CASES = ([(fn, g) for fn in (q_factor, k4, k5, c5, c5_derivatives, c6, cw_log_price,
+                                 cw_partials, improved_log_price) for g in (0.0, 0.5, 0.75)]
+             + [(vasicek_log_price, 0.0), (vasicek_partials, 0.0),
+                (cir_log_price, 0.5), (cir_partials, 0.5)])
+
+    def values(self, fn, p, r):
+        out = fn(p, 1.0, r) if fn in self.TAKES_TAU else fn(p, r)
+        return out if isinstance(out, tuple) else (out,)
+
+    @pytest.mark.parametrize("fn, gamma", CASES, ids=lambda v: getattr(v, "__name__", repr(v)))
+    def test_scalar_rate_gives_floats(self, params, fn, gamma):
+        for r in (0.05, np.float64(0.05), np.asarray(0.05)):
+            for v in self.values(fn, params.with_gamma(gamma), r):
+                assert type(v) is float
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 3), (0,)])
+    @pytest.mark.parametrize("fn, gamma", CASES, ids=lambda v: getattr(v, "__name__", repr(v)))
+    def test_read_only_array_rate_gives_new_arrays_of_its_shape(self, params, fn, gamma, shape):
+        r = np.linspace(1e-6, 0.15, int(np.prod(shape))).reshape(shape)
+        r.setflags(write=False)
+        for v in self.values(fn, params.with_gamma(gamma), r):
+            assert type(v) is np.ndarray and v.dtype == float and v.shape == shape
+            assert v.flags.writeable and not np.shares_memory(v, r)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,23 @@ class TestCir:
             assert cir_log_price(params, tau, 0.1) == pytest.approx(
                 float(mp_cir(params, tau, 0.1)), rel=1e-13
             )
+
+    @pytest.mark.parametrize("beta", [2.0, -2.0])
+    def test_partials_at_overflowing_theta_tau(self, beta):
+        # theta*tau overflows, e^{-theta tau} = 0 keeps the partials finite,
+        # and turning NumPy's warnings into errors must not refuse them
+        p = ModelParams(0.00315, beta, 0.0894, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = cir_partials(p, 1e308, 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loud = cir_partials(p, 1e308, 0.05)
+            with pytest.raises(ValidationError, match=r"^cir_log_price: out of float range at tau=1e\+308$"):
+                cir_log_price(p, 1e308, 0.05)
+        assert all(math.isfinite(v) for v in loud)
+        assert np.array(loud).tobytes() == np.array(quiet).tobytes()
+        assert loud[1] == pytest.approx(-2.0 / (math.sqrt(beta**2 + 2 * p.sigma**2) - beta))
 
     def test_price_in_unit_interval_and_monotone(self, params):
         r = np.linspace(0.001, 0.3, 50)

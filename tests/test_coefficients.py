@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from _reference import mp_c5, mp_c6, mp_k4, mp_k5
-from bondkit import (ModelParams, c5, c5_derivatives, c6, cw_partials, improved_log_price, k4,
-                     k5, q_factor)
-from bondkit.approximation import _c5_terms, _derive, _k5_terms
+from bondkit import (ModelParams, c5, c5_derivatives, c6, cw_log_price, cw_partials,
+                     improved_log_price, k4, k5, q_factor, vasicek_log_price)
+from bondkit.approximation import _beta_brackets, _c5_terms, _derive, _k5_terms
 from bondkit.errors import DomainError
 
 
@@ -229,6 +229,54 @@ class TestTermByTerm:
         for name, g, want in zip(("k4", "k5", "c5", "c5'", "c5''", "c6"), got,
                                  self.reference(p, r)):
             assert np.array_equal(g, want), name
+
+
+class TestPricersTermByTerm:
+    """The pricers equal the module-docstring formula
+
+        ln P = -r B + t1 + (r^{2 gamma} + q tau) eg - q fh,   q and r^{2 gamma}
+        as explicit arrays (zeros and ones at gamma = 0, r**0 and r**1 formed),
+
+    evaluated term by term in this order, bit for bit; the improved price
+    subtracts the term-by-term c5 tau^5 and c6 tau^6.  Skipping a pass that
+    cannot change a bit (a power 0 or 1, a vanishing q) must keep every one."""
+
+    GRID = np.linspace(1e-6, 0.15, 1501)
+
+    @staticmethod
+    def cw(p, tau, r):
+        arr = np.asarray(r, dtype=float)
+        g = p.gamma
+        if g == 0:
+            q, r2g = np.zeros_like(arr), np.ones_like(arr)
+        else:
+            q = (g * (2 * g - 1) * (p.sigma * p.sigma) * arr ** (2 * (2 * g - 1))
+                 + 2 * g * arr ** (2 * g - 1) * (p.alpha + p.beta * arr))
+            r2g = arr ** (2 * g)
+        B, t1, eg, fh = _beta_brackets(p, tau)
+        return -arr * B + t1 + (r2g + q * tau) * eg - q * fh
+
+    def improved(self, p, tau, r):
+        if p.gamma == 0:
+            return self.cw(p, tau, r)
+        _, _, c5r, _, _, c6r = TestTermByTerm().reference(p, r)
+        return self.cw(p, tau, r) - c5r * tau**5 - c6r * tau**6
+
+    @staticmethod
+    def same_bits(got, want):
+        assert type(got) is (float if np.ndim(want) == 0 else np.ndarray)
+        assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 0.75, 1.0, 1.32])
+    @pytest.mark.parametrize("tau", [0.05, 1.0, 7.0])  # |beta tau| below and above 0.01
+    @pytest.mark.parametrize("rates", ["grid", 1e-6, 0.05])
+    def test_bit_identical_to_the_formula(self, params, gamma, tau, rates):
+        p = params.with_gamma(gamma)
+        r = self.GRID if rates == "grid" else rates
+        self.same_bits(cw_log_price(p, tau, r), self.cw(p, tau, r))
+        self.same_bits(improved_log_price(p, tau, r), self.improved(p, tau, r))
+        if gamma == 0:
+            self.same_bits(vasicek_log_price(p, tau, r), self.cw(p, tau, r))
 
 
 class TestReferenceOffHalf:
