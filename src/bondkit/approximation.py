@@ -44,7 +44,19 @@ Numerical notes
   merged and every sum keeps its table order, so sharing changes no bit
   of any result; improved_log_price forms 14 powers of r at gamma = 1.32
   instead of 34.  The domain checks read one reduction, the least rate,
-  and every refusal names the outermost call.  No cache, no knob.
+  and every refusal names the outermost call.
+* Powers kept across calls: a table over a C-contiguous array of 64 to
+  16384 rates takes each generic power (any exponent but 0, 1, 2, 0.5
+  and -1) from _Powers._kept, keyed by the array's shape and bytes, which
+  keeps read-only the np.power results of the last 4 such arrays, 32 per
+  array (16.5 MiB at worst).  A table, an EOC ladder, a calibration loop
+  or a stream of curves re-prices one rate grid at other maturities and
+  parameters, and forms none of these powers again; the bits are those a
+  fresh call forms.  Both levels are functools.lru_cache, so threads may
+  share them.  An array priced only once pays for its key and for keeping
+  its powers (measured 8-31 % of a 1501-node call).  Scalars and other
+  arrays form their powers per call; the maturity, rate-domain and result
+  checks run on every call.  No knob.
 * Building the table applies the maturity rule of
   :func:`bondkit.model._check_maturity`.  The rule tests results, not
   constants: a non-finite value from any call, a Python float overflow or
@@ -54,6 +66,7 @@ Numerical notes
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -85,7 +98,16 @@ _SERIES_SWITCH = 1e-2
 
 def b_factor(beta: float, tau: float) -> float:
     """(e^{beta tau} - 1) / beta, and its limit tau where beta * tau is 0 or
-    subnormal (below 2**-1022): there the rounded product has lost digits."""
+    subnormal (below 2**-1022): there the rounded product has lost digits.
+
+    Under the maturity rule, and refused as out of float range where it
+    overflows (beta > 0 at a long maturity)."""
+    with _Powers(0.0, "b_factor", tau) as call:  # a scalar call: B is a float
+        return call.result(_b_factor(beta, tau))
+
+
+def _b_factor(beta: float, tau: float):
+    """:func:`b_factor` at a maturity the caller has checked."""
     if beta == 0 or abs(beta * tau) < 2.0**-1022:
         return float(tau)
     return np.expm1(beta * tau) / beta
@@ -102,7 +124,7 @@ def _beta_brackets(p: ModelParams, tau: float):
     switching to 4-term beta-series below |beta*tau| = 0.01.
     """
     alpha, beta = p.alpha, p.beta
-    B = b_factor(beta, tau)
+    B = _b_factor(beta, tau)
     s2 = p.sigma * p.sigma
     if abs(beta * tau) < _SERIES_SWITCH:
         b1, b2, b3 = beta, beta * beta, beta**3
@@ -132,22 +154,23 @@ class _Powers:
     rate-domain check reads.  Every refusal through it names ``what``.
 
     Built afresh by the outermost public function and dropped when it
-    returns, so no state outlives a call.  Keys are exact exponent floats:
-    a power is reused only where it would be recomputed bit for bit.
+    returns.  Keys are exact exponent floats: a power is reused only where
+    it would be recomputed bit for bit.  What outlives the call is kept in
+    :meth:`_kept`: the generic powers of a repeated rate array.
 
     As the call's context it refuses any call's result if not finite, and
     a float error on the way, as out of float range.  A nested call shares
     its caller's table, so the refusal names the same function.
     """
 
-    __slots__ = ("scalar", "arr", "what", "_pows", "_low", "_tau")
+    __slots__ = ("scalar", "arr", "what", "_pows", "_kept_here", "_low", "_tau")
 
     def __init__(self, r, what: str, *tau):
         _check_maturity(*tau)
         self.arr = np.asarray(r, dtype=float)
         self.scalar = self.arr.ndim == 0
         self._pows = {}
-        self._low = None
+        self._kept_here = self._low = None
         self.what, self._tau = what, tau
 
     @classmethod
@@ -168,11 +191,52 @@ class _Powers:
 
     def __call__(self, pw):
         """arr**pw, formed on first use; 1.0 and the rates themselves for
-        pw = 0 and 1, so no caller may write into what this returns."""
+        pw = 0 and 1, so no caller may write into what this returns.
+
+        A generic power (NumPy serves 2, 0.5 and -1 by square, sqrt and
+        reciprocal) of a C-contiguous array, whose bytes are its memory, of
+        64 to 16384 rates comes from :meth:`_kept`: below, a lookup costs
+        about what forming the power does; above, the kept powers would
+        take much memory."""
         out = self._pows.get(pw)
         if out is None:
-            out = self._pows[pw] = 1.0 if pw == 0 else self.arr if pw == 1 else self.arr**pw
+            arr = self.arr
+            if pw == 0:
+                out = 1.0
+            elif pw == 1:
+                out = arr
+            elif 64 <= arr.size <= 16384 and pw not in (2, 0.5, -1) and arr.flags.c_contiguous:
+                if self._kept_here is None:
+                    self._kept_here = self._kept(arr.shape, arr.tobytes())
+                out = self._kept_here(pw)
+            else:
+                out = arr**pw
+            self._pows[pw] = out
         return out
+
+    @staticmethod
+    @functools.lru_cache(maxsize=4)
+    def _kept(shape, data):
+        """The generic powers of the rates with this shape and these bytes,
+        as a function of the exponent that keeps its last 32 results.
+
+        Each power is the np.power a call would form, of a read-only copy
+        of the rates, so a repeated array gets the same bits without forming
+        them again, and writing into the caller's array afterwards changes
+        its key, not what is kept.  Each power is read-only.  At most 4
+        arrays of at most 16384 nodes are kept, with 32 powers each: 16.5
+        MiB at worst.  Both caches are functools.lru_cache, whose lookups
+        and updates are thread-safe; two threads that miss together form
+        the same bits, and either result is kept."""
+        rates = np.frombuffer(data).reshape(shape)
+
+        @functools.lru_cache(maxsize=32)
+        def power(pw):
+            out = rates**pw
+            out.setflags(write=False)
+            return out
+
+        return power
 
     def low(self):
         """The least rate (NaN if any is NaN, inf if none), reduced once."""
@@ -288,12 +352,14 @@ def cw_partials(p: ModelParams, tau: float, r):
     residuals down to rounding level (~1e-15).
     """
     with _Powers.of(r, "cw_partials", tau) as pows:
+        # the rate checks run in these sums, before the brackets that may
+        # overflow, so a refusal's type does not depend on the warning filter
         q, r2g = _q_and_r2g(p, pows)
-        B, _, eg, fh = _beta_brackets(p, tau)
         d1_terms = _derive([(1.0, 2 * p.gamma)])  # d/dr of r^{2 gamma}
         qp_terms = _derive(_q_terms(p))
         d1, d2, qp, qpp = (pows.sum(t)
                            for t in (d1_terms, _derive(d1_terms), qp_terms, _derive(qp_terms)))
+        B, _, eg, fh = _beta_brackets(p, tau)
         f_tau = -pows.arr * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
         f_r = -B + (d1 + qp * tau) * eg - qp * fh
         f_rr = (d2 + qpp * tau) * eg - qpp * fh

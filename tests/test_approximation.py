@@ -1,4 +1,8 @@
 
+import sys
+import threading
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from bondkit import (
     vasicek_partials,
 )
 from bondkit.analysis import METHODS
+from bondkit.approximation import _Powers
 from bondkit.errors import DomainError, ValidationError
 
 
@@ -227,6 +232,16 @@ class TestInputGuards:
             with pytest.raises(DomainError):
                 fn(p, 1.0, r)
 
+    @pytest.mark.parametrize("action", ["ignore", "error"])
+    def test_partials_check_the_rate_before_the_brackets(self, action):
+        # the beta-brackets overflow at this maturity; r = 0 is refused first
+        # whether NumPy's overflow warning is ignored or raised
+        p = ModelParams(0.00315, 2.0, 0.0894, 0.75)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(DomainError, match=r"^cw_partials: singular as r -> 0"):
+                cw_partials(p, 1e52, 0.0)
+
     @pytest.mark.parametrize("fn, gamma", [(cw_partials, 0.75), (vasicek_partials, 0.0)])
     def test_partials_overflow_is_typed(self, params, fn, gamma):
         p = ModelParams(params.alpha, 0.0, params.sigma, gamma)
@@ -323,7 +338,7 @@ class TestCallContract:
             for v in self.values(fn, params.with_gamma(gamma), r):
                 assert type(v) is float
 
-    @pytest.mark.parametrize("shape", [(7,), (2, 3), (0,)])
+    @pytest.mark.parametrize("shape", [(7,), (2, 3), (0,), (8, 16)])
     @pytest.mark.parametrize("fn, gamma", CASES, ids=lambda v: getattr(v, "__name__", repr(v)))
     def test_read_only_array_rate_gives_new_arrays_of_its_shape(self, params, fn, gamma, shape):
         r = np.linspace(1e-6, 0.15, int(np.prod(shape))).reshape(shape)
@@ -331,3 +346,88 @@ class TestCallContract:
         for v in self.values(fn, params.with_gamma(gamma), r):
             assert type(v) is np.ndarray and v.dtype == float and v.shape == shape
             assert v.flags.writeable and not np.shares_memory(v, r)
+
+
+class TestKeptPowers:
+    """The generic powers of a repeated rate array, kept across calls, give
+    the bits a fresh call forms, whatever the caller does with its array and
+    however many threads price at once."""
+
+    P = (ModelParams(0.00315, -0.0555, 0.0894, 0.75), ModelParams(0.00315, -0.0555, 0.0894, 1.32))
+
+    @staticmethod
+    def fresh(fn, *args):
+        _Powers._kept.cache_clear()
+        return fn(*args)
+
+    def test_writing_into_the_rates_between_calls(self):
+        r = np.linspace(1e-4, 0.15, 1501)
+        for p in self.P:
+            improved_log_price(p, 1.0, r)
+            r[700] = 0.2
+            got = improved_log_price(p, 1.0, r)
+            assert got.tobytes() == self.fresh(improved_log_price, p, 1.0, r).tobytes()
+            r *= 0.5
+            got = improved_log_price(p, 1.0, r)
+            assert got.tobytes() == self.fresh(improved_log_price, p, 1.0, r).tobytes()
+
+    def test_kept_powers_are_read_only_copies(self):
+        r = np.linspace(1e-4, 0.15, 1501)
+        _Powers._kept.cache_clear()
+        improved_log_price(self.P[1], 1.0, r)
+        assert r.flags.writeable
+        powers = _Powers._kept(r.shape, r.tobytes())
+        assert powers.cache_info().currsize == 14  # the generic powers at gamma = 1.32
+        kept = powers(2 * 1.32)
+        assert powers.cache_info().misses == 14
+        assert not kept.flags.writeable and not np.shares_memory(kept, r)
+        assert kept.tobytes() == (r ** (2 * 1.32)).tobytes()
+
+    def test_at_most_the_bound_is_kept(self):
+        _Powers._kept.cache_clear()
+        grids = [np.linspace(1e-4, 0.15 + k, 1501) for k in range(10)]
+        for r in grids:
+            improved_log_price(self.P[1], 1.0, r)
+        info = _Powers._kept.cache_info()
+        assert (info.currsize, info.maxsize, info.misses) == (4, 4, 10)
+        powers = _Powers._kept(grids[-1].shape, grids[-1].tobytes())
+        for g in np.linspace(0.6, 1.4, 10):
+            improved_log_price(self.P[0].with_gamma(float(g)), 1.0, grids[-1])
+        assert powers.cache_info().currsize == powers.cache_info().maxsize == 32
+
+    def test_scalars_and_arrays_outside_the_window_keep_nothing(self):
+        _Powers._kept.cache_clear()
+        r = np.linspace(1e-4, 0.15, 20000)
+        for rates in (0.05, r[:63], r, r[::2][:1501], np.asfortranarray(r[:1500].reshape(30, 50))):
+            improved_log_price(self.P[1], 1.0, rates)
+        assert _Powers._kept.cache_info().currsize == 0
+
+    def test_threads_give_the_serial_bits(self):
+        # more threads than cores, more arrays than the bound and a short
+        # switch interval: misses and evictions race
+        grids = [np.linspace(1e-4, 0.15, 1501 + k) for k in range(6)]
+        taus = np.linspace(0.05, 10.0, 200)
+        jobs = [(p, float(tau), k % len(grids)) for k, tau in enumerate(taus) for p in self.P]
+        _Powers._kept.cache_clear()
+        want = [improved_log_price(p, tau, grids[k]).tobytes() for p, tau, k in jobs]
+        _Powers._kept.cache_clear()
+        got = [[None] * len(jobs) for _ in range(4)]
+
+        def work(out, shift):
+            for i in range(len(jobs)):
+                j = (i + shift) % len(jobs)
+                p, tau, k = jobs[j]
+                out[j] = improved_log_price(p, tau, grids[k]).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out, 37 * n)) for n, out in enumerate(got)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(out == want for out in got)

@@ -46,6 +46,18 @@ class TestBFactor:
         for beta, tau in ((5e-324, 0.3), (-1e-320, 3.0), (1e-310, 0.3)):
             assert b_factor(beta, tau) == tau
 
+    @pytest.mark.parametrize("action", ["ignore", "error"])
+    def test_overflow_is_refused_under_either_warning_filter(self, action):
+        # e^{beta tau} overflows for beta > 0; for beta < 0 it underflows and
+        # B is the finite limit -1/beta, a Python float like every B
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            for beta in (0.0555, 2.0):
+                with pytest.raises(ValidationError, match=r"^b_factor: out of float range at tau=1e\+308$"):
+                    b_factor(beta, 1e308)
+            B = b_factor(-0.0555, 1e308)
+        assert type(B) is float and B == -1.0 / -0.0555
+
 
 class TestVasicek:
     def test_zero_maturity(self, vas_params):

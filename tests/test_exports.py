@@ -38,7 +38,8 @@ def test_package_exports_every_module_list():
 
 
 #: The pricer and coefficient signatures.  The power table a call shares
-#: between its monomial tables is private to the call: no knob, no cache.
+#: between its monomial tables is private to the call, and the powers a
+#: repeated rate array keeps across calls need no argument: no knob.
 SIGNATURES = {
     "b_factor": "(beta: 'float', tau: 'float') -> 'float'",
     "q_factor": "(p: 'ModelParams', r)",
@@ -107,11 +108,12 @@ def test_approximation_module_constants():
 
 def test_approximation_module_functions():
     # a composite passes its power table to the public functions it is
-    # built from, so no public function has a private twin
+    # built from, so no public function has a private twin but b_factor's,
+    # which the pricers call at the maturity they have checked
     tree = ast.parse(Path(approximation.__file__).read_text())
     names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     public = {n for n in approximation.__all__ if inspect.isfunction(getattr(approximation, n))}
-    assert names == public | {"_beta_brackets", "_derive", "_q_terms", "_q_and_r2g",
+    assert names == public | {"_b_factor", "_beta_brackets", "_derive", "_q_terms", "_q_and_r2g",
                               "_c5_terms", "_k5_terms", "_coef"}
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bondkit import (DEFAULT_PARAMS, LogPriceCurve, MaturityGrid, PdeConfig, RateGrid,
-                     ValidationError, cir_log_price, cir_partials, cw_log_price, cw_partials, eoc,
+                     ValidationError, b_factor, cir_log_price, cir_partials, cw_log_price, cw_partials, eoc,
                      improved_log_price, pde_residual, solve, vasicek_log_price, vasicek_partials)
 from bondkit.cli import main
 from bondkit.model import _check_maturity
@@ -21,6 +21,7 @@ VAS = DEFAULT_PARAMS.with_gamma(0.0)
 #: Each entry point as a function of the maturity alone, at inputs it
 #: otherwise accepts.
 ENTRY_POINTS = {
+    "b_factor": lambda tau: b_factor(DEFAULT_PARAMS.beta, tau),
     "cw_log_price": lambda tau: cw_log_price(DEFAULT_PARAMS, tau, 0.05),
     "improved_log_price": lambda tau: improved_log_price(DEFAULT_PARAMS, tau, 0.05),
     "cir_log_price": lambda tau: cir_log_price(DEFAULT_PARAMS, tau, 0.05),
