@@ -35,16 +35,17 @@ Numerical notes
   k4, k5 and c5 have no negative powers at all.  q_factor obeys the same
   rule (negative powers exactly for 0 < gamma < 1/2).
 * k4 and c5 share one table, so c5 = -k4/5 holds to ~1e-15 relative.
-* One power table per call: each public function forms every power of r
-  it needs (for q, r^{2 gamma} and each monomial table) at most once per
-  exact exponent float, and reuses it only for that same float; a
-  composite passes its table as ``r`` to the public functions it is built
-  from.  r**0 is 1.0 and r**1 is r (exact for every x, NaN included), and
-  q and r^{2 gamma} at gamma = 0 are 0.0 and 1.0.  No coefficient is
-  merged and every sum keeps its table order, so sharing changes no bit
-  of any result; improved_log_price forms 14 powers of r at gamma = 1.32
-  instead of 34.  The domain checks read one reduction, the least rate,
-  and every refusal names the outermost call.
+* One power table per call: _call builds it for the outermost call and
+  hands it to the body as ``r``, which passes it on as ``r`` to the public
+  functions it is built from (pde_residual to its ``partials``).  Each
+  power of r (for q, r^{2 gamma} and each monomial table) is formed at most
+  once per exact exponent float, and reused only for that same float.
+  r**0 is 1.0 and r**1 is r (exact for every x, NaN included), and q and
+  r^{2 gamma} at gamma = 0 are 0.0 and 1.0.  No coefficient is merged and
+  every sum keeps its table order, so sharing changes no bit of any
+  result; improved_log_price forms 14 powers of r at gamma = 1.32 instead
+  of 34.  The domain checks read one reduction, the least rate, and every
+  refusal names the outermost call.
 * Powers kept across calls: a table over a C-contiguous array of 64 to
   16384 rates takes each generic power (any exponent but 0, 1, 2, 0.5
   and -1) from _Powers._kept, keyed by the array's shape and bytes, which
@@ -57,16 +58,16 @@ Numerical notes
   its powers (measured 8-31 % of a 1501-node call).  Scalars and other
   arrays form their powers per call; the maturity, rate-domain and result
   checks run on every call.  No knob.
-* Building the table applies the maturity rule of
-  :func:`bondkit.model._check_maturity`.  The rule tests results, not
-  constants: a non-finite value from any call, a Python float overflow or
-  zero division, and a NumPy floating-point warning raised as an error
-  (``-W error``) are each a ValidationError naming call and tau.
+* _call applies the maturity rule of :func:`bondkit.model._check_maturity`
+  and one float rule that tests results, not constants: a non-finite value
+  from any call, a Python float overflow or zero division, and a NumPy
+  warning raised as an error (``-W error``) are each a ValidationError.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -96,18 +97,46 @@ R_FLOOR = 1e-6
 _SERIES_SWITCH = 1e-2
 
 
+def _call(fn):
+    """``fn`` under the one contract of the public functions.
+
+    Called with rates ``r``, it builds the call's power table, named after
+    ``fn``, under the maturity rule, and runs ``fn`` with the table as
+    ``r`` (b_factor, without rates, gets a table of 0.0).  A result, item by
+    item for a tuple, that is not finite, a Python float overflow or zero
+    division, and a NumPy warning raised as an error are each refused as
+    out of float range.  Called with a caller's table, it runs ``fn`` on it
+    and checks the result there, so a non-finite term is refused before a
+    later term's domain check can refuse it, whatever the warning filter.
+    """
+    sig = inspect.signature(fn)
+    what, names = fn.__name__, list(sig.parameters)
+    rates, n = "r" in names, len(names)
+    at = names.index("tau") if "tau" in names else None
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        if kwargs or len(args) != n:  # a keyword call, or a TypeError
+            args = sig.bind(*args, **kwargs).args
+        r = args[-1]
+        if type(r) is _Powers:
+            return r.result(fn(*args))
+        pows = _Powers(r if rates else 0.0, what, None if at is None else args[at])
+        try:
+            return pows.result(fn(*args[:-1], pows) if rates else fn(*args))
+        except (OverflowError, ZeroDivisionError, RuntimeWarning):
+            raise ValidationError(pows._out_of_range()) from None
+
+    return call
+
+
+@_call
 def b_factor(beta: float, tau: float) -> float:
     """(e^{beta tau} - 1) / beta, and its limit tau where beta * tau is 0 or
     subnormal (below 2**-1022): there the rounded product has lost digits.
 
     Under the maturity rule, and refused as out of float range where it
     overflows (beta > 0 at a long maturity)."""
-    with _Powers(0.0, "b_factor", tau) as call:  # a scalar call: B is a float
-        return call.result(_b_factor(beta, tau))
-
-
-def _b_factor(beta: float, tau: float):
-    """:func:`b_factor` at a maturity the caller has checked."""
     if beta == 0 or abs(beta * tau) < 2.0**-1022:
         return float(tau)
     return np.expm1(beta * tau) / beta
@@ -124,7 +153,7 @@ def _beta_brackets(p: ModelParams, tau: float):
     switching to 4-term beta-series below |beta*tau| = 0.01.
     """
     alpha, beta = p.alpha, p.beta
-    B = _b_factor(beta, tau)
+    B = b_factor.__wrapped__(beta, tau)  # the body: the caller checked tau
     s2 = p.sigma * p.sigma
     if abs(beta * tau) < _SERIES_SWITCH:
         b1, b2, b3 = beta, beta * beta, beta**3
@@ -148,45 +177,28 @@ def _derive(terms):
 
 
 class _Powers:
-    """The power table and context of one public call ``what`` (at
-    maturity ``tau``, if it takes one): the rates ``arr``, each ``arr**pw``
-    formed at most once per exponent float, and the least rate, which every
-    rate-domain check reads.  Every refusal through it names ``what``.
-
-    Built afresh by the outermost public function and dropped when it
-    returns.  Keys are exact exponent floats: a power is reused only where
+    """The power table :func:`_call` builds for one public call ``what``
+    (at maturity ``tau``, if it takes one): the rates ``arr``, each
+    ``arr**pw`` formed at most once per exponent float, and the least rate,
+    which every rate-domain check reads.  Every refusal through it names
+    ``what``.  Keys are exact exponent floats: a power is reused only where
     it would be recomputed bit for bit.  What outlives the call is kept in
     :meth:`_kept`: the generic powers of a repeated rate array.
-
-    As the call's context it refuses any call's result if not finite, and
-    a float error on the way, as out of float range.  A nested call shares
-    its caller's table, so the refusal names the same function.
     """
 
     __slots__ = ("scalar", "arr", "what", "_pows", "_kept_here", "_low", "_tau")
 
-    def __init__(self, r, what: str, *tau):
-        _check_maturity(*tau)
+    def __init__(self, r, what: str, tau=None):
+        if tau is not None:
+            _check_maturity(tau)
         self.arr = np.asarray(r, dtype=float)
         self.scalar = self.arr.ndim == 0
         self._pows = {}
         self._kept_here = self._low = None
         self.what, self._tau = what, tau
 
-    @classmethod
-    def of(cls, r, what: str, *tau):
-        """A caller's table ``r`` as it is, else a new table for the rates ``r``."""
-        return r if isinstance(r, cls) else cls(r, what, *tau)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, exc, tb):
-        if kind is not None and issubclass(kind, (OverflowError, ZeroDivisionError, RuntimeWarning)):
-            raise ValidationError(self._out_of_range()) from None
-
     def _out_of_range(self):
-        at = f" at tau={self._tau[0]!r}" if self._tau else ""
+        at = "" if self._tau is None else f" at tau={self._tau!r}"
         return f"{self.what}: out of float range{at}"
 
     def __call__(self, pw):
@@ -273,8 +285,10 @@ class _Powers:
         return out
 
     def result(self, out):
-        """``out`` as a float for a scalar rate, else as computed; refused
-        in the call's name if not finite."""
+        """``out`` as a float for a scalar rate, else as computed, and a
+        tuple item by item; refused in the call's name if not finite."""
+        if type(out) is tuple:
+            return tuple(map(self.result, out))
         out = float(out) if self.scalar else out
         # an inf or NaN makes the sum of squares non-finite; that one BLAS
         # pass raises no overflow warning and costs a third of np.isfinite
@@ -284,6 +298,7 @@ class _Powers:
         return out
 
 
+@_call
 def q_factor(p: ModelParams, r):
     """Drift adjustment q(r) entering the closed-form log price.
 
@@ -295,13 +310,12 @@ def q_factor(p: ModelParams, r):
     Kept in factored form rather than summed from :func:`_q_terms`: the
     factored form needs two powers of r instead of three.
     """
-    with _Powers.of(r, "q_factor") as pows:
-        g = p.gamma
-        if g == 0:
-            return pows.result(np.zeros_like(pows.arr))
-        pows.check(g < 0.5)
-        return pows.result(g * (2 * g - 1) * (p.sigma * p.sigma) * pows(2 * (2 * g - 1))
-                           + 2 * g * pows(2 * g - 1) * (p.alpha + p.beta * pows.arr))
+    g = p.gamma
+    if g == 0:
+        return np.zeros_like(r.arr)
+    r.check(g < 0.5)
+    return (g * (2 * g - 1) * (p.sigma * p.sigma) * r(2 * (2 * g - 1))
+            + 2 * g * r(2 * g - 1) * (p.alpha + p.beta * r.arr))
 
 
 def _q_terms(p: ModelParams):
@@ -324,6 +338,7 @@ def _q_and_r2g(p: ModelParams, pows: _Powers):
     return 0.0, 1.0
 
 
+@_call
 def cw_log_price(p: ModelParams, tau: float, r):
     """Closed-form approximate log bond price (exact for gamma = 0).
 
@@ -338,12 +353,12 @@ def cw_log_price(p: ModelParams, tau: float, r):
     -------
     Log price, same shape as ``r``.
     """
-    with _Powers.of(r, "cw_log_price", tau) as pows:
-        q, r2g = _q_and_r2g(p, pows)
-        B, t1, eg, fh = _beta_brackets(p, tau)
-        return pows.result(t1 - pows.arr * B + (r2g + q * tau) * eg - q * fh)
+    q, r2g = _q_and_r2g(p, r)
+    B, t1, eg, fh = _beta_brackets(p, tau)
+    return t1 - r.arr * B + (r2g + q * tau) * eg - q * fh
 
 
+@_call
 def cw_partials(p: ModelParams, tau: float, r):
     """Analytic (f_tau, f_r, f_rr) of :func:`cw_log_price`; as fh' = tau eg',
     f_tau = -r e^{beta tau} - alpha B + (1/2) sigma^2 r^{2 gamma} B^2 + q eg.
@@ -351,19 +366,17 @@ def cw_partials(p: ModelParams, tau: float, r):
     Suitable as the ``partials`` argument of :func:`pde_residual`; resolves
     residuals down to rounding level (~1e-15).
     """
-    with _Powers.of(r, "cw_partials", tau) as pows:
-        # the rate checks run in these sums, before the brackets that may
-        # overflow, so a refusal's type does not depend on the warning filter
-        q, r2g = _q_and_r2g(p, pows)
-        d1_terms = _derive([(1.0, 2 * p.gamma)])  # d/dr of r^{2 gamma}
-        qp_terms = _derive(_q_terms(p))
-        d1, d2, qp, qpp = (pows.sum(t)
-                           for t in (d1_terms, _derive(d1_terms), qp_terms, _derive(qp_terms)))
-        B, _, eg, fh = _beta_brackets(p, tau)
-        f_tau = -pows.arr * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
-        f_r = -B + (d1 + qp * tau) * eg - qp * fh
-        f_rr = (d2 + qpp * tau) * eg - qpp * fh
-        return pows.result(f_tau), pows.result(f_r), pows.result(f_rr)
+    # the rate checks run in these sums, before the brackets that may
+    # overflow, so a refusal's type does not depend on the warning filter
+    q, r2g = _q_and_r2g(p, r)
+    d1_terms = _derive([(1.0, 2 * p.gamma)])  # d/dr of r^{2 gamma}
+    qp_terms = _derive(_q_terms(p))
+    d1, d2, qp, qpp = (r.sum(t) for t in (d1_terms, _derive(d1_terms), qp_terms, _derive(qp_terms)))
+    B, _, eg, fh = _beta_brackets(p, tau)
+    f_tau = -r.arr * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
+    f_r = -B + (d1 + qp * tau) * eg - qp * fh
+    f_rr = (d2 + qpp * tau) * eg - qpp * fh
+    return f_tau, f_r, f_rr
 
 
 def _c5_terms(p: ModelParams):
@@ -402,92 +415,82 @@ def _k5_terms(p: ModelParams):
 
 
 def _coef(p: ModelParams, pows: _Powers, pref: float, terms):
-    """``pref`` times the sum of a monomial table; identically zero for
-    gamma = 0."""
+    """``pref`` times the sum of a monomial table; identically zero at gamma = 0."""
     return np.zeros_like(pows.arr) if p.gamma == 0 else pref * pows.sum(terms)
 
 
+@_call
 def k4(p: ModelParams, r):
     """Quartic residual coefficient: substituting the closed-form log price
     into the pricing PDE leaves h(tau, r) = k4 tau^4 + k5 tau^5 + o(tau^5)."""
-    with _Powers.of(r, "k4") as pows:
-        return pows.result(_coef(p, pows, p.gamma * p.sigma**2 / 24.0, _c5_terms(p)))
+    return _coef(p, r, p.gamma * p.sigma**2 / 24.0, _c5_terms(p))
 
 
+@_call
 def k5(p: ModelParams, r):
     """Quintic residual coefficient; see :func:`k4`."""
-    with _Powers.of(r, "k5") as pows:
-        return pows.result(_coef(p, pows, p.gamma * p.sigma**2 / 120.0, _k5_terms(p)))
+    return _coef(p, r, p.gamma * p.sigma**2 / 120.0, _k5_terms(p))
 
 
+@_call
 def c5(p: ModelParams, r):
     """Leading log-price error coefficient: ln P_approx - ln P_exact =
     c5(r) tau^5 + o(tau^5).  Identically equal to -k4(r)/5."""
-    with _Powers.of(r, "c5") as pows:
-        return pows.result(_coef(p, pows, -p.gamma * p.sigma**2 / 120.0, _c5_terms(p)))
+    return _coef(p, r, -p.gamma * p.sigma**2 / 120.0, _c5_terms(p))
 
 
+@_call
 def c5_derivatives(p: ModelParams, r):
     """Analytic (c5'(r), c5''(r)) by term-by-term differentiation."""
-    with _Powers.of(r, "c5_derivatives") as pows:
-        pref = -p.gamma * p.sigma**2 / 120.0
-        d1_terms = _derive(_c5_terms(p))
-        return (pows.result(_coef(p, pows, pref, d1_terms)),
-                pows.result(_coef(p, pows, pref, _derive(d1_terms))))
+    pref = -p.gamma * p.sigma**2 / 120.0
+    d1_terms = _derive(_c5_terms(p))
+    return _coef(p, r, pref, d1_terms), _coef(p, r, pref, _derive(d1_terms))
 
 
+@_call
 def c6(p: ModelParams, r):
     """Second error coefficient, defined by the recurrence
 
         c6 = (1/6) [ (1/2) sigma^2 r^{2 gamma} c5''(r)
                      + (alpha + beta r) c5'(r) - k5(r) ].
     """
-    with _Powers.of(r, "c6") as pows:
-        g = p.gamma
-        if g == 0:
-            return pows.result(np.zeros_like(pows.arr))
-        pows.check(False)  # the rate enters below even where every monomial vanishes
-        d1, d2 = c5_derivatives(p, pows)
-        return pows.result((
-            0.5 * p.sigma**2 * pows(2 * g) * d2 + (p.alpha + p.beta * pows.arr) * d1 - k5(p, pows)
-        ) / 6.0)
+    g = p.gamma
+    if g == 0:
+        return np.zeros_like(r.arr)
+    r.check(False)  # the rate enters below even where every monomial vanishes
+    d1, d2 = c5_derivatives(p, r)
+    return (0.5 * p.sigma**2 * r(2 * g) * d2 + (p.alpha + p.beta * r.arr) * d1 - k5(p, r)) / 6.0
 
 
+@_call
 def improved_log_price(p: ModelParams, tau: float, r):
     """Higher-order approximate log price:
     cw_log_price - c5(r) tau^5 - c6(r) tau^6 (error o(tau^6)).
 
     The three terms share this call's power table, which serves q,
-    r^{2 gamma}, c5, c5', c5'' and k5, and a refusal from any of them is
-    in this function's name.  At gamma = 0, where c5 and c6
+    r^{2 gamma}, c5, c5', c5'' and k5.  At gamma = 0, where c5 and c6
     vanish, this is :func:`cw_log_price`.
     """
-    with _Powers.of(r, "improved_log_price", tau) as pows:
-        if p.gamma == 0:
-            return cw_log_price(p, tau, pows)
-        return pows.result(cw_log_price(p, tau, pows) - c5(p, pows) * tau**5 - c6(p, pows) * tau**6)
+    if p.gamma == 0:
+        return cw_log_price.__wrapped__(p, tau, r)  # cw's body: this call checks the result
+    return cw_log_price(p, tau, r) - c5(p, r) * tau**5 - c6(p, r) * tau**6
 
 
+@_call
 def pde_residual(partials, p: ModelParams, tau: float, r: float):
     """Residual of a candidate log price f in the log-transformed pricing PDE
 
         -f_tau + (1/2) sigma^2 r^{2 gamma} [f_r^2 + f_rr]
         + (alpha + beta r) f_r - r.
 
-    Exact solutions give 0; the closed-form approximation gives
-    k4(r) tau^4 + k5(r) tau^5 + o(tau^5).  A residual that is not finite
-    is refused as out of float range, like a pricer's result.
+    Exact solutions give 0, the closed-form approximation k4(r) tau^4 +
+    k5(r) tau^5 + o(tau^5); like a pricer's result, it is refused if not finite.
 
     Parameters
     ----------
-    partials : callable (p, tau, r) -> (f_tau, f_r, f_rr), the analytic
-        partials of f, such as :func:`cw_partials`
+    partials : :func:`cw_partials`, ``cir_partials`` or ``vasicek_partials``,
+        (p, tau, r) -> (f_tau, f_r, f_rr); it gets this call's table as ``r``
     """
-    with _Powers(r, "pde_residual", tau) as pows:
-        f_tau, f_r, f_rr = partials(p, tau, r)
-        return pows.result(
-            -f_tau
-            + 0.5 * p.sigma**2 * pows(2 * p.gamma) * (f_r * f_r + f_rr)
-            + (p.alpha + p.beta * pows.arr) * f_r
-            - pows.arr
-        )
+    f_tau, f_r, f_rr = partials(p, tau, r)
+    return (-f_tau + 0.5 * p.sigma**2 * r(2 * p.gamma) * (f_r * f_r + f_rr)
+            + (p.alpha + p.beta * r.arr) * f_r - r.arr)

@@ -11,6 +11,9 @@ price and partials are :func:`~bondkit.approximation.cw_log_price` and
 :func:`~bondkit.approximation.cw_partials` behind a gamma guard.  The
 square-root price and partials come from one evaluation, :func:`_cir`; only
 :func:`cir_partials` forms the tau-derivatives, which may overflow alone.
+Each function is built by :func:`bondkit.approximation._call`, the pricers'
+one call contract: one power table per call, the maturity rule, and a
+finite result or a typed refusal in the function's own name.
 
 With theta = sqrt(beta^2 + 2 sigma^2) and D(tau) = (theta-beta)(e^{theta tau}-1)
 + 2 theta, the gamma = 1/2 price is
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .approximation import _Powers, cw_log_price, cw_partials
+from .approximation import _call, _Powers, cw_log_price, cw_partials
 from .errors import GammaMismatch
 from .model import ModelParams
 
@@ -47,26 +50,20 @@ def _require_gamma(p: ModelParams, pows: _Powers, gamma: float):
         raise GammaMismatch(f"{pows.what} requires gamma == {gamma}, got {p.gamma}")
 
 
+@_call
 def vasicek_log_price(p: ModelParams, tau: float, r):
-    """Exact Vasicek log price (gamma = 0).
-
-    The general closed-form approximation reduces to the exact affine
-    solution when gamma = 0, so this is :func:`cw_log_price` behind a gamma
-    guard.
-    """
-    pows = _Powers(r, "vasicek_log_price", tau)
-    _require_gamma(p, pows, 0)
-    return cw_log_price(p, tau, pows)
+    """Exact Vasicek log price (gamma = 0): :func:`cw_log_price`, exact at
+    gamma = 0, behind a gamma guard."""
+    _require_gamma(p, r, 0)
+    return cw_log_price.__wrapped__(p, tau, r)  # cw's body: this call checks the result
 
 
+@_call
 def vasicek_partials(p: ModelParams, tau: float, r):
-    """Analytic (f_tau, f_r, f_rr) of the Vasicek log price; f_rr = 0.
-
-    :func:`cw_partials` behind a gamma guard, as for the price.
-    """
-    pows = _Powers(r, "vasicek_partials", tau)
-    _require_gamma(p, pows, 0)
-    return cw_partials(p, tau, pows)
+    """Analytic (f_tau, f_r, f_rr) of the Vasicek log price, f_rr = 0:
+    :func:`cw_partials` behind a gamma guard, as for the price."""
+    _require_gamma(p, r, 0)
+    return cw_partials.__wrapped__(p, tau, r)
 
 
 def _cir(p: ModelParams, tau: float, pows: _Powers):
@@ -99,6 +96,7 @@ def _cir(p: ModelParams, tau: float, pows: _Powers):
     return log_a, b_term, th, e_neg, C
 
 
+@_call
 def cir_log_price(p: ModelParams, tau: float, r):
     """Exact log price for the square-root model (gamma = 1/2).
 
@@ -112,23 +110,22 @@ def cir_log_price(p: ModelParams, tau: float, r):
     -------
     Log price, same shape as ``r``.
     """
-    with _Powers(r, "cir_log_price", tau) as pows:
-        log_a, b_term, *_ = _cir(p, tau, pows)
-        return pows.result((2.0 * p.alpha / (p.sigma * p.sigma)) * log_a - pows.arr * b_term)
+    log_a, b_term, *_ = _cir(p, tau, r)
+    return (2.0 * p.alpha / (p.sigma * p.sigma)) * log_a - r.arr * b_term
 
 
+@_call
 def cir_partials(p: ModelParams, tau: float, r):
     """Analytic (f_tau, f_r, f_rr) of the gamma=1/2 log price.
 
     The affine structure gives f_rr = 0 exactly.
     """
-    with _Powers(r, "cir_partials", tau) as pows:
-        # theta*tau and (theta-beta)*tau may overflow in the factored form's
-        # log_a, which the partials do not use; e^{-theta tau} is then 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, b_term, th, e_neg, C = _cir(p, tau, pows)
-        dlog_a = (th - p.beta) / 2.0 - th * (th - p.beta) / C
-        db = 4.0 * th * th * e_neg / (C * C)
-        f_tau = (2.0 * p.alpha / (p.sigma * p.sigma)) * dlog_a - pows.arr * db
-        f_r = -b_term * np.ones_like(pows.arr)
-        return pows.result(f_tau), pows.result(f_r), pows.result(np.zeros_like(f_r))
+    # theta*tau and (theta-beta)*tau may overflow in the factored form's
+    # log_a, which the partials do not use; e^{-theta tau} is then 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, b_term, th, e_neg, C = _cir(p, tau, r)
+    dlog_a = (th - p.beta) / 2.0 - th * (th - p.beta) / C
+    db = 4.0 * th * th * e_neg / (C * C)
+    f_tau = (2.0 * p.alpha / (p.sigma * p.sigma)) * dlog_a - r.arr * db
+    f_r = -b_term * np.ones_like(r.arr)
+    return f_tau, f_r, np.zeros_like(f_r)

@@ -1,4 +1,5 @@
 
+import inspect
 import sys
 import threading
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from _reference import mp_cir, mp_cw, mp_improved
 from bondkit import (
     ModelParams,
+    b_factor,
     c5,
     c5_derivatives,
     c6,
@@ -159,6 +161,29 @@ class TestPdeResidual:
         with pytest.raises(ValidationError, match=r"^pde_residual: out of float range at tau=1\.0$"):
             pde_residual(cw_partials, p, 1.0, r)
 
+    @pytest.mark.parametrize("partials, gamma", [(cw_partials, 0.75), (cir_partials, 0.5),
+                                                 (vasicek_partials, 0.0)],
+                             ids=lambda v: getattr(v, "__name__", repr(v)))
+    def test_partials_share_the_call_table(self, params, monkeypatch, partials, gamma):
+        # one table per call: the maturity, the rate domain and r^{2 gamma}
+        # are checked and formed once, and a refusal names pde_residual
+        built = []
+        init = _Powers.__init__
+        monkeypatch.setattr(_Powers, "__init__", lambda self, *args: built.append(args[1]) or init(self, *args))
+        p = params.with_gamma(gamma)
+        for r in (0.05, np.linspace(1e-6, 0.15, 7)):
+            built.clear()
+            pde_residual(partials, p, 1.0, r)
+            assert built == ["pde_residual"]
+        with pytest.raises(DomainError, match=r"^pde_residual: (negative or )?NaN rate$"):
+            pde_residual(partials, p, 1.0, np.nan)
+
+    @pytest.mark.parametrize("partials", [cw_partials, cir_partials], ids=lambda fn: fn.__name__)
+    def test_negative_rate_is_refused_in_its_name(self, params, partials):
+        p = params.with_gamma(0.75 if partials is cw_partials else 0.5)
+        with pytest.raises(DomainError, match=r"^pde_residual: negative or NaN rate$"):
+            pde_residual(partials, p, 1.0, -0.1)
+
 
 class TestImproved:
     def test_zero_maturity(self, params):
@@ -255,6 +280,22 @@ class TestInputGuards:
         with pytest.raises(ValidationError, match=rf"^{fn.__name__}: out of float range$"):
             fn(p, 0.05)
 
+    @pytest.mark.parametrize("action", ["ignore", "error"])
+    @pytest.mark.parametrize("sigma, gamma, tau, r", [
+        (0.0894, 0.75, 1e308, 1e-7),
+        (1e100, 0.75, 1.0, 1e-7),
+        (1e100, 1.32, 0.25, np.linspace(0.0, 0.15, 101)),
+    ])
+    def test_nested_result_is_checked_before_the_next_term(self, action, sigma, gamma, tau, r):
+        # the cw term is not finite and the c5 term would refuse r < R_FLOOR;
+        # NumPy's warning raised as an error refuses the cw term, so its
+        # result is checked before c5 runs when the warning is ignored too
+        p = ModelParams(0.00315, -0.0555, sigma, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ValidationError, match=r"^improved_log_price: out of float range at tau="):
+                improved_log_price(p, tau, r)
+
     def test_nested_overflow_names_the_outer_call(self):
         # the beta -> 0 series overflows inside the cw term, which improved
         # evaluates on its own power table, so improved is the one refusing
@@ -331,6 +372,22 @@ class TestCallContract:
     def values(self, fn, p, r):
         out = fn(p, 1.0, r) if fn in self.TAKES_TAU else fn(p, r)
         return out if isinstance(out, tuple) else (out,)
+
+    @pytest.mark.parametrize("fn", [b_factor, q_factor, k4, k5, c5, c5_derivatives, c6, pde_residual,
+                                    *TAKES_TAU], ids=lambda fn: fn.__name__)
+    def test_keyword_call_gives_the_positional_bits(self, params, fn):
+        gamma = {vasicek_log_price: 0.0, vasicek_partials: 0.0, cir_log_price: 0.5, cir_partials: 0.5}
+        p = params.with_gamma(gamma.get(fn, 0.75))
+        r = np.linspace(1e-6, 0.15, 7)
+        args = ((p.beta, 1.0) if fn is b_factor else (cw_partials, p, 1.0, r) if fn is pde_residual
+                else (p, 1.0, r) if fn in self.TAKES_TAU else (p, r))
+        names = list(inspect.signature(fn).parameters)
+        want = fn(*args)
+        for head in range(len(args)):
+            got = fn(*args[:head], **dict(zip(names[head:], args[head:])))
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        with pytest.raises(TypeError, match="missing"):
+            fn(*args[:-1])
 
     @pytest.mark.parametrize("fn, gamma", CASES, ids=lambda v: getattr(v, "__name__", repr(v)))
     def test_scalar_rate_gives_floats(self, params, fn, gamma):

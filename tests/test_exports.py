@@ -3,8 +3,9 @@ of its modules) cannot meet a stale ``__all__`` entry, the package exports
 exactly its modules' ``__all__`` lists, the pricer signatures stay as they
 are, the error taxonomy stays at five types, the maturity rule has one
 home, the closed-form core keeps one beta threshold, each approximation
-function is written once, the float overflow rule has one home and each
-pricer's name is written once for its refusals."""
+function is written once, every pricer keeps the one call contract of
+``approximation._call``, the float overflow rule has one home and each
+pricer's name is written once, in ``__all__``."""
 
 import ast
 import importlib
@@ -108,17 +109,33 @@ def test_approximation_module_constants():
 
 def test_approximation_module_functions():
     # a composite passes its power table to the public functions it is
-    # built from, so no public function has a private twin but b_factor's,
-    # which the pricers call at the maturity they have checked
+    # built from, and a caller that keeps the contract itself calls a
+    # body (``fn.__wrapped__``), so no public function has a private twin
     tree = ast.parse(Path(approximation.__file__).read_text())
     names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     public = {n for n in approximation.__all__ if inspect.isfunction(getattr(approximation, n))}
-    assert names == public | {"_b_factor", "_beta_brackets", "_derive", "_q_terms", "_q_and_r2g",
+    assert names == public | {"_call", "_beta_brackets", "_derive", "_q_terms", "_q_and_r2g",
                               "_c5_terms", "_k5_terms", "_coef"}
 
 
+@pytest.mark.parametrize("module", [approximation, closed_form], ids=lambda m: m.__name__)
+def test_every_public_function_is_built_by_call(module):
+    # one home for the call contract: the table, the maturity rule and the
+    # float rule; so no function opens a table of its own
+    tree = ast.parse(Path(module.__file__).read_text())
+    decorated = {node.name: [ast.unparse(d) for d in node.decorator_list]
+                 for node in tree.body if isinstance(node, ast.FunctionDef) and node.decorator_list}
+    public = [n for n in module.__all__ if inspect.isfunction(getattr(module, n))]
+    assert decorated == {name: ["_call"] for name in public}
+    for name in public:  # the wrapper _call returns, wherever it is looked up
+        assert getattr(module, name).__code__ is approximation.b_factor.__code__
+    constructing = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "_Powers"}
+    assert constructing == ({"_call"} if module is approximation else set())
+
+
 def test_overflow_rule_has_one_home():
-    # the power table that is the context of every call turns a Python float
+    # _call, the wrapper of every public function, turns a Python float
     # overflow or zero division into a ValidationError; no function catches
     # either on its own
     named = sorted((source.name, node.id) for source in map(Path, (approximation.__file__, closed_form.__file__))
@@ -129,14 +146,14 @@ def test_overflow_rule_has_one_home():
 
 @pytest.mark.parametrize("module", [approximation, closed_form], ids=lambda m: m.__name__)
 def test_each_pricer_name_is_written_once(module):
-    # a refusal takes its name from the power table of the call, so a public
-    # name is a string only in __all__ and where the call opens its table
+    # a refusal takes its name from the power table _call builds, named
+    # after the function, so a public name is a string only in __all__
     tree = ast.parse(Path(module.__file__).read_text())
     counts = {name: 0 for name in module.__all__}
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and node.value in counts:
             counts[node.value] += 1
-    assert {name: n for name, n in counts.items() if n > 2} == {}
+    assert counts == {name: 1 for name in module.__all__}
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
