@@ -32,8 +32,11 @@ Numerical notes
   nonzero coefficient.  Zero coefficients drop out before any power is
   formed, so at gamma = 1/2 the tables reduce to the square-root-model
   polynomials and r = 0 evaluates to the analytic limit; for gamma >= 1
-  k4, k5 and c5 have no negative powers at all.  q_factor obeys the same
-  rule (negative powers exactly for 0 < gamma < 1/2).
+  k4, k5 and c5 have no negative powers at all.  A coefficient that is
+  inf * 0 = NaN, an overflowed product times a vanishing factor, is such a
+  zero too where the parameters are finite (sigma = 1e100 at gamma = 1/2);
+  a NaN parameter keeps its NaN.  q_factor obeys the same rule (negative
+  powers exactly for 0 < gamma < 1/2).
 * k4 and c5 share one table, so c5 = -k4/5 holds to ~1e-15 relative.
 * One power table per call: _call builds it for the outermost call and
   hands it to the body as ``r``, which passes it on as ``r`` to the public
@@ -46,18 +49,26 @@ Numerical notes
   result; improved_log_price forms 14 powers of r at gamma = 1.32 instead
   of 34.  The domain checks read one reduction, the least rate, and every
   refusal names the outermost call.
-* Powers kept across calls: a table over a C-contiguous array of 64 to
-  16384 rates takes each generic power (any exponent but 0, 1, 2, 0.5
-  and -1) from _Powers._kept, keyed by the array's shape and bytes, which
-  keeps read-only the np.power results of the last 4 such arrays, 32 per
-  array (16.5 MiB at worst).  A table, an EOC ladder, a calibration loop
-  or a stream of curves re-prices one rate grid at other maturities and
-  parameters, and forms none of these powers again; the bits are those a
-  fresh call forms.  Both levels are functools.lru_cache, so threads may
-  share them.  An array priced only once pays for its key and for keeping
-  its powers (measured 8-31 % of a 1501-node call).  Scalars and other
-  arrays form their powers per call; the maturity, rate-domain and result
-  checks run on every call.  No knob.
+* Values kept across calls: for a C-contiguous array of 64 to 16384 rates,
+  _Powers._kept keeps what is formed from the rates alone: each generic
+  power (any exponent but 0, 1, 2, 0.5 and -1), keyed by its exponent
+  float, and the tau-free results of q, k4, k5, c5, c5'/c5'' and c6 (the
+  (p, r) functions) called nested in another call, keyed by the function
+  and the exact bits of p's four floats, once they passed their checks.
+  The rates are keyed by their shape and bytes.  An array is kept from its
+  second sight on: the first records only a hash of its shape and end
+  rates, so an array priced once pays for its key alone (measured 3-12 % of a 1501-node cw or
+  improved call).  At most 4 arrays are kept, each with a read-only copy
+  of its rates and at most 32 read-only values, the least recently used
+  dropped first; a c5_derivatives value holds two arrays, so 4 x (1 + 2 x
+  32) x 16384 x 8 B = 32.5 MiB at worst.  A table, an EOC ladder, a
+  calibration loop or a stream of curves re-prices one rate grid at other
+  maturities, and forms none of these again: a warm improved curve costs
+  little more than a cw curve.  A kept value gives the bits a fresh call
+  forms, and threads may share the store.  Scalars and other arrays form
+  everything per call, a public function returns new writable arrays, and
+  the maturity rule and the outer call's result check run on every call.
+  No knob.
 * _call applies the maturity rule of :func:`bondkit.model._check_maturity`
   and one float rule that tests results, not constants: a non-finite value
   from any call, a Python float overflow or zero division, and a NumPy
@@ -69,6 +80,9 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import struct
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -113,6 +127,7 @@ def _call(fn):
     what, names = fn.__name__, list(sig.parameters)
     rates, n = "r" in names, len(names)
     at = names.index("tau") if "tau" in names else None
+    tau_free = names == ["p", "r"]  # its result may be kept for a repeated rate array
 
     @functools.wraps(fn)
     def call(*args, **kwargs):
@@ -120,6 +135,8 @@ def _call(fn):
             args = sig.bind(*args, **kwargs).args
         r = args[-1]
         if type(r) is _Powers:
+            if tau_free and not r.scalar:
+                return r.kept(fn, args[0])
             return r.result(fn(*args))
         pows = _Powers(r if rates else 0.0, what, None if at is None else args[at])
         try:
@@ -176,6 +193,92 @@ def _derive(terms):
     return [(c * pw, pw - 1) for c, pw in terms]
 
 
+class _Kept:
+    """The one store of what outlives a call: per repeated rate array, what
+    is formed from its rates alone.
+
+    An array is admitted on its second sight; the first records only its
+    slot (see :meth:`admit`) among the last SIGHTS such, so an array priced
+    once pays for its key and nothing more.  Each of the last ARRAYS
+    admitted arrays keeps its bytes, a read-only array of its rates over
+    them and at most ENTRIES values, the least recently used dropped first:
+    a generic power, keyed by its exponent float, or the checked result of
+    a tau-free function, keyed by the function and the bits of p's four
+    floats (c5_derivatives' entry holds two arrays).  Every value is
+    read-only: 4 x (1 + 2 x 32) x 16384 x 8 B = 32.5 MiB at worst.  Threads
+    may share the store: updates take a lock, and lookups need none, as
+    each OrderedDict call is atomic under the GIL and a value another
+    thread drops meanwhile stays valid; two threads that miss together form
+    the same bits, and either value is kept.
+    """
+
+    ARRAYS, ENTRIES, SIGHTS = 4, 32, 16
+    _pack = struct.Struct("4d").pack
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.cache_clear()
+
+    def cache_clear(self):
+        with self._lock:
+            self._sights, self._arrays = OrderedDict(), OrderedDict()
+
+    def admit(self, arr):
+        """(rates, entries) of ``arr`` if it is admitted, else None.
+
+        An array's slot is a hash of its shape and its first and last 8
+        rates, which costs less than hashing all its bytes (5 us for 1501
+        rates, two NumPy passes over them); a hit needs the slot's bytes and
+        shape to be ``arr``'s, so arrays that share a slot only displace
+        each other."""
+        data = arr.tobytes()
+        slot = hash((arr.shape, data[:64], data[-64:]))
+        kept = self.get(self._arrays, slot)
+        if kept is not None and kept[0] == data and kept[1].shape == arr.shape:
+            return kept[1:]
+        with self._lock:
+            if not self._sights.pop(slot, False):
+                self._put(self._sights, slot, True, self.SIGHTS)
+                return None
+            kept = data, np.frombuffer(data).reshape(arr.shape), OrderedDict()
+            self._arrays.pop(slot, None)  # another array's, in a shared slot
+            self._put(self._arrays, slot, kept, self.ARRAYS)
+        return kept[1:]
+
+    @staticmethod
+    def get(entries, key):
+        """The value kept under ``key``, now the most recently used, or None."""
+        out = entries.get(key)
+        if out is not None:
+            try:
+                entries.move_to_end(key)
+            except KeyError:  # another thread dropped it meanwhile
+                pass
+        return out
+
+    def put(self, entries, key, value):
+        """Keep ``value``, an array or a tuple of arrays, read-only; return it."""
+        for v in value if type(value) is tuple else (value,):
+            v.setflags(write=False)
+        with self._lock:
+            self._put(entries, key, value, self.ENTRIES)
+        return value
+
+    @staticmethod
+    def _put(entries, key, value, bound):
+        entries[key] = value
+        if len(entries) > bound:
+            entries.popitem(last=False)
+
+    def key(self, fn, p):
+        """The key of ``fn(p, r)``: fn and the bits of p's four floats; None
+        if one is not a float, whose type might change a result's bits."""
+        a, b, s, g = p.alpha, p.beta, p.sigma, p.gamma
+        if type(a) is type(b) is type(s) is type(g) is float:
+            return fn, self._pack(a, b, s, g)
+        return None
+
+
 class _Powers:
     """The power table :func:`_call` builds for one public call ``what``
     (at maturity ``tau``, if it takes one): the rates ``arr``, each
@@ -183,10 +286,14 @@ class _Powers:
     which every rate-domain check reads.  Every refusal through it names
     ``what``.  Keys are exact exponent floats: a power is reused only where
     it would be recomputed bit for bit.  What outlives the call is kept in
-    :meth:`_kept`: the generic powers of a repeated rate array.
+    :attr:`_kept` for a repeated C-contiguous array of 64 to 16384 rates:
+    below, a lookup costs about what forming a power does; above, the kept
+    values would take much memory.
     """
 
     __slots__ = ("scalar", "arr", "what", "_pows", "_kept_here", "_low", "_tau")
+
+    _kept = _Kept()
 
     def __init__(self, r, what: str, tau=None):
         if tau is not None:
@@ -194,61 +301,65 @@ class _Powers:
         self.arr = np.asarray(r, dtype=float)
         self.scalar = self.arr.ndim == 0
         self._pows = {}
-        self._kept_here = self._low = None
+        self._kept_here = self._low = None  # _kept_here: see _entries
         self.what, self._tau = what, tau
 
     def _out_of_range(self):
         at = "" if self._tau is None else f" at tau={self._tau!r}"
         return f"{self.what}: out of float range{at}"
 
+    def _entries(self):
+        """This array's entries in :attr:`_kept`, or False if it has none.
+
+        Once found, the table reads the kept copy of its rates, whose bytes
+        are the key, so whatever it keeps is formed from exactly those."""
+        if self._kept_here is None:
+            arr = self.arr
+            kept = 64 <= arr.size <= 16384 and arr.flags.c_contiguous and self._kept.admit(arr)
+            self._kept_here = False
+            if kept:
+                self.arr, self._kept_here = kept
+        return self._kept_here
+
     def __call__(self, pw):
         """arr**pw, formed on first use; 1.0 and the rates themselves for
         pw = 0 and 1, so no caller may write into what this returns.
 
         A generic power (NumPy serves 2, 0.5 and -1 by square, sqrt and
-        reciprocal) of a C-contiguous array, whose bytes are its memory, of
-        64 to 16384 rates comes from :meth:`_kept`: below, a lookup costs
-        about what forming the power does; above, the kept powers would
-        take much memory."""
+        reciprocal) is kept for a repeated array."""
         out = self._pows.get(pw)
         if out is None:
-            arr = self.arr
             if pw == 0:
                 out = 1.0
             elif pw == 1:
-                out = arr
-            elif 64 <= arr.size <= 16384 and pw not in (2, 0.5, -1) and arr.flags.c_contiguous:
-                if self._kept_here is None:
-                    self._kept_here = self._kept(arr.shape, arr.tobytes())
-                out = self._kept_here(pw)
+                out = self.arr
+            elif pw in (2, 0.5, -1) or self.scalar or (entries := self._entries()) is False:
+                out = self.arr**pw
             else:
-                out = arr**pw
+                out = self._kept.get(entries, pw)
+                if out is None:
+                    out = self._kept.put(entries, pw, self.arr**pw)
             self._pows[pw] = out
         return out
 
-    @staticmethod
-    @functools.lru_cache(maxsize=4)
-    def _kept(shape, data):
-        """The generic powers of the rates with this shape and these bytes,
-        as a function of the exponent that keeps its last 32 results.
+    def kept(self, fn, p):
+        """``fn(p, self)`` for a tau-free function ``fn`` nested in a call:
+        its checked result, kept for a repeated array under fn and the bits
+        of p's four floats.
 
-        Each power is the np.power a call would form, of a read-only copy
-        of the rates, so a repeated array gets the same bits without forming
-        them again, and writing into the caller's array afterwards changes
-        its key, not what is kept.  Each power is read-only.  At most 4
-        arrays of at most 16384 nodes are kept, with 32 powers each: 16.5
-        MiB at worst.  Both caches are functools.lru_cache, whose lookups
-        and updates are thread-safe; two threads that miss together form
-        the same bits, and either result is kept."""
-        rates = np.frombuffer(data).reshape(shape)
-
-        @functools.lru_cache(maxsize=32)
-        def power(pw):
-            out = rates**pw
-            out.setflags(write=False)
-            return out
-
-        return power
+        A hit skips fn and its checks: the key fixes the rates' bytes and
+        the parameters, and only a result that passed them is kept.  The
+        warning filter does not matter: in these functions an overflow, a
+        zero division or an invalid operation leaves a non-finite result,
+        so a result kept while NumPy's warnings are ignored raised none."""
+        entries = self._entries()
+        key = None if entries is False else self._kept.key(fn, p)
+        if key is None:
+            return self.result(fn(p, self))
+        out = self._kept.get(entries, key)
+        if out is None:
+            out = self._kept.put(entries, key, self.result(fn(p, self)))
+        return out
 
     def low(self):
         """The least rate (NaN if any is NaN, inf if none), reduced once."""
@@ -264,16 +375,22 @@ class _Powers:
         if singular and self.low() < R_FLOOR:
             raise DomainError(f"{self.what}: singular as r -> 0 for this gamma; need r >= {R_FLOOR}")
 
-    def sum(self, terms):
-        """Sum coef * r**power over a (coef, power) table, in table order,
-        under the module's one domain rule.
+    def sum(self, terms, p: ModelParams):
+        """Sum coef * r**power over a (coef, power) table of ``p``, in table
+        order, under the module's one domain rule.
 
         Zero coefficients drop out first, so their (possibly negative)
-        powers are never formed.  A negative or NaN rate is refused unless
-        no monomial survives, and a rate below R_FLOOR is refused exactly
-        when a surviving monomial has a negative power.
+        powers are never formed.  So does a NaN coefficient of finite
+        parameters: every factor of a monomial is finite there, so the NaN
+        is a product that overflowed times an exactly-zero factor (a
+        vanishing gamma polynomial, or the exponent 0 of a derivative), the
+        formula's zero; a NaN or infinite parameter keeps its NaN, which is
+        refused.  A negative or NaN rate is refused unless no monomial
+        survives, and a rate below R_FLOOR is refused exactly when a
+        surviving monomial has a negative power.
         """
-        live = [(c, pw) for c, pw in terms if c != 0.0]
+        live = [(c, pw) for c, pw in terms if c != 0.0 and (
+            c == c or not all(map(math.isfinite, (p.alpha, p.beta, p.sigma, p.gamma))))]
         # in place for arrays; [()] makes a scalar's sum a NumPy scalar,
         # which adds an order of magnitude faster than a 0-d array
         out = np.zeros_like(self.arr)[()]
@@ -371,7 +488,7 @@ def cw_partials(p: ModelParams, tau: float, r):
     q, r2g = _q_and_r2g(p, r)
     d1_terms = _derive([(1.0, 2 * p.gamma)])  # d/dr of r^{2 gamma}
     qp_terms = _derive(_q_terms(p))
-    d1, d2, qp, qpp = (r.sum(t) for t in (d1_terms, _derive(d1_terms), qp_terms, _derive(qp_terms)))
+    d1, d2, qp, qpp = (r.sum(t, p) for t in (d1_terms, _derive(d1_terms), qp_terms, _derive(qp_terms)))
     B, _, eg, fh = _beta_brackets(p, tau)
     f_tau = -r.arr * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
     f_r = -B + (d1 + qp * tau) * eg - qp * fh
@@ -416,7 +533,7 @@ def _k5_terms(p: ModelParams):
 
 def _coef(p: ModelParams, pows: _Powers, pref: float, terms):
     """``pref`` times the sum of a monomial table; identically zero at gamma = 0."""
-    return np.zeros_like(pows.arr) if p.gamma == 0 else pref * pows.sum(terms)
+    return np.zeros_like(pows.arr) if p.gamma == 0 else pref * pows.sum(terms, p)
 
 
 @_call

@@ -280,6 +280,34 @@ class TestInputGuards:
         with pytest.raises(ValidationError, match=rf"^{fn.__name__}: out of float range$"):
             fn(p, 0.05)
 
+    @pytest.mark.parametrize("r", [0.0, 1e-7, 0.05])
+    @pytest.mark.parametrize("fn", [c5, k4, k5, c6], ids=lambda fn: fn.__name__)
+    def test_vanishing_gamma_factor_drops_its_monomial(self, fn, r):
+        # gamma = 1/2 has no singular term: a monomial with the factor
+        # 2 gamma - 1 = 0 vanishes even where sigma^4 overflows, and
+        # inf * 0 = NaN must not keep its negative power live.  At r = 0
+        # the coefficients are their analytic limits; elsewhere sigma^2 r
+        # overflows, as at r = 0.05
+        a, b, s2 = 0.00315, -0.0555, 1e100**2
+        limit = {c5: -s2 * a * b / 120, k4: s2 * a * b / 24, k5: s2 * a * b * b / 40}
+        p = ModelParams(a, b, 1e100, 0.5)
+        if r == 0 and fn in limit:
+            assert fn(p, r) == pytest.approx(limit[fn], rel=1e-14)
+        else:
+            with pytest.raises(ValidationError, match=rf"^{fn.__name__}: out of float range$"):
+                fn(p, r)
+
+    @pytest.mark.parametrize("fn", [c5, k4, k5, c6], ids=lambda fn: fn.__name__)
+    def test_nan_parameter_is_refused_not_dropped(self, fn):
+        # at gamma = 1/2 and beta = 0 every alpha monomial has a zero factor,
+        # but NaN * 0 is the parameter's NaN, not the formula's zero: it stays
+        # live, with its negative power at r = 0
+        p = ModelParams(float("nan"), 0.0, 0.0894, 0.5)
+        with pytest.raises(DomainError, match=rf"^{fn.__name__}: singular as r -> 0"):
+            fn(p, 0.0)
+        with pytest.raises(ValidationError, match=rf"^{fn.__name__}: out of float range$"):
+            fn(p, 0.05)
+
     @pytest.mark.parametrize("action", ["ignore", "error"])
     @pytest.mark.parametrize("sigma, gamma, tau, r", [
         (0.0894, 0.75, 1e308, 1e-7),
@@ -398,17 +426,40 @@ class TestCallContract:
     @pytest.mark.parametrize("shape", [(7,), (2, 3), (0,), (8, 16)])
     @pytest.mark.parametrize("fn, gamma", CASES, ids=lambda v: getattr(v, "__name__", repr(v)))
     def test_read_only_array_rate_gives_new_arrays_of_its_shape(self, params, fn, gamma, shape):
+        # (8, 16) is in the window of _Powers._kept: its first call sights
+        # the array, the second keeps values and the third takes them, and
+        # no call hands out what is kept
         r = np.linspace(1e-6, 0.15, int(np.prod(shape))).reshape(shape)
         r.setflags(write=False)
-        for v in self.values(fn, params.with_gamma(gamma), r):
-            assert type(v) is np.ndarray and v.dtype == float and v.shape == shape
-            assert v.flags.writeable and not np.shares_memory(v, r)
+        _Powers._kept.cache_clear()
+        for _ in range(3):
+            for v in self.values(fn, params.with_gamma(gamma), r):
+                assert type(v) is np.ndarray and v.dtype == float and v.shape == shape
+                assert v.flags.writeable and not np.shares_memory(v, r)
+                assert not any(np.shares_memory(v, k) for k in kept_arrays())
+
+
+def kept_arrays():
+    """Every array _Powers._kept holds: the rates and each value."""
+    for _, rates, entries in _Powers._kept._arrays.values():
+        yield rates
+        for value in entries.values():
+            yield from value if type(value) is tuple else (value,)
+
+
+def kept_entries(r):
+    """The entries _Powers._kept holds for the rates ``r``, or None."""
+    for data, rates, entries in _Powers._kept._arrays.values():
+        if data == r.tobytes() and rates.shape == r.shape:
+            return entries
+    return None
 
 
 class TestKeptPowers:
     """The generic powers of a repeated rate array, kept across calls, give
     the bits a fresh call forms, whatever the caller does with its array and
-    however many threads price at once."""
+    however many threads price at once.  An array is kept from its second
+    sight on, so each case prices its array at least twice."""
 
     P = (ModelParams(0.00315, -0.0555, 0.0894, 0.75), ModelParams(0.00315, -0.0555, 0.0894, 1.32))
 
@@ -417,26 +468,34 @@ class TestKeptPowers:
         _Powers._kept.cache_clear()
         return fn(*args)
 
-    def test_writing_into_the_rates_between_calls(self):
+    @pytest.mark.parametrize("fn", [improved_log_price, cw_log_price], ids=lambda fn: fn.__name__)
+    def test_writing_into_the_rates_between_calls(self, fn):
         r = np.linspace(1e-4, 0.15, 1501)
         for p in self.P:
-            improved_log_price(p, 1.0, r)
+            for _ in range(2):
+                fn(p, 1.0, r)
             r[700] = 0.2
-            got = improved_log_price(p, 1.0, r)
-            assert got.tobytes() == self.fresh(improved_log_price, p, 1.0, r).tobytes()
+            got = fn(p, 1.0, r)
+            assert got.tobytes() == self.fresh(fn, p, 1.0, r).tobytes()
             r *= 0.5
-            got = improved_log_price(p, 1.0, r)
-            assert got.tobytes() == self.fresh(improved_log_price, p, 1.0, r).tobytes()
+            got = fn(p, 1.0, r)
+            assert got.tobytes() == self.fresh(fn, p, 1.0, r).tobytes()
 
     def test_kept_powers_are_read_only_copies(self):
         r = np.linspace(1e-4, 0.15, 1501)
         _Powers._kept.cache_clear()
         improved_log_price(self.P[1], 1.0, r)
+        assert kept_entries(r) is None  # first sight: nothing kept
+        improved_log_price(self.P[1], 1.0, r)
         assert r.flags.writeable
-        powers = _Powers._kept(r.shape, r.tobytes())
-        assert powers.cache_info().currsize == 14  # the generic powers at gamma = 1.32
-        kept = powers(2 * 1.32)
-        assert powers.cache_info().misses == 14
+        entries = kept_entries(r)
+        powers = {pw: v for pw, v in entries.items() if type(pw) is float}
+        assert len(powers) == 14  # the generic powers at gamma = 1.32
+        kept = powers[2 * 1.32]
+        # another alpha: no kept result serves, the kept powers do
+        improved_log_price(ModelParams(0.004, -0.0555, 0.0894, 1.32), 2.0, r)
+        assert kept_entries(r) is entries and entries[2 * 1.32] is kept  # taken, not formed again
+        assert len([pw for pw in entries if type(pw) is float]) == 14
         assert not kept.flags.writeable and not np.shares_memory(kept, r)
         assert kept.tobytes() == (r ** (2 * 1.32)).tobytes()
 
@@ -444,37 +503,42 @@ class TestKeptPowers:
         _Powers._kept.cache_clear()
         grids = [np.linspace(1e-4, 0.15 + k, 1501) for k in range(10)]
         for r in grids:
-            improved_log_price(self.P[1], 1.0, r)
-        info = _Powers._kept.cache_info()
-        assert (info.currsize, info.maxsize, info.misses) == (4, 4, 10)
-        powers = _Powers._kept(grids[-1].shape, grids[-1].tobytes())
+            for _ in range(2):
+                improved_log_price(self.P[1], 1.0, r)
+        kept = _Powers._kept
+        assert len(kept._arrays) == kept.ARRAYS == 4 and not kept._sights  # each grid admitted once
+        assert [kept_entries(r) is not None for r in grids] == [False] * 6 + [True] * 4
+        entries = kept_entries(grids[-1])
         for g in np.linspace(0.6, 1.4, 10):
             improved_log_price(self.P[0].with_gamma(float(g)), 1.0, grids[-1])
-        assert powers.cache_info().currsize == powers.cache_info().maxsize == 32
+        assert len(entries) == kept.ENTRIES == 32
 
     def test_scalars_and_arrays_outside_the_window_keep_nothing(self):
         _Powers._kept.cache_clear()
         r = np.linspace(1e-4, 0.15, 20000)
         for rates in (0.05, r[:63], r, r[::2][:1501], np.asfortranarray(r[:1500].reshape(30, 50))):
-            improved_log_price(self.P[1], 1.0, rates)
-        assert _Powers._kept.cache_info().currsize == 0
+            for _ in range(2):
+                improved_log_price(self.P[1], 1.0, rates)
+        assert not _Powers._kept._arrays and not _Powers._kept._sights
 
     def test_threads_give_the_serial_bits(self):
         # more threads than cores, more arrays than the bound and a short
         # switch interval: misses and evictions race
         grids = [np.linspace(1e-4, 0.15, 1501 + k) for k in range(6)]
         taus = np.linspace(0.05, 10.0, 200)
-        jobs = [(p, float(tau), k % len(grids)) for k, tau in enumerate(taus) for p in self.P]
+        pricers = (improved_log_price, cw_log_price, lambda p, tau, r: c6(p, r))
+        jobs = [(fn, p, float(tau), k % len(grids)) for k, tau in enumerate(taus)
+                for p in self.P for fn in pricers]
         _Powers._kept.cache_clear()
-        want = [improved_log_price(p, tau, grids[k]).tobytes() for p, tau, k in jobs]
+        want = [fn(p, tau, grids[k]).tobytes() for fn, p, tau, k in jobs]
         _Powers._kept.cache_clear()
         got = [[None] * len(jobs) for _ in range(4)]
 
         def work(out, shift):
             for i in range(len(jobs)):
                 j = (i + shift) % len(jobs)
-                p, tau, k = jobs[j]
-                out[j] = improved_log_price(p, tau, grids[k]).tobytes()
+                fn, p, tau, k = jobs[j]
+                out[j] = fn(p, tau, grids[k]).tobytes()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -488,3 +552,79 @@ class TestKeptPowers:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(out == want for out in got)
+
+
+class TestKeptResults:
+    """The tau-free results (q, k4, k5, c5, c5', c5'' and c6) a composite
+    takes from _Powers._kept for a repeated rate array give a fresh call's
+    bits, are read-only and are never handed out."""
+
+    GRIDS = {"zero": np.linspace(0.0, 0.15, 1501), "floor": np.linspace(1e-6, 0.15, 1501)}
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            out = fn(*args)
+        except Exception as e:  # noqa: BLE001 - a refusal is an outcome too
+            return type(e), str(e)
+        return type(out), out.tobytes(), out.flags.writeable
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.75, 1.0, 1.32])
+    def test_warm_call_gives_the_cold_bits(self, params, gamma, grid):
+        p, r = params.with_gamma(gamma), self.GRIDS[grid]
+        for fn in (cw_log_price, improved_log_price):
+            for tau in (0.05, 1.0, 7.0):
+                _Powers._kept.cache_clear()
+                cold = self.outcome(fn, p, tau, r)
+                for _ in range(2):  # sight, then keep
+                    self.outcome(fn, p, tau, r)
+                # at gamma = 0 cw forms no power and calls no tau-free function
+                assert (kept_entries(r) is None) == (gamma == 0)
+                assert self.outcome(fn, p, tau, r) == cold
+
+    def test_kept_results_are_read_only(self, params):
+        r = self.GRIDS["floor"]
+        _Powers._kept.cache_clear()
+        for _ in range(2):
+            improved_log_price(params.with_gamma(1.32), 1.0, r)
+        results = [v for key, v in kept_entries(r).items() if type(key) is tuple]
+        assert len(results) == 5  # q, c5, c5_derivatives, k5, c6
+        for value in results:
+            for v in value if type(value) is tuple else (value,):
+                assert not v.flags.writeable and not np.shares_memory(v, r)
+
+    @pytest.mark.parametrize("other", [
+        ModelParams(0.00315, -0.0, 0.0894, 0.75),
+        ModelParams(0.00315, 0.0, float(np.nextafter(0.0894, 1.0)), 0.75),
+    ], ids=["beta -0.0", "sigma one ulp up"])
+    def test_parameters_with_other_bits_share_no_entry(self, other):
+        p = ModelParams(0.00315, 0.0, 0.0894, 0.75)
+        r = self.GRIDS["floor"]
+        want = []
+        for q in (p, other):
+            _Powers._kept.cache_clear()
+            want.append(self.outcome(improved_log_price, q, 1.0, r))
+        _Powers._kept.cache_clear()
+        for _ in range(2):
+            improved_log_price(p, 1.0, r)
+        mine = {key for key in kept_entries(r) if type(key) is tuple}
+        for _ in range(2):
+            improved_log_price(other, 1.0, r)
+        theirs = {key for key in kept_entries(r) if type(key) is tuple} - mine
+        assert len(mine) == len(theirs) == 5
+        assert [self.outcome(improved_log_price, q, 1.0, r) for q in (p, other)] == want
+
+    def test_writing_into_the_rates_gives_a_fresh_result(self, params):
+        p = params.with_gamma(1.32)
+        r = self.GRIDS["floor"].copy()
+        for change in ("interior", "order"):
+            for _ in range(3):
+                improved_log_price(p, 1.0, r)
+            if change == "interior":
+                r[700] = 0.2  # the same slot in _kept (shape, ends), other bytes
+            else:
+                r[:] = r[::-1].copy()  # the same rates, other bytes
+            got = [improved_log_price(p, 1.0, r).tobytes() for _ in range(3)]
+            _Powers._kept.cache_clear()
+            assert got == [improved_log_price(p, 1.0, r).tobytes()] * 3
