@@ -35,7 +35,8 @@ Numerical notes
   k4, k5 and c5 have no negative powers at all.  A coefficient that is
   inf * 0 = NaN, an overflowed product times a vanishing factor, is such a
   zero too where the parameters are finite (sigma = 1e100 at gamma = 1/2);
-  a NaN parameter keeps its NaN.  q_factor obeys the same rule (negative
+  a NaN parameter keeps its NaN.  q_factor obeys the same rule, its
+  factored coefficient gamma (2 gamma - 1) sigma^2 included (negative
   powers exactly for 0 < gamma < 1/2).
 * k4 and c5 share one table, so c5 = -k4/5 holds to ~1e-15 relative.
 * One power table per call: _call builds it for the outermost call and
@@ -47,8 +48,14 @@ Numerical notes
   r^{2 gamma} at gamma = 0 are 0.0 and 1.0.  No coefficient is merged and
   every sum keeps its table order, so sharing changes no bit of any
   result; improved_log_price forms 14 powers of r at gamma = 1.32 instead
-  of 34.  The domain checks read one reduction, the least rate, and every
-  refusal names the outermost call.
+  of 34.  A scalar rate's table hands out Python floats, float(r**pw), and
+  its sums add into 0.0: the same float64 operations in the same order,
+  without a NumPy scalar per term.  The power stays NumPy's: for some
+  rates Python's ``**`` (or math.pow) differs from it in the last bit,
+  where a 0-d power gives the bits of an array's element, so a scalar
+  call gives the same rate's element of a curve.  The domain checks read
+  one reduction, the least rate, and every refusal names the outermost
+  call.
 * Values kept across calls: for a C-contiguous array of 64 to 16384 rates,
   _Powers._kept keeps what is formed from the rates alone: each generic
   power (any exponent but 0, 1, 2, 0.5 and -1), keyed by its exponent
@@ -66,9 +73,13 @@ Numerical notes
   maturities, and forms none of these again: a warm improved curve costs
   little more than a cw curve.  A kept value gives the bits a fresh call
   forms, and threads may share the store.  Scalars and other arrays form
-  everything per call, a public function returns new writable arrays, and
-  the maturity rule and the outer call's result check run on every call.
-  No knob.
+  every power and result per call, a public function returns new writable
+  arrays, and the maturity rule and the outer call's result check run on
+  every call.  Per parameter set, scalar and array calls alike read the
+  monomial tables (c5, c5', c5'', k5, and the r-derivatives of r^{2 gamma}
+  and q) from _Powers._kept, each filtered once with its negative-power
+  flag, for the last 32 sets of four Python floats, keyed by their bits;
+  other parameter types build them per call.  No knob.
 * _call applies the maturity rule of :func:`bondkit.model._check_maturity`
   and one float rule that tests results, not constants: a non-finite value
   from any call, a Python float overflow or zero division, and a NumPy
@@ -195,7 +206,8 @@ def _derive(terms):
 
 class _Kept:
     """The one store of what outlives a call: per repeated rate array, what
-    is formed from its rates alone.
+    is formed from its rates alone, and per parameter set its monomial
+    tables.
 
     An array is admitted on its second sight; the first records only its
     slot (see :meth:`admit`) among the last SIGHTS such, so an array priced
@@ -210,9 +222,15 @@ class _Kept:
     each OrderedDict call is atomic under the GIL and a value another
     thread drops meanwhile stays valid; two threads that miss together form
     the same bits, and either value is kept.
+
+    Each of the last PARAMS parameter sets whose four values are Python
+    floats keeps a record under their bits (:meth:`key`): a dict of its
+    filtered monomial tables, each built on its first use (see
+    :meth:`_Powers.table`) and written as one dict item, a few KiB at most;
+    two threads that build a table together write equal ones.
     """
 
-    ARRAYS, ENTRIES, SIGHTS = 4, 32, 16
+    ARRAYS, ENTRIES, SIGHTS, PARAMS = 4, 32, 16, 32
     _pack = struct.Struct("4d").pack
 
     def __init__(self):
@@ -221,7 +239,7 @@ class _Kept:
 
     def cache_clear(self):
         with self._lock:
-            self._sights, self._arrays = OrderedDict(), OrderedDict()
+            self._sights, self._arrays, self._params = OrderedDict(), OrderedDict(), OrderedDict()
 
     def admit(self, arr):
         """(rates, entries) of ``arr`` if it is admitted, else None.
@@ -270,28 +288,43 @@ class _Kept:
         if len(entries) > bound:
             entries.popitem(last=False)
 
-    def key(self, fn, p):
-        """The key of ``fn(p, r)``: fn and the bits of p's four floats; None
-        if one is not a float, whose type might change a result's bits."""
+    def key(self, p):
+        """The bits of p's four floats; None if one is not a float, whose
+        type might change a result's bits."""
         a, b, s, g = p.alpha, p.beta, p.sigma, p.gamma
         if type(a) is type(b) is type(s) is type(g) is float:
-            return fn, self._pack(a, b, s, g)
+            return self._pack(a, b, s, g)
         return None
+
+    def record(self, p):
+        """p's record of tables, now the most recently used; a new dict,
+        kept nowhere, if :meth:`key` gives p none."""
+        key = self.key(p)
+        if key is None:
+            return {}
+        out = self.get(self._params, key)
+        if out is None:
+            out = {}
+            with self._lock:
+                self._put(self._params, key, out, self.PARAMS)
+        return out
 
 
 class _Powers:
     """The power table :func:`_call` builds for one public call ``what``
     (at maturity ``tau``, if it takes one): the rates ``arr``, each
     ``arr**pw`` formed at most once per exponent float, and the least rate,
-    which every rate-domain check reads.  Every refusal through it names
+    which every rate-domain check reads; for a scalar rate, the powers,
+    sums and least rate are Python floats.  Every refusal through it names
     ``what``.  Keys are exact exponent floats: a power is reused only where
     it would be recomputed bit for bit.  What outlives the call is kept in
-    :attr:`_kept` for a repeated C-contiguous array of 64 to 16384 rates:
-    below, a lookup costs about what forming a power does; above, the kept
-    values would take much memory.
+    :attr:`_kept`: the monomial tables of its parameter set (:meth:`table`),
+    and the powers and tau-free results of a repeated C-contiguous array of
+    64 to 16384 rates: below, a lookup costs about what forming a power
+    does; above, the kept values would take much memory.
     """
 
-    __slots__ = ("scalar", "arr", "what", "_pows", "_kept_here", "_low", "_tau")
+    __slots__ = ("scalar", "arr", "what", "_pows", "_kept_here", "_low", "_tau", "_record")
 
     _kept = _Kept()
 
@@ -301,7 +334,7 @@ class _Powers:
         self.arr = np.asarray(r, dtype=float)
         self.scalar = self.arr.ndim == 0
         self._pows = {}
-        self._kept_here = self._low = None  # _kept_here: see _entries
+        self._kept_here = self._low = self._record = None  # _kept_here: see _entries
         self.what, self._tau = what, tau
 
     def _out_of_range(self):
@@ -325,15 +358,20 @@ class _Powers:
         """arr**pw, formed on first use; 1.0 and the rates themselves for
         pw = 0 and 1, so no caller may write into what this returns.
 
-        A generic power (NumPy serves 2, 0.5 and -1 by square, sqrt and
-        reciprocal) is kept for a repeated array."""
+        A scalar table hands out Python floats, float(arr**pw): still
+        NumPy's power, whose bits an array's element has too (Python's
+        ``**`` differs in the last bit for some rates).  A generic power
+        (NumPy serves 2, 0.5 and -1 by square, sqrt and reciprocal) is kept
+        for a repeated array."""
         out = self._pows.get(pw)
         if out is None:
             if pw == 0:
                 out = 1.0
+            elif self.scalar:
+                out = float(self.arr if pw == 1 else self.arr**pw)
             elif pw == 1:
                 out = self.arr
-            elif pw in (2, 0.5, -1) or self.scalar or (entries := self._entries()) is False:
+            elif pw in (2, 0.5, -1) or (entries := self._entries()) is False:
                 out = self.arr**pw
             else:
                 out = self._kept.get(entries, pw)
@@ -353,9 +391,10 @@ class _Powers:
         zero division or an invalid operation leaves a non-finite result,
         so a result kept while NumPy's warnings are ignored raised none."""
         entries = self._entries()
-        key = None if entries is False else self._kept.key(fn, p)
-        if key is None:
+        bits = None if entries is False else self._kept.key(p)
+        if bits is None:
             return self.result(fn(p, self))
+        key = fn, bits
         out = self._kept.get(entries, key)
         if out is None:
             out = self._kept.put(entries, key, self.result(fn(p, self)))
@@ -364,7 +403,7 @@ class _Powers:
     def low(self):
         """The least rate (NaN if any is NaN, inf if none), reduced once."""
         if self._low is None:
-            self._low = np.minimum.reduce(self.arr, axis=None, initial=math.inf)
+            self._low = self(1) if self.scalar else np.minimum.reduce(self.arr, axis=None, initial=math.inf)
         return self._low
 
     def check(self, singular: bool):
@@ -375,28 +414,56 @@ class _Powers:
         if singular and self.low() < R_FLOOR:
             raise DomainError(f"{self.what}: singular as r -> 0 for this gamma; need r >= {R_FLOOR}")
 
-    def sum(self, terms, p: ModelParams):
-        """Sum coef * r**power over a (coef, power) table of ``p``, in table
-        order, under the module's one domain rule.
+    def zero(self):
+        """0.0 for a scalar rate, else a new array of zeros of its shape."""
+        return 0.0 if self.scalar else np.zeros_like(self.arr)
 
-        Zero coefficients drop out first, so their (possibly negative)
-        powers are never formed.  So does a NaN coefficient of finite
-        parameters: every factor of a monomial is finite there, so the NaN
-        is a product that overflowed times an exactly-zero factor (a
-        vanishing gamma polynomial, or the exponent 0 of a derivative), the
-        formula's zero; a NaN or infinite parameter keeps its NaN, which is
-        refused.  A negative or NaN rate is refused unless no monomial
-        survives, and a rate below R_FLOOR is refused exactly when a
-        surviving monomial has a negative power.
-        """
-        live = [(c, pw) for c, pw in terms if c != 0.0 and (
-            c == c or not all(map(math.isfinite, (p.alpha, p.beta, p.sigma, p.gamma))))]
-        # in place for arrays; [()] makes a scalar's sum a NumPy scalar,
-        # which adds an order of magnitude faster than a 0-d array
-        out = np.zeros_like(self.arr)[()]
+    @staticmethod
+    def nan_is_zero(c, p: ModelParams) -> bool:
+        """Whether a NaN coefficient ``c`` of ``p`` is the formula's zero:
+        where all four parameters are finite, every factor of a monomial
+        is, so the NaN is a product that overflowed times an exactly-zero
+        factor (a vanishing gamma polynomial, or the exponent 0 of a
+        derivative).  A NaN or infinite parameter keeps its NaN, which is
+        refused."""
+        return c != c and all(map(math.isfinite, (p.alpha, p.beta, p.sigma, p.gamma)))
+
+    def table(self, p: ModelParams, terms, n: int = 0):
+        """(live, singular) of the n-th term-by-term r-derivative of p's
+        (coef, power) table ``terms(p)``, from :func:`_c5_terms` (also
+        k4's), :func:`_k5_terms` or :func:`_q_terms`; ``terms`` None is
+        r^{2 gamma}, one monomial.
+
+        live holds the monomials :meth:`sum` adds, in table order: zero
+        coefficients drop out, so their (possibly negative) powers are
+        never formed, and so does a NaN coefficient that
+        :meth:`nan_is_zero`.  singular is whether a live power is negative.
+        Both are built on the table's first use for p and kept in p's record
+        in :attr:`_kept`, which a call looks up once."""
+        if self._record is None or self._record[0] is not p:
+            self._record = p, self._kept.record(p)
+        record = self._record[1]
+        out = record.get((terms, n))
+        if out is None:
+            table = [(1.0, 2 * p.gamma)] if terms is None else terms(p)
+            for _ in range(n):
+                table = _derive(table)
+            live = [(c, pw) for c, pw in table if c != 0.0 and not self.nan_is_zero(c, p)]
+            out = record[terms, n] = live, any(pw < 0 for _, pw in live)
+        return out
+
+    def sum(self, p: ModelParams, terms, n: int = 0):
+        """Sum coef * r**power over the live monomials of :meth:`table`, in
+        table order, under the module's one domain rule: a negative or NaN
+        rate is refused unless no monomial is live, and a rate below
+        R_FLOOR is refused exactly when a live monomial has a negative
+        power.  A scalar's sum is a Python float, an array's is formed in
+        place."""
+        live, singular = self.table(p, terms, n)
+        out = self.zero()
         if not live:
             return out
-        self.check(any(pw < 0 for _, pw in live))
+        self.check(singular)
         for c, pw in live:
             out += c * self(pw)
         return out
@@ -429,10 +496,12 @@ def q_factor(p: ModelParams, r):
     """
     g = p.gamma
     if g == 0:
-        return np.zeros_like(r.arr)
+        return r.zero()
     r.check(g < 0.5)
-    return (g * (2 * g - 1) * (p.sigma * p.sigma) * r(2 * (2 * g - 1))
-            + 2 * g * r(2 * g - 1) * (p.alpha + p.beta * r.arr))
+    c = g * (2 * g - 1) * (p.sigma * p.sigma)
+    if r.nan_is_zero(c, p):  # as in the monomial tables: sigma * sigma = inf at gamma = 1/2
+        c = 0.0
+    return c * r(2 * (2 * g - 1)) + 2 * g * r(2 * g - 1) * (p.alpha + p.beta * r(1))
 
 
 def _q_terms(p: ModelParams):
@@ -472,7 +541,7 @@ def cw_log_price(p: ModelParams, tau: float, r):
     """
     q, r2g = _q_and_r2g(p, r)
     B, t1, eg, fh = _beta_brackets(p, tau)
-    return t1 - r.arr * B + (r2g + q * tau) * eg - q * fh
+    return t1 - r(1) * B + (r2g + q * tau) * eg - q * fh
 
 
 @_call
@@ -486,11 +555,10 @@ def cw_partials(p: ModelParams, tau: float, r):
     # the rate checks run in these sums, before the brackets that may
     # overflow, so a refusal's type does not depend on the warning filter
     q, r2g = _q_and_r2g(p, r)
-    d1_terms = _derive([(1.0, 2 * p.gamma)])  # d/dr of r^{2 gamma}
-    qp_terms = _derive(_q_terms(p))
-    d1, d2, qp, qpp = (r.sum(t, p) for t in (d1_terms, _derive(d1_terms), qp_terms, _derive(qp_terms)))
+    # d/dr and d2/dr2 of r^{2 gamma} (the table None) and of q
+    d1, d2, qp, qpp = (r.sum(p, terms, n) for terms in (None, _q_terms) for n in (1, 2))
     B, _, eg, fh = _beta_brackets(p, tau)
-    f_tau = -r.arr * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
+    f_tau = -r(1) * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
     f_r = -B + (d1 + qp * tau) * eg - qp * fh
     f_rr = (d2 + qpp * tau) * eg - qpp * fh
     return f_tau, f_r, f_rr
@@ -531,37 +599,37 @@ def _k5_terms(p: ModelParams):
     ]
 
 
-def _coef(p: ModelParams, pows: _Powers, pref: float, terms):
-    """``pref`` times the sum of a monomial table; identically zero at gamma = 0."""
-    return np.zeros_like(pows.arr) if p.gamma == 0 else pref * pows.sum(terms, p)
+def _coef(p: ModelParams, pows: _Powers, pref: float, terms, n: int = 0):
+    """``pref`` times the sum of a monomial table (see :meth:`_Powers.table`);
+    identically zero at gamma = 0."""
+    return pows.zero() if p.gamma == 0 else pref * pows.sum(p, terms, n)
 
 
 @_call
 def k4(p: ModelParams, r):
     """Quartic residual coefficient: substituting the closed-form log price
     into the pricing PDE leaves h(tau, r) = k4 tau^4 + k5 tau^5 + o(tau^5)."""
-    return _coef(p, r, p.gamma * p.sigma**2 / 24.0, _c5_terms(p))
+    return _coef(p, r, p.gamma * p.sigma**2 / 24.0, _c5_terms)
 
 
 @_call
 def k5(p: ModelParams, r):
     """Quintic residual coefficient; see :func:`k4`."""
-    return _coef(p, r, p.gamma * p.sigma**2 / 120.0, _k5_terms(p))
+    return _coef(p, r, p.gamma * p.sigma**2 / 120.0, _k5_terms)
 
 
 @_call
 def c5(p: ModelParams, r):
     """Leading log-price error coefficient: ln P_approx - ln P_exact =
     c5(r) tau^5 + o(tau^5).  Identically equal to -k4(r)/5."""
-    return _coef(p, r, -p.gamma * p.sigma**2 / 120.0, _c5_terms(p))
+    return _coef(p, r, -p.gamma * p.sigma**2 / 120.0, _c5_terms)
 
 
 @_call
 def c5_derivatives(p: ModelParams, r):
     """Analytic (c5'(r), c5''(r)) by term-by-term differentiation."""
     pref = -p.gamma * p.sigma**2 / 120.0
-    d1_terms = _derive(_c5_terms(p))
-    return _coef(p, r, pref, d1_terms), _coef(p, r, pref, _derive(d1_terms))
+    return _coef(p, r, pref, _c5_terms, 1), _coef(p, r, pref, _c5_terms, 2)
 
 
 @_call
@@ -573,10 +641,10 @@ def c6(p: ModelParams, r):
     """
     g = p.gamma
     if g == 0:
-        return np.zeros_like(r.arr)
+        return r.zero()
     r.check(False)  # the rate enters below even where every monomial vanishes
     d1, d2 = c5_derivatives(p, r)
-    return (0.5 * p.sigma**2 * r(2 * g) * d2 + (p.alpha + p.beta * r.arr) * d1 - k5(p, r)) / 6.0
+    return (0.5 * p.sigma**2 * r(2 * g) * d2 + (p.alpha + p.beta * r(1)) * d1 - k5(p, r)) / 6.0
 
 
 @_call
@@ -610,4 +678,4 @@ def pde_residual(partials, p: ModelParams, tau: float, r: float):
     """
     f_tau, f_r, f_rr = partials(p, tau, r)
     return (-f_tau + 0.5 * p.sigma**2 * r(2 * p.gamma) * (f_r * f_r + f_rr)
-            + (p.alpha + p.beta * r.arr) * f_r - r.arr)
+            + (p.alpha + p.beta * r(1)) * f_r - r(1))

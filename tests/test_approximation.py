@@ -100,10 +100,38 @@ class TestCwLogPrice:
         assert abs(cw_log_price(p, 30.0, 0.15) - mp_cw(p, 30.0, 0.15)) <= 1e-14
 
     def test_scalar_and_array_agree(self, params):
-        r = np.array([0.01, 0.1, 0.2])
-        arr = cw_log_price(params, 1.0, r)
-        for i, ri in enumerate(r):
-            assert arr[i] == cw_log_price(params, 1.0, float(ri))
+        # a scalar call gives the bits of the same rate's element of a
+        # 1501-node call, with the store cold, at the grid's second sight
+        # and with its values kept: a scalar table takes NumPy's powers,
+        # which Python's ** misses in the last bit for some rates
+        r = np.linspace(1e-6, 0.15, 1501)
+        nodes = [0, 1, 2, 3, 500, 750, 1001, 1337, 1499, 1500]
+        cases = 0
+        for call in scalar_array_calls(params):
+            _Powers._kept.cache_clear()
+            scalars = np.moveaxis(np.array([call(float(r[i])) for i in nodes]), 0, -1)
+            for _ in range(3):
+                assert np.asarray(call(r))[..., nodes].tobytes() == scalars.tobytes()
+            assert np.moveaxis(np.array([call(float(r[i])) for i in nodes]), 0, -1).tobytes() == scalars.tobytes()
+            cases += 1
+        assert cases == 166
+
+
+def scalar_array_calls(params):
+    """Every pricer, partials and coefficient function of gamma in {0,
+    0.25, 0.5, 0.75, 1, 1.32, 2} at tau in {0, 0.05, 1, 7.3}, as a call of
+    the rates alone."""
+    taus = (0.0, 0.05, 1.0, 7.3)
+    for g in (0.0, 0.25, 0.5, 0.75, 1.0, 1.32, 2.0):
+        p = params.with_gamma(g)
+        for fn in (q_factor, k4, k5, c5, c5_derivatives, c6):
+            yield lambda r, fn=fn, p=p: fn(p, r)
+        partials = [cw_partials] + {0.0: [vasicek_partials], 0.5: [cir_partials]}.get(g, [])
+        for tau in taus:
+            for fn in (cw_log_price, cw_partials, improved_log_price) + ((cir_log_price,) if g == 0.5 else ()):
+                yield lambda r, fn=fn, p=p, tau=tau: fn(p, tau, r)
+            for f in partials:
+                yield lambda r, f=f, p=p, tau=tau: pde_residual(f, p, tau, r)
 
 
 class TestPartials:
@@ -355,6 +383,11 @@ class TestInputGuards:
     @pytest.mark.parametrize("sigma, gamma", [(1e160, 0.75), (1e160, 0.5), (0.0894, 1e200)])
     def test_q_factor_constant_overflow_is_typed(self, sigma, gamma):
         p = ModelParams(0.00315, -0.0555, sigma, gamma)
+        if gamma == 0.5:
+            # sigma * sigma = inf times 2 gamma - 1 = 0 is the formula's zero,
+            # as in the monomial tables, so q is alpha + beta r
+            assert q_factor(p, 0.05).hex() == (p.alpha + p.beta * 0.05).hex()
+            return
         with pytest.raises(ValidationError, match=r"^q_factor: out of float range$"):
             q_factor(p, 0.05)
 
@@ -628,3 +661,107 @@ class TestKeptResults:
             got = [improved_log_price(p, 1.0, r).tobytes() for _ in range(3)]
             _Powers._kept.cache_clear()
             assert got == [improved_log_price(p, 1.0, r).tobytes()] * 3
+
+
+class TestKeptTables:
+    """Each parameter set of Python floats keeps its filtered monomial
+    tables in _Powers._kept, for scalar and array calls alike: bounded,
+    emptied by cache_clear, keyed by the bits of its four floats, shared
+    by threads, and never a reason for other bits or a missed refusal."""
+
+    P = ModelParams(0.00315, -0.0555, 0.0894, 1.32)
+    GRID = np.linspace(1e-6, 0.15, 1501)
+
+    @staticmethod
+    def records():
+        return _Powers._kept._params
+
+    def test_calls_keep_and_reuse_the_tables(self):
+        _Powers._kept.cache_clear()
+        want = improved_log_price(self.P, 1.0, 0.05)
+        (record,) = self.records().values()
+        tables = dict(record)
+        assert len(tables) == 4  # c5, c5', c5'' and k5
+        for r in (0.05, self.GRID, 0.05):
+            improved_log_price(self.P, 1.0, r)
+        assert list(self.records().values()) == [record]
+        assert record.keys() == tables.keys() and all(record[k] is v for k, v in tables.items())
+        assert improved_log_price(self.P, 1.0, 0.05).hex() == want.hex()
+
+    def test_at_most_the_bound_is_kept(self):
+        kept = _Powers._kept
+        kept.cache_clear()
+        ps = [self.P.with_gamma(0.6 + 0.01 * k) for k in range(kept.PARAMS + 8)]
+        for p in ps:
+            c5(p, 0.05)
+        assert list(self.records()) == [kept.key(p) for p in ps[-kept.PARAMS:]]
+        kept.cache_clear()
+        assert not self.records()
+
+    def test_beta_minus_zero_is_its_own_key(self):
+        ps = ModelParams(0.00315, 0.0, 0.0894, 0.75), ModelParams(0.00315, -0.0, 0.0894, 0.75)
+
+        def outcomes(p):
+            return [np.asarray(fn(p, 1.0, r)).tobytes() for fn in (improved_log_price, cw_partials)
+                    for r in (0.05, self.GRID)]
+
+        want = []
+        for p in ps:
+            _Powers._kept.cache_clear()
+            want.append(outcomes(p))
+        _Powers._kept.cache_clear()
+        assert [outcomes(p) for p in ps] == want
+        assert len(self.records()) == 2
+
+    def test_numpy_float_parameters_are_not_kept(self):
+        p64 = ModelParams(*map(np.float64, (self.P.alpha, self.P.beta, self.P.sigma, self.P.gamma)))
+        for r in (0.05, self.GRID):
+            for fn in (improved_log_price, cw_partials):
+                _Powers._kept.cache_clear()
+                want = np.asarray(fn(self.P, 1.0, r)).tobytes()
+                _Powers._kept.cache_clear()
+                assert [np.asarray(fn(p64, 1.0, r)).tobytes() for _ in range(3)] == [want] * 3
+                assert not self.records()
+
+    @pytest.mark.parametrize("p", [ModelParams(np.nan, -0.0555, 0.0894, 0.75),
+                                   ModelParams(0.00315, -0.0555, np.nan, 1.32)], ids=["alpha", "sigma"])
+    def test_a_nan_parameter_refuses_on_every_call(self, p):
+        _Powers._kept.cache_clear()
+        for r in (0.05, self.GRID):
+            for fn in (c5, c6):
+                for _ in range(3):
+                    with pytest.raises(ValidationError, match=rf"^{fn.__name__}: out of float range$"):
+                        fn(p, r)
+            for _ in range(3):
+                with pytest.raises(ValidationError, match=r"^improved_log_price: out of float range at tau=1\.0$"):
+                    improved_log_price(p, 1.0, r)
+        assert len(self.records()) == 1
+
+    def test_threads_give_the_serial_bits(self):
+        # more parameter sets than the bound and more threads than cores,
+        # with a short switch interval: misses and evictions race
+        ps = [self.P.with_gamma(0.5 + 0.02 * k) for k in range(_Powers._kept.PARAMS + 16)]
+        jobs = [(p, tau, r) for p in ps for tau in (0.5, 3.0) for r in (1e-3, 0.05)]
+        _Powers._kept.cache_clear()
+        want = [improved_log_price(*job) for job in jobs]
+        _Powers._kept.cache_clear()
+        got = [[None] * len(jobs) for _ in range(4)]
+
+        def work(out, shift):
+            for i in range(len(jobs)):
+                j = (i + shift) % len(jobs)
+                out[j] = improved_log_price(*jobs[j])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out, 29 * n)) for n, out in enumerate(got)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all([v.hex() for v in out] == [v.hex() for v in want] for out in got)
+        assert len(self.records()) == _Powers._kept.PARAMS

@@ -6,8 +6,9 @@ and rates (scalar, NaN and negative rates, and 1501-node arrays from 0,
 from 1e-6 and with one NaN or negative rate).  With NumPy's
 warnings ignored (what default filters do to a call: they only print them)
 and raised as errors (``-W error``), every call must give the outcome of
-a call on an empty ``_Powers._kept`` (value bits, type, shape and writeable
-flag, or refusal type and message), also when the store was filled under
+a call on an empty ``_Powers._kept``, its parameter sets' monomial tables
+included (value bits, type, shape and writeable flag, or refusal type and
+message), also when the store was filled under
 the other filter: a value kept while warnings are ignored must not let a call
 pass that ``-W error`` refuses, nor the other way round.
 """
@@ -97,9 +98,10 @@ def _kept():
 
 @pytest.mark.parametrize("action, other", [("ignore", "error"), ("error", "ignore")])
 def test_warm_store_gives_the_cold_outcome(action, other):
-    cold, warm, hits = [], [], 0
+    cold, warm, hits, tables = [], [], 0, 0
     for _, call in CALLS:
         _Powers._kept.cache_clear()
+        assert not _Powers._kept._params  # a cold call builds its tables
         cold.append(_outcome(call, action))
         _Powers._kept.cache_clear()
         for _ in range(2):  # the first call sights an array, the second keeps values
@@ -107,12 +109,13 @@ def test_warm_store_gives_the_cold_outcome(action, other):
         kept = list(_kept())
         assert all(np.isfinite(v).all() for _, v in kept)  # only what passed its checks
         hits += any(type(key) is tuple for key, _ in kept)
+        tables += any(_Powers._kept._params.values())
         warm.append(_outcome(call, action))
     assert [label for (label, _), c, w in zip(CALLS, cold, warm) if c != w] == []
     # the sweep gives values and refusals of each kind, and takes kept results
     refused = {o[0].__name__ for o in cold if type(o[0]) is not tuple}
     assert {"DomainError", "ValidationError", "GammaMismatch"} <= refused
-    assert sum(type(o[0]) is tuple for o in cold) > 600 and hits > 140
+    assert sum(type(o[0]) is tuple for o in cold) > 600 and hits > 140 and tables > 500
 
 
 def test_sweep_covers_every_public_function():
