@@ -9,6 +9,10 @@ uniform nodes on [0, 0.15].
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -302,25 +306,137 @@ def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
     return Table("T3", cols, rows, meta)
 
 
+#: A table-3 grid with fewer nodes than this is solved on the calling
+#: thread alone.  Each step holds the GIL for a few microseconds of NumPy
+#: and wrapper calls and releases it only inside ``dgttrs``, so on small
+#: grids two threads mostly wait for each other.  On a 2-vCPU host the
+#: eight solves of a 4000-step table ran 0.64x as fast as serially at 401
+#: nodes, 0.81x at 601, 1.13x at 801, 1.18x at 1001 and 1.7x at 4001.
+_SHARED_FROM_NODES = 1001
+
+
+class _Helpers:
+    """The threads that share the table-3 solves with the calling thread.
+
+    They start at the first call with more than one solve, whatever its
+    grid: one fewer than the CPUs the calling thread may run on, and than
+    the call's solves.  They are kept for the life of the process; a forked
+    child, which has none of them, starts its own.  They are kept, and
+    started early, because a thread inherits its creator's CPU set: threads
+    started by a later caller pinned to one CPU would all run on that CPU.
+    While the caller may run on one CPU only, calls start no thread and
+    import nothing.
+    """
+
+    lock = threading.Lock()
+    tasks = None  # the helpers' queue of tasks, each called once
+    size = 0
+
+    @classmethod
+    def get(cls, jobs: int):
+        """The helpers' task queue and their number, or ``(None, 0)``."""
+        with cls.lock:
+            if cls.tasks is None:
+                cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+                if min(cpus, jobs) > 1:
+                    import queue
+
+                    cls.size, cls.tasks = min(cpus, jobs) - 1, queue.SimpleQueue()
+                    for i in range(cls.size):
+                        threading.Thread(target=cls.serve, args=(cls.tasks,), name=f"bondkit-table3-{i}",
+                                         daemon=True).start()
+            return cls.tasks, cls.size
+
+    @staticmethod
+    def serve(tasks):
+        """A helper's loop: call each task and keep no reference to it, which
+        would keep a finished call's solutions alive into the next call."""
+        while True:
+            tasks.get()()
+
+    @classmethod
+    def drop(cls):
+        """Forget the helpers in a forked child: they did not follow the
+        fork, so a task queued for them would never run."""
+        cls.lock = threading.Lock()
+        cls.tasks, cls.size = None, 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_Helpers.drop)
+
+
+def _solve_all(p: ModelParams, jobs: list, start: list, shared: bool) -> list:
+    """The PdeSolution of each ``(gamma, config)`` job at the table-1
+    maturities, in job order.
+
+    The calling thread, and the kept helpers if ``shared``, take the jobs
+    in the order ``start`` lists their indices, from one shared iterator.
+    A helper runs in a copy of the caller's context, so NumPy's error state
+    is the caller's.  A job that fails is solved again by the caller, in
+    job order, so the error raised is the one the first failing job raises
+    when the jobs run one after another.
+    """
+    out = [None] * len(jobs)
+    todo, taking, helped = iter(start), threading.Lock(), threading.Semaphore(0)
+
+    def work():
+        while True:
+            with taking:
+                i = next(todo, None)
+            if i is None:
+                return
+            g, cfg = jobs[i]
+            try:
+                out[i] = solve(p.with_gamma(g), cfg, T1_TAUS)
+            except Exception:  # raised again below, in job order
+                pass
+
+    def assist():
+        try:
+            work()
+        finally:
+            helped.release()
+
+    tasks, size = _Helpers.get(len(jobs))
+    helpers = min(size, len(jobs) - 1) if shared else 0
+    for _ in range(helpers):
+        tasks.put(functools.partial(contextvars.copy_context().run, assist))
+    work()
+    for _ in range(helpers):
+        helped.acquire()
+    return [sol if sol is not None else solve(p.with_gamma(g), cfg, T1_TAUS) for sol, (g, cfg) in zip(out, jobs)]
+
+
 def compute_table3_solutions(p: ModelParams, cfg: PdeConfig | None = None, gammas=T3_GAMMAS):
     """Run the PDE solves at the table-1 maturities (plus half-resolution
     companions for a Richardson error estimate) feeding table 3.
 
-    Returns (pde_solutions, error_estimates) keyed by gamma, solved in the
-    order given.
+    Returns (pde_solutions, error_estimates) keyed by gamma in the order
+    given.  The solves are independent: on a grid of at least
+    ``_SHARED_FROM_NODES`` nodes the calling thread shares them with helper
+    threads, one fewer than the CPUs it may run on at the first call, kept
+    for the life of the process, and all the desk solves start first.
+    Every result is bit for bit the serial one, and the error raised is the
+    one the serial order (each gamma's desk solve, then its companion)
+    meets first.
     """
     cfg = cfg or PdeConfig()
-    coarse_cfg = None
+    cfgs = [cfg]
     if (cfg.n_space - 1) % 2 == 0 and cfg.n_time % 4 == 0 and cfg.n_space >= 7:
-        coarse_cfg = replace(cfg, n_space=(cfg.n_space - 1) // 2 + 1, n_time=cfg.n_time // 4)
+        cfgs.append(replace(cfg, n_space=(cfg.n_space - 1) // 2 + 1, n_time=cfg.n_time // 4))
+    jobs = [(g, c) for g in gammas for c in cfgs]
+    # the desk solves, the longest, start first
+    start = sorted(range(len(jobs)), key=lambda i: i % len(cfgs))
+    solved = _solve_all(p, jobs, start, shared=cfg.n_space >= _SHARED_FROM_NODES)
 
     solutions, estimates = {}, {}
-    for g in gammas:
-        pg = p.with_gamma(g)
-        sol = solutions[g] = solve(pg, cfg, T1_TAUS)
-        if coarse_cfg is None:
+    for i in range(0, len(jobs), len(cfgs)):
+        g = jobs[i][0]
+        sol = solutions[g] = solved[i]
+        if len(cfgs) == 1:
             continue
-        comp = solve(pg, coarse_cfg, T1_TAUS)
+        comp = solved[i + 1]
         fine, coarse = _norm_mask(sol.rates), _norm_mask(comp.rates)
         est = estimates[g] = {}
         for tau in sol.taus:

@@ -55,6 +55,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,7 @@ __all__ = ["PdeConfig", "PdeSolution", "SolveDiagnostics", "solve"]
 _PIVOT_FLOOR = 1e-300
 N_IMPLICIT_START = 10  # fully implicit (Rannacher) start-up steps
 _TAU_MATCH = 1e-12  # a snapshot maturity this close to a time level lands on it
+_LOADING = threading.Lock()  # held while _lapack loads the extension
 
 
 @dataclass(frozen=True)
@@ -146,20 +148,26 @@ def _lapack():
     the one copy a later ``import scipy.linalg`` reuses, so results are
     bit-identical to ``scipy.linalg.lapack``, which is imported only when the
     extension is not found (another SciPy layout).  A found extension that
-    fails to load raises.
+    fails to load raises.  Threads that call it first at the same time load
+    the extension once: the load runs under a lock, and a thread that waited
+    for it takes the loaded module.
     """
     name = "scipy.linalg._flapack"
     lapack = sys.modules.get(name)
-    if lapack is None:
-        pkg = importlib.util.find_spec("scipy")
-        dirs = [os.path.join(p, "linalg") for p in pkg.submodule_search_locations] if pkg else []
-        spec = importlib.machinery.PathFinder.find_spec(name, dirs)
-        if spec is None:
-            import scipy.linalg.lapack as lapack
-        else:
-            lapack = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(lapack)
-            sys.modules[name] = lapack
+    if lapack is not None:
+        return lapack
+    with _LOADING:
+        lapack = sys.modules.get(name)
+        if lapack is None:
+            pkg = importlib.util.find_spec("scipy")
+            dirs = [os.path.join(p, "linalg") for p in pkg.submodule_search_locations] if pkg else []
+            spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+            if spec is None:
+                import scipy.linalg.lapack as lapack
+            else:
+                lapack = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(lapack)
+                sys.modules[name] = lapack
     return lapack
 
 

@@ -23,7 +23,8 @@ def rng():
 @pytest.fixture(scope="session")
 def desk_pde():
     """Desk-scale PDE solutions for all four table-3 gammas, with Richardson
-    error estimates.  Takes ~20 s; shared across the whole session."""
+    error estimates.  Takes ~8 s on two CPUs (~13 s on one); shared across
+    the whole session."""
     import time
 
     t0 = time.perf_counter()

@@ -1,12 +1,21 @@
 import io
+import os
+import random
+import threading
+import time
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from _fresh import run_fresh
 from bondkit import (
+    DEFAULT_PARAMS,
     LogPriceCurve,
     PdeConfig,
     RateGrid,
+    analysis,
     build_table,
     c5,
     check_table,
@@ -20,11 +29,12 @@ from bondkit import (
     l2_norm,
     linf_norm,
     relative_mispricing,
+    solve,
     yield_curve,
 )
-from bondkit.analysis import DEFAULT_NORM_GRID, T1_GOLDEN, T2_GOLDEN
+from bondkit.analysis import DEFAULT_NORM_GRID, T1_GOLDEN, T1_TAUS, T2_GOLDEN
 from bondkit.cli import main
-from bondkit.errors import ValidationError
+from bondkit.errors import GammaMismatch, UnstableSolve, ValidationError
 
 # the exact bytes of ``bondkit table --table 1|2 --out``
 T1_CSV = """\
@@ -304,6 +314,212 @@ class TestTables:
     def test_unknown_table(self, params):
         with pytest.raises(ValidationError):
             build_table("T9", params)
+
+
+class TestTable3Threads:
+    """``compute_table3_solutions`` shares the solves of a large grid with
+    kept helper threads; every bit, key order and error is the serial one."""
+
+    # the smallest shared desk grid, with few steps, and its companion
+    CFG, COARSE = PdeConfig(n_space=1001, n_time=40), PdeConfig(n_space=501, n_time=10)
+    T3_CLI = "main(['table', '--table', '3', '--nspace', '{}', '--ntime', '40', '--out', {!r}])"
+
+    @staticmethod
+    def helpers():
+        return {t for t in threading.enumerate() if t.name.startswith("bondkit-table3-")}
+
+    @staticmethod
+    def csv(sols, ests):
+        buf = io.StringIO()
+        build_table("T3", DEFAULT_PARAMS, pde_solutions=sols, error_estimates=ests).to_csv(buf)
+        return buf.getvalue()
+
+    def test_threads_give_the_serial_bits(self, params):
+        gammas = [0.5, 0.75, 1.0, 1.32]
+        random.Random(29).shuffle(gammas)
+        sols, ests = compute_table3_solutions(params, self.CFG, gammas=gammas)
+        assert list(sols) == list(ests) == gammas
+        for g in gammas:
+            desk, comp = (solve(params.with_gamma(g), cfg, T1_TAUS) for cfg in (self.CFG, self.COARSE))
+            assert sols[g].log_prices.tobytes() == desk.log_prices.tobytes()
+            assert repr(sols[g].diagnostics) == repr(desk.diagnostics)
+            fine, coarse = desk.rates <= 0.15 + 1e-12, comp.rates <= 0.15 + 1e-12
+            want = {}
+            for tau in T1_TAUS:
+                d = desk.log_price_at(tau)[fine][::2] - comp.log_price_at(tau)[coarse]
+                want[(tau, "linf")] = float(np.max(np.abs(d))) / 3.0
+                want[(tau, "l2")] = float(np.sqrt(np.trapezoid(d**2, comp.rates[coarse]))) / 3.0
+            assert ests[g] == want
+        # on more than one CPU the helpers start, and a later call keeps them
+        helpers = self.helpers()
+        compute_table3_solutions(params, self.CFG)
+        assert self.helpers() == helpers
+        assert bool(helpers) == (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="one CPU: no helper")
+    def test_a_large_grid_is_shared(self, params, monkeypatch):
+        # the first two desk solves wait for each other, so they can only
+        # finish on two threads
+        meeting, threads = threading.Barrier(2, timeout=10), []
+
+        def meet(p, cfg, taus):
+            if cfg == self.CFG and p.gamma in (0.5, 0.75):
+                threads.append(threading.current_thread())
+                meeting.wait()
+            return solve(p, cfg, taus)
+
+        monkeypatch.setattr(analysis, "solve", meet)
+        compute_table3_solutions(params, self.CFG)
+        assert len(set(threads)) == 2 and threading.current_thread() in threads
+
+    def test_a_small_grid_is_solved_on_the_calling_thread(self, params, monkeypatch):
+        threads = []
+
+        def recording(p, cfg, taus):
+            threads.append(threading.current_thread())
+            return solve(p, cfg, taus)
+
+        monkeypatch.setattr(analysis, "solve", recording)
+        compute_table3_solutions(params, replace(self.CFG, n_space=self.CFG.n_space - 2))
+        assert threads == [threading.current_thread()] * 8
+
+    def test_a_finished_call_leaves_nothing_alive(self, params):
+        # a helper holding its last task would keep that call's solutions
+        # until the next call, raising the peak memory of the next table
+        sols, _ = compute_table3_solutions(params, self.CFG)
+        refs = [weakref.ref(sol) for sol in sols.values()]
+        del sols
+        deadline = time.monotonic() + 10  # a helper may still be returning from its task
+        while any(ref() is not None for ref in refs) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert [ref() for ref in refs] == [None] * 4
+
+    def test_error_is_the_first_in_serial_order(self, params, monkeypatch):
+        with pytest.raises(GammaMismatch) as serial:
+            solve(params.with_gamma(1.6), self.CFG, T1_TAUS)
+        with pytest.raises(GammaMismatch) as threaded:
+            compute_table3_solutions(params, self.CFG, gammas=(0.5, 1.6, 2.0))
+        assert str(threaded.value) == str(serial.value)
+        assert str(serial.value).startswith("gamma=1.6 ")
+
+        # all desk solves are listed first, yet serial code meets gamma =
+        # 0.5's companion before gamma = 0.75's desk solve
+        def failing(p, cfg, taus):
+            if (p.gamma, cfg.n_space) in ((0.5, self.COARSE.n_space), (0.75, self.CFG.n_space)):
+                raise UnstableSolve(f"gamma={p.gamma} n_space={cfg.n_space}")
+            return solve(p, cfg, taus)
+
+        monkeypatch.setattr(analysis, "solve", failing)
+        with pytest.raises(UnstableSolve, match=r"^gamma=0.5 n_space=501$"):
+            compute_table3_solutions(params, self.CFG, gammas=(0.5, 0.75, 1.0))
+
+    def test_every_solve_sees_the_callers_error_state(self, params, monkeypatch):
+        seen = []
+
+        def recording(p, cfg, taus):
+            seen.append(np.geterr())
+            return solve(p, cfg, taus)
+
+        monkeypatch.setattr(analysis, "solve", recording)
+        with np.errstate(divide="raise", under="raise"):
+            compute_table3_solutions(params, self.CFG)
+            assert seen == [np.geterr()] * 8
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+    def test_concurrent_first_calls_share_one_set_of_helpers(self, params):
+        # four callers meet the helpers missing at once, with a thread
+        # switch every microsecond; each gets the table of this process,
+        # and one set of helpers serves them all
+        out = run_fresh(
+            "import io, os, sys, threading\n"
+            "from bondkit import DEFAULT_PARAMS, PdeConfig, build_table, compute_table3_solutions\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "barrier, csvs = threading.Barrier(4, timeout=60), []\n"
+            "def table(gammas):\n"
+            "    barrier.wait()\n"
+            f"    sols, ests = compute_table3_solutions(DEFAULT_PARAMS, {self.CFG!r}, gammas)\n"
+            "    buf = io.StringIO()\n"
+            "    build_table('T3', DEFAULT_PARAMS, pde_solutions=sols, error_estimates=ests).to_csv(buf)\n"
+            "    csvs.append(buf.getvalue())\n"
+            "orders = [(0.5, 0.75, 1.0, 1.32), (1.32, 1.0, 0.75, 0.5), (0.75, 0.5, 1.32, 1.0), (1.0, 1.32, 0.5, 0.75)]\n"
+            "threads = [threading.Thread(target=table, args=(g,)) for g in orders]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join(60)\n"
+            "assert not any(t.is_alive() for t in threads)\n"
+            "helpers = [t for t in threading.enumerate() if t.name.startswith('bondkit-table3-')]\n"
+            "assert len(helpers) == min(len(os.sched_getaffinity(0)), 8) - 1, helpers\n"
+            "assert len(csvs) == 4 and len(set(csvs)) == 1\n"
+            "sys.stdout.write(csvs[0])\n"
+        )
+        assert out == self.csv(*compute_table3_solutions(params, self.CFG))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="one CPU: no helper")
+    def test_helpers_keep_the_first_callers_cpus(self):
+        # a small first table starts the helpers; a caller that pins itself
+        # to one CPU afterwards still has them on every CPU
+        run_fresh(
+            "import os, threading\n"
+            "from bondkit import DEFAULT_PARAMS, PdeConfig, compute_table3_solutions\n"
+            "cpus = os.sched_getaffinity(0)\n"
+            "compute_table3_solutions(DEFAULT_PARAMS, PdeConfig(n_space=41, n_time=40))\n"
+            "os.sched_setaffinity(0, {min(cpus)})\n"
+            f"compute_table3_solutions(DEFAULT_PARAMS, {self.CFG!r})\n"
+            "helpers = [t for t in threading.enumerate() if t.name.startswith('bondkit-table3-')]\n"
+            "assert helpers and all(os.sched_getaffinity(t.native_id) == cpus for t in helpers)\n"
+        )
+
+    def test_forked_child_starts_its_own_helpers(self, tmp_path):
+        # the kept helpers do not follow a fork; a child that queued its
+        # solves for them would wait forever, so a hang ends in SIGALRM
+        path = tmp_path / "t3.csv"
+        out = run_fresh(
+            "import io, os, signal, sys\n"
+            "from bondkit import DEFAULT_PARAMS, PdeConfig, build_table, compute_table3_solutions\n"
+            "from bondkit.cli import main\n"
+            f"sols, ests = compute_table3_solutions(DEFAULT_PARAMS, {self.CFG!r})\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            f"    sys.exit({self.T3_CLI.format(self.CFG.n_space, str(path))})\n"
+            "buf = io.StringIO()\n"
+            "build_table('T3', DEFAULT_PARAMS, pde_solutions=sols, error_estimates=ests).to_csv(buf)\n"
+            "print(os.waitpid(pid, 0)[1])\n"
+            "sys.stdout.write(buf.getvalue())\n"
+        )
+        status, table = out.split("\n", 1)
+        assert status == "0"
+        assert path.read_text() == table
+
+    def test_nothing_new_off_the_table3_path(self):
+        # import, tables 1-2 and a plain solve start no thread and import
+        # no ``queue`` (the helpers' task queue), so the helpers cost them
+        # nothing
+        run_fresh(
+            "import sys, threading\n"
+            "import bondkit\n"
+            "from bondkit import DEFAULT_PARAMS, PdeConfig, build_table, solve\n"
+            "assert 'queue' not in sys.modules and threading.active_count() == 1\n"
+            "build_table('T1'), build_table('T2')\n"
+            "solve(DEFAULT_PARAMS, PdeConfig(n_space=41, n_time=40), (0.5, 1.0))\n"
+            "assert 'queue' not in sys.modules, sorted(sys.modules)\n"
+            "assert threading.active_count() == 1\n"
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_one_cpu_solves_serially(self, params, tmp_path):
+        path = tmp_path / "t3.csv"
+        run_fresh(
+            "import os, sys, threading\n"
+            "from bondkit.cli import main\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            f"assert {self.T3_CLI.format(self.CFG.n_space, str(path))} == 0\n"
+            "assert 'queue' not in sys.modules and threading.active_count() == 1\n"
+        )
+        assert path.read_text() == self.csv(*compute_table3_solutions(params, self.CFG))
 
 
 class TestGoldenStructure:

@@ -1,13 +1,10 @@
 import hashlib
 import io
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import bondkit
+from _fresh import run_fresh
 from bondkit import (
     MaturityGrid,
     ModelParams,
@@ -358,16 +355,6 @@ class TestSolutionExport:
             sol.log_price_at(0.3 + 1e-9)
 
 
-def run_fresh(code: str) -> str:
-    """Run ``code`` in a new interpreter with this bondkit on its path, so no
-    import state leaks between tests; return its stdout."""
-    src = os.path.dirname(os.path.dirname(bondkit.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return proc.stdout
-
-
 def test_import_does_not_load_scipy(tmp_path):
     # the package loads no SciPy, and a PDE command only its LAPACK extension,
     # so pricing and tables start faster and PDE commands skip scipy.linalg
@@ -410,6 +397,35 @@ class TestLapackLoading:
             "importlib.machinery.PathFinder.find_spec = staticmethod(miss)\n"
             "print(run())\n"
             "assert 'scipy.linalg.lapack' in sys.modules\n"
+        ))
+        assert out.strip() == self.expected(params)
+
+    def test_concurrent_first_calls_load_the_extension_once(self, params):
+        # each thread meets the module missing; a sleep in the load widens
+        # the window in which another thread could start a load of its own
+        out = run_fresh(self.SOLVE + (
+            "import importlib.util, threading, time\n"
+            "from bondkit import pde\n"
+            "loads, got = [], []\n"
+            "module_from_spec = importlib.util.module_from_spec\n"
+            "def counted(spec):\n"
+            "    loads.append(spec.name)\n"
+            "    time.sleep(0.05)\n"
+            "    return module_from_spec(spec)\n"
+            "importlib.util.module_from_spec = counted\n"
+            "barrier = threading.Barrier(4, timeout=60)\n"
+            "def first():\n"
+            "    barrier.wait()\n"
+            "    got.append(pde._lapack())\n"
+            "threads = [threading.Thread(target=first) for _ in range(4)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join(60)\n"
+            "assert not any(t.is_alive() for t in threads)\n"
+            "assert loads == ['scipy.linalg._flapack'], loads\n"
+            "assert len(got) == 4 and all(m is sys.modules['scipy.linalg._flapack'] for m in got)\n"
+            "print(run())\n"
         ))
         assert out.strip() == self.expected(params)
 
