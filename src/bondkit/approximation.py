@@ -48,12 +48,25 @@ Numerical notes
   r^{2 gamma} at gamma = 0 are 0.0 and 1.0.  No coefficient is merged and
   every sum keeps its table order, so sharing changes no bit of any
   result; improved_log_price forms 14 powers of r at gamma = 1.32 instead
-  of 34.  A scalar rate's table hands out Python floats, float(r**pw), and
-  its sums add into 0.0: the same float64 operations in the same order,
-  without a NumPy scalar per term.  The power stays NumPy's: for some
-  rates Python's ``**`` (or math.pow) differs from it in the last bit,
-  where a 0-d power gives the bits of an array's element, so a scalar
-  call gives the same rate's element of a curve.  The domain checks read
+  of 34.  A scalar rate's table hands out Python floats, and its sums add
+  into 0.0: the same float64 operations in the same order, without a NumPy
+  scalar per term.  The power stays NumPy's: for some rates Python's
+  ``**`` (or math.pow) differs from it in the last bit, where NumPy's
+  power gives the bits of an array's element, so a scalar call gives the
+  same rate's element of a curve.  For a rate x in the window R_FLOOR <= x
+  <= 1, x**2, x**0.5 and x**-1 are x * x, math.sqrt(x) and 1.0 / x, the
+  IEEE operations NumPy runs for them.  The other (generic) powers that a
+  call forms after reading its parameters' record (at its first monomial
+  table) come from one np.power call over an array of exponents, whose
+  every element has the bits of that power formed alone: the batch its
+  outermost function's earlier calls formed for these parameters, of
+  exponents |e| <= 50, so on the window's rates no power raises a
+  floating-point flag (0.5 is never in it: NumPy's power of 0.5 differs
+  from its sqrt in the last bit for some rates).  improved_log_price at
+  gamma = 1.32 forms its 14 generic powers in 4 NumPy calls: q's two and
+  r^{2 gamma} alone, the tables' 11 in one.  Nothing is keyed on a rate's
+  value.  Outside the window a power is the 0-d array's, as for any rate,
+  so a refusal's type and message do not change.  The domain checks read
   one reduction, the least rate, and every refusal names the outermost
   call.
 * Values kept across calls: for a C-contiguous array of 64 to 16384 rates,
@@ -79,7 +92,8 @@ Numerical notes
   monomial tables (c5, c5', c5'', k5, and the r-derivatives of r^{2 gamma}
   and q) from _Powers._kept, each filtered once with its negative-power
   flag, for the last 32 sets of four Python floats, keyed by their bits;
-  other parameter types build them per call.  No knob.
+  other parameter types build them per call; each record also keeps the
+  batch of exponents of each function's scalar calls.  No knob.
 * _call applies the maturity rule of :func:`bondkit.model._check_maturity`
   and one float rule that tests results, not constants: a non-finite value
   from any call, a Python float overflow or zero division, and a NumPy
@@ -228,6 +242,18 @@ class _Kept:
     filtered monomial tables, each built on its first use (see
     :meth:`_Powers.table`) and written as one dict item, a few KiB at most;
     two threads that build a table together write equal ones.
+
+    A record also keeps, per public function name, the batch of that
+    function's scalar calls in the window (see :meth:`_Powers.batch`): a
+    list of the generic exponents they formed after reading the record,
+    each of |exponent| <= _Powers.BATCH_EXP, and their float array once
+    used, a few hundred bytes; so at most PARAMS x 15 batches are kept, and
+    cache_clear drops them with the records.  A batch holds no rate, and
+    decides what a call costs, never what it returns.  A call adds to its
+    batch's list in place: two threads may add one exponent twice, which
+    costs one more element of the batch, and two that make a function's
+    batch together keep one of the two lists, whose missing exponents a
+    later call adds.
     """
 
     ARRAYS, ENTRIES, SIGHTS, PARAMS = 4, 32, 16, 32
@@ -297,45 +323,74 @@ class _Kept:
         return None
 
     def record(self, p):
-        """p's record of tables, now the most recently used; a new dict,
+        """p's record of tables, now the most recently used; a new one,
         kept nowhere, if :meth:`key` gives p none."""
         key = self.key(p)
         if key is None:
-            return {}
+            return _Record()
         out = self.get(self._params, key)
         if out is None:
-            out = {}
+            out = _Record()
             with self._lock:
                 self._put(self._params, key, out, self.PARAMS)
         return out
 
 
+class _Record(dict):
+    """A parameter set's record in :class:`_Kept`: its filtered monomial
+    tables, keyed (terms, n), and in :attr:`batches`, per public function
+    name, its scalar calls' batch, [exponents, their array or None]."""
+
+    __slots__ = ("batches",)
+
+    def __init__(self):
+        super().__init__()
+        self.batches = {}
+
+
 class _Powers:
     """The power table :func:`_call` builds for one public call ``what``
-    (at maturity ``tau``, if it takes one): the rates ``arr``, each
-    ``arr**pw`` formed at most once per exponent float, and the least rate,
-    which every rate-domain check reads; for a scalar rate, the powers,
-    sums and least rate are Python floats.  Every refusal through it names
-    ``what``.  Keys are exact exponent floats: a power is reused only where
-    it would be recomputed bit for bit.  What outlives the call is kept in
-    :attr:`_kept`: the monomial tables of its parameter set (:meth:`table`),
-    and the powers and tau-free results of a repeated C-contiguous array of
-    64 to 16384 rates: below, a lookup costs about what forming a power
-    does; above, the kept values would take much memory.
+    (at maturity ``tau``, if it takes one): the rates ``arr`` (a float64
+    array; a Python float rate until a power needs its array), each
+    ``arr**pw`` formed at most once per exponent float, and the least
+    rate, which every rate-domain check reads; for a scalar rate, the
+    powers, sums and least rate are Python floats.  Every refusal through
+    it names ``what``.  Keys are exact exponent floats: a power is reused
+    only where it would be recomputed bit for bit.  What outlives the call
+    is kept in
+    :attr:`_kept`: the monomial tables of its parameter set (:meth:`table`)
+    and, beside them, its scalar calls' batch of generic exponents
+    (:meth:`batch`), and the powers and tau-free results of a repeated
+    C-contiguous array of 64 to 16384 rates: below, a lookup costs about
+    what forming a power does; above, the kept values would take much
+    memory.
     """
 
-    __slots__ = ("scalar", "arr", "what", "_pows", "_kept_here", "_low", "_tau", "_record")
+    __slots__ = ("scalar", "arr", "what", "_pows", "_kept_here", "_low", "_tau", "_record", "_x", "_batch")
 
     _kept = _Kept()
+
+    #: The largest |exponent| a batch may hold: on the window's rates its
+    #: powers lie in [1e-300, 1e300], where none raises a floating-point flag.
+    BATCH_EXP = 50.0
 
     def __init__(self, r, what: str, tau=None):
         if tau is not None:
             _check_maturity(tau)
-        self.arr = np.asarray(r, dtype=float)
-        self.scalar = self.arr.ndim == 0
         self._pows = {}
         self._kept_here = self._low = self._record = None  # _kept_here: see _entries
         self.what, self._tau = what, tau
+        if type(r) is not float:
+            r = np.asarray(r, dtype=float)
+            if r.ndim:
+                self.arr, self.scalar = r, False
+                return
+        # a scalar rate: a Python float's 0-d array is made only for a
+        # generic power (see __call__); only a scalar table sets _x and _batch
+        self.arr, self.scalar = r, True
+        x = self._pows[1] = float(r)
+        self._x = x if R_FLOOR <= x <= 1 else None  # a rate in the window
+        self._batch = None  # see batch
 
     def _out_of_range(self):
         at = "" if self._tau is None else f" at tau={self._tau!r}"
@@ -358,20 +413,42 @@ class _Powers:
         """arr**pw, formed on first use; 1.0 and the rates themselves for
         pw = 0 and 1, so no caller may write into what this returns.
 
-        A scalar table hands out Python floats, float(arr**pw): still
-        NumPy's power, whose bits an array's element has too (Python's
-        ``**`` differs in the last bit for some rates).  A generic power
-        (NumPy serves 2, 0.5 and -1 by square, sqrt and reciprocal) is kept
-        for a repeated array."""
+        A scalar table hands out Python floats with the bits of an array's
+        element: NumPy's power (Python's ``**`` and math.pow differ from it
+        in the last bit for some rates).  For a rate x in the window
+        R_FLOOR <= x <= 1, x**2, x**0.5 and x**-1 are x * x, math.sqrt(x)
+        and 1.0 / x, the IEEE operations NumPy runs for them, and a generic
+        power is formed alone unless the call's batch (:meth:`batch`)
+        formed it; none of these raises a floating-point flag there.
+        Elsewhere x's power is its 0-d array's, so a refusal's type and
+        message stay those of an array.  An array's generic power (NumPy
+        serves 2, 0.5 and -1 by square, sqrt and reciprocal) is kept for a
+        repeated array."""
         out = self._pows.get(pw)
         if out is None:
-            if pw == 0:
+            if pw == 0.0:
                 out = 1.0
             elif self.scalar:
-                out = float(self.arr if pw == 1 else self.arr**pw)
-            elif pw == 1:
+                x = self._x
+                if x is None:
+                    out = float(np.asarray(self.arr)**pw)
+                elif pw == 2.0:
+                    out = x * x
+                elif pw == 0.5:
+                    out = math.sqrt(x)
+                elif pw == -1.0:
+                    out = 1.0 / x
+                else:  # a generic power, formed alone; see batch
+                    batch = self._batch
+                    if batch is not None and -self.BATCH_EXP <= pw <= self.BATCH_EXP and pw not in batch[0]:
+                        batch[0].append(pw)
+                    arr = self.arr
+                    if type(arr) is float:  # a Python float rate's 0-d array, made once
+                        arr = self.arr = np.asarray(arr)
+                    out = float(self._power(arr, pw))
+            elif pw == 1.0:
                 out = self.arr
-            elif pw in (2, 0.5, -1) or (entries := self._entries()) is False:
+            elif pw in (2.0, 0.5, -1.0) or (entries := self._entries()) is False:
                 out = self.arr**pw
             else:
                 out = self._kept.get(entries, pw)
@@ -379,6 +456,35 @@ class _Powers:
                     out = self._kept.put(entries, pw, self.arr**pw)
             self._pows[pw] = out
         return out
+
+    def batch(self, record):
+        """Form, in one NumPy call, the batch this scalar call's outermost
+        function keeps in ``record``, the record of its parameters, just
+        read: the generic powers its calls formed after reading it (a
+        generic power formed alone from now on is added, see
+        :meth:`__call__`).  A call reads its record at its first monomial
+        table, so the powers it forms before (q's and r^{2 gamma}, at most
+        three) stay alone, and a call that reads no table (cw_log_price,
+        q_factor) looks nothing up: for one generic power the lookup would
+        cost more than it saves.  Nothing is keyed on the rate: as each
+        element has the bits of its power formed alone, a batch decides a
+        call's cost, never its result."""
+        batch = self._batch = record.batches.get(self.what)
+        if batch is None:
+            batch = self._batch = record.batches[self.what] = [[], None]
+        exps, arr = batch
+        if len(exps) >= 2:
+            if arr is None or len(arr) != len(exps):  # exponents were added
+                arr = batch[1] = np.array(exps, dtype=float)
+            if type(self.arr) is float:  # as in __call__
+                self.arr = np.asarray(self.arr)
+            self._pows.update(zip(exps, self._power(self.arr, arr).tolist()))
+
+    #: Forms a scalar's generic powers in the window, (0-d rate, exponent or
+    #: array of them): one NumPy call, whose loop gives each element the
+    #: bits of the 0-d power (the 0.5 it is never handed would differ from
+    #: the sqrt NumPy's ``**`` runs).
+    _power = staticmethod(np.power)
 
     def kept(self, fn, p):
         """``fn(p, self)`` for a tau-free function ``fn`` nested in a call:
@@ -442,6 +548,8 @@ class _Powers:
         in :attr:`_kept`, which a call looks up once."""
         if self._record is None or self._record[0] is not p:
             self._record = p, self._kept.record(p)
+            if self.scalar and self._x is not None:
+                self.batch(self._record[1])
         record = self._record[1]
         out = record.get((terms, n))
         if out is None:
@@ -458,14 +566,15 @@ class _Powers:
         rate is refused unless no monomial is live, and a rate below
         R_FLOOR is refused exactly when a live monomial has a negative
         power.  A scalar's sum is a Python float, an array's is formed in
-        place."""
+        place; a power already formed is read from the table's dict."""
         live, singular = self.table(p, terms, n)
         out = self.zero()
         if not live:
             return out
         self.check(singular)
+        pows = self._pows
         for c, pw in live:
-            out += c * self(pw)
+            out += c * (pows[pw] if pw in pows else self(pw))
         return out
 
     def result(self, out):

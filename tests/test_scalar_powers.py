@@ -1,0 +1,280 @@
+"""A scalar rate's powers: exact forms and one batched NumPy call.
+
+For a rate x in [R_FLOOR, 1], ``_Powers`` takes x**2, x**0.5 and x**-1 as
+x * x, math.sqrt(x) and 1.0 / x, and forms the other (generic) powers a
+call needs after reading its parameters' record in one ``np.power`` call
+over the exponents its function formed there before (``_Powers.batch``).
+These tests pin the premises that make this bit-identical to forming each
+power alone, check that a scalar call at and around the window's edges
+still gives what a one-element array gives, and check the kept batches.
+"""
+
+import math
+import sys
+import threading
+import warnings
+
+import numpy as np
+import pytest
+
+from bondkit import (
+    ModelParams,
+    c5,
+    c5_derivatives,
+    c6,
+    cir_log_price,
+    cir_partials,
+    cw_log_price,
+    cw_partials,
+    improved_log_price,
+    k4,
+    k5,
+    pde_residual,
+    q_factor,
+    vasicek_log_price,
+    vasicek_partials,
+)
+from bondkit.approximation import R_FLOOR, _c5_terms, _derive, _k5_terms, _Powers, _q_terms
+from bondkit.errors import ValidationError
+
+P = ModelParams(0.00315, -0.0555, 0.0894, 0.5)
+
+
+def _exponents(g):
+    """Every power of r the module's formulas form at gamma ``g``: q and
+    r^{2 gamma} with their first two r-derivatives, and the monomial tables
+    of c5 and k5 with theirs."""
+    p = P.with_gamma(g)
+    out = {2 * g, 2 * g - 1, 2 * g - 2}
+    for terms in (_q_terms, _c5_terms, _k5_terms):
+        table = terms(p)
+        for _ in range(3):
+            out.update(pw for _, pw in table)
+            table = _derive(table)
+    return sorted(out)
+
+
+def _bits(v):
+    return float(v).hex()
+
+
+class TestPremises:
+    """What NumPy must give for the batch and the exact forms to keep every
+    bit: a seeded sweep of the window's rates, its ends included."""
+
+    GAMMAS = (0.25, 0.5, 0.75, 1.0, 1.32, 2.0)
+
+    @staticmethod
+    def rates():
+        rng = np.random.default_rng(20080221)
+        logs = 10.0 ** rng.uniform(-6.0, 0.0, 300)
+        flat = rng.uniform(R_FLOOR, 1.0, 100)
+        return [R_FLOOR, math.nextafter(R_FLOOR, 1.0), math.nextafter(1.0, 0.0), 1.0,
+                *map(float, logs), *map(float, flat)]
+
+    @pytest.mark.parametrize("g", GAMMAS)
+    def test_one_power_call_gives_each_zero_d_power(self, g):
+        exps = [e for e in _exponents(g) if e not in (0.0, 1.0, 2.0, 0.5, -1.0)]
+        arr = np.array(exps)
+        for x in self.rates():
+            got = np.power(x, arr).tolist()
+            want = [float(np.asarray(x)**e) for e in exps]
+            assert list(map(_bits, got)) == list(map(_bits, want)), (x, g)
+
+    def test_an_element_does_not_depend_on_its_position(self):
+        # 0.5 is never batched: for one exponent NumPy runs sqrt for it, and
+        # in an array its power loop, which differs from sqrt in the last
+        # bit for some rates; here it only has to keep its bits when moved
+        exps = [e for e in _exponents(1.32) if e not in (0.0, 1.0)] + [0.5]
+        for x in self.rates()[::7]:
+            first = dict(zip(exps, np.power(x, np.array(exps)).tolist()))
+            for shift in range(1, len(exps)):
+                moved = exps[shift:] + exps[:shift]
+                got = dict(zip(moved, np.power(x, np.array(moved)).tolist()))
+                assert {e: _bits(v) for e, v in got.items()} == {e: _bits(v) for e, v in first.items()}, x
+
+    def test_exact_forms_are_numpys_fast_paths(self):
+        for x in self.rates():
+            a = np.asarray(x)
+            assert _bits(x * x) == _bits(a**2)
+            assert _bits(math.sqrt(x)) == _bits(a**0.5)
+            assert _bits(1.0 / x) == _bits(a**-1)
+
+
+TAU_FREE = (q_factor, k4, k5, c5, c5_derivatives, c6)
+WITH_TAU = (cw_log_price, cw_partials, improved_log_price, vasicek_log_price, vasicek_partials,
+            cir_log_price, cir_partials)
+GAMMAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.32, 2.0, 20.0)  # gamma = 20 has exponents past the bound
+EDGE_RATES = (0.0, 5e-7, math.nextafter(R_FLOOR, 0.0), R_FLOOR, 0.5, 1.0, math.nextafter(1.0, 2.0), 2.0,
+              1e200, math.inf, math.nan, -1e-9)
+
+
+def _edge_calls():
+    for g in GAMMAS:
+        p = P.with_gamma(g)
+        for fn in TAU_FREE:
+            yield (fn.__name__, g), lambda r, fn=fn, p=p: fn(p, r)
+        for fn in WITH_TAU:
+            yield (fn.__name__, g), lambda r, fn=fn, p=p: fn(p, 1.0, r)
+        for partials in (cw_partials, cir_partials, vasicek_partials):
+            yield (("pde_residual", partials.__name__, g),
+                   lambda r, partials=partials, p=p: pde_residual(partials, p, 1.0, r))
+
+
+EDGE_CALLS = list(_edge_calls())
+
+
+def _outcome(call, r, mode):
+    """Value bits, item by item, or (refusal type, message): warnings
+    ignored (what default filters do to a call: they only print them),
+    raised as errors (``-W error``) or NumPy's flags raised (``raise``)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if mode == "error" else "ignore")
+        with np.errstate(all="raise") if mode == "raise" else np.errstate():
+            try:
+                out = call(r)
+            except Exception as e:  # noqa: BLE001 - a refusal is an outcome too
+                return type(e), str(e)
+    return tuple(_bits(np.reshape(v, -1)[0]) for v in (out if isinstance(out, tuple) else (out,)))
+
+
+@pytest.mark.parametrize("mode", ["ignore", "error", "raise"])
+def test_window_edges_give_the_one_element_array_outcome(mode):
+    for label, call in EDGE_CALLS:
+        for r in EDGE_RATES:
+            _Powers._kept.cache_clear()
+            want = _outcome(call, np.array([r]), mode)
+            cold = _outcome(call, r, mode)
+            for w in (0.5, r, 0.5, r):  # learn a batch in the window, and at r
+                _outcome(call, w, "ignore")
+            warm = _outcome(call, r, mode)
+            for got in (cold, warm):
+                if got != want:
+                    # Python float arithmetic raises no NumPy flag: where an
+                    # array's operation raises FloatingPointError (r = inf or
+                    # 1e200 here), a scalar's non-finite result is refused
+                    # as out of float range; in the window, nothing differs
+                    assert mode == "raise" and want[0] is FloatingPointError, (label, r, want, got)
+                    assert got[0] is ValidationError and ": out of float range" in got[1]
+                    assert not R_FLOOR <= r <= 1.0
+
+
+class TestBatches:
+    """The batches kept in the parameter records of _Powers._kept: one per
+    function, bounded and dropped with their record, emptied by
+    cache_clear, shared by threads, and formed in one NumPy call."""
+
+    P = P.with_gamma(1.32)
+
+    @staticmethod
+    def records():
+        return _Powers._kept._params
+
+    @pytest.fixture
+    def power_calls(self, monkeypatch):
+        calls = []
+
+        def power(x, exps):
+            calls.append(np.size(exps))
+            return np.power(x, exps)
+
+        monkeypatch.setattr(_Powers, "_power", staticmethod(power))
+        return calls
+
+    def test_a_warm_point_forms_its_tables_powers_in_one_call(self, power_calls):
+        _Powers._kept.cache_clear()
+        improved_log_price(self.P, 3.7, 0.0731)
+        assert power_calls == [1] * 14  # cold: each generic power alone
+        power_calls.clear()
+        for tau, r in ((1.5, 0.02), (3.7, 0.0731), (9.0, R_FLOOR)):
+            improved_log_price(self.P, tau, r)
+        # q's two powers and r^{2 gamma} come before the first table
+        assert power_calls == [1, 1, 1, 11] * 3
+        (record,) = self.records().values()
+        ((what, (exps, arr)),) = record.batches.items()
+        assert what == "improved_log_price" and len(exps) == len(set(exps)) == len(arr) == 11
+        power_calls.clear()
+        for _ in range(2):
+            c6(self.P, 0.0731)  # tables first: warm, every generic power in the batch
+        assert power_calls == [1] * 14 + [14] and record.batches.keys() == {"improved_log_price", "c6"}
+
+    @pytest.mark.parametrize("call", [
+        lambda r: cir_log_price(P, 3.7, r),
+        lambda r: vasicek_log_price(P.with_gamma(0.0), 3.7, r),
+        lambda r: cw_log_price(P.with_gamma(0.0), 3.7, r),
+        lambda r: cw_log_price(P, 3.7, r),
+        lambda r: improved_log_price(P, 3.7, r),
+    ], ids=["cir", "vasicek", "cw-0", "cw-1/2", "improved-1/2"])
+    def test_points_without_generic_powers_form_no_batch(self, power_calls, call):
+        _Powers._kept.cache_clear()
+        for r in (0.0731, 0.0731, 0.5):
+            call(r)
+        assert power_calls == [] and not any(exps for record in self.records().values()
+                                             for exps, _ in record.batches.values())
+
+    @pytest.mark.parametrize("g, n", [(0.75, 1), (1.32, 3)])
+    def test_a_call_without_tables_looks_nothing_up(self, power_calls, g, n):
+        _Powers._kept.cache_clear()
+        for _ in range(3):
+            cw_log_price(self.P.with_gamma(g), 3.7, 0.0731)
+        assert power_calls == [1] * n * 3 and not self.records()
+
+    def test_outside_the_window_nothing_is_batched(self, power_calls):
+        _Powers._kept.cache_clear()
+        for _ in range(2):
+            improved_log_price(self.P, 1.0, 2.0)
+            c5(self.P.with_gamma(1.0), 5e-7)
+        assert power_calls == [] and not any(exps for record in self.records().values()
+                                             for exps, _ in record.batches.values())
+
+    def test_batches_go_with_their_records(self):
+        kept = _Powers._kept
+        kept.cache_clear()
+        ps = [self.P.with_gamma(0.6 + 0.01 * k) for k in range(kept.PARAMS + 8)]
+        for p in ps:
+            for _ in range(2):
+                c5(p, 0.05)
+        assert list(self.records()) == [kept.key(p) for p in ps[-kept.PARAMS:]]
+        assert all(len(record.batches["c5"][0]) >= 2 for record in self.records().values())
+        kept.cache_clear()
+        assert not self.records()
+
+    def test_exponents_past_the_bound_are_not_batched(self):
+        _Powers._kept.cache_clear()
+        for _ in range(3):
+            c6(self.P.with_gamma(20.0), 0.5)
+        (record,) = self.records().values()
+        exps, _ = record.batches["c6"]
+        assert exps and all(abs(e) <= _Powers.BATCH_EXP for e in exps)
+
+    def test_threads_give_the_serial_bits(self):
+        # more parameter sets than the bound and more threads than cores,
+        # with a short switch interval: batches are made, grown, read and
+        # dropped concurrently
+        ps = [self.P.with_gamma(0.55 + 0.02 * k) for k in range(_Powers._kept.PARAMS + 8)]
+        jobs = [(fn, p, tau, r) for p in ps for fn in (cw_partials, improved_log_price)
+                for tau in (0.5, 3.0) for r in (1e-3, 0.05)]
+        _Powers._kept.cache_clear()
+        want = [fn(p, tau, r) for fn, p, tau, r in jobs]
+        _Powers._kept.cache_clear()
+        got = [[None] * len(jobs) for _ in range(4)]
+
+        def work(out, shift):
+            for i in range(len(jobs)):
+                j = (i + shift) % len(jobs)
+                fn, p, tau, r = jobs[j]
+                out[j] = fn(p, tau, r)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out, 37 * n)) for n, out in enumerate(got)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(repr(out) == repr(want) for out in got)
+        assert len(self.records()) == _Powers._kept.PARAMS
