@@ -29,75 +29,27 @@ Numerical notes
   table of monomials in r, summed by one evaluator with one domain rule:
   negative or NaN rates are refused, and a function refuses r < R_FLOOR =
   1e-6 exactly when one of its monomials with a negative power has a
-  nonzero coefficient.  Zero coefficients drop out before any power is
-  formed, so at gamma = 1/2 the tables reduce to the square-root-model
-  polynomials and r = 0 evaluates to the analytic limit; for gamma >= 1
-  k4, k5 and c5 have no negative powers at all.  A coefficient that is
-  inf * 0 = NaN, an overflowed product times a vanishing factor, is such a
-  zero too where the parameters are finite (sigma = 1e100 at gamma = 1/2);
-  a NaN parameter keeps its NaN.  q_factor obeys the same rule, its
-  factored coefficient gamma (2 gamma - 1) sigma^2 included (negative
-  powers exactly for 0 < gamma < 1/2).
-* k4 and c5 share one table, so c5 = -k4/5 holds to ~1e-15 relative.
-* One power table per call: _call builds it for the outermost call and
-  hands it to the body as ``r``, which passes it on as ``r`` to the public
-  functions it is built from (pde_residual to its ``partials``).  Each
-  power of r (for q, r^{2 gamma} and each monomial table) is formed at most
-  once per exact exponent float, and reused only for that same float.
-  r**0 is 1.0 and r**1 is r (exact for every x, NaN included), and q and
-  r^{2 gamma} at gamma = 0 are 0.0 and 1.0.  No coefficient is merged and
-  every sum keeps its table order, so sharing changes no bit of any
-  result; improved_log_price forms 14 powers of r at gamma = 1.32 instead
-  of 34.  A scalar rate's table hands out Python floats, and its sums add
-  into 0.0: the same float64 operations in the same order, without a NumPy
-  scalar per term.  The power stays NumPy's: for some rates Python's
-  ``**`` (or math.pow) differs from it in the last bit, where NumPy's
-  power gives the bits of an array's element, so a scalar call gives the
-  same rate's element of a curve.  For a rate x in the window R_FLOOR <= x
-  <= 1, x**2, x**0.5 and x**-1 are x * x, math.sqrt(x) and 1.0 / x, the
-  IEEE operations NumPy runs for them.  The other (generic) powers that a
-  call forms after reading its parameters' record (at its first monomial
-  table) come from one np.power call over an array of exponents, whose
-  every element has the bits of that power formed alone: the batch its
-  outermost function's earlier calls formed for these parameters, of
-  exponents |e| <= 50, so on the window's rates no power raises a
-  floating-point flag (0.5 is never in it: NumPy's power of 0.5 differs
-  from its sqrt in the last bit for some rates).  improved_log_price at
-  gamma = 1.32 forms its 14 generic powers in 4 NumPy calls: q's two and
-  r^{2 gamma} alone, the tables' 11 in one.  Nothing is keyed on a rate's
-  value.  Outside the window a power is the 0-d array's, as for any rate,
-  so a refusal's type and message do not change.  The domain checks read
-  one reduction, the least rate, and every refusal names the outermost
-  call.
-* Values kept across calls: for a C-contiguous array of 64 to 16384 rates,
-  _Powers._kept keeps what is formed from the rates alone: each generic
-  power (any exponent but 0, 1, 2, 0.5 and -1), keyed by its exponent
-  float, and the tau-free results of q, k4, k5, c5, c5'/c5'' and c6 (the
-  (p, r) functions) called nested in another call, keyed by the function
-  and the exact bits of p's four floats, once they passed their checks.
-  The rates are keyed by their shape and bytes.  An array is kept from its
-  second sight on: the first records only a hash of its shape and end
-  rates, so an array priced once pays for its key alone (measured 3-12 % of a 1501-node cw or
-  improved call).  At most 4 arrays are kept, each with a read-only copy
-  of its rates and at most 32 read-only values, the least recently used
-  dropped first; a c5_derivatives value holds two arrays, so 4 x (1 + 2 x
-  32) x 16384 x 8 B = 32.5 MiB at worst.  A table, an EOC ladder, a
-  calibration loop or a stream of curves re-prices one rate grid at other
-  maturities, and forms none of these again: a warm improved curve costs
-  little more than a cw curve.  A kept value gives the bits a fresh call
-  forms, and threads may share the store.  Scalars and other arrays form
-  every power and result per call, a public function returns new writable
-  arrays, and the maturity rule and the outer call's result check run on
-  every call.  Per parameter set, scalar and array calls alike read the
-  monomial tables (c5, c5', c5'', k5, and the r-derivatives of r^{2 gamma}
-  and q) from _Powers._kept, each filtered once with its negative-power
-  flag, for the last 32 sets of four Python floats, keyed by their bits;
-  other parameter types build them per call; each record also keeps the
-  batch of exponents of each function's scalar calls.  No knob.
+  nonzero coefficient.  Zero coefficients, and inf * 0 = NaN ones where
+  the parameters are finite (sigma = 1e100 at gamma = 1/2), drop out
+  before any power is formed, so at gamma = 1/2 the tables reduce to the
+  square-root-model polynomials and r = 0 evaluates to the analytic
+  limit; for gamma >= 1 k4, k5 and c5 have no negative powers at all.
+  q_factor obeys the same rule (negative powers exactly for 0 < gamma <
+  1/2).  k4 and c5 share one table, so c5 = -k4/5 to ~1e-15 relative.
+* One power table per call (:class:`_Powers`), whose nested terms run on
+  it.  Each power of r is formed at most once per exact exponent float;
+  r**0 is 1.0 and r**1 is r, and q and r^{2 gamma} at gamma = 0 are 0.0
+  and 1.0.  No coefficient is merged and every sum keeps its table order,
+  so sharing changes no bit: improved_log_price forms 14 powers of r at
+  gamma = 1.32 instead of 34.
+* A scalar rate is priced on Python floats with the bits of the same
+  rate's element of a curve: each power is NumPy's (Python's ``**``
+  differs in the last bit for some rates), but x**2, x**0.5 and x**-1 for
+  x in [R_FLOOR, 1] are x * x, math.sqrt(x) and 1.0 / x, the IEEE
+  operations NumPy runs for them.  :class:`_Kept` describes what outlives
+  a call.
 * _call applies the maturity rule of :func:`bondkit.model._check_maturity`
-  and one float rule that tests results, not constants: a non-finite value
-  from any call, a Python float overflow or zero division, and a NumPy
-  warning raised as an error (``-W error``) are each a ValidationError.
+  and one float rule that tests results, not constants (see :func:`_call`).
 """
 
 from __future__ import annotations
@@ -137,22 +89,18 @@ _SERIES_SWITCH = 1e-2
 
 
 def _call(fn):
-    """``fn`` under the one contract of the public functions.
-
-    Called with rates ``r``, it builds the call's power table, named after
-    ``fn``, under the maturity rule, and runs ``fn`` with the table as
-    ``r`` (b_factor, without rates, gets a table of 0.0).  A result, item by
-    item for a tuple, that is not finite, a Python float overflow or zero
-    division, and a NumPy warning raised as an error are each refused as
-    out of float range.  Called with a caller's table, it runs ``fn`` on it
-    and checks the result there, so a non-finite term is refused before a
-    later term's domain check can refuse it, whatever the warning filter.
-    """
+    """``fn`` under the one contract of the public functions: it builds the
+    call's table (:class:`_Powers`), named after ``fn``, under the maturity
+    rule and runs ``fn`` on it (b_factor gets a table of 0.0).  A result
+    that is not finite, a Python float overflow or zero division, and a
+    NumPy floating-point error or warning raised as an error are each
+    refused as out of float range.  Given a caller's table (pde_residual's
+    ``partials``), it runs ``fn`` as a term nested in that call."""
     sig = inspect.signature(fn)
     what, names = fn.__name__, list(sig.parameters)
     rates, n = "r" in names, len(names)
     at = names.index("tau") if "tau" in names else None
-    tau_free = names == ["p", "r"]  # its result may be kept for a repeated rate array
+    ip = names.index("p") if rates else None
 
     @functools.wraps(fn)
     def call(*args, **kwargs):
@@ -160,13 +108,13 @@ def _call(fn):
             args = sig.bind(*args, **kwargs).args
         r = args[-1]
         if type(r) is _Powers:
-            if tau_free and not r.scalar:
-                return r.kept(fn, args[0])
-            return r.result(fn(*args))
-        pows = _Powers(r if rates else 0.0, what, None if at is None else args[at])
+            if args[ip] is not r.p:
+                r = _Powers(r.arr, r.what, args[ip], r._tau)
+            return r.term(call, *args[:-1])
+        pows = _Powers(r if rates else 0.0, what, None if ip is None else args[ip], None if at is None else args[at])
         try:
             return pows.result(fn(*args[:-1], pows) if rates else fn(*args))
-        except (OverflowError, ZeroDivisionError, RuntimeWarning):
+        except (OverflowError, ZeroDivisionError, FloatingPointError, RuntimeWarning):
             raise ValidationError(pows._out_of_range()) from None
 
     return call
@@ -176,26 +124,23 @@ def _call(fn):
 def b_factor(beta: float, tau: float) -> float:
     """(e^{beta tau} - 1) / beta, and its limit tau where beta * tau is 0 or
     subnormal (below 2**-1022): there the rounded product has lost digits.
-
-    Under the maturity rule, and refused as out of float range where it
-    overflows (beta > 0 at a long maturity)."""
+    Refused as out of float range where it overflows (beta > 0, long tau)."""
     if beta == 0 or abs(beta * tau) < 2.0**-1022:
         return float(tau)
     return np.expm1(beta * tau) / beta
 
 
 def _beta_brackets(p: ModelParams, tau: float):
-    """Return (B, t1, eg, fh): the three beta-singular building blocks
+    """Return (B, t1, eg, fh), the three beta-singular building blocks, as
+    4-term beta-series below |beta*tau| = 0.01:
 
         t1 = (alpha/beta)(tau - B)
         eg = sigma^2/(4 beta) * [B^2 + (2/beta)(tau - B)]
         fh = sigma^2/(8 beta^2) * [B^2(2 beta tau - 1) - 2B(2 tau - 3/beta)
                                    + 2 tau^2 - 6 tau/beta]
-
-    switching to 4-term beta-series below |beta*tau| = 0.01.
     """
     alpha, beta = p.alpha, p.beta
-    B = b_factor.__wrapped__(beta, tau)  # the body: the caller checked tau
+    B = float(b_factor.__wrapped__(beta, tau))  # the body (tau is checked), as a Python float
     s2 = p.sigma * p.sigma
     if abs(beta * tau) < _SERIES_SWITCH:
         b1, b2, b3 = beta, beta * beta, beta**3
@@ -219,41 +164,36 @@ def _derive(terms):
 
 
 class _Kept:
-    """The one store of what outlives a call: per repeated rate array, what
-    is formed from its rates alone, and per parameter set its monomial
-    tables.
+    """The one store of what outlives a call.  Nothing in it is keyed on a
+    rate's value, and a kept value has the bits a fresh call forms.
 
-    An array is admitted on its second sight; the first records only its
-    slot (see :meth:`admit`) among the last SIGHTS such, so an array priced
-    once pays for its key and nothing more.  Each of the last ARRAYS
-    admitted arrays keeps its bytes, a read-only array of its rates over
-    them and at most ENTRIES values, the least recently used dropped first:
-    a generic power, keyed by its exponent float, or the checked result of
-    a tau-free function, keyed by the function and the bits of p's four
-    floats (c5_derivatives' entry holds two arrays).  Every value is
-    read-only: 4 x (1 + 2 x 32) x 16384 x 8 B = 32.5 MiB at worst.  Threads
-    may share the store: updates take a lock, and lookups need none, as
-    each OrderedDict call is atomic under the GIL and a value another
-    thread drops meanwhile stays valid; two threads that miss together form
-    the same bits, and either value is kept.
+    Per repeated rate array: a C-contiguous array of 64 to 16384 rates
+    (fewer cost as much to look up as to form, more take much memory) is
+    admitted on its second sight, so one priced once pays for its key.
+    Each of the last ARRAYS admitted arrays keeps its bytes, a read-only
+    array of its rates and at most ENTRIES read-only values, least recently
+    used out: each generic power (any exponent but 0, 1, 2, 0.5 and -1)
+    under its exponent float, and each tau-free term (q, k4, k5, c5,
+    c5'/c5'', c6) nested in a call under the function and p's bits, once
+    it passed its checks.  A hit skips the term and its checks, whatever
+    the warning filter: in these functions an overflow, zero division or
+    invalid operation leaves a non-finite result, which is never kept.  At
+    worst (c5_derivatives holds two arrays) 4 x (1 + 2 x 32) x 16384 x 8 B
+    = 32.5 MiB.
 
-    Each of the last PARAMS parameter sets whose four values are Python
-    floats keeps a record under their bits (:meth:`key`): a dict of its
-    filtered monomial tables, each built on its first use (see
-    :meth:`_Powers.table`) and written as one dict item, a few KiB at most;
-    two threads that build a table together write equal ones.
+    Per parameter set of four Python floats (other types might change a
+    result's bits): the last PARAMS sets keep a record under their bits, a
+    few KiB of monomial tables (:meth:`_Powers.sum`) and, per function, the
+    batch of its scalar calls with a rate in the window R_FLOOR <= x <= 1:
+    the generic exponents (|e| <= _Powers.BATCH_EXP) they formed after
+    reading the record.  A later call forms them in one np.power, whose
+    every element has the bits of that power formed alone and raises no
+    floating-point flag on the window's rates (0.5 is never batched:
+    NumPy's power of 0.5 differs from its sqrt in the last bit).
 
-    A record also keeps, per public function name, the batch of that
-    function's scalar calls in the window (see :meth:`_Powers.batch`): a
-    list of the generic exponents they formed after reading the record,
-    each of |exponent| <= _Powers.BATCH_EXP, and their float array once
-    used, a few hundred bytes; so at most PARAMS x 15 batches are kept, and
-    cache_clear drops them with the records.  A batch holds no rate, and
-    decides what a call costs, never what it returns.  A call adds to its
-    batch's list in place: two threads may add one exponent twice, which
-    costs one more element of the batch, and two that make a function's
-    batch together keep one of the two lists, whose missing exponents a
-    later call adds.
+    Threads may share the store: updates take a lock, lookups need none
+    (each OrderedDict call is atomic under the GIL), and a race keeps either
+    of two equal values or costs a batch an element.
     """
 
     ARRAYS, ENTRIES, SIGHTS, PARAMS = 4, 32, 16, 32
@@ -268,13 +208,9 @@ class _Kept:
             self._sights, self._arrays, self._params = OrderedDict(), OrderedDict(), OrderedDict()
 
     def admit(self, arr):
-        """(rates, entries) of ``arr`` if it is admitted, else None.
-
-        An array's slot is a hash of its shape and its first and last 8
-        rates, which costs less than hashing all its bytes (5 us for 1501
-        rates, two NumPy passes over them); a hit needs the slot's bytes and
-        shape to be ``arr``'s, so arrays that share a slot only displace
-        each other."""
+        """(rates, entries) of ``arr`` if admitted, else None.  Its slot hashes
+        its shape and end rates; a hit needs its shape and bytes (a copy costs
+        less than comparing in place), so arrays sharing a slot displace each other."""
         data = arr.tobytes()
         slot = hash((arr.shape, data[:64], data[-64:]))
         kept = self.get(self._arrays, slot)
@@ -315,31 +251,27 @@ class _Kept:
             entries.popitem(last=False)
 
     def key(self, p):
-        """The bits of p's four floats; None if one is not a float, whose
-        type might change a result's bits."""
+        """The bits of p's four floats; False if one is not a float."""
         a, b, s, g = p.alpha, p.beta, p.sigma, p.gamma
         if type(a) is type(b) is type(s) is type(g) is float:
             return self._pack(a, b, s, g)
-        return None
+        return False
 
-    def record(self, p):
-        """p's record of tables, now the most recently used; a new one,
-        kept nowhere, if :meth:`key` gives p none."""
-        key = self.key(p)
-        if key is None:
+    def record(self, bits):
+        """The record kept under ``bits``, now the most recently used (for
+        bits False, a new one kept nowhere)."""
+        if bits is False:
             return _Record()
-        out = self.get(self._params, key)
+        out = self.get(self._params, bits)
         if out is None:
             out = _Record()
             with self._lock:
-                self._put(self._params, key, out, self.PARAMS)
+                self._put(self._params, bits, out, self.PARAMS)
         return out
 
 
 class _Record(dict):
-    """A parameter set's record in :class:`_Kept`: its filtered monomial
-    tables, keyed (terms, n), and in :attr:`batches`, per public function
-    name, its scalar calls' batch, [exponents, their array or None]."""
+    """A parameter set's tables, keyed (terms, n), and batches by function name."""
 
     __slots__ = ("batches",)
 
@@ -349,81 +281,73 @@ class _Record(dict):
 
 
 class _Powers:
-    """The power table :func:`_call` builds for one public call ``what``
-    (at maturity ``tau``, if it takes one): the rates ``arr`` (a float64
-    array; a Python float rate until a power needs its array), each
-    ``arr**pw`` formed at most once per exponent float, and the least
-    rate, which every rate-domain check reads; for a scalar rate, the
-    powers, sums and least rate are Python floats.  Every refusal through
-    it names ``what``.  Keys are exact exponent floats: a power is reused
-    only where it would be recomputed bit for bit.  What outlives the call
-    is kept in
-    :attr:`_kept`: the monomial tables of its parameter set (:meth:`table`)
-    and, beside them, its scalar calls' batch of generic exponents
-    (:meth:`batch`), and the powers and tau-free results of a repeated
-    C-contiguous array of 64 to 16384 rates: below, a lookup costs about
-    what forming a power does; above, the kept values would take much
-    memory.
-    """
+    """The table of one public call ``what`` of parameters ``p`` (at maturity
+    ``tau``, if it takes one): the rates ``arr``, their powers, their least
+    rate and what the call reuses from :attr:`_kept`, each resolved once on
+    first need.  Every refusal through it names ``what``."""
 
-    __slots__ = ("scalar", "arr", "what", "_pows", "_kept_here", "_low", "_tau", "_record", "_x", "_batch")
+    __slots__ = ("scalar", "arr", "what", "p", "_tau", "_pows", "_low", "_bits", "_record", "_entries",
+                 "_later", "_x", "_batch")
 
     _kept = _Kept()
 
-    #: The largest |exponent| a batch may hold: on the window's rates its
-    #: powers lie in [1e-300, 1e300], where none raises a floating-point flag.
+    #: The largest |exponent| a batch may hold: its powers of the window's
+    #: rates lie in [1e-300, 1e300], so none raises a floating-point flag.
     BATCH_EXP = 50.0
 
-    def __init__(self, r, what: str, tau=None):
+    def __init__(self, r, what: str, p=None, tau=None):
         if tau is not None:
             _check_maturity(tau)
-        self._pows = {}
-        self._kept_here = self._low = self._record = None  # _kept_here: see _entries
-        self.what, self._tau = what, tau
+        self.what, self.p, self._tau, self._pows = what, p, tau, {}
+        self._low = self._bits = self._record = self._entries = self._later = None
         if type(r) is not float:
             r = np.asarray(r, dtype=float)
             if r.ndim:
                 self.arr, self.scalar = r, False
                 return
-        # a scalar rate: a Python float's 0-d array is made only for a
-        # generic power (see __call__); only a scalar table sets _x and _batch
-        self.arr, self.scalar = r, True
-        x = self._pows[1] = float(r)
-        self._x = x if R_FLOOR <= x <= 1 else None  # a rate in the window
-        self._batch = None  # see batch
+        self.arr, self.scalar = r, True  # a Python float until a power needs its 0-d array
+        x = self._pows[1] = self._low = float(r)
+        self._x, self._batch = (x if R_FLOOR <= x <= 1 else None), None  # x in the window; see batch
 
     def _out_of_range(self):
         at = "" if self._tau is None else f" at tau={self._tau!r}"
         return f"{self.what}: out of float range{at}"
 
-    def _entries(self):
-        """This array's entries in :attr:`_kept`, or False if it has none.
+    def bits(self):
+        """p's key bits (False if it has none)."""
+        if self._bits is None:
+            self._bits = self._kept.key(self.p)
+        return self._bits
 
-        Once found, the table reads the kept copy of its rates, whose bytes
-        are the key, so whatever it keeps is formed from exactly those."""
-        if self._kept_here is None:
+    def record(self):
+        """p's record; a scalar in the window then forms its batch."""
+        if self._record is None:
+            self._record = self._kept.record(self.bits())
+            if self.scalar and self._x is not None:
+                self.batch()
+        return self._record
+
+    def tables_ahead(self):
+        """In a call that reads p's tables, a scalar in the window reads p's
+        record at the start: the powers formed before the tables join its batch."""
+        if self.scalar and self._x is not None and self._record is None:
+            self.record()
+
+    def entries(self):
+        """The array's entries (False if not admitted); the table then
+        reads the kept copy of its rates, whose bytes are the key."""
+        if self._entries is None:
             arr = self.arr
             kept = 64 <= arr.size <= 16384 and arr.flags.c_contiguous and self._kept.admit(arr)
-            self._kept_here = False
+            self._entries = False
             if kept:
-                self.arr, self._kept_here = kept
-        return self._kept_here
+                self.arr, self._entries = kept
+        return self._entries
 
     def __call__(self, pw):
-        """arr**pw, formed on first use; 1.0 and the rates themselves for
-        pw = 0 and 1, so no caller may write into what this returns.
-
-        A scalar table hands out Python floats with the bits of an array's
-        element: NumPy's power (Python's ``**`` and math.pow differ from it
-        in the last bit for some rates).  For a rate x in the window
-        R_FLOOR <= x <= 1, x**2, x**0.5 and x**-1 are x * x, math.sqrt(x)
-        and 1.0 / x, the IEEE operations NumPy runs for them, and a generic
-        power is formed alone unless the call's batch (:meth:`batch`)
-        formed it; none of these raises a floating-point flag there.
-        Elsewhere x's power is its 0-d array's, so a refusal's type and
-        message stay those of an array.  An array's generic power (NumPy
-        serves 2, 0.5 and -1 by square, sqrt and reciprocal) is kept for a
-        repeated array."""
+        """arr**pw, formed on first use (1.0 and the rates themselves for pw
+        = 0 and 1: no caller may write into it); off the window a scalar's
+        power is its 0-d array's, so a refusal is an array's."""
         out = self._pows.get(pw)
         if out is None:
             if pw == 0.0:
@@ -448,8 +372,8 @@ class _Powers:
                     out = float(self._power(arr, pw))
             elif pw == 1.0:
                 out = self.arr
-            elif pw in (2.0, 0.5, -1.0) or (entries := self._entries()) is False:
-                out = self.arr**pw
+            elif pw in (2.0, 0.5, -1.0) or (entries := self._entries or self.entries()) is False:
+                out = self.arr**pw  # NumPy serves 2, 0.5 and -1 by square, sqrt and reciprocal
             else:
                 out = self._kept.get(entries, pw)
                 if out is None:
@@ -457,21 +381,13 @@ class _Powers:
             self._pows[pw] = out
         return out
 
-    def batch(self, record):
-        """Form, in one NumPy call, the batch this scalar call's outermost
-        function keeps in ``record``, the record of its parameters, just
-        read: the generic powers its calls formed after reading it (a
-        generic power formed alone from now on is added, see
-        :meth:`__call__`).  A call reads its record at its first monomial
-        table, so the powers it forms before (q's and r^{2 gamma}, at most
-        three) stay alone, and a call that reads no table (cw_log_price,
-        q_factor) looks nothing up: for one generic power the lookup would
-        cost more than it saves.  Nothing is keyed on the rate: as each
-        element has the bits of its power formed alone, a batch decides a
-        call's cost, never its result."""
-        batch = self._batch = record.batches.get(self.what)
+    def batch(self):
+        """Form this scalar call's batch (see :class:`_Kept`) in one NumPy call;
+        a call that reads no table (cw_log_price, q_factor) has none."""
+        batches = self._record.batches
+        batch = self._batch = batches.get(self.what)
         if batch is None:
-            batch = self._batch = record.batches[self.what] = [[], None]
+            batch = self._batch = batches[self.what] = [[], None]
         exps, arr = batch
         if len(exps) >= 2:
             if arr is None or len(arr) != len(exps):  # exponents were added
@@ -481,43 +397,44 @@ class _Powers:
             self._pows.update(zip(exps, self._power(self.arr, arr).tolist()))
 
     #: Forms a scalar's generic powers in the window, (0-d rate, exponent or
-    #: array of them): one NumPy call, whose loop gives each element the
-    #: bits of the 0-d power (the 0.5 it is never handed would differ from
-    #: the sqrt NumPy's ``**`` runs).
+    #: array of them), each element with the bits of the 0-d power.
     _power = staticmethod(np.power)
 
-    def kept(self, fn, p):
-        """``fn(p, self)`` for a tau-free function ``fn`` nested in a call:
-        its checked result, kept for a repeated array under fn and the bits
-        of p's four floats.
+    def term(self, fn, *args):
+        """The body of the public function ``fn`` on this table, with the leading
+        arguments ``args``, checked before a later domain check can refuse."""
+        if len(args) == 1 and not self.scalar and (entries := self._entries or self.entries()) is not False \
+                and (bits := self._bits or self.bits()) is not False:
+            key = fn, bits
+            out = self._kept.get(entries, key)
+            if out is None:
+                out = self._kept.put(entries, key, self.result(fn.__wrapped__(*args, self)))
+            return out
+        return self.result(fn.__wrapped__(*args, self))
 
-        A hit skips fn and its checks: the key fixes the rates' bytes and
-        the parameters, and only a result that passed them is kept.  The
-        warning filter does not matter: in these functions an overflow, a
-        zero division or an invalid operation leaves a non-finite result,
-        so a result kept while NumPy's warnings are ignored raised none."""
-        entries = self._entries()
-        bits = None if entries is False else self._kept.key(p)
-        if bits is None:
-            return self.result(fn(p, self))
-        key = fn, bits
-        out = self._kept.get(entries, key)
-        if out is None:
-            out = self._kept.put(entries, key, self.result(fn(p, self)))
+    def later(self, out):
+        """``out``, a term whose check waits for the next domain check (see
+        :meth:`low`) or the call's result, which it reaches unmasked."""
+        self._later = out
         return out
 
     def low(self):
-        """The least rate (NaN if any is NaN, inf if none), reduced once."""
+        """The least rate (NaN if any is NaN, inf if none), reduced once; a
+        term waiting for its check (:meth:`later`) is checked first."""
+        if self._later is not None:
+            out, self._later = self._later, None
+            self.result(out)
         if self._low is None:
-            self._low = self(1) if self.scalar else np.minimum.reduce(self.arr, axis=None, initial=math.inf)
+            self._low = np.minimum.reduce(self.arr, axis=None, initial=math.inf)
         return self._low
 
     def check(self, singular: bool):
         """Refuse, in the call's name, a negative or NaN rate and, if
         ``singular``, a rate below R_FLOOR."""
-        if not self.low() >= 0:
+        low = self.low()
+        if not low >= 0:
             raise DomainError(f"{self.what}: negative or NaN rate")
-        if singular and self.low() < R_FLOOR:
+        if singular and low < R_FLOOR:
             raise DomainError(f"{self.what}: singular as r -> 0 for this gamma; need r >= {R_FLOOR}")
 
     def zero(self):
@@ -526,48 +443,26 @@ class _Powers:
 
     @staticmethod
     def nan_is_zero(c, p: ModelParams) -> bool:
-        """Whether a NaN coefficient ``c`` of ``p`` is the formula's zero:
-        where all four parameters are finite, every factor of a monomial
-        is, so the NaN is a product that overflowed times an exactly-zero
-        factor (a vanishing gamma polynomial, or the exponent 0 of a
-        derivative).  A NaN or infinite parameter keeps its NaN, which is
-        refused."""
+        """Whether a NaN coefficient ``c`` of ``p`` is the formula's zero (an
+        overflow times an exact zero), as it is where all of p is finite."""
         return c != c and all(map(math.isfinite, (p.alpha, p.beta, p.sigma, p.gamma)))
 
-    def table(self, p: ModelParams, terms, n: int = 0):
-        """(live, singular) of the n-th term-by-term r-derivative of p's
-        (coef, power) table ``terms(p)``, from :func:`_c5_terms` (also
-        k4's), :func:`_k5_terms` or :func:`_q_terms`; ``terms`` None is
-        r^{2 gamma}, one monomial.
-
-        live holds the monomials :meth:`sum` adds, in table order: zero
-        coefficients drop out, so their (possibly negative) powers are
-        never formed, and so does a NaN coefficient that
-        :meth:`nan_is_zero`.  singular is whether a live power is negative.
-        Both are built on the table's first use for p and kept in p's record
-        in :attr:`_kept`, which a call looks up once."""
-        if self._record is None or self._record[0] is not p:
-            self._record = p, self._kept.record(p)
-            if self.scalar and self._x is not None:
-                self.batch(self._record[1])
-        record = self._record[1]
-        out = record.get((terms, n))
-        if out is None:
-            table = [(1.0, 2 * p.gamma)] if terms is None else terms(p)
+    def sum(self, terms, n: int = 0):
+        """Sum coef * r**power, in table order, over the live monomials of the
+        n-th r-derivative of p's table ``terms(p)`` (None: r^{2 gamma}), kept
+        in p's record: a zero coefficient, or a NaN that :meth:`nan_is_zero`,
+        never forms its power.  A negative or NaN rate is refused unless no
+        monomial is live, and a rate below R_FLOOR if a live power is < 0."""
+        record = self._record or self.record()
+        table = record.get((terms, n))
+        if table is None:
+            p = self.p
+            live = [(1.0, 2 * p.gamma)] if terms is None else terms(p)
             for _ in range(n):
-                table = _derive(table)
-            live = [(c, pw) for c, pw in table if c != 0.0 and not self.nan_is_zero(c, p)]
-            out = record[terms, n] = live, any(pw < 0 for _, pw in live)
-        return out
-
-    def sum(self, p: ModelParams, terms, n: int = 0):
-        """Sum coef * r**power over the live monomials of :meth:`table`, in
-        table order, under the module's one domain rule: a negative or NaN
-        rate is refused unless no monomial is live, and a rate below
-        R_FLOOR is refused exactly when a live monomial has a negative
-        power.  A scalar's sum is a Python float, an array's is formed in
-        place; a power already formed is read from the table's dict."""
-        live, singular = self.table(p, terms, n)
+                live = _derive(live)
+            live = [(c, pw) for c, pw in live if c != 0.0 and not self.nan_is_zero(c, p)]
+            table = record[terms, n] = live, any(pw < 0 for _, pw in live)
+        live, singular = table
         out = self.zero()
         if not live:
             return out
@@ -583,8 +478,8 @@ class _Powers:
         if type(out) is tuple:
             return tuple(map(self.result, out))
         out = float(out) if self.scalar else out
-        # an inf or NaN makes the sum of squares non-finite; that one BLAS
-        # pass raises no overflow warning and costs a third of np.isfinite
+        # an inf or NaN makes the sum of squares non-finite: one BLAS pass,
+        # without ndarray.dot's overflow warning, a third of np.isfinite
         if not (math.isfinite(out) if self.scalar else
                 math.isfinite(np.vdot(out, out)) or np.isfinite(out).all()):
             raise ValidationError(self._out_of_range())
@@ -626,7 +521,7 @@ def _q_terms(p: ModelParams):
 def _q_and_r2g(p: ModelParams, pows: _Powers):
     """q(r) and r^{2 gamma} (0.0 and 1.0 at gamma = 0) under the rate domain of :func:`q_factor`."""
     if p.gamma != 0:
-        return q_factor(p, pows), pows(2 * p.gamma)
+        return pows.term(q_factor, p), pows(2 * p.gamma)
     # q vanishes here without looking at r; Vasicek keeps negative rates
     if math.isnan(pows.low()):
         raise DomainError(f"{pows.what}: NaN rate")
@@ -650,7 +545,10 @@ def cw_log_price(p: ModelParams, tau: float, r):
     """
     q, r2g = _q_and_r2g(p, r)
     B, t1, eg, fh = _beta_brackets(p, tau)
-    return t1 - r(1) * B + (r2g + q * tau) * eg - q * fh
+    lp = t1 - r(1) * B  # a new array, or a float: the other terms go in place
+    lp += (r2g + q * tau) * eg
+    lp -= q * fh
+    return lp
 
 
 @_call
@@ -661,11 +559,11 @@ def cw_partials(p: ModelParams, tau: float, r):
     Suitable as the ``partials`` argument of :func:`pde_residual`; resolves
     residuals down to rounding level (~1e-15).
     """
-    # the rate checks run in these sums, before the brackets that may
-    # overflow, so a refusal's type does not depend on the warning filter
+    # the rate checks, in q and the sums of the r-derivatives of r^{2 gamma}
+    # and q, come before the brackets that may overflow, whatever the filter
+    r.tables_ahead()
     q, r2g = _q_and_r2g(p, r)
-    # d/dr and d2/dr2 of r^{2 gamma} (the table None) and of q
-    d1, d2, qp, qpp = (r.sum(p, terms, n) for terms in (None, _q_terms) for n in (1, 2))
+    d1, d2, qp, qpp = (r.sum(terms, n) for terms in (None, _q_terms) for n in (1, 2))
     B, _, eg, fh = _beta_brackets(p, tau)
     f_tau = -r(1) * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
     f_r = -B + (d1 + qp * tau) * eg - qp * fh
@@ -709,9 +607,9 @@ def _k5_terms(p: ModelParams):
 
 
 def _coef(p: ModelParams, pows: _Powers, pref: float, terms, n: int = 0):
-    """``pref`` times the sum of a monomial table (see :meth:`_Powers.table`);
+    """``pref`` times the sum of a monomial table (see :meth:`_Powers.sum`);
     identically zero at gamma = 0."""
-    return pows.zero() if p.gamma == 0 else pref * pows.sum(p, terms, n)
+    return pows.zero() if p.gamma == 0 else pref * pows.sum(terms, n)
 
 
 @_call
@@ -752,8 +650,8 @@ def c6(p: ModelParams, r):
     if g == 0:
         return r.zero()
     r.check(False)  # the rate enters below even where every monomial vanishes
-    d1, d2 = c5_derivatives(p, r)
-    return (0.5 * p.sigma**2 * r(2 * g) * d2 + (p.alpha + p.beta * r(1)) * d1 - k5(p, r)) / 6.0
+    d1, d2 = r.term(c5_derivatives, p)
+    return (0.5 * p.sigma**2 * r(2 * g) * d2 + (p.alpha + p.beta * r(1)) * d1 - r.term(k5, p)) / 6.0
 
 
 @_call
@@ -761,13 +659,15 @@ def improved_log_price(p: ModelParams, tau: float, r):
     """Higher-order approximate log price:
     cw_log_price - c5(r) tau^5 - c6(r) tau^6 (error o(tau^6)).
 
-    The three terms share this call's power table, which serves q,
-    r^{2 gamma}, c5, c5', c5'' and k5.  At gamma = 0, where c5 and c6
-    vanish, this is :func:`cw_log_price`.
+    At gamma = 0, where c5 and c6 vanish, this is :func:`cw_log_price`.
     """
     if p.gamma == 0:
         return cw_log_price.__wrapped__(p, tau, r)  # cw's body: this call checks the result
-    return cw_log_price(p, tau, r) - c5(p, r) * tau**5 - c6(p, r) * tau**6
+    r.tables_ahead()
+    lp = r.later(cw_log_price.__wrapped__(p, tau, r))  # a new array or a float; only subtractions follow
+    lp -= r.term(c5, p) * tau**5
+    lp -= r.term(c6, p) * tau**6
+    return lp
 
 
 @_call

@@ -120,3 +120,54 @@ def test_warm_store_gives_the_cold_outcome(action, other):
 
 def test_sweep_covers_every_public_function():
     assert {label[0] for label, _ in CALLS} == {fn.__name__ for fn in (b_factor, pde_residual, *TAU_FREE, *WITH_TAU)}
+
+
+FLOOR_GRID = np.linspace(1e-6, 0.15, 1501)
+
+
+@pytest.mark.parametrize("gamma", [0.75, 1.32])
+@pytest.mark.parametrize("form", ["curve", "point"])
+def test_a_calibration_loop_gives_the_cold_outcome(gamma, form):
+    # alpha, beta and sigma redrawn on every call, as a calibration does:
+    # no parameter set repeats, so every call misses the tau-free terms
+    # and tables, fills the store and must still give a cold call's outcome
+    rng = np.random.default_rng(int(gamma * 100))
+    calls = []
+    for _ in range(100):
+        a, b, s = (float(v * rng.uniform(0.5, 1.5)) for v in (0.00315, -0.0555, 0.0894))
+        p = ModelParams(a, b, s, gamma)
+        r = FLOOR_GRID if form == "curve" else float(rng.uniform(0.0, 0.15))
+        tau = float(10.0 * (1.0 - rng.random()))
+        calls += [lambda fn=fn, p=p, tau=tau, r=r: fn(p, tau, r) for fn in (improved_log_price, cw_log_price)]
+    cold = []
+    for call in calls:
+        _Powers._kept.cache_clear()
+        cold.append(_outcome(call, "error"))
+    _Powers._kept.cache_clear()
+    assert [_outcome(call, "error") for call in calls] == cold
+    assert any(type(o[0]) is tuple for o in cold)
+    kept = _Powers._kept
+    assert len(kept._arrays) <= kept.ARRAYS and len(kept._params) <= kept.PARAMS
+    assert all(len(entries) <= kept.ENTRIES for _, _, entries in kept._arrays.values())
+    assert len(kept._arrays) == (form == "curve") and len(kept._params) == kept.PARAMS
+
+
+@pytest.mark.parametrize("gamma", [0.75, 1.32])
+@pytest.mark.parametrize("form", ["curve", "point"])
+def test_a_warm_call_looks_up_once(monkeypatch, gamma, form):
+    # the outermost call packs p's bits and admits its rate array at most
+    # once, and its nested terms (q, cw, c5, c5', c5'', k5, c6) read them
+    # from its table
+    kept = _Powers._kept
+    seen = []
+    for name in ("key", "admit"):
+        monkeypatch.setattr(kept, name, lambda *args, fn=getattr(kept, name), name=name: seen.append(name) or fn(*args))
+    p = ModelParams(0.00315, -0.0555, 0.0894, gamma)
+    r = FLOOR_GRID if form == "curve" else 0.0731
+    for call in (lambda tau: improved_log_price(p, tau, r), lambda tau: pde_residual(cw_partials, p, tau, r)):
+        kept.cache_clear()
+        for tau in (1.0, 2.0, 3.0):  # cold, sight, keep
+            call(tau)
+        seen.clear()
+        call(4.0)
+        assert sorted(seen) == (["admit", "key"] if form == "curve" else ["key"])

@@ -4,10 +4,17 @@ infinite values and maturities up to 1e308, at volatilities from 1e-170 to
 analytic-partials function and the PDE residual of those partials, fed
 parameters that passed ``validate_params`` as the CLI feeds them, return
 finite values or raise a ``BondkitError``, and every pricer prices par at
-zero maturity."""
+zero maturity.  Each example draws NumPy's error mode (warnings ignored,
+raised as errors as ``-W error`` does, or floating-point errors raised by
+``np.errstate(all="raise")``) and whether the rate is a scalar or a
+one-element array too, which must give the scalar's outcome where warnings
+are ignored."""
 
+import contextlib
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,7 +34,11 @@ RATES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-6, 0.05]), st.floats(
 #: products with it overflow; the defaults come first, where draws shrink.
 SIGMAS = st.sampled_from([DEFAULT_PARAMS.sigma, 1e-170, 1e60, 1e100, 5e153])
 BETAS = st.sampled_from([DEFAULT_PARAMS.beta, 0.0, 2.0])
-AT_DEFAULT = {"sigma": DEFAULT_PARAMS.sigma, "beta": DEFAULT_PARAMS.beta}
+#: An example's parameters at the defaults, and a scalar rate under
+#: ignored warnings.
+AT_DEFAULT = {"sigma": DEFAULT_PARAMS.sigma, "beta": DEFAULT_PARAMS.beta, "mode": "ignore", "form": "scalar"}
+MODES = st.sampled_from(["ignore", "error", "raise"])
+FORMS = st.sampled_from(["scalar", "array"])
 
 
 #: Analytic (f_tau, f_r, f_rr) functions and the gamma each requires (None: any).
@@ -38,17 +49,46 @@ def params(sigma, beta, gamma):
     return ModelParams(DEFAULT_PARAMS.alpha, beta, sigma, gamma)
 
 
-def attempt(fn, p, tau, r):
-    """fn's value, or None if a typed error refused the input."""
-    try:
-        return fn(validate_params(p), tau, r)
-    except BondkitError:
-        return None
+@contextlib.contextmanager
+def error_mode(mode):
+    """NumPy's warnings ignored or raised as errors, or its floating-point
+    errors raised."""
+    with warnings.catch_warnings():
+        if mode != "raise":
+            warnings.simplefilter(mode)
+        with np.errstate(all="raise") if mode == "raise" else contextlib.nullcontext():
+            yield
+
+
+def _floats(out):
+    """A result as Python floats, item by item for a tuple."""
+    if isinstance(out, tuple):
+        return tuple(map(_floats, out))
+    return float(np.reshape(out, -1)[0])
+
+
+def attempt(fn, p, tau, r, mode="ignore", form="scalar"):
+    """fn's value as Python floats, or None if a typed error refused the
+    input, for the rate and, if ``form`` is "array", for the rate as a
+    one-element array: as NumPy's warnings and floating-point errors
+    interrupt only an array's arithmetic, the two give one outcome where
+    warnings are ignored."""
+    outcomes = []
+    for rate in (r, np.array([r])) if form == "array" else (r,):
+        with error_mode(mode):
+            try:
+                outcomes.append((None, _floats(fn(validate_params(p), tau, rate))))
+            except BondkitError as e:
+                outcomes.append((type(e), str(e)))
+    if mode == "ignore":
+        assert len(set(map(repr, outcomes))) == 1, outcomes
+    refused, value = outcomes[-1]
+    return None if refused else value
 
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(method=st.sampled_from(sorted(METHODS)), sigma=SIGMAS, beta=BETAS, gamma=GAMMAS, tau=TAUS,
-       r=RATES)
+       r=RATES, mode=MODES, form=FORMS)
 @example(method="cw", gamma=0.5, tau=-1.0, r=0.05, **AT_DEFAULT)
 @example(method="improved", gamma=0.75, tau=math.nan, r=0.05, **AT_DEFAULT)
 @example(method="vasicek", gamma=0.0, tau=1.0, r=math.nan, **AT_DEFAULT)
@@ -58,11 +98,12 @@ def attempt(fn, p, tau, r):
 @example(method="improved", gamma=0.5, tau=math.inf, r=0.05, **AT_DEFAULT)
 @example(method="improved", gamma=0.5, tau=1e52, r=0.05, **AT_DEFAULT)
 @example(method="improved", gamma=0.0, tau=2.375668978229577e+51, r=0.0, **AT_DEFAULT)
-def test_finite_or_typed_error(method, sigma, beta, gamma, tau, r):
+@example(method="cw", gamma=1.0, tau=1.0, r=math.inf, **dict(AT_DEFAULT, mode="raise", form="array"))
+def test_finite_or_typed_error(method, sigma, beta, gamma, tau, r, mode, form):
     p = params(sigma, beta, gamma)
-    value = attempt(METHODS[method], p, tau, r)
+    value = attempt(METHODS[method], p, tau, r, mode, form)
     assert value is None or math.isfinite(value)
-    at_zero = attempt(METHODS[method], p, 0.0, r)
+    at_zero = attempt(METHODS[method], p, 0.0, r, mode, form)
     assert at_zero is None or at_zero == 0.0
     if value is not None:
         # the rate domain does not depend on the maturity
@@ -78,7 +119,7 @@ def test_finite_or_typed_error(method, sigma, beta, gamma, tau, r):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(name=st.sampled_from(sorted(PARTIALS)), sigma=SIGMAS, beta=BETAS, gamma=GAMMAS, tau=TAUS,
-       r=RATES)
+       r=RATES, mode=MODES, form=FORMS)
 @example(name="cw", gamma=0.5, tau=math.nan, r=0.1, **AT_DEFAULT)
 @example(name="cir", gamma=0.5, tau=math.nan, r=0.1, **AT_DEFAULT)
 @example(name="cir", gamma=0.5, tau=1.0, r=-0.5, **AT_DEFAULT)
@@ -86,13 +127,15 @@ def test_finite_or_typed_error(method, sigma, beta, gamma, tau, r):
 @example(name="vasicek", gamma=0.0, tau=-1.0, r=0.05, **AT_DEFAULT)
 @example(name="vasicek", gamma=0.0, tau=math.inf, r=0.05, **AT_DEFAULT)
 @example(name="cir", gamma=0.5, tau=math.inf, r=0.05, **AT_DEFAULT)
-@example(name="cw", sigma=DEFAULT_PARAMS.sigma, beta=0.0, gamma=0.25, tau=1e52, r=0.05)
-def test_partials_finite_or_typed_error(name, sigma, beta, gamma, tau, r):
+@example(name="cw", sigma=DEFAULT_PARAMS.sigma, beta=0.0, gamma=0.25, tau=1e52, r=0.05, mode="ignore",
+         form="scalar")
+@example(name="cw", gamma=0.0, tau=1e52, r=0.05, **dict(AT_DEFAULT, mode="raise", form="array"))
+def test_partials_finite_or_typed_error(name, sigma, beta, gamma, tau, r, mode, form):
     fn, fixed_gamma = PARTIALS[name]
     p = params(sigma, beta, gamma if fixed_gamma is None else fixed_gamma)
-    values = attempt(fn, p, tau, r)
+    values = attempt(fn, p, tau, r, mode, form)
     assert values is None or all(math.isfinite(v) for v in values)
-    residual = attempt(lambda p, tau, r: pde_residual(fn, p, tau, r), p, tau, r)
+    residual = attempt(lambda p, tau, r: pde_residual(fn, p, tau, r), p, tau, r, mode, form)
     assert residual is None or math.isfinite(residual)
 
 
