@@ -287,7 +287,7 @@ class _Powers:
     first need.  Every refusal through it names ``what``."""
 
     __slots__ = ("scalar", "arr", "what", "p", "_tau", "_pows", "_low", "_bits", "_record", "_entries",
-                 "_later", "_x", "_batch")
+                 "_x", "_batch")
 
     _kept = _Kept()
 
@@ -299,7 +299,7 @@ class _Powers:
         if tau is not None:
             _check_maturity(tau)
         self.what, self.p, self._tau, self._pows = what, p, tau, {}
-        self._low = self._bits = self._record = self._entries = self._later = None
+        self._low = self._bits = self._record = self._entries = None
         if type(r) is not float:
             r = np.asarray(r, dtype=float)
             if r.ndim:
@@ -329,7 +329,8 @@ class _Powers:
 
     def tables_ahead(self):
         """In a call that reads p's tables, a scalar in the window reads p's
-        record at the start: the powers formed before the tables join its batch."""
+        record at the start: the powers formed before the tables join its
+        batch (a call that reads none, as cw and q, would look it up for nothing)."""
         if self.scalar and self._x is not None and self._record is None:
             self.record()
 
@@ -372,7 +373,7 @@ class _Powers:
                     out = float(self._power(arr, pw))
             elif pw == 1.0:
                 out = self.arr
-            elif pw in (2.0, 0.5, -1.0) or (entries := self._entries or self.entries()) is False:
+            elif pw in (2.0, 0.5, -1.0) or (entries := self.entries()) is False:
                 out = self.arr**pw  # NumPy serves 2, 0.5 and -1 by square, sqrt and reciprocal
             else:
                 out = self._kept.get(entries, pw)
@@ -402,28 +403,22 @@ class _Powers:
 
     def term(self, fn, *args):
         """The body of the public function ``fn`` on this table, with the leading
-        arguments ``args``, checked before a later domain check can refuse."""
-        if len(args) == 1 and not self.scalar and (entries := self._entries or self.entries()) is not False \
-                and (bits := self._bits or self.bits()) is not False:
-            key = fn, bits
+        arguments ``args``, checked before a later domain check can refuse; a
+        tau-free term of an admitted array is kept under its body and p's bits."""
+        body = fn.__wrapped__
+        while hasattr(body, "__wrapped__"):  # fn wraps the public function, as a tracer does
+            body = body.__wrapped__
+        if len(args) == 1 and not self.scalar and (entries := self.entries()) is not False \
+                and (bits := self.bits()) is not False:
+            key = body, bits
             out = self._kept.get(entries, key)
             if out is None:
-                out = self._kept.put(entries, key, self.result(fn.__wrapped__(*args, self)))
+                out = self._kept.put(entries, key, self.result(body(*args, self)))
             return out
-        return self.result(fn.__wrapped__(*args, self))
-
-    def later(self, out):
-        """``out``, a term whose check waits for the next domain check (see
-        :meth:`low`) or the call's result, which it reaches unmasked."""
-        self._later = out
-        return out
+        return self.result(body(*args, self))
 
     def low(self):
-        """The least rate (NaN if any is NaN, inf if none), reduced once; a
-        term waiting for its check (:meth:`later`) is checked first."""
-        if self._later is not None:
-            out, self._later = self._later, None
-            self.result(out)
+        """The least rate (NaN if any is NaN, inf if none), reduced once."""
         if self._low is None:
             self._low = np.minimum.reduce(self.arr, axis=None, initial=math.inf)
         return self._low
@@ -453,7 +448,7 @@ class _Powers:
         in p's record: a zero coefficient, or a NaN that :meth:`nan_is_zero`,
         never forms its power.  A negative or NaN rate is refused unless no
         monomial is live, and a rate below R_FLOOR if a live power is < 0."""
-        record = self._record or self.record()
+        record = self.record()
         table = record.get((terms, n))
         if table is None:
             p = self.p
@@ -664,7 +659,7 @@ def improved_log_price(p: ModelParams, tau: float, r):
     if p.gamma == 0:
         return cw_log_price.__wrapped__(p, tau, r)  # cw's body: this call checks the result
     r.tables_ahead()
-    lp = r.later(cw_log_price.__wrapped__(p, tau, r))  # a new array or a float; only subtractions follow
+    lp = r.term(cw_log_price, p, tau)  # a new array or a float
     lp -= r.term(c5, p) * tau**5
     lp -= r.term(c6, p) * tau**6
     return lp

@@ -171,3 +171,28 @@ def test_a_warm_call_looks_up_once(monkeypatch, gamma, form):
         seen.clear()
         call(4.0)
         assert sorted(seen) == (["admit", "key"] if form == "curve" else ["key"])
+
+
+def test_a_wrapped_term_is_kept_once(monkeypatch):
+    # a tracer replaces a module's public names with wrappers that set
+    # __wrapped__ to the function they wrap: the nested terms still run
+    # and keep their bodies, one entry per term under p's bits
+    from bondkit import approximation
+
+    for name in ("cw_log_price", "q_factor", "c5", "c6"):
+        original = getattr(approximation, name)
+
+        def traced(*args, fn=original):
+            return fn(*args)
+
+        traced.__wrapped__ = original
+        monkeypatch.setattr(approximation, name, traced)
+    p = ModelParams(0.00315, -0.0555, 0.0894, 1.32)
+    _Powers._kept.cache_clear()
+    want = improved_log_price(p, 1.0, FLOOR_GRID)
+    for _ in range(3):  # sight, keep, hit
+        assert improved_log_price(p, 1.0, FLOOR_GRID).tobytes() == want.tobytes()
+    ((_, _, entries),) = _Powers._kept._arrays.values()
+    terms = [key[0] for key in entries if type(key) is tuple]
+    assert sorted(fn.__name__ for fn in terms) == ["c5", "c5_derivatives", "c6", "k5", "q_factor"]
+    assert not any(hasattr(fn, "__wrapped__") for fn in terms)

@@ -34,9 +34,9 @@ RATES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-6, 0.05]), st.floats(
 #: products with it overflow; the defaults come first, where draws shrink.
 SIGMAS = st.sampled_from([DEFAULT_PARAMS.sigma, 1e-170, 1e60, 1e100, 5e153])
 BETAS = st.sampled_from([DEFAULT_PARAMS.beta, 0.0, 2.0])
-#: An example's parameters at the defaults, and a scalar rate under
-#: ignored warnings.
-AT_DEFAULT = {"sigma": DEFAULT_PARAMS.sigma, "beta": DEFAULT_PARAMS.beta, "mode": "ignore", "form": "scalar"}
+#: An example's parameters at the defaults, and a scalar rate with warnings
+#: raised as errors, as the test configuration raises them.
+AT_DEFAULT = {"sigma": DEFAULT_PARAMS.sigma, "beta": DEFAULT_PARAMS.beta, "mode": "error", "form": "scalar"}
 MODES = st.sampled_from(["ignore", "error", "raise"])
 FORMS = st.sampled_from(["scalar", "array"])
 
@@ -99,6 +99,8 @@ def attempt(fn, p, tau, r, mode="ignore", form="scalar"):
 @example(method="improved", gamma=0.5, tau=1e52, r=0.05, **AT_DEFAULT)
 @example(method="improved", gamma=0.0, tau=2.375668978229577e+51, r=0.0, **AT_DEFAULT)
 @example(method="cw", gamma=1.0, tau=1.0, r=math.inf, **dict(AT_DEFAULT, mode="raise", form="array"))
+@example(method="cw", gamma=1.0, tau=1.0, r=math.inf, **dict(AT_DEFAULT, mode="ignore", form="array"))
+@example(method="improved", gamma=0.5, tau=1e52, r=0.05, **dict(AT_DEFAULT, mode="ignore", form="array"))
 def test_finite_or_typed_error(method, sigma, beta, gamma, tau, r, mode, form):
     p = params(sigma, beta, gamma)
     value = attempt(METHODS[method], p, tau, r, mode, form)
@@ -127,9 +129,11 @@ def test_finite_or_typed_error(method, sigma, beta, gamma, tau, r, mode, form):
 @example(name="vasicek", gamma=0.0, tau=-1.0, r=0.05, **AT_DEFAULT)
 @example(name="vasicek", gamma=0.0, tau=math.inf, r=0.05, **AT_DEFAULT)
 @example(name="cir", gamma=0.5, tau=math.inf, r=0.05, **AT_DEFAULT)
-@example(name="cw", sigma=DEFAULT_PARAMS.sigma, beta=0.0, gamma=0.25, tau=1e52, r=0.05, mode="ignore",
+@example(name="cw", sigma=DEFAULT_PARAMS.sigma, beta=0.0, gamma=0.25, tau=1e52, r=0.05, mode="error",
          form="scalar")
 @example(name="cw", gamma=0.0, tau=1e52, r=0.05, **dict(AT_DEFAULT, mode="raise", form="array"))
+@example(name="cw", sigma=DEFAULT_PARAMS.sigma, beta=0.0, gamma=0.25, tau=1e52, r=0.05, mode="ignore",
+         form="array")
 def test_partials_finite_or_typed_error(name, sigma, beta, gamma, tau, r, mode, form):
     fn, fixed_gamma = PARTIALS[name]
     p = params(sigma, beta, gamma if fixed_gamma is None else fixed_gamma)
