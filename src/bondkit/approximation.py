@@ -36,12 +36,13 @@ Numerical notes
   limit; for gamma >= 1 k4, k5 and c5 have no negative powers at all.
   q_factor obeys the same rule (negative powers exactly for 0 < gamma <
   1/2).  k4 and c5 share one table, so c5 = -k4/5 to ~1e-15 relative.
-* One power table per call (:class:`_Powers`), whose nested terms run on
-  it.  Each power of r is formed at most once per exact exponent float;
-  r**0 is 1.0 and r**1 is r, and q and r^{2 gamma} at gamma = 0 are 0.0
-  and 1.0.  No coefficient is merged and every sum keeps its table order,
+* One power table per call (:class:`_Powers`, a dict of r's powers by
+  exponent), each formed at most once per exact exponent float; r**0 is 1.0
+  and r**1 is r, and q and r^{2 gamma} at gamma = 0 are 0.0 and 1.0.  It
+  runs improved's terms: the bodies of cw, c5 and c6 (c6 runs c5', c5''
+  and k5).  No coefficient is merged and every sum keeps its table order,
   so sharing changes no bit: improved_log_price forms 14 powers of r at
-  gamma = 1.32 instead of 34.
+  gamma = 1.32 instead of 34, none for a repeated rate array (:meth:`_Powers.term`).
 * A scalar rate is priced on Python floats with the bits of the same
   rate's element of a curve: each power is NumPy's (Python's ``**``
   differs in the last bit for some rates), but x**2, x**0.5 and x**-1 for
@@ -95,7 +96,7 @@ def _call(fn):
     that is not finite, a Python float overflow or zero division, and a
     NumPy floating-point error or warning raised as an error are each
     refused as out of float range.  Given a caller's table (pde_residual's
-    ``partials``), it runs ``fn`` as a term nested in that call."""
+    ``partials``), it runs ``fn`` on that table and checks its result."""
     sig = inspect.signature(fn)
     what, names = fn.__name__, list(sig.parameters)
     rates, n = "r" in names, len(names)
@@ -110,12 +111,15 @@ def _call(fn):
         if type(r) is _Powers:
             if args[ip] is not r.p:
                 r = _Powers(r.arr, r.what, args[ip], r._tau)
-            return r.term(call, *args[:-1])
+            return r.result(fn(*args[:-1], r))
         pows = _Powers(r if rates else 0.0, what, None if ip is None else args[ip], None if at is None else args[at])
         try:
-            return pows.result(fn(*args[:-1], pows) if rates else fn(*args))
+            out = pows.result(fn(*args[:-1], pows) if rates else fn(*args))
         except (OverflowError, ZeroDivisionError, FloatingPointError, RuntimeWarning):
             raise ValidationError(pows._out_of_range()) from None
+        if pows._made:  # an admitted array's new terms, each checked
+            pows._kept.put(pows._entries, pows._bits, {**pows._terms, **pows._made})
+        return out
 
     return call
 
@@ -173,13 +177,13 @@ class _Kept:
     Each of the last ARRAYS admitted arrays keeps its bytes, a read-only
     array of its rates and at most ENTRIES read-only values, least recently
     used out: each generic power (any exponent but 0, 1, 2, 0.5 and -1)
-    under its exponent float, and each tau-free term (q, k4, k5, c5,
-    c5'/c5'', c6) nested in a call under the function and p's bits, once
-    it passed its checks.  A hit skips the term and its checks, whatever
-    the warning filter: in these functions an overflow, zero division or
+    under its exponent float, and under p's bits one bundle of the tau-free
+    terms of cw and improved (:meth:`_Powers.term`), kept once a call passed
+    all its checks.  A hit skips the term and its checks, whatever the
+    warning filter: in these functions an overflow, zero division or
     invalid operation leaves a non-finite result, which is never kept.  At
-    worst (c5_derivatives holds two arrays) 4 x (1 + 2 x 32) x 16384 x 8 B
-    = 32.5 MiB.
+    worst (a bundle holds q, r^{2 gamma}, c5 and c6) 4 x (1 + 4 x 32) x
+    16384 x 8 B = 64.5 MiB.
 
     Per parameter set of four Python floats (other types might change a
     result's bits): the last PARAMS sets keep a record under their bits, a
@@ -237,8 +241,8 @@ class _Kept:
         return out
 
     def put(self, entries, key, value):
-        """Keep ``value``, an array or a tuple of arrays, read-only; return it."""
-        for v in value if type(value) is tuple else (value,):
+        """Keep ``value``, an array or a dict of arrays, read-only; return it."""
+        for v in value.values() if type(value) is dict else (value,):
             v.setflags(write=False)
         with self._lock:
             self._put(entries, key, value, self.ENTRIES)
@@ -280,14 +284,15 @@ class _Record(dict):
         self.batches = {}
 
 
-class _Powers:
+class _Powers(dict):
     """The table of one public call ``what`` of parameters ``p`` (at maturity
-    ``tau``, if it takes one): the rates ``arr``, their powers, their least
-    rate and what the call reuses from :attr:`_kept`, each resolved once on
-    first need.  Every refusal through it names ``what``."""
+    ``tau``, if it takes one): the rates ``arr``, a dict of their powers by
+    exponent (``table(pw)``, see :meth:`__missing__`), their least rate and
+    what the call reuses from :attr:`_kept`, each resolved once on first
+    need.  Every refusal through it names ``what``."""
 
-    __slots__ = ("scalar", "arr", "what", "p", "_tau", "_pows", "_low", "_bits", "_record", "_entries",
-                 "_x", "_batch")
+    __slots__ = ("scalar", "arr", "what", "p", "_tau", "_low", "_bits", "_record", "_entries",
+                 "_x", "_batch", "_terms", "_made")
 
     _kept = _Kept()
 
@@ -298,15 +303,16 @@ class _Powers:
     def __init__(self, r, what: str, p=None, tau=None):
         if tau is not None:
             _check_maturity(tau)
-        self.what, self.p, self._tau, self._pows = what, p, tau, {}
-        self._low = self._bits = self._record = self._entries = None
+        self.what, self.p, self._tau = what, p, tau
+        self._low = self._bits = self._record = self._entries = self._terms = self._made = None
         if type(r) is not float:
             r = np.asarray(r, dtype=float)
             if r.ndim:
-                self.arr, self.scalar = r, False
+                self.arr = self[1.0] = r
+                self.scalar = False
                 return
         self.arr, self.scalar = r, True  # a Python float until a power needs its 0-d array
-        x = self._pows[1] = self._low = float(r)
+        x = self[1.0] = self._low = float(r)
         self._x, self._batch = (x if R_FLOOR <= x <= 1 else None), None  # x in the window; see batch
 
     def _out_of_range(self):
@@ -327,13 +333,6 @@ class _Powers:
                 self.batch()
         return self._record
 
-    def tables_ahead(self):
-        """In a call that reads p's tables, a scalar in the window reads p's
-        record at the start: the powers formed before the tables join its
-        batch (a call that reads none, as cw and q, would look it up for nothing)."""
-        if self.scalar and self._x is not None and self._record is None:
-            self.record()
-
     def entries(self):
         """The array's entries (False if not admitted); the table then
         reads the kept copy of its rates, whose bytes are the key."""
@@ -343,43 +342,42 @@ class _Powers:
             self._entries = False
             if kept:
                 self.arr, self._entries = kept
+                self[1.0] = self.arr
         return self._entries
 
-    def __call__(self, pw):
-        """arr**pw, formed on first use (1.0 and the rates themselves for pw
-        = 0 and 1: no caller may write into it); off the window a scalar's
-        power is its 0-d array's, so a refusal is an array's."""
-        out = self._pows.get(pw)
-        if out is None:
-            if pw == 0.0:
-                out = 1.0
-            elif self.scalar:
-                x = self._x
-                if x is None:
-                    out = float(np.asarray(self.arr)**pw)
-                elif pw == 2.0:
-                    out = x * x
-                elif pw == 0.5:
-                    out = math.sqrt(x)
-                elif pw == -1.0:
-                    out = 1.0 / x
-                else:  # a generic power, formed alone; see batch
-                    batch = self._batch
-                    if batch is not None and -self.BATCH_EXP <= pw <= self.BATCH_EXP and pw not in batch[0]:
-                        batch[0].append(pw)
-                    arr = self.arr
-                    if type(arr) is float:  # a Python float rate's 0-d array, made once
-                        arr = self.arr = np.asarray(arr)
-                    out = float(self._power(arr, pw))
-            elif pw == 1.0:
-                out = self.arr
-            elif pw in (2.0, 0.5, -1.0) or (entries := self.entries()) is False:
-                out = self.arr**pw  # NumPy serves 2, 0.5 and -1 by square, sqrt and reciprocal
-            else:
-                out = self._kept.get(entries, pw)
-                if out is None:
-                    out = self._kept.put(entries, pw, self.arr**pw)
-            self._pows[pw] = out
+    __call__ = dict.__getitem__
+
+    def __missing__(self, pw):
+        """arr**pw, formed on first use (1.0 for pw = 0; the table holds the
+        rates themselves under 1: no caller may write into either); off the
+        window a scalar's power is its 0-d array's, so a refusal is an array's."""
+        if pw == 0.0:
+            out = 1.0
+        elif self.scalar:
+            x = self._x
+            if x is None:
+                out = float(np.asarray(self.arr)**pw)
+            elif pw == 2.0:
+                out = x * x
+            elif pw == 0.5:
+                out = math.sqrt(x)
+            elif pw == -1.0:
+                out = 1.0 / x
+            else:  # a generic power, formed alone; see batch
+                batch = self._batch
+                if batch is not None and -self.BATCH_EXP <= pw <= self.BATCH_EXP and pw not in batch[0]:
+                    batch[0].append(pw)
+                arr = self.arr
+                if type(arr) is float:  # a Python float rate's 0-d array, made once
+                    arr = self.arr = np.asarray(arr)
+                out = float(self._power(arr, pw))
+        elif pw in (2.0, 0.5, -1.0) or (entries := self.entries()) is False:
+            out = self.arr**pw  # NumPy serves 2, 0.5 and -1 by square, sqrt and reciprocal
+        else:
+            out = self._kept.get(entries, pw)
+            if out is None:
+                out = self._kept.put(entries, pw, self.arr**pw)
+        self[pw] = out
         return out
 
     def batch(self):
@@ -393,29 +391,31 @@ class _Powers:
         if len(exps) >= 2:
             if arr is None or len(arr) != len(exps):  # exponents were added
                 arr = batch[1] = np.array(exps, dtype=float)
-            if type(self.arr) is float:  # as in __call__
+            if type(self.arr) is float:  # as in __missing__
                 self.arr = np.asarray(self.arr)
-            self._pows.update(zip(exps, self._power(self.arr, arr).tolist()))
+            self.update(zip(exps, self._power(self.arr, arr).tolist()))
 
     #: Forms a scalar's generic powers in the window, (0-d rate, exponent or
     #: array of them), each element with the bits of the 0-d power.
     _power = staticmethod(np.power)
 
-    def term(self, fn, *args):
-        """The body of the public function ``fn`` on this table, with the leading
-        arguments ``args``, checked before a later domain check can refuse; a
-        tau-free term of an admitted array is kept under its body and p's bits."""
-        body = fn.__wrapped__
-        while hasattr(body, "__wrapped__"):  # fn wraps the public function, as a tracer does
-            body = body.__wrapped__
-        if len(args) == 1 and not self.scalar and (entries := self.entries()) is not False \
-                and (bits := self.bits()) is not False:
-            key = body, bits
-            out = self._kept.get(entries, key)
-            if out is None:
-                out = self._kept.put(entries, key, self.result(body(*args, self)))
-            return out
-        return self.result(body(*args, self))
+    def term(self, make):
+        """The tau-free term ``make(p, table)`` (None: r^{2 gamma}) of cw,
+        cw_partials or improved: an admitted array's from its bundle under p's
+        bits (a dict by ``make``), else made, checked at once, before a later
+        domain check can refuse, and added to the bundle by :func:`_call`."""
+        kept = self._terms
+        if kept is None:  # the call's first term: one lookup
+            kept = self._terms = {}
+            if not self.scalar and (entries := self.entries()) is not False and (bits := self.bits()) is not False:
+                kept = self._terms = self._kept.get(entries, bits) or kept
+                self._made = {}
+        out = kept.get(make)
+        if out is None:
+            out = self.result(self(2 * self.p.gamma) if make is None else make(self.p, self))
+            if self._made is not None:
+                self._made[make] = out
+        return out
 
     def low(self):
         """The least rate (NaN if any is NaN, inf if none), reduced once."""
@@ -426,7 +426,7 @@ class _Powers:
     def check(self, singular: bool):
         """Refuse, in the call's name, a negative or NaN rate and, if
         ``singular``, a rate below R_FLOOR."""
-        low = self.low()
+        low = self._low if self._low is not None else self.low()
         if not low >= 0:
             raise DomainError(f"{self.what}: negative or NaN rate")
         if singular and low < R_FLOOR:
@@ -447,24 +447,29 @@ class _Powers:
         n-th r-derivative of p's table ``terms(p)`` (None: r^{2 gamma}), kept
         in p's record: a zero coefficient, or a NaN that :meth:`nan_is_zero`,
         never forms its power.  A negative or NaN rate is refused unless no
-        monomial is live, and a rate below R_FLOOR if a live power is < 0."""
-        record = self.record()
+        monomial is live, and a rate below R_FLOOR if a live power is < 0.
+        As on a scalar's Python floats, inf * 0 is NaN without a warning."""
+        record = self._record if self._record is not None else self.record()
         table = record.get((terms, n))
         if table is None:
             p = self.p
             live = [(1.0, 2 * p.gamma)] if terms is None else terms(p)
             for _ in range(n):
                 live = _derive(live)
-            live = [(c, pw) for c, pw in live if c != 0.0 and not self.nan_is_zero(c, p)]
-            table = record[terms, n] = live, any(pw < 0 for _, pw in live)
-        live, singular = table
-        out = self.zero()
+            live = [(c, pw) for c, pw in live if c != 0.0 and (c == c or not self.nan_is_zero(c, p))]
+            table = record[terms, n] = live, any(pw < 0 for _, pw in live), any(map(math.isinf, [c for c, _ in live]))
+        live, singular, infinite = table
         if not live:
-            return out
+            return self.zero()
         self.check(singular)
-        pows = self._pows
+        out = 0.0 if self.scalar else np.zeros_like(self.arr)
+        if infinite:
+            with np.errstate(invalid="ignore"):
+                for c, pw in live:
+                    out += c * self[pw]
+            return out
         for c, pw in live:
-            out += c * (pows[pw] if pw in pows else self(pw))
+            out += c * self[pw]
         return out
 
     def result(self, out):
@@ -514,9 +519,9 @@ def _q_terms(p: ModelParams):
 
 
 def _q_and_r2g(p: ModelParams, pows: _Powers):
-    """q(r) and r^{2 gamma} (0.0 and 1.0 at gamma = 0) under the rate domain of :func:`q_factor`."""
+    """The terms q(r) and r^{2 gamma} (0.0 and 1.0 at gamma = 0) under the rate domain of :func:`q_factor`."""
     if p.gamma != 0:
-        return pows.term(q_factor, p), pows(2 * p.gamma)
+        return pows.term(q_factor.__wrapped__), pows.term(None)
     # q vanishes here without looking at r; Vasicek keeps negative rates
     if math.isnan(pows.low()):
         raise DomainError(f"{pows.what}: NaN rate")
@@ -556,7 +561,8 @@ def cw_partials(p: ModelParams, tau: float, r):
     """
     # the rate checks, in q and the sums of the r-derivatives of r^{2 gamma}
     # and q, come before the brackets that may overflow, whatever the filter
-    r.tables_ahead()
+    if r.scalar:  # p's record first: q's powers join the scalar's batch
+        r.record()
     q, r2g = _q_and_r2g(p, r)
     d1, d2, qp, qpp = (r.sum(terms, n) for terms in (None, _q_terms) for n in (1, 2))
     B, _, eg, fh = _beta_brackets(p, tau)
@@ -645,8 +651,8 @@ def c6(p: ModelParams, r):
     if g == 0:
         return r.zero()
     r.check(False)  # the rate enters below even where every monomial vanishes
-    d1, d2 = r.term(c5_derivatives, p)
-    return (0.5 * p.sigma**2 * r(2 * g) * d2 + (p.alpha + p.beta * r(1)) * d1 - r.term(k5, p)) / 6.0
+    d1, d2 = r.result(c5_derivatives.__wrapped__(p, r))  # each checked as formed
+    return (0.5 * p.sigma**2 * r(2 * g) * d2 + (p.alpha + p.beta * r(1)) * d1 - r.result(k5.__wrapped__(p, r))) / 6.0
 
 
 @_call
@@ -658,10 +664,11 @@ def improved_log_price(p: ModelParams, tau: float, r):
     """
     if p.gamma == 0:
         return cw_log_price.__wrapped__(p, tau, r)  # cw's body: this call checks the result
-    r.tables_ahead()
-    lp = r.term(cw_log_price, p, tau)  # a new array or a float
-    lp -= r.term(c5, p) * tau**5
-    lp -= r.term(c6, p) * tau**6
+    if r.scalar:  # p's record first, as in cw_partials
+        r.record()
+    lp = r.result(cw_log_price.__wrapped__(p, tau, r))  # a new array or a float, checked before c5
+    lp -= r.term(c5.__wrapped__) * tau**5
+    lp -= r.term(c6.__wrapped__) * tau**6
     return lp
 
 

@@ -295,6 +295,19 @@ class TestInputGuards:
             with pytest.raises(DomainError, match=r"^cw_partials: singular as r -> 0"):
                 cw_partials(p, 1e52, 0.0)
 
+    @pytest.mark.parametrize("mode", ["ignore", "error", "raise"])
+    @pytest.mark.parametrize("r", [0.0, np.array([0.0])], ids=["scalar", "array"])
+    def test_infinite_coefficient_times_zero_power_leaves_the_domain_check(self, mode, r):
+        # sigma^2 is finite but q''s first table has an infinite coefficient,
+        # whose product with r^2.5 = 0 is NaN; as for a scalar's Python floats,
+        # no NumPy warning refuses it before q'''s sum refuses r = 0
+        p = ModelParams(0.00315, -0.0555, 5e153, 1.375)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error" if mode == "error" else "ignore")
+            with np.errstate(all="raise") if mode == "raise" else np.errstate():
+                with pytest.raises(DomainError, match=r"^cw_partials: singular as r -> 0"):
+                    cw_partials(p, 0.0, r)
+
     @pytest.mark.parametrize("fn, gamma", [(cw_partials, 0.75), (vasicek_partials, 0.0)])
     def test_partials_overflow_is_typed(self, params, fn, gamma):
         p = ModelParams(params.alpha, 0.0, params.sigma, gamma)
@@ -477,7 +490,7 @@ def kept_arrays():
     for _, rates, entries in _Powers._kept._arrays.values():
         yield rates
         for value in entries.values():
-            yield from value if type(value) is tuple else (value,)
+            yield from value.values() if type(value) is dict else (value,)
 
 
 def kept_entries(r):
@@ -588,9 +601,9 @@ class TestKeptPowers:
 
 
 class TestKeptResults:
-    """The tau-free results (q, k4, k5, c5, c5', c5'' and c6) a composite
-    takes from _Powers._kept for a repeated rate array give a fresh call's
-    bits, are read-only and are never handed out."""
+    """The tau-free terms (q, r^{2 gamma}, c5 and c6) cw and improved take
+    from their one bundle in _Powers._kept for a repeated rate array give
+    a fresh call's bits, are read-only and are never handed out."""
 
     GRIDS = {"zero": np.linspace(0.0, 0.15, 1501), "floor": np.linspace(1e-6, 0.15, 1501)}
 
@@ -617,15 +630,17 @@ class TestKeptResults:
                 assert self.outcome(fn, p, tau, r) == cold
 
     def test_kept_results_are_read_only(self, params):
-        r = self.GRIDS["floor"]
+        p, r = params.with_gamma(1.32), self.GRIDS["floor"]
         _Powers._kept.cache_clear()
         for _ in range(2):
-            improved_log_price(params.with_gamma(1.32), 1.0, r)
-        results = [v for key, v in kept_entries(r).items() if type(key) is tuple]
-        assert len(results) == 5  # q, c5, c5_derivatives, k5, c6
-        for value in results:
-            for v in value if type(value) is tuple else (value,):
-                assert not v.flags.writeable and not np.shares_memory(v, r)
+            improved_log_price(p, 1.0, r)
+        bundles = [v for key, v in kept_entries(r).items() if type(key) is bytes]
+        assert len(bundles) == 1  # one bundle, under p's bits
+        want = {"q_factor": q_factor(p, r), None: r ** (2 * 1.32), "c5": c5(p, r), "c6": c6(p, r)}
+        assert {getattr(make, "__name__", None): v.tobytes() for make, v in bundles[0].items()} == \
+            {name: v.tobytes() for name, v in want.items()}
+        for v in bundles[0].values():
+            assert not v.flags.writeable and not np.shares_memory(v, r)
 
     @pytest.mark.parametrize("other", [
         ModelParams(0.00315, -0.0, 0.0894, 0.75),
@@ -641,12 +656,45 @@ class TestKeptResults:
         _Powers._kept.cache_clear()
         for _ in range(2):
             improved_log_price(p, 1.0, r)
-        mine = {key for key in kept_entries(r) if type(key) is tuple}
+        mine = {key for key in kept_entries(r) if type(key) is bytes}
         for _ in range(2):
             improved_log_price(other, 1.0, r)
-        theirs = {key for key in kept_entries(r) if type(key) is tuple} - mine
-        assert len(mine) == len(theirs) == 5
+        theirs = {key for key in kept_entries(r) if type(key) is bytes} - mine
+        assert len(mine) == len(theirs) == 1
+        assert len(kept_entries(r)[next(iter(mine))]) == len(kept_entries(r)[next(iter(theirs))]) == 4
         assert [self.outcome(improved_log_price, q, 1.0, r) for q in (p, other)] == want
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("gamma", [0.5, 0.75, 1.0, 1.32])
+    @pytest.mark.parametrize("fn", [cw_log_price, improved_log_price], ids=lambda fn: fn.__name__)
+    def test_a_warm_call_reads_one_bundle(self, monkeypatch, params, fn, gamma, grid):
+        # from the third call on (sight, keep, then warm) a call forms no
+        # power of its grid, reads its bundle in one lookup and returns a new
+        # writable array
+        p, r = params.with_gamma(gamma), self.GRIDS[grid]
+        kept = _Powers._kept
+        kept.cache_clear()
+        cold = self.outcome(fn, p, 1.0, r)
+        formed, seen, reads = [], [], []
+        missing = _Powers.__missing__
+        monkeypatch.setattr(_Powers, "__missing__", lambda table, pw: formed.append(pw) or missing(table, pw))
+        for name in ("key", "admit"):
+            monkeypatch.setattr(kept, name, lambda *args, f=getattr(kept, name), name=name: seen.append(name) or f(*args))
+        get = kept.get
+        monkeypatch.setattr(kept, "get", lambda entries, key: reads.append(key) or get(entries, key))
+        for n in range(5):
+            for log in (formed, seen, reads):
+                log.clear()
+            if cold[0] is not np.ndarray or n < 2:
+                assert self.outcome(fn, p, 1.0, r) == cold
+                continue
+            out = fn(p, 1.0 + n, r)
+            (bundle,) = [v for key, v in kept_entries(r).items() if type(key) is bytes]
+            assert formed == [] and sorted(seen) == ["admit", "key"]
+            assert sum(type(key) is bytes for key in reads) == 1
+            assert out.flags.writeable and not any(np.shares_memory(out, v) for v in bundle.values())
+        # a refusal keeps no bundle
+        assert (cold[0] is np.ndarray) == any(type(key) is bytes for key in kept_entries(r) or ())
 
     def test_writing_into_the_rates_gives_a_fresh_result(self, params):
         p = params.with_gamma(1.32)
