@@ -36,13 +36,12 @@ Numerical notes
   limit; for gamma >= 1 k4, k5 and c5 have no negative powers at all.
   q_factor obeys the same rule (negative powers exactly for 0 < gamma <
   1/2).  k4 and c5 share one table, so c5 = -k4/5 to ~1e-15 relative.
-* One power table per call (:class:`_Powers`, a dict of r's powers by
-  exponent), each formed at most once per exact exponent float; r**0 is 1.0
-  and r**1 is r, and q and r^{2 gamma} at gamma = 0 are 0.0 and 1.0.  It
-  runs improved's terms: the bodies of cw, c5 and c6 (c6 runs c5', c5''
-  and k5).  No coefficient is merged and every sum keeps its table order,
-  so sharing changes no bit: improved_log_price forms 14 powers of r at
-  gamma = 1.32 instead of 34, none for a repeated rate array (:meth:`_Powers.term`).
+* One power table per call (:class:`_Powers`): each power of r is formed
+  at most once per exact exponent, and improved's terms (cw, c5, and c6
+  with c5', c5'' and k5) run on it.  No coefficient is merged and every
+  sum keeps its table order, so sharing changes no bit: improved_log_price
+  forms 14 powers of r at gamma = 1.32 instead of 34, and none for a
+  repeated rate array (:class:`_Kept`).
 * A scalar rate is priced on Python floats with the bits of the same
   rate's element of a curve: each power is NumPy's (Python's ``**``
   differs in the last bit for some rates), but x**2, x**0.5 and x**-1 for
@@ -60,7 +59,6 @@ import inspect
 import math
 import struct
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -175,15 +173,14 @@ class _Kept:
     (fewer cost as much to look up as to form, more take much memory) is
     admitted on its second sight, so one priced once pays for its key.
     Each of the last ARRAYS admitted arrays keeps its bytes, a read-only
-    array of its rates and at most ENTRIES read-only values, least recently
-    used out: each generic power (any exponent but 0, 1, 2, 0.5 and -1)
-    under its exponent float, and under p's bits one bundle of the tau-free
-    terms of cw and improved (:meth:`_Powers.term`), kept once a call passed
-    all its checks.  A hit skips the term and its checks, whatever the
-    warning filter: in these functions an overflow, zero division or
-    invalid operation leaves a non-finite result, which is never kept.  At
-    worst (a bundle holds q, r^{2 gamma}, c5 and c6) 4 x (1 + 4 x 32) x
-    16384 x 8 B = 64.5 MiB.
+    array of its rates and at most ENTRIES read-only values: each power of
+    it a call formed, under its exponent float, and under p's bits one
+    bundle of the tau-free terms q, c5 and c6 (:meth:`_Powers.term`), kept
+    once a call passed all its checks.  A hit skips the term and its checks,
+    whatever the warning filter: in these functions an overflow, zero
+    division or invalid operation leaves a non-finite result, which is never
+    kept (an underflow leaves a finite one, so a hit skips it even where
+    np.errstate raises it).  At worst 4 x (1 + 3 x 32) x 16384 x 8 B = 48.5 MiB.
 
     Per parameter set of four Python floats (other types might change a
     result's bits): the last PARAMS sets keep a record under their bits, a
@@ -195,9 +192,10 @@ class _Kept:
     floating-point flag on the window's rates (0.5 is never batched:
     NumPy's power of 0.5 differs from its sqrt in the last bit).
 
-    Threads may share the store: updates take a lock, lookups need none
-    (each OrderedDict call is atomic under the GIL), and a race keeps either
-    of two equal values or costs a batch an element.
+    Each map is a plain dict: a lookup only reads it (a dict call is atomic
+    under the GIL), an update takes the lock, and a full map drops its
+    oldest entry.  So threads may share the store; a race keeps either of
+    two equal values or costs a batch an element.
     """
 
     ARRAYS, ENTRIES, SIGHTS, PARAMS = 4, 32, 16, 32
@@ -209,7 +207,7 @@ class _Kept:
 
     def cache_clear(self):
         with self._lock:
-            self._sights, self._arrays, self._params = OrderedDict(), OrderedDict(), OrderedDict()
+            self._sights, self._arrays, self._params = {}, {}, {}
 
     def admit(self, arr):
         """(rates, entries) of ``arr`` if admitted, else None.  Its slot hashes
@@ -217,28 +215,17 @@ class _Kept:
         less than comparing in place), so arrays sharing a slot displace each other."""
         data = arr.tobytes()
         slot = hash((arr.shape, data[:64], data[-64:]))
-        kept = self.get(self._arrays, slot)
+        kept = self._arrays.get(slot)
         if kept is not None and kept[0] == data and kept[1].shape == arr.shape:
             return kept[1:]
         with self._lock:
             if not self._sights.pop(slot, False):
                 self._put(self._sights, slot, True, self.SIGHTS)
                 return None
-            kept = data, np.frombuffer(data).reshape(arr.shape), OrderedDict()
+            kept = data, np.frombuffer(data).reshape(arr.shape), {}
             self._arrays.pop(slot, None)  # another array's, in a shared slot
             self._put(self._arrays, slot, kept, self.ARRAYS)
         return kept[1:]
-
-    @staticmethod
-    def get(entries, key):
-        """The value kept under ``key``, now the most recently used, or None."""
-        out = entries.get(key)
-        if out is not None:
-            try:
-                entries.move_to_end(key)
-            except KeyError:  # another thread dropped it meanwhile
-                pass
-        return out
 
     def put(self, entries, key, value):
         """Keep ``value``, an array or a dict of arrays, read-only; return it."""
@@ -252,7 +239,7 @@ class _Kept:
     def _put(entries, key, value, bound):
         entries[key] = value
         if len(entries) > bound:
-            entries.popitem(last=False)
+            del entries[next(iter(entries))]
 
     def key(self, p):
         """The bits of p's four floats; False if one is not a float."""
@@ -262,11 +249,10 @@ class _Kept:
         return False
 
     def record(self, bits):
-        """The record kept under ``bits``, now the most recently used (for
-        bits False, a new one kept nowhere)."""
+        """The record kept under ``bits`` (for bits False, a new one kept nowhere)."""
         if bits is False:
             return _Record()
-        out = self.get(self._params, bits)
+        out = self._params.get(bits)
         if out is None:
             out = _Record()
             with self._lock:
@@ -371,10 +357,10 @@ class _Powers(dict):
                 if type(arr) is float:  # a Python float rate's 0-d array, made once
                     arr = self.arr = np.asarray(arr)
                 out = float(self._power(arr, pw))
-        elif pw in (2.0, 0.5, -1.0) or (entries := self.entries()) is False:
-            out = self.arr**pw  # NumPy serves 2, 0.5 and -1 by square, sqrt and reciprocal
+        elif (entries := self.entries()) is False:
+            out = self.arr**pw
         else:
-            out = self._kept.get(entries, pw)
+            out = entries.get(pw)
             if out is None:
                 out = self._kept.put(entries, pw, self.arr**pw)
         self[pw] = out
@@ -400,19 +386,19 @@ class _Powers(dict):
     _power = staticmethod(np.power)
 
     def term(self, make):
-        """The tau-free term ``make(p, table)`` (None: r^{2 gamma}) of cw,
-        cw_partials or improved: an admitted array's from its bundle under p's
-        bits (a dict by ``make``), else made, checked at once, before a later
-        domain check can refuse, and added to the bundle by :func:`_call`."""
+        """The tau-free term ``make(p, table)`` (q, c5 or c6) of cw,
+        cw_partials, improved or c6: an admitted array's from its bundle under
+        p's bits (a dict by ``make``), else made, checked at once, before a
+        later domain check can refuse, and added to the bundle by :func:`_call`."""
         kept = self._terms
         if kept is None:  # the call's first term: one lookup
             kept = self._terms = {}
             if not self.scalar and (entries := self.entries()) is not False and (bits := self.bits()) is not False:
-                kept = self._terms = self._kept.get(entries, bits) or kept
+                kept = self._terms = entries.get(bits) or kept
                 self._made = {}
         out = kept.get(make)
         if out is None:
-            out = self.result(self(2 * self.p.gamma) if make is None else make(self.p, self))
+            out = self.result(make(self.p, self))
             if self._made is not None:
                 self._made[make] = out
         return out
@@ -462,7 +448,7 @@ class _Powers(dict):
         if not live:
             return self.zero()
         self.check(singular)
-        out = 0.0 if self.scalar else np.zeros_like(self.arr)
+        out = self.zero()
         if infinite:
             with np.errstate(invalid="ignore"):
                 for c, pw in live:
@@ -521,7 +507,7 @@ def _q_terms(p: ModelParams):
 def _q_and_r2g(p: ModelParams, pows: _Powers):
     """The terms q(r) and r^{2 gamma} (0.0 and 1.0 at gamma = 0) under the rate domain of :func:`q_factor`."""
     if p.gamma != 0:
-        return pows.term(q_factor.__wrapped__), pows.term(None)
+        return pows.term(q_factor.__wrapped__), pows(2 * p.gamma)
     # q vanishes here without looking at r; Vasicek keeps negative rates
     if math.isnan(pows.low()):
         raise DomainError(f"{pows.what}: NaN rate")
@@ -564,6 +550,7 @@ def cw_partials(p: ModelParams, tau: float, r):
     if r.scalar:  # p's record first: q's powers join the scalar's batch
         r.record()
     q, r2g = _q_and_r2g(p, r)
+    r.result(r2g)  # only a huge rate overflows it: refused before a sum's rate check
     d1, d2, qp, qpp = (r.sum(terms, n) for terms in (None, _q_terms) for n in (1, 2))
     B, _, eg, fh = _beta_brackets(p, tau)
     f_tau = -r(1) * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
@@ -646,10 +633,15 @@ def c6(p: ModelParams, r):
 
         c6 = (1/6) [ (1/2) sigma^2 r^{2 gamma} c5''(r)
                      + (alpha + beta r) c5'(r) - k5(r) ].
+
+    A lone call on rates (its table has read no term yet) returns a copy of
+    the term improved_log_price reads, this body's, kept for a repeated array.
     """
     g = p.gamma
     if g == 0:
         return r.zero()
+    if r._terms is None and not r.scalar:
+        return r.term(c6.__wrapped__).copy()
     r.check(False)  # the rate enters below even where every monomial vanishes
     d1, d2 = r.result(c5_derivatives.__wrapped__(p, r))  # each checked as formed
     return (0.5 * p.sigma**2 * r(2 * g) * d2 + (p.alpha + p.beta * r(1)) * d1 - r.result(k5.__wrapped__(p, r))) / 6.0

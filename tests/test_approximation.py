@@ -295,6 +295,22 @@ class TestInputGuards:
             with pytest.raises(DomainError, match=r"^cw_partials: singular as r -> 0"):
                 cw_partials(p, 1e52, 0.0)
 
+    @pytest.mark.parametrize("action, other", [("ignore", "error"), ("error", "ignore")])
+    def test_partials_refuse_an_overflowing_r2g_before_the_sums(self, action, other):
+        # at r = 1e250 r^{2 gamma} = r**1.5 overflows where q (beta = 0) is
+        # finite; it is refused before the sums of its derivatives refuse the
+        # grid's 0 as singular, whichever filter formed or kept r**1.5
+        p = ModelParams(0.00315, 0.0, 0.0894, 0.75)
+        r = np.r_[np.linspace(0.0, 0.15, 1500), 1e250]
+        _Powers._kept.cache_clear()
+        for mode in (other, other, action, action):  # the grid is kept from its second call
+            with warnings.catch_warnings():
+                warnings.simplefilter(mode)
+                with pytest.raises(ValidationError, match=r"^cw_partials: out of float range at tau=1\.0$"):
+                    cw_partials(p, 1.0, r)
+                with pytest.raises(ValidationError, match=r"^pde_residual: out of float range at tau=1\.0$"):
+                    pde_residual(cw_partials, p, 1.0, r)
+
     @pytest.mark.parametrize("mode", ["ignore", "error", "raise"])
     @pytest.mark.parametrize("r", [0.0, np.array([0.0])], ids=["scalar", "array"])
     def test_infinite_coefficient_times_zero_power_leaves_the_domain_check(self, mode, r):
@@ -493,6 +509,27 @@ def kept_arrays():
             yield from value.values() if type(value) is dict else (value,)
 
 
+class _ReadLog(dict):
+    """A grid's kept entries that log each lookup in ``reads`` as (key, hit)."""
+
+    def __init__(self, entries, reads):
+        super().__init__(entries)
+        self.reads = reads
+
+    def get(self, key, default=None):
+        out = super().get(key, default)
+        self.reads.append((key, out is not None))
+        return out
+
+
+def log_reads(r, reads):
+    """Have the entries kept for the rates ``r`` log their lookups in ``reads``."""
+    arrays = _Powers._kept._arrays
+    (slot,) = [slot for slot, (data, _, _) in arrays.items() if data == r.tobytes()]
+    data, rates, entries = arrays[slot]
+    arrays[slot] = data, rates, _ReadLog(entries, reads)
+
+
 def kept_entries(r):
     """The entries _Powers._kept holds for the rates ``r``, or None."""
     for data, rates, entries in _Powers._kept._arrays.values():
@@ -559,6 +596,57 @@ class TestKeptPowers:
             improved_log_price(self.P[0].with_gamma(float(g)), 1.0, grids[-1])
         assert len(entries) == kept.ENTRIES == 32
 
+    def test_the_oldest_entry_goes_first(self, monkeypatch):
+        # a lookup never reorders a grid's entries, so past ENTRIES the
+        # first kept goes first, though a warm call has just read it
+        kept = _Powers._kept
+        r = np.linspace(1e-4, 0.15, 1501)
+        ps = [self.P[0].with_gamma(g) for g in (0.75, 1.32, 0.6, 0.9, 1.1)]
+        want = []
+        for p in ps:
+            kept.cache_clear()
+            want.append(improved_log_price(p, 1.0, r).tobytes())
+        kept.cache_clear()
+        added = []
+        put = kept.put
+        monkeypatch.setattr(kept, "put", lambda entries, key, value: added.append(key) or put(entries, key, value))
+        for _ in range(2):  # sight, keep
+            improved_log_price(ps[0], 1.0, r)
+        entries = kept_entries(r)
+        order = list(entries)
+        assert order == added and len(order) < kept.ENTRIES
+        assert improved_log_price(ps[0], 1.0, r).tobytes() == want[0]  # reads its bundle and r^{2 gamma}
+        assert list(entries) == order == added
+        for p, value in zip(ps[1:], want[1:]):
+            assert improved_log_price(p, 1.0, r).tobytes() == value
+            assert list(entries) == added[-kept.ENTRIES:]
+        assert len(added) > kept.ENTRIES and order[0] not in entries
+        assert [improved_log_price(p, 1.0, r).tobytes() for p in ps] == want
+
+    def test_curves_traffic_fills_no_map_to_its_bound(self):
+        # the closed-form traffic of the curves benchmark (cw, improved, cir
+        # and vasicek curves and points at five gammas, on the grids from 0
+        # and from 1e-6) leaves every map of the store short of its bound:
+        # there oldest-out keeps what least-recently-used would
+        kept = _Powers._kept
+        kept.cache_clear()
+        grids = np.linspace(0.0, 0.15, 1501), np.linspace(1e-6, 0.15, 1501)
+        rng = np.random.default_rng(7)
+        pricers = {"cw": cw_log_price, "improved": improved_log_price, "cir": cir_log_price,
+                   "vasicek": vasicek_log_price}
+        for _ in range(3):
+            for g in (0.0, 0.5, 0.75, 1.0, 1.32):
+                p = self.P[0].with_gamma(g)
+                for name, fn in pricers.items():
+                    if {"cir": 0.5, "vasicek": 0.0}.get(name, g) != g:
+                        continue
+                    floor = name == "improved" and g not in (0.0, 0.5)
+                    for r in (grids[floor], float(floor * 1e-6 + 0.15 * rng.random())):
+                        fn(p, float(rng.uniform(0.01, 10.0)), r)
+        assert len(kept._arrays) == 2 < kept.ARRAYS and len(kept._sights) < kept.SIGHTS
+        assert all(len(entries) < kept.ENTRIES for _, _, entries in kept._arrays.values())
+        assert 0 < len(kept._params) < kept.PARAMS
+
     def test_scalars_and_arrays_outside_the_window_keep_nothing(self):
         _Powers._kept.cache_clear()
         r = np.linspace(1e-4, 0.15, 20000)
@@ -601,9 +689,9 @@ class TestKeptPowers:
 
 
 class TestKeptResults:
-    """The tau-free terms (q, r^{2 gamma}, c5 and c6) cw and improved take
-    from their one bundle in _Powers._kept for a repeated rate array give
-    a fresh call's bits, are read-only and are never handed out."""
+    """The tau-free terms (q, c5 and c6) cw, improved and c6 take from their
+    one bundle in _Powers._kept for a repeated rate array give a fresh
+    call's bits, are read-only and are never handed out."""
 
     GRIDS = {"zero": np.linspace(0.0, 0.15, 1501), "floor": np.linspace(1e-6, 0.15, 1501)}
 
@@ -636,10 +724,12 @@ class TestKeptResults:
             improved_log_price(p, 1.0, r)
         bundles = [v for key, v in kept_entries(r).items() if type(key) is bytes]
         assert len(bundles) == 1  # one bundle, under p's bits
-        want = {"q_factor": q_factor(p, r), None: r ** (2 * 1.32), "c5": c5(p, r), "c6": c6(p, r)}
-        assert {getattr(make, "__name__", None): v.tobytes() for make, v in bundles[0].items()} == \
+        want = {"q_factor": q_factor(p, r), "c5": c5(p, r), "c6": c6(p, r)}
+        assert {make.__name__: v.tobytes() for make, v in bundles[0].items()} == \
             {name: v.tobytes() for name, v in want.items()}
-        for v in bundles[0].values():
+        r2g = kept_entries(r)[2 * 1.32]  # r^{2 gamma} is a kept power
+        assert r2g.tobytes() == (r ** (2 * 1.32)).tobytes()
+        for v in (*bundles[0].values(), r2g):
             assert not v.flags.writeable and not np.shares_memory(v, r)
 
     @pytest.mark.parametrize("other", [
@@ -661,40 +751,76 @@ class TestKeptResults:
             improved_log_price(other, 1.0, r)
         theirs = {key for key in kept_entries(r) if type(key) is bytes} - mine
         assert len(mine) == len(theirs) == 1
-        assert len(kept_entries(r)[next(iter(mine))]) == len(kept_entries(r)[next(iter(theirs))]) == 4
+        assert len(kept_entries(r)[next(iter(mine))]) == len(kept_entries(r)[next(iter(theirs))]) == 3
         assert [self.outcome(improved_log_price, q, 1.0, r) for q in (p, other)] == want
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     @pytest.mark.parametrize("gamma", [0.5, 0.75, 1.0, 1.32])
     @pytest.mark.parametrize("fn", [cw_log_price, improved_log_price], ids=lambda fn: fn.__name__)
     def test_a_warm_call_reads_one_bundle(self, monkeypatch, params, fn, gamma, grid):
-        # from the third call on (sight, keep, then warm) a call forms no
-        # power of its grid, reads its bundle in one lookup and returns a new
-        # writable array
+        # from the third call on (sight, keep, then warm) a call admits its
+        # grid and packs p's bits once each, reads its bundle in one lookup
+        # and r^{2 gamma} from the kept powers (at gamma = 1/2 the kept rates
+        # themselves), forms and keeps nothing, and returns a new writable
+        # array with a fresh call's bits
         p, r = params.with_gamma(gamma), self.GRIDS[grid]
         kept = _Powers._kept
-        kept.cache_clear()
-        cold = self.outcome(fn, p, 1.0, r)
-        formed, seen, reads = [], [], []
-        missing = _Powers.__missing__
-        monkeypatch.setattr(_Powers, "__missing__", lambda table, pw: formed.append(pw) or missing(table, pw))
-        for name in ("key", "admit"):
-            monkeypatch.setattr(kept, name, lambda *args, f=getattr(kept, name), name=name: seen.append(name) or f(*args))
-        get = kept.get
-        monkeypatch.setattr(kept, "get", lambda entries, key: reads.append(key) or get(entries, key))
+        bits, want = kept.key(p), {}
         for n in range(5):
-            for log in (formed, seen, reads):
+            kept.cache_clear()
+            want[n] = self.outcome(fn, p, 1.0 + n, r)
+        kept.cache_clear()
+        looked, seen, reads = [], [], []
+        missing = _Powers.__missing__
+        monkeypatch.setattr(_Powers, "__missing__", lambda table, pw: looked.append(pw) or missing(table, pw))
+        for name in ("key", "admit", "put"):
+            monkeypatch.setattr(kept, name, lambda *args, f=getattr(kept, name), name=name: seen.append(name) or f(*args))
+        for n in range(5):
+            for log in (looked, seen, reads):
                 log.clear()
-            if cold[0] is not np.ndarray or n < 2:
-                assert self.outcome(fn, p, 1.0, r) == cold
+            if want[n][0] is not np.ndarray or n < 2:
+                assert self.outcome(fn, p, 1.0 + n, r) == want[n]
                 continue
+            if n == 2:
+                log_reads(r, reads)
             out = fn(p, 1.0 + n, r)
-            (bundle,) = [v for key, v in kept_entries(r).items() if type(key) is bytes]
-            assert formed == [] and sorted(seen) == ["admit", "key"]
-            assert sum(type(key) is bytes for key in reads) == 1
-            assert out.flags.writeable and not any(np.shares_memory(out, v) for v in bundle.values())
+            r2g = [] if gamma == 0.5 else [(2 * gamma, True)]
+            assert reads == [(bits, True)] + r2g and looked == [pw for pw, _ in r2g]
+            assert sorted(seen) == ["admit", "key"]
+            assert (type(out), out.tobytes(), out.flags.writeable) == want[n]
+            assert not any(np.shares_memory(out, v) for v in kept_arrays())
         # a refusal keeps no bundle
-        assert (cold[0] is np.ndarray) == any(type(key) is bytes for key in kept_entries(r) or ())
+        assert (want[0][0] is np.ndarray) == any(type(key) is bytes for key in kept_entries(r) or ())
+
+    def test_a_warm_c6_reads_the_bundle_improved_reads(self, monkeypatch, params):
+        # a lone c6 keeps its value in the grid's bundle under p's bits,
+        # where improved_log_price finds it and adds q and c5: from the third
+        # call on c6 forms no power, runs no monomial sum and returns a new
+        # writable array with a fresh call's bits
+        p, r = params.with_gamma(1.32), self.GRIDS["floor"]
+        kept = _Powers._kept
+        kept.cache_clear()
+        want, improved = c6(p, r).tobytes(), improved_log_price(p, 1.0, r).tobytes()
+        kept.cache_clear()
+        looked, sums = [], []
+        missing, total = _Powers.__missing__, _Powers.sum
+        monkeypatch.setattr(_Powers, "__missing__", lambda table, pw: looked.append(pw) or missing(table, pw))
+        monkeypatch.setattr(_Powers, "sum", lambda table, *args: sums.append(args) or total(table, *args))
+        for n in range(5):
+            looked.clear()
+            sums.clear()
+            out = c6(p, r)
+            assert out.tobytes() == want and out.flags.writeable
+            assert not any(np.shares_memory(out, v) for v in kept_arrays())
+            assert (looked == sums == []) == (n >= 2)
+        (bundle,) = [v for key, v in kept_entries(r).items() if type(key) is bytes]
+        assert [make.__name__ for make in bundle] == ["c6"]
+        assert improved_log_price(p, 1.0, r).tobytes() == improved
+        assert sorted(make.__name__ for make in bundle) == ["c6"]  # a bundle is replaced, not changed
+        (bundle,) = [v for key, v in kept_entries(r).items() if type(key) is bytes]
+        assert sorted(make.__name__ for make in bundle) == ["c5", "c6", "q_factor"]
+        sums.clear()
+        assert c6(p, r).tobytes() == want and not sums
 
     def test_writing_into_the_rates_gives_a_fresh_result(self, params):
         p = params.with_gamma(1.32)
@@ -745,6 +871,23 @@ class TestKeptTables:
         assert list(self.records()) == [kept.key(p) for p in ps[-kept.PARAMS:]]
         kept.cache_clear()
         assert not self.records()
+
+    def test_the_oldest_record_goes_first(self):
+        # a lookup never reorders the records, so past PARAMS the first
+        # kept goes first, though a call has just read it
+        kept = _Powers._kept
+        ps = [self.P.with_gamma(0.6 + 0.01 * k) for k in range(kept.PARAMS + 8)]
+        want = []
+        for p in ps:
+            kept.cache_clear()
+            want.append(c5(p, 0.05).hex())
+        kept.cache_clear()
+        for k, p in enumerate(ps):
+            assert c5(p, 0.05).hex() == want[k]
+            first = max(0, k + 1 - kept.PARAMS)
+            assert c5(ps[first], 0.05).hex() == want[first]  # the oldest record, read
+            assert list(self.records()) == [kept.key(q) for q in ps[first:k + 1]]
+        assert [c5(p, 0.05).hex() for p in ps] == want
 
     def test_beta_minus_zero_is_its_own_key(self):
         ps = ModelParams(0.00315, 0.0, 0.0894, 0.75), ModelParams(0.00315, -0.0, 0.0894, 0.75)

@@ -56,8 +56,8 @@ def _grid(low=0.0, bad=None):
 
 
 RATES = (0.05, float("nan"), -0.01, _grid(), _grid(1e-6), _grid(bad=np.nan), _grid(bad=-0.01))
-#: The pricers that keep their tau-free terms for a repeated rate array.
-BUNDLED = ("cw_log_price", "cw_partials", "improved_log_price")
+#: The functions that keep tau-free terms for a repeated rate array.
+BUNDLED = ("cw_log_price", "cw_partials", "improved_log_price", "c6")
 
 
 def _calls():
@@ -111,8 +111,8 @@ def test_warm_store_gives_the_cold_outcome(action, other):
             filled = _outcome(call, other)
         kept = list(_kept())
         assert all(np.isfinite(v).all() for _, v in kept)  # only what passed its checks
-        # a bundle is kept exactly where a call of a BUNDLED pricer (alone or
-        # as pde_residual's partials) on an array at gamma != 0 passed
+        # a bundle is kept exactly where a call of a BUNDLED function (alone
+        # or as pde_residual's partials) on an array at gamma != 0 passed
         keeps = (label[0] in BUNDLED or label[1:2] == ("cw_partials",)) and label[-1] >= 3 \
             and next(q for q in label if isinstance(q, ModelParams)).gamma != 0 and type(filled[0]) is tuple
         assert any(type(key) is bytes for key, _ in kept) == keeps, label
@@ -209,4 +209,4 @@ def test_a_wrapped_term_is_kept_once(monkeypatch):
     _Powers._kept.cache_clear()
     for _ in range(3):  # sight, keep, hit
         assert improved_log_price(p, 1.0, FLOOR_GRID).tobytes() == want
-    assert len(_Powers._kept._arrays) == 1 and len(terms) == 4 and bundle() == terms
+    assert len(_Powers._kept._arrays) == 1 and len(terms) == 3 and bundle() == terms
