@@ -373,11 +373,13 @@ def _solve_all(p: ModelParams, jobs: list, start: list, shared: bool) -> list:
     The calling thread, and the kept helpers if ``shared``, take the jobs
     in the order ``start`` lists their indices, from one shared iterator.
     A helper runs in a copy of the caller's context, so NumPy's error state
-    is the caller's.  A job that fails is solved again by the caller, in
-    job order, so the error raised is the one the first failing job raises
-    when the jobs run one after another.
+    is the caller's.  Each job is solved once, and its outcome, a solution
+    or an error, kept; read in job order, the first failing job raises its
+    error, the one the jobs raise when they run one after another.
     """
-    out = [None] * len(jobs)
+    from concurrent.futures import Future  # only table 3 runs here
+
+    out = [Future() for _ in jobs]
     todo, taking, helped = iter(start), threading.Lock(), threading.Semaphore(0)
 
     def work():
@@ -388,9 +390,9 @@ def _solve_all(p: ModelParams, jobs: list, start: list, shared: bool) -> list:
                 return
             g, cfg = jobs[i]
             try:
-                out[i] = solve(p.with_gamma(g), cfg, T1_TAUS)
-            except Exception:  # raised again below, in job order
-                pass
+                out[i].set_result(solve(p.with_gamma(g), cfg, T1_TAUS))
+            except Exception as e:  # raised below, in job order
+                out[i].set_exception(e)
 
     def assist():
         try:
@@ -405,7 +407,7 @@ def _solve_all(p: ModelParams, jobs: list, start: list, shared: bool) -> list:
     work()
     for _ in range(helpers):
         helped.acquire()
-    return [sol if sol is not None else solve(p.with_gamma(g), cfg, T1_TAUS) for sol, (g, cfg) in zip(out, jobs)]
+    return [job.result() for job in out]
 
 
 def compute_table3_solutions(p: ModelParams, cfg: PdeConfig | None = None, gammas=T3_GAMMAS):

@@ -46,8 +46,10 @@ Numerical notes
   rate's element of a curve: each power is NumPy's (Python's ``**``
   differs in the last bit for some rates), but x**2, x**0.5 and x**-1 for
   x in [R_FLOOR, 1] are x * x, math.sqrt(x) and 1.0 / x, the IEEE
-  operations NumPy runs for them.  :class:`_Kept` describes what outlives
-  a call.
+  operations NumPy runs for them.  A point runs each term's body once on
+  its table and checks a finite float term inline; each monomial table is
+  kept in p's record with its prefactor, so a sum is one frame.
+  :class:`_Kept` describes what outlives a call.
 * _call applies the maturity rule of :func:`bondkit.model._check_maturity`
   and one float rule that tests results, not constants (see :func:`_call`).
 """
@@ -93,7 +95,9 @@ def _call(fn):
     rule and runs ``fn`` on it (b_factor gets a table of 0.0).  A result
     that is not finite, a Python float overflow or zero division, and a
     NumPy floating-point error or warning raised as an error are each
-    refused as out of float range.  Given a caller's table (pde_residual's
+    refused as out of float range, but NumPy's underflow is no error: a
+    call refused while it raises or warns runs again with it ignored, as a
+    scalar's Python floats ignore it.  Given a caller's table (pde_residual's
     ``partials``), it runs ``fn`` on that table and checks its result."""
     sig = inspect.signature(fn)
     what, names = fn.__name__, list(sig.parameters)
@@ -111,10 +115,14 @@ def _call(fn):
                 r = _Powers(r.arr, r.what, args[ip], r._tau)
             return r.result(fn(*args[:-1], r))
         pows = _Powers(r if rates else 0.0, what, None if ip is None else args[ip], None if at is None else args[at])
-        try:
-            out = pows.result(fn(*args[:-1], pows) if rates else fn(*args))
+        try:  # (p, r) and (p, tau, r) bodies called by position: a star call costs a point 4-8 %
+            out = pows.result((fn(args[0], pows) if n == 2 else fn(args[0], args[1], pows) if n == 3
+                               else fn(*args[:-1], pows)) if rates else fn(*args))
         except (OverflowError, ZeroDivisionError, FloatingPointError, RuntimeWarning):
-            raise ValidationError(pows._out_of_range()) from None
+            if np.geterr()["under"] == "ignore":
+                raise ValidationError(pows._out_of_range()) from None
+            with np.errstate(under="ignore"):  # an underflow is no error: the call again without it
+                return call(*args)
         if pows._made:  # an admitted array's new terms, each checked
             pows._kept.put(pows._entries, pows._bits, {**pows._terms, **pows._made})
         return out
@@ -179,18 +187,19 @@ class _Kept:
     once a call passed all its checks.  A hit skips the term and its checks,
     whatever the warning filter: in these functions an overflow, zero
     division or invalid operation leaves a non-finite result, which is never
-    kept (an underflow leaves a finite one, so a hit skips it even where
-    np.errstate raises it).  At worst 4 x (1 + 3 x 32) x 16384 x 8 B = 48.5 MiB.
+    kept, and an underflow is no error (:func:`_call`).  At worst
+    4 x (1 + 3 x 32) x 16384 x 8 B = 48.5 MiB.
 
     Per parameter set of four Python floats (other types might change a
     result's bits): the last PARAMS sets keep a record under their bits, a
-    few KiB of monomial tables (:meth:`_Powers.sum`) and, per function, the
-    batch of its scalar calls with a rate in the window R_FLOOR <= x <= 1:
-    the generic exponents (|e| <= _Powers.BATCH_EXP) they formed after
-    reading the record.  A later call forms them in one np.power, whose
-    every element has the bits of that power formed alone and raises no
-    floating-point flag on the window's rates (0.5 is never batched:
-    NumPy's power of 0.5 differs from its sqrt in the last bit).
+    few KiB of monomial tables and their prefactors (:meth:`_Powers.sum`)
+    and, per function, the batch of its scalar calls with a rate in the
+    window R_FLOOR <= x <= 1: the generic exponents (|e| <=
+    _Powers.BATCH_EXP) they formed after reading the record.  A later call
+    forms them in one np.power, whose every element has the bits of that
+    power formed alone and raises no floating-point flag on the window's
+    rates (0.5 is never batched: NumPy's power of 0.5 differs from its sqrt
+    in the last bit).
 
     Each map is a plain dict: a lookup only reads it (a dict call is atomic
     under the GIL), an update takes the lock, and a full map drops its
@@ -261,7 +270,7 @@ class _Kept:
 
 
 class _Record(dict):
-    """A parameter set's tables, keyed (terms, n), and batches by function name."""
+    """A parameter set's tables, keyed (terms, n, d), and batches by function name."""
 
     __slots__ = ("batches",)
 
@@ -273,7 +282,7 @@ class _Record(dict):
 class _Powers(dict):
     """The table of one public call ``what`` of parameters ``p`` (at maturity
     ``tau``, if it takes one): the rates ``arr``, a dict of their powers by
-    exponent (``table(pw)``, see :meth:`__missing__`), their least rate and
+    exponent (``table[pw]``, see :meth:`__missing__`), their least rate and
     what the call reuses from :attr:`_kept`, each resolved once on first
     need.  Every refusal through it names ``what``."""
 
@@ -290,16 +299,17 @@ class _Powers(dict):
         if tau is not None:
             _check_maturity(tau)
         self.what, self.p, self._tau = what, p, tau
-        self._low = self._bits = self._record = self._entries = self._terms = self._made = None
+        self._bits = self._record = self._made = None
         if type(r) is not float:
             r = np.asarray(r, dtype=float)
             if r.ndim:
                 self.arr = self[1.0] = r
-                self.scalar = False
+                self.scalar, self._x = False, None
+                self._low = self._entries = self._terms = None
                 return
         self.arr, self.scalar = r, True  # a Python float until a power needs its 0-d array
         x = self[1.0] = self._low = float(r)
-        self._x, self._batch = (x if R_FLOOR <= x <= 1 else None), None  # x in the window; see batch
+        self._x, self._batch = (x if R_FLOOR <= x <= 1 else None), None  # x in the window; see record
 
     def _out_of_range(self):
         at = "" if self._tau is None else f" at tau={self._tau!r}"
@@ -312,11 +322,20 @@ class _Powers(dict):
         return self._bits
 
     def record(self):
-        """p's record; a scalar in the window then forms its batch."""
+        """p's record; a scalar in the window then forms its batch (see
+        :class:`_Kept`) in one NumPy call.  A call that reads no table
+        (cw_log_price, q_factor) has none."""
         if self._record is None:
-            self._record = self._kept.record(self.bits())
-            if self.scalar and self._x is not None:
-                self.batch()
+            record = self._record = self._kept.record(self.bits())
+            if self._x is not None:  # a scalar in the window
+                batch = self._batch = record.batches.get(self.what)
+                if batch is None:
+                    batch = self._batch = record.batches[self.what] = [[], None]
+                exps, arr = batch
+                if len(exps) >= 2:
+                    if arr is None or len(arr) != len(exps):  # exponents were added
+                        arr = batch[1] = np.array(exps, dtype=float)
+                    self.update(zip(exps, self._power(self.arr, arr).tolist()))
         return self._record
 
     def entries(self):
@@ -330,8 +349,6 @@ class _Powers(dict):
                 self.arr, self._entries = kept
                 self[1.0] = self.arr
         return self._entries
-
-    __call__ = dict.__getitem__
 
     def __missing__(self, pw):
         """arr**pw, formed on first use (1.0 for pw = 0; the table holds the
@@ -349,7 +366,7 @@ class _Powers(dict):
                 out = math.sqrt(x)
             elif pw == -1.0:
                 out = 1.0 / x
-            else:  # a generic power, formed alone; see batch
+            else:  # a generic power, formed alone; see record
                 batch = self._batch
                 if batch is not None and -self.BATCH_EXP <= pw <= self.BATCH_EXP and pw not in batch[0]:
                     batch[0].append(pw)
@@ -366,23 +383,8 @@ class _Powers(dict):
         self[pw] = out
         return out
 
-    def batch(self):
-        """Form this scalar call's batch (see :class:`_Kept`) in one NumPy call;
-        a call that reads no table (cw_log_price, q_factor) has none."""
-        batches = self._record.batches
-        batch = self._batch = batches.get(self.what)
-        if batch is None:
-            batch = self._batch = batches[self.what] = [[], None]
-        exps, arr = batch
-        if len(exps) >= 2:
-            if arr is None or len(arr) != len(exps):  # exponents were added
-                arr = batch[1] = np.array(exps, dtype=float)
-            if type(self.arr) is float:  # as in __missing__
-                self.arr = np.asarray(self.arr)
-            self.update(zip(exps, self._power(self.arr, arr).tolist()))
-
-    #: Forms a scalar's generic powers in the window, (0-d rate, exponent or
-    #: array of them), each element with the bits of the 0-d power.
+    #: Forms a scalar's generic powers in the window, (rate or its 0-d array,
+    #: exponent or array of them), each element with the bits of the 0-d power.
     _power = staticmethod(np.power)
 
     def term(self, make):
@@ -390,10 +392,13 @@ class _Powers(dict):
         cw_partials, improved or c6: an admitted array's from its bundle under
         p's bits (a dict by ``make``), else made, checked at once, before a
         later domain check can refuse, and added to the bundle by :func:`_call`."""
+        if self.scalar:  # never kept: checked inline where a float is finite
+            out = make(self.p, self)
+            return out if type(out) is float and math.isfinite(out) else self.result(out)
         kept = self._terms
         if kept is None:  # the call's first term: one lookup
             kept = self._terms = {}
-            if not self.scalar and (entries := self.entries()) is not False and (bits := self.bits()) is not False:
+            if (entries := self.entries()) is not False and (bits := self.bits()) is not False:
                 kept = self._terms = entries.get(bits) or kept
                 self._made = {}
         out = kept.get(make)
@@ -409,13 +414,13 @@ class _Powers(dict):
             self._low = np.minimum.reduce(self.arr, axis=None, initial=math.inf)
         return self._low
 
-    def check(self, singular: bool):
-        """Refuse, in the call's name, a negative or NaN rate and, if
-        ``singular``, a rate below R_FLOOR."""
+    def check(self, floor: float = 0.0):
+        """Refuse, in the call's name, a negative or NaN rate and a rate
+        below ``floor`` (R_FLOOR where a live power is negative)."""
         low = self._low if self._low is not None else self.low()
         if not low >= 0:
             raise DomainError(f"{self.what}: negative or NaN rate")
-        if singular and low < R_FLOOR:
+        if low < floor:
             raise DomainError(f"{self.what}: singular as r -> 0 for this gamma; need r >= {R_FLOOR}")
 
     def zero(self):
@@ -423,53 +428,65 @@ class _Powers(dict):
         return 0.0 if self.scalar else np.zeros_like(self.arr)
 
     @staticmethod
-    def nan_is_zero(c, p: ModelParams) -> bool:
-        """Whether a NaN coefficient ``c`` of ``p`` is the formula's zero (an
+    def nan_is_zero(p: ModelParams) -> bool:
+        """Whether a NaN coefficient of ``p`` is the formula's zero (an
         overflow times an exact zero), as it is where all of p is finite."""
-        return c != c and all(map(math.isfinite, (p.alpha, p.beta, p.sigma, p.gamma)))
+        return all(map(math.isfinite, (p.alpha, p.beta, p.sigma, p.gamma)))
 
-    def sum(self, terms, n: int = 0):
+    def monomials(self, terms, n, d):
+        """Keep p's table (terms, n, d) of :meth:`sum` in p's record and return it."""
+        p = self.p
+        pref = None if d is None else p.gamma * p.sigma**2 / d
+        if pref is not None and p.gamma == 0:
+            live, pref = [], None
+        else:
+            live = [(1.0, 2 * p.gamma)] if terms is None else terms(p)
+            for _ in range(n):
+                live = _derive(live)
+            live = [(c, pw) for c, pw in live if c != 0.0 and (c == c or not self.nan_is_zero(p))]
+        floor = R_FLOOR if any(pw < 0 for _, pw in live) else 0.0
+        self._record[terms, n, d] = out = live, floor, any(map(math.isinf, [c for c, _ in live])), pref
+        return out
+
+    def sum(self, terms, n: int = 0, d=None):
         """Sum coef * r**power, in table order, over the live monomials of the
-        n-th r-derivative of p's table ``terms(p)`` (None: r^{2 gamma}), kept
-        in p's record: a zero coefficient, or a NaN that :meth:`nan_is_zero`,
+        n-th r-derivative of p's table ``terms(p)`` (None: r^{2 gamma}),
+        times gamma sigma^2 / d unless d is None: such a coefficient is
+        identically zero at gamma = 0.  The table and its prefactor are kept
+        in p's record.  A zero coefficient, or a NaN where :meth:`nan_is_zero`,
         never forms its power.  A negative or NaN rate is refused unless no
         monomial is live, and a rate below R_FLOOR if a live power is < 0.
         As on a scalar's Python floats, inf * 0 is NaN without a warning."""
         record = self._record if self._record is not None else self.record()
-        table = record.get((terms, n))
-        if table is None:
-            p = self.p
-            live = [(1.0, 2 * p.gamma)] if terms is None else terms(p)
-            for _ in range(n):
-                live = _derive(live)
-            live = [(c, pw) for c, pw in live if c != 0.0 and (c == c or not self.nan_is_zero(c, p))]
-            table = record[terms, n] = live, any(pw < 0 for _, pw in live), any(map(math.isinf, [c for c, _ in live]))
-        live, singular, infinite = table
-        if not live:
-            return self.zero()
-        self.check(singular)
-        out = self.zero()
+        live, floor, infinite, pref = record.get((terms, n, d)) or self.monomials(terms, n, d)
+        out = 0.0 if self.scalar else self.zero()
+        if live and not (self._low is not None and self._low >= floor):  # unless known to pass
+            self.check(floor)
         if infinite:
             with np.errstate(invalid="ignore"):
                 for c, pw in live:
                     out += c * self[pw]
-            return out
-        for c, pw in live:
-            out += c * self[pw]
-        return out
+        else:
+            for c, pw in live:
+                out += c * self[pw]
+        return out if pref is None else pref * out
 
     def result(self, out):
         """``out`` as a float for a scalar rate, else as computed, and a
         tuple item by item; refused in the call's name if not finite."""
+        if type(out) is float and math.isfinite(out):
+            return out
         if type(out) is tuple:
             return tuple(map(self.result, out))
-        out = float(out) if self.scalar else out
+        if self.scalar:
+            out = float(out)
+            if math.isfinite(out):
+                return out
         # an inf or NaN makes the sum of squares non-finite: one BLAS pass,
         # without ndarray.dot's overflow warning, a third of np.isfinite
-        if not (math.isfinite(out) if self.scalar else
-                math.isfinite(np.vdot(out, out)) or np.isfinite(out).all()):
-            raise ValidationError(self._out_of_range())
-        return out
+        elif math.isfinite(np.vdot(out, out)) or np.isfinite(out).all():
+            return out
+        raise ValidationError(self._out_of_range())
 
 
 @_call
@@ -487,11 +504,11 @@ def q_factor(p: ModelParams, r):
     g = p.gamma
     if g == 0:
         return r.zero()
-    r.check(g < 0.5)
+    r.check(R_FLOOR if g < 0.5 else 0.0)
     c = g * (2 * g - 1) * (p.sigma * p.sigma)
-    if r.nan_is_zero(c, p):  # as in the monomial tables: sigma * sigma = inf at gamma = 1/2
+    if c != c and r.nan_is_zero(p):  # as in the monomial tables: sigma * sigma = inf at gamma = 1/2
         c = 0.0
-    return c * r(2 * (2 * g - 1)) + 2 * g * r(2 * g - 1) * (p.alpha + p.beta * r(1))
+    return c * r[2 * (2 * g - 1)] + 2 * g * r[2 * g - 1] * (p.alpha + p.beta * r[1])
 
 
 def _q_terms(p: ModelParams):
@@ -507,7 +524,7 @@ def _q_terms(p: ModelParams):
 def _q_and_r2g(p: ModelParams, pows: _Powers):
     """The terms q(r) and r^{2 gamma} (0.0 and 1.0 at gamma = 0) under the rate domain of :func:`q_factor`."""
     if p.gamma != 0:
-        return pows.term(q_factor.__wrapped__), pows(2 * p.gamma)
+        return pows.term(q_factor.__wrapped__), pows[2 * p.gamma]
     # q vanishes here without looking at r; Vasicek keeps negative rates
     if math.isnan(pows.low()):
         raise DomainError(f"{pows.what}: NaN rate")
@@ -531,7 +548,7 @@ def cw_log_price(p: ModelParams, tau: float, r):
     """
     q, r2g = _q_and_r2g(p, r)
     B, t1, eg, fh = _beta_brackets(p, tau)
-    lp = t1 - r(1) * B  # a new array, or a float: the other terms go in place
+    lp = t1 - r[1] * B  # a new array, or a float: the other terms go in place
     lp += (r2g + q * tau) * eg
     lp -= q * fh
     return lp
@@ -553,7 +570,7 @@ def cw_partials(p: ModelParams, tau: float, r):
     r.result(r2g)  # only a huge rate overflows it: refused before a sum's rate check
     d1, d2, qp, qpp = (r.sum(terms, n) for terms in (None, _q_terms) for n in (1, 2))
     B, _, eg, fh = _beta_brackets(p, tau)
-    f_tau = -r(1) * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
+    f_tau = -r[1] * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
     f_r = -B + (d1 + qp * tau) * eg - qp * fh
     f_rr = (d2 + qpp * tau) * eg - qpp * fh
     return f_tau, f_r, f_rr
@@ -594,37 +611,30 @@ def _k5_terms(p: ModelParams):
     ]
 
 
-def _coef(p: ModelParams, pows: _Powers, pref: float, terms, n: int = 0):
-    """``pref`` times the sum of a monomial table (see :meth:`_Powers.sum`);
-    identically zero at gamma = 0."""
-    return pows.zero() if p.gamma == 0 else pref * pows.sum(terms, n)
-
-
 @_call
 def k4(p: ModelParams, r):
     """Quartic residual coefficient: substituting the closed-form log price
     into the pricing PDE leaves h(tau, r) = k4 tau^4 + k5 tau^5 + o(tau^5)."""
-    return _coef(p, r, p.gamma * p.sigma**2 / 24.0, _c5_terms)
+    return r.sum(_c5_terms, 0, 24)
 
 
 @_call
 def k5(p: ModelParams, r):
     """Quintic residual coefficient; see :func:`k4`."""
-    return _coef(p, r, p.gamma * p.sigma**2 / 120.0, _k5_terms)
+    return r.sum(_k5_terms, 0, 120)
 
 
 @_call
 def c5(p: ModelParams, r):
     """Leading log-price error coefficient: ln P_approx - ln P_exact =
     c5(r) tau^5 + o(tau^5).  Identically equal to -k4(r)/5."""
-    return _coef(p, r, -p.gamma * p.sigma**2 / 120.0, _c5_terms)
+    return r.sum(_c5_terms, 0, -120)
 
 
 @_call
 def c5_derivatives(p: ModelParams, r):
     """Analytic (c5'(r), c5''(r)) by term-by-term differentiation."""
-    pref = -p.gamma * p.sigma**2 / 120.0
-    return _coef(p, r, pref, _c5_terms, 1), _coef(p, r, pref, _c5_terms, 2)
+    return r.sum(_c5_terms, 1, -120), r.sum(_c5_terms, 2, -120)
 
 
 @_call
@@ -640,11 +650,12 @@ def c6(p: ModelParams, r):
     g = p.gamma
     if g == 0:
         return r.zero()
-    if r._terms is None and not r.scalar:
+    if not r.scalar and r._terms is None:
         return r.term(c6.__wrapped__).copy()
-    r.check(False)  # the rate enters below even where every monomial vanishes
-    d1, d2 = r.result(c5_derivatives.__wrapped__(p, r))  # each checked as formed
-    return (0.5 * p.sigma**2 * r(2 * g) * d2 + (p.alpha + p.beta * r(1)) * d1 - r.result(k5.__wrapped__(p, r))) / 6.0
+    r.check()  # the rate enters below even where every monomial vanishes
+    d1, d2 = c5_derivatives.__wrapped__(p, r)
+    d1, d2 = r.result(d1), r.result(d2)  # each checked as formed
+    return (0.5 * p.sigma**2 * r[2 * g] * d2 + (p.alpha + p.beta * r[1]) * d1 - r.result(k5.__wrapped__(p, r))) / 6.0
 
 
 @_call
@@ -680,5 +691,5 @@ def pde_residual(partials, p: ModelParams, tau: float, r: float):
         (p, tau, r) -> (f_tau, f_r, f_rr); it gets this call's table as ``r``
     """
     f_tau, f_r, f_rr = partials(p, tau, r)
-    return (-f_tau + 0.5 * p.sigma**2 * r(2 * p.gamma) * (f_r * f_r + f_rr)
-            + (p.alpha + p.beta * r(1)) * f_r - r(1))
+    return (-f_tau + 0.5 * p.sigma**2 * r[2 * p.gamma] * (f_r * f_r + f_rr)
+            + (p.alpha + p.beta * r[1]) * f_r - r[1])

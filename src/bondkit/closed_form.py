@@ -76,7 +76,7 @@ def _cir(p: ModelParams, tau: float, pows: _Powers):
     below the theta*tau switch, the factored form above it.
     """
     _require_gamma(p, pows, 0.5)
-    pows.check(False)
+    pows.check()
     b, s = p.beta, p.sigma
     th = np.sqrt(b * b + 2.0 * s * s)
     if th * tau <= _EXP_SWITCH:
@@ -111,7 +111,7 @@ def cir_log_price(p: ModelParams, tau: float, r):
     Log price, same shape as ``r``.
     """
     log_a, b_term, *_ = _cir(p, tau, r)
-    return (2.0 * p.alpha / (p.sigma * p.sigma)) * log_a - r(1) * b_term
+    return (2.0 * p.alpha / (p.sigma * p.sigma)) * log_a - r[1] * b_term
 
 
 @_call
@@ -126,6 +126,6 @@ def cir_partials(p: ModelParams, tau: float, r):
         _, b_term, th, e_neg, C = _cir(p, tau, r)
     dlog_a = (th - p.beta) / 2.0 - th * (th - p.beta) / C
     db = 4.0 * th * th * e_neg / (C * C)
-    f_tau = (2.0 * p.alpha / (p.sigma * p.sigma)) * dlog_a - r(1) * db
+    f_tau = (2.0 * p.alpha / (p.sigma * p.sigma)) * dlog_a - r[1] * db
     f_r = -b_term * np.ones_like(r.arr)
     return f_tau, f_r, np.zeros_like(f_r)

@@ -414,6 +414,28 @@ class TestTable3Threads:
         with pytest.raises(UnstableSolve, match=r"^gamma=0.5 n_space=501$"):
             compute_table3_solutions(params, self.CFG, gammas=(0.5, 0.75, 1.0))
 
+    @pytest.mark.parametrize("cfg", [CFG, PdeConfig(n_space=41, n_time=40)], ids=["shared", "serial"])
+    def test_a_failing_job_is_solved_once(self, params, monkeypatch, cfg):
+        # every job runs once, the failing one included, and the error is
+        # the one the first failing job in job order raises on its own
+        calls = []
+
+        def failing(p, grid, taus):
+            calls.append((p.gamma, grid.n_space))
+            if p.gamma == 0.75:
+                raise UnstableSolve(f"gamma={p.gamma} n_space={grid.n_space}")
+            return solve(p, grid, taus)
+
+        with pytest.raises(UnstableSolve) as serial:
+            failing(params.with_gamma(0.75), cfg, T1_TAUS)
+        calls.clear()
+        monkeypatch.setattr(analysis, "solve", failing)
+        with pytest.raises(UnstableSolve) as raised:
+            compute_table3_solutions(params, cfg, gammas=(0.5, 0.75, 1.0))
+        assert (type(raised.value), str(raised.value)) == (type(serial.value), str(serial.value))
+        coarse = (cfg.n_space - 1) // 2 + 1
+        assert sorted(calls) == sorted((g, n) for g in (0.5, 0.75, 1.0) for n in (cfg.n_space, coarse))
+
     def test_every_solve_sees_the_callers_error_state(self, params, monkeypatch):
         seen = []
 

@@ -206,6 +206,23 @@ class TestPdeResidual:
         with pytest.raises(DomainError, match=r"^pde_residual: (negative or )?NaN rate$"):
             pde_residual(partials, p, 1.0, np.nan)
 
+    @pytest.mark.parametrize("r", [0.05, np.linspace(1e-6, 0.15, 101)], ids=["scalar", "grid"])
+    def test_partials_may_price_other_parameters_on_the_call_table(self, params, r):
+        # partials that price another parameter set get a table of that set
+        # on the caller's rates and maturity: the bits of its own call
+        p, other = params.with_gamma(0.75), ModelParams(0.004, -0.06, 0.1, 1.32)
+        seen = []
+
+        def partials(q, tau, table):
+            seen.append(cw_partials(other, tau, table))
+            return seen[-1]
+
+        got = pde_residual(partials, p, 1.0, r)
+        (out,) = seen
+        want = cw_partials(other, 1.0, r)
+        assert [np.asarray(v).tobytes() for v in out] == [np.asarray(v).tobytes() for v in want]
+        assert np.asarray(got).tobytes() == np.asarray(pde_residual(lambda *_: want, p, 1.0, r)).tobytes()
+
     @pytest.mark.parametrize("partials", [cw_partials, cir_partials], ids=lambda fn: fn.__name__)
     def test_negative_rate_is_refused_in_its_name(self, params, partials):
         p = params.with_gamma(0.75 if partials is cw_partials else 0.5)
@@ -310,6 +327,26 @@ class TestInputGuards:
                     cw_partials(p, 1.0, r)
                 with pytest.raises(ValidationError, match=r"^pde_residual: out of float range at tau=1\.0$"):
                     pde_residual(cw_partials, p, 1.0, r)
+
+    @pytest.mark.parametrize("under", ["raise", "warn"])
+    def test_numpy_underflow_decides_no_outcome(self, under):
+        # a subnormal rate underflows in an array's NumPy arithmetic but not
+        # in a scalar's Python floats: raised or warned as an error, the
+        # underflow changes no outcome, cold or warm
+        grid = np.linspace(1e-6, 0.15, 1501)
+        grid[1] = 5e-324
+        calls = [lambda: cw_log_price(ModelParams(0.00315, -0.0555, 0.0894, 0.5), 1.0, np.array([5e-324])),
+                 lambda: c6(ModelParams(0.00315, -0.0555, 0.0894, 1.0), grid)]
+        for call in calls:
+            _Powers._kept.cache_clear()
+            want = call().tobytes()
+            _Powers._kept.cache_clear()
+            for _ in range(4):  # cold, sight, keep, warm
+                with warnings.catch_warnings(), np.errstate(all="raise", under=under):
+                    warnings.simplefilter("error")
+                    assert call().tobytes() == want
+        scalar = cw_log_price(ModelParams(0.00315, -0.0555, 0.0894, 0.5), 1.0, 5e-324)
+        assert np.frombuffer(calls[0]().tobytes()).tolist() == [scalar] == [-0.001545247529501971]
 
     @pytest.mark.parametrize("mode", ["ignore", "error", "raise"])
     @pytest.mark.parametrize("r", [0.0, np.array([0.0])], ids=["scalar", "array"])

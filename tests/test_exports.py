@@ -115,7 +115,7 @@ def test_approximation_module_functions():
     names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     public = {n for n in approximation.__all__ if inspect.isfunction(getattr(approximation, n))}
     assert names == public | {"_call", "_beta_brackets", "_derive", "_q_terms", "_q_and_r2g",
-                              "_c5_terms", "_k5_terms", "_coef"}
+                              "_c5_terms", "_k5_terms"}
 
 
 @pytest.mark.parametrize("module", [approximation, closed_form], ids=lambda m: m.__name__)

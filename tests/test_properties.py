@@ -7,8 +7,8 @@ finite values or raise a ``BondkitError``, and every pricer prices par at
 zero maturity.  Each example draws NumPy's error mode (warnings ignored,
 raised as errors as ``-W error`` does, or floating-point errors raised by
 ``np.errstate(all="raise")``) and whether the rate is a scalar or a
-one-element array too, which must give the scalar's outcome where warnings
-are ignored."""
+one-element array too, which must give the scalar's outcome in every mode:
+NumPy's underflow never decides one."""
 
 import contextlib
 import math
@@ -70,9 +70,7 @@ def _floats(out):
 def attempt(fn, p, tau, r, mode="ignore", form="scalar"):
     """fn's value as Python floats, or None if a typed error refused the
     input, for the rate and, if ``form`` is "array", for the rate as a
-    one-element array: as NumPy's warnings and floating-point errors
-    interrupt only an array's arithmetic, the two give one outcome where
-    warnings are ignored."""
+    one-element array: the two give one outcome in every error mode."""
     outcomes = []
     for rate in (r, np.array([r])) if form == "array" else (r,):
         with error_mode(mode):
@@ -80,8 +78,7 @@ def attempt(fn, p, tau, r, mode="ignore", form="scalar"):
                 outcomes.append((None, _floats(fn(validate_params(p), tau, rate))))
             except BondkitError as e:
                 outcomes.append((type(e), str(e)))
-    if mode == "ignore":
-        assert len(set(map(repr, outcomes))) == 1, outcomes
+    assert len(set(map(repr, outcomes))) == 1, outcomes
     refused, value = outcomes[-1]
     return None if refused else value
 
@@ -101,6 +98,7 @@ def attempt(fn, p, tau, r, mode="ignore", form="scalar"):
 @example(method="cw", gamma=1.0, tau=1.0, r=math.inf, **dict(AT_DEFAULT, mode="raise", form="array"))
 @example(method="cw", gamma=1.0, tau=1.0, r=math.inf, **dict(AT_DEFAULT, mode="ignore", form="array"))
 @example(method="improved", gamma=0.5, tau=1e52, r=0.05, **dict(AT_DEFAULT, mode="ignore", form="array"))
+@example(method="cw", gamma=0.5, tau=1.0, r=5e-324, **dict(AT_DEFAULT, mode="raise", form="array"))
 def test_finite_or_typed_error(method, sigma, beta, gamma, tau, r, mode, form):
     p = params(sigma, beta, gamma)
     value = attempt(METHODS[method], p, tau, r, mode, form)

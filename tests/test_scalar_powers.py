@@ -3,7 +3,7 @@
 For a rate x in [R_FLOOR, 1], ``_Powers`` takes x**2, x**0.5 and x**-1 as
 x * x, math.sqrt(x) and 1.0 / x, and forms the other (generic) powers a
 call needs after reading its parameters' record in one ``np.power`` call
-over the exponents its function formed there before (``_Powers.batch``).
+over the exponents its function formed there before (``_Powers.record``).
 These tests pin the premises that make this bit-identical to forming each
 power alone, check that a scalar call at and around the window's edges
 still gives what a one-element array gives, and check the kept batches.
