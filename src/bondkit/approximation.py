@@ -116,15 +116,16 @@ def _call(fn):
             return r.result(fn(*args[:-1], r))
         pows = _Powers(r if rates else 0.0, what, None if ip is None else args[ip], None if at is None else args[at])
         try:  # (p, r) and (p, tau, r) bodies called by position: a star call costs a point 4-8 %
-            out = pows.result((fn(args[0], pows) if n == 2 else fn(args[0], args[1], pows) if n == 3
+            out = pows.result((fn(args[0], args[1], pows) if n == 3 else fn(args[0], pows) if n == 2
                                else fn(*args[:-1], pows)) if rates else fn(*args))
         except (OverflowError, ZeroDivisionError, FloatingPointError, RuntimeWarning):
             if np.geterr()["under"] == "ignore":
                 raise ValidationError(pows._out_of_range()) from None
             with np.errstate(under="ignore"):  # an underflow is no error: the call again without it
                 return call(*args)
-        if pows._made:  # an admitted array's new terms, each checked
-            pows._kept.put(pows._entries, pows._bits, {**pows._terms, **pows._made})
+        if pows._made:  # an admitted array's new terms, each checked, join its bundle with r^{2 gamma}
+            entries, g2 = pows._entries, 2 * pows.p.gamma
+            pows._kept.put(entries, pows._bits, {**entries.get(pows._bits, {}), **pows._made, g2: pows[g2]})
         return out
 
     return call
@@ -183,12 +184,14 @@ class _Kept:
     Each of the last ARRAYS admitted arrays keeps its bytes, a read-only
     array of its rates and at most ENTRIES read-only values: each power of
     it a call formed, under its exponent float, and under p's bits one
-    bundle of the tau-free terms q, c5 and c6 (:meth:`_Powers.term`), kept
-    once a call passed all its checks.  A hit skips the term and its checks,
-    whatever the warning filter: in these functions an overflow, zero
-    division or invalid operation leaves a non-finite result, which is never
-    kept, and an underflow is no error (:func:`_call`).  At worst
-    4 x (1 + 3 x 32) x 16384 x 8 B = 48.5 MiB.
+    bundle of r^{2 gamma} and the tau-free terms q, c5 and c6
+    (:meth:`_Powers.term`), kept once a call that made a term passed all its
+    checks.  A hit skips the terms and their checks, whatever the warning
+    filter: in these functions an overflow, zero division or invalid
+    operation leaves a non-finite result, which is never kept, and an
+    underflow is no error (:func:`_call`).  A bundle's r^{2 gamma} is the
+    kept power, unless that entry has gone since: at worst
+    4 x (1 + 4 x 32) x 16384 x 8 B = 64.5 MiB.
 
     Per parameter set of four Python floats (other types might change a
     result's bits): the last PARAMS sets keep a record under their bits, a
@@ -219,13 +222,13 @@ class _Kept:
             self._sights, self._arrays, self._params = {}, {}, {}
 
     def admit(self, arr):
-        """(rates, entries) of ``arr`` if admitted, else None.  Its slot hashes
-        its shape and end rates; a hit needs its shape and bytes (a copy costs
-        less than comparing in place), so arrays sharing a slot displace each other."""
+        """(rates, entries) of ``arr`` if admitted, else None.  Its slot is its
+        shape and end rates; a hit needs its bytes too (a copy costs less than
+        comparing in place), so arrays sharing a slot displace each other."""
         data = arr.tobytes()
-        slot = hash((arr.shape, data[:64], data[-64:]))
+        slot = arr.shape, data[:64], data[-64:]
         kept = self._arrays.get(slot)
-        if kept is not None and kept[0] == data and kept[1].shape == arr.shape:
+        if kept is not None and kept[0] == data:
             return kept[1:]
         with self._lock:
             if not self._sights.pop(slot, False):
@@ -253,9 +256,7 @@ class _Kept:
     def key(self, p):
         """The bits of p's four floats; False if one is not a float."""
         a, b, s, g = p.alpha, p.beta, p.sigma, p.gamma
-        if type(a) is type(b) is type(s) is type(g) is float:
-            return self._pack(a, b, s, g)
-        return False
+        return type(a) is type(b) is type(s) is type(g) is float and self._pack(a, b, s, g)
 
     def record(self, bits):
         """The record kept under ``bits`` (for bits False, a new one kept nowhere)."""
@@ -287,7 +288,7 @@ class _Powers(dict):
     need.  Every refusal through it names ``what``."""
 
     __slots__ = ("scalar", "arr", "what", "p", "_tau", "_low", "_bits", "_record", "_entries",
-                 "_x", "_batch", "_terms", "_made")
+                 "_x", "_batch", "_made")
 
     _kept = _Kept()
 
@@ -298,14 +299,12 @@ class _Powers(dict):
     def __init__(self, r, what: str, p=None, tau=None):
         if tau is not None:
             _check_maturity(tau)
-        self.what, self.p, self._tau = what, p, tau
-        self._bits = self._record = self._made = None
+        self.what, self.p, self._tau, self._bits, self._record, self._made = what, p, tau, None, None, None
         if type(r) is not float:
             r = np.asarray(r, dtype=float)
             if r.ndim:
                 self.arr = self[1.0] = r
-                self.scalar, self._x = False, None
-                self._low = self._entries = self._terms = None
+                self.scalar, self._x, self._low, self._entries = False, None, None, None
                 return
         self.arr, self.scalar = r, True  # a Python float until a power needs its 0-d array
         x = self[1.0] = self._low = float(r)
@@ -339,15 +338,17 @@ class _Powers(dict):
         return self._record
 
     def entries(self):
-        """The array's entries (False if not admitted); the table then
-        reads the kept copy of its rates, whose bytes are the key."""
+        """The array's entries (False if not admitted), resolved once: the
+        table then reads the kept copy of its rates, whose bytes are the key,
+        and, for p of four Python floats, the bundle kept under p's bits
+        (:meth:`term`), in one lookup."""
         if self._entries is None:
-            arr = self.arr
-            kept = 64 <= arr.size <= 16384 and arr.flags.c_contiguous and self._kept.admit(arr)
+            kept = 64 <= self.arr.size <= 16384 and self.arr.flags.c_contiguous and self._kept.admit(self.arr)
             self._entries = False
             if kept:
                 self.arr, self._entries = kept
                 self[1.0] = self.arr
+                self.update(kept[1].get(self.bits(), ()))  # p's bundle (none if p has no bits)
         return self._entries
 
     def __missing__(self, pw):
@@ -389,22 +390,21 @@ class _Powers(dict):
 
     def term(self, make):
         """The tau-free term ``make(p, table)`` (q, c5 or c6) of cw,
-        cw_partials, improved or c6: an admitted array's from its bundle under
-        p's bits (a dict by ``make``), else made, checked at once, before a
-        later domain check can refuse, and added to the bundle by :func:`_call`."""
+        cw_partials, improved or c6, held in the table under ``make``: an
+        admitted array's from the bundle its entries brought, else made and
+        checked at once, before a later domain check can refuse.  A caller
+        that holds a value of its own checks it before it asks for a term
+        that may be made (improved checks cw's only then)."""
         if self.scalar:  # never kept: checked inline where a float is finite
             out = make(self.p, self)
             return out if type(out) is float and math.isfinite(out) else self.result(out)
-        kept = self._terms
-        if kept is None:  # the call's first term: one lookup
-            kept = self._terms = {}
-            if (entries := self.entries()) is not False and (bits := self.bits()) is not False:
-                kept = self._terms = entries.get(bits) or kept
-                self._made = {}
-        out = kept.get(make)
+        out = self.get(make)
+        if out is None and self._entries is None and self.entries():  # the first term: the bundle
+            out = self.get(make)
         if out is None:
-            out = self.result(make(self.p, self))
-            if self._made is not None:
+            out = self[make] = self.result(make(self.p, self))
+            if self._entries is not False and self._bits:  # kept once the call passes (_call)
+                self._made = self._made or {}
                 self._made[make] = out
         return out
 
@@ -548,8 +548,15 @@ def cw_log_price(p: ModelParams, tau: float, r):
     """
     q, r2g = _q_and_r2g(p, r)
     B, t1, eg, fh = _beta_brackets(p, tau)
-    lp = t1 - r[1] * B  # a new array, or a float: the other terms go in place
-    lp += (r2g + q * tau) * eg
+    # t1 - r B + (r^{2 gamma} + q tau) eg - q fh, pass by pass and in place
+    # into two new arrays (floats for a scalar rate), with the plain
+    # expression's bits: a - b is a + -b, and a sum of two is the same either way
+    lp = r[1] * -B
+    lp += t1
+    x = q * tau
+    x += r2g
+    x *= eg
+    lp += x
     lp -= q * fh
     return lp
 
@@ -644,13 +651,14 @@ def c6(p: ModelParams, r):
         c6 = (1/6) [ (1/2) sigma^2 r^{2 gamma} c5''(r)
                      + (alpha + beta r) c5'(r) - k5(r) ].
 
-    A lone call on rates (its table has read no term yet) returns a copy of
-    the term improved_log_price reads, this body's, kept for a repeated array.
+    A lone call on rates (its table has not resolved its entries) returns a
+    copy of the term improved_log_price reads, this body's, kept for a
+    repeated array.
     """
     g = p.gamma
     if g == 0:
         return r.zero()
-    if not r.scalar and r._terms is None:
+    if not r.scalar and r._entries is None:
         return r.term(c6.__wrapped__).copy()
     r.check()  # the rate enters below even where every monomial vanishes
     d1, d2 = c5_derivatives.__wrapped__(p, r)
@@ -664,12 +672,18 @@ def improved_log_price(p: ModelParams, tau: float, r):
     cw_log_price - c5(r) tau^5 - c6(r) tau^6 (error o(tau^6)).
 
     At gamma = 0, where c5 and c6 vanish, this is :func:`cw_log_price`.
+    cw's value is checked before c5 or c6 is made, so that no domain check
+    of theirs refuses a call whose cw value is out of float range; where
+    both come from a repeated array's bundle, no check can run between cw
+    and the result, whose one check then refuses the same calls alike.
     """
     if p.gamma == 0:
         return cw_log_price.__wrapped__(p, tau, r)  # cw's body: this call checks the result
     if r.scalar:  # p's record first, as in cw_partials
         r.record()
-    lp = r.result(cw_log_price.__wrapped__(p, tau, r))  # a new array or a float, checked before c5
+    lp = cw_log_price.__wrapped__(p, tau, r)  # a new array or a float
+    if r.scalar or c5.__wrapped__ not in r or c6.__wrapped__ not in r:  # a term to make: cw's value first
+        lp = r.result(lp)
     lp -= r.term(c5.__wrapped__) * tau**5
     lp -= r.term(c6.__wrapped__) * tau**6
     return lp

@@ -75,10 +75,20 @@ def validate_params(p: ModelParams) -> ModelParams:
 
 
 def _check_maturity(*taus) -> None:
-    """The one maturity rule of every entry point: refuse a negative, infinite or NaN tau."""
+    """The one maturity rule of every entry point: refuse a negative, infinite
+    or NaN tau, and one that is not a real scalar (an array of one or more
+    maturities, a list, a string).  A Python float that passes is never
+    asked its ndim."""
     for tau in taus:
-        if not 0 <= tau < math.inf:
-            raise ValidationError(f"maturity tau must be finite and >= 0, got {tau}")
+        try:  # a Python number passes on its comparison alone, anything else on its ndim too
+            if (0 <= tau < math.inf) is True or (np.ndim(tau) == 0 and 0 <= tau < math.inf):
+                continue
+            scalar = np.ndim(tau) == 0
+        except (TypeError, ValueError):  # the comparison's own refusal of a non-number
+            scalar = False
+        if not scalar:
+            raise ValidationError(f"maturity tau must be a real scalar, got {tau!r}")
+        raise ValidationError(f"maturity tau must be finite and >= 0, got {tau}")
 
 
 def _check_count(name: str, n, least: int) -> None:
@@ -118,8 +128,9 @@ class MaturityGrid:
     taus: tuple
 
     def __init__(self, taus):
-        object.__setattr__(self, "taus", tuple(float(t) for t in taus))
-        _check_maturity(*self.taus)
+        taus = tuple(taus)
+        _check_maturity(*taus)
+        object.__setattr__(self, "taus", tuple(map(float, taus)))
         if len(self.taus) == 0:
             raise ValidationError("need at least one maturity")
         if not all(t > 0 for t in self.taus):

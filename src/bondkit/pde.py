@@ -280,8 +280,9 @@ def solve(p: ModelParams, cfg: PdeConfig, snapshot_taus) -> PdeSolution:
     the check, which reports the last full step before it.
     """
     validate_params(p)
-    taus = tuple(float(t) for t in snapshot_taus)
+    taus = tuple(snapshot_taus)
     _check_maturity(*taus)
+    taus = tuple(map(float, taus))
     if p.gamma >= 1.5:
         raise GammaMismatch(
             f"gamma={p.gamma} >= 1.5: uniqueness of the continuous problem is not guaranteed there"

@@ -567,6 +567,11 @@ def log_reads(r, reads):
     arrays[slot] = data, rates, _ReadLog(entries, reads)
 
 
+def bundle_names(bundle):
+    """The names of a bundle's values: each term by its body's name, r^{2 gamma} by its exponent."""
+    return sorted(getattr(key, "__name__", f"r**{key}") for key in bundle)
+
+
 def kept_entries(r):
     """The entries _Powers._kept holds for the rates ``r``, or None."""
     for data, rates, entries in _Powers._kept._arrays.values():
@@ -652,7 +657,7 @@ class TestKeptPowers:
         entries = kept_entries(r)
         order = list(entries)
         assert order == added and len(order) < kept.ENTRIES
-        assert improved_log_price(ps[0], 1.0, r).tobytes() == want[0]  # reads its bundle and r^{2 gamma}
+        assert improved_log_price(ps[0], 1.0, r).tobytes() == want[0]  # reads its bundle, r^{2 gamma} with it
         assert list(entries) == order == added
         for p, value in zip(ps[1:], want[1:]):
             assert improved_log_price(p, 1.0, r).tobytes() == value
@@ -762,10 +767,11 @@ class TestKeptResults:
         bundles = [v for key, v in kept_entries(r).items() if type(key) is bytes]
         assert len(bundles) == 1  # one bundle, under p's bits
         want = {"q_factor": q_factor(p, r), "c5": c5(p, r), "c6": c6(p, r)}
-        assert {make.__name__: v.tobytes() for make, v in bundles[0].items()} == \
+        bundle = dict(bundles[0])
+        r2g = kept_entries(r)[2 * 1.32]  # r^{2 gamma} is a kept power, which the bundle holds too
+        assert bundle.pop(2 * 1.32) is r2g and r2g.tobytes() == (r ** (2 * 1.32)).tobytes()
+        assert {make.__name__: v.tobytes() for make, v in bundle.items()} == \
             {name: v.tobytes() for name, v in want.items()}
-        r2g = kept_entries(r)[2 * 1.32]  # r^{2 gamma} is a kept power
-        assert r2g.tobytes() == (r ** (2 * 1.32)).tobytes()
         for v in (*bundles[0].values(), r2g):
             assert not v.flags.writeable and not np.shares_memory(v, r)
 
@@ -788,7 +794,8 @@ class TestKeptResults:
             improved_log_price(other, 1.0, r)
         theirs = {key for key in kept_entries(r) if type(key) is bytes} - mine
         assert len(mine) == len(theirs) == 1
-        assert len(kept_entries(r)[next(iter(mine))]) == len(kept_entries(r)[next(iter(theirs))]) == 3
+        # q, c5, c6 and r^{2 gamma}
+        assert len(kept_entries(r)[next(iter(mine))]) == len(kept_entries(r)[next(iter(theirs))]) == 4
         assert [self.outcome(improved_log_price, q, 1.0, r) for q in (p, other)] == want
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
@@ -796,10 +803,9 @@ class TestKeptResults:
     @pytest.mark.parametrize("fn", [cw_log_price, improved_log_price], ids=lambda fn: fn.__name__)
     def test_a_warm_call_reads_one_bundle(self, monkeypatch, params, fn, gamma, grid):
         # from the third call on (sight, keep, then warm) a call admits its
-        # grid and packs p's bits once each, reads its bundle in one lookup
-        # and r^{2 gamma} from the kept powers (at gamma = 1/2 the kept rates
-        # themselves), forms and keeps nothing, and returns a new writable
-        # array with a fresh call's bits
+        # grid and packs p's bits once each, reads its bundle, r^{2 gamma}
+        # with it, in one lookup and no other entry, forms and keeps nothing,
+        # and returns a new writable array with a fresh call's bits
         p, r = params.with_gamma(gamma), self.GRIDS[grid]
         kept = _Powers._kept
         bits, want = kept.key(p), {}
@@ -821,8 +827,7 @@ class TestKeptResults:
             if n == 2:
                 log_reads(r, reads)
             out = fn(p, 1.0 + n, r)
-            r2g = [] if gamma == 0.5 else [(2 * gamma, True)]
-            assert reads == [(bits, True)] + r2g and looked == [pw for pw, _ in r2g]
+            assert reads == [(bits, True)] and looked == []
             assert sorted(seen) == ["admit", "key"]
             assert (type(out), out.tobytes(), out.flags.writeable) == want[n]
             assert not any(np.shares_memory(out, v) for v in kept_arrays())
@@ -851,11 +856,11 @@ class TestKeptResults:
             assert not any(np.shares_memory(out, v) for v in kept_arrays())
             assert (looked == sums == []) == (n >= 2)
         (bundle,) = [v for key, v in kept_entries(r).items() if type(key) is bytes]
-        assert [make.__name__ for make in bundle] == ["c6"]
+        assert bundle_names(bundle) == ["c6", "r**2.64"]
         assert improved_log_price(p, 1.0, r).tobytes() == improved
-        assert sorted(make.__name__ for make in bundle) == ["c6"]  # a bundle is replaced, not changed
+        assert bundle_names(bundle) == ["c6", "r**2.64"]  # a bundle is replaced, not changed
         (bundle,) = [v for key, v in kept_entries(r).items() if type(key) is bytes]
-        assert sorted(make.__name__ for make in bundle) == ["c5", "c6", "q_factor"]
+        assert bundle_names(bundle) == ["c5", "c6", "q_factor", "r**2.64"]
         sums.clear()
         assert c6(p, r).tobytes() == want and not sums
 

@@ -4,13 +4,18 @@ A sweep of every public pricer, partials and coefficient function, and of
 ``pde_residual`` with each partials, over a few parameter sets, maturities
 and rates (scalar, NaN and negative rates, and 1501-node arrays from 0,
 from 1e-6 and with one NaN or negative rate).  With NumPy's
-warnings ignored (what default filters do to a call: they only print them)
-and raised as errors (``-W error``), every call must give the outcome of
-a call on an empty ``_Powers._kept``, its parameter sets' monomial tables
-included (value bits, type, shape and writeable flag, or refusal type and
-message), also when the store was filled under
-the other filter: a value kept while warnings are ignored must not let a call
-pass that ``-W error`` refuses, nor the other way round.
+warnings ignored (what default filters do to a call: they only print them),
+raised as errors (``-W error``) and under ``np.errstate(all="raise")``, every
+call must give the outcome of a call on an empty ``_Powers._kept``, its
+parameter sets' monomial tables included (value bits, type, shape and
+writeable flag, or refusal type and message), also when the store was filled
+under another mode: a value kept while warnings are ignored must not let a
+call pass that ``-W error`` refuses, nor the other way round.  A warm
+improved curve checks cw's value only where it makes a term, so a kept bundle
+met at a maturity where cw overflows must still give the cold refusal.
+
+``_parity_sweep.py`` writes the same kind of record for a whole tree, to
+compare two trees.
 """
 
 import warnings
@@ -20,6 +25,7 @@ import pytest
 
 from bondkit import (
     ModelParams,
+    ValidationError,
     b_factor,
     c5,
     c5_derivatives,
@@ -80,8 +86,10 @@ CALLS = list(_calls())
 
 
 def _outcome(call, action):
-    with warnings.catch_warnings():
-        warnings.simplefilter(action)
+    """The outcome of ``call`` with NumPy's warnings ignored (``ignore``), raised
+    as errors (``error``) or under ``np.errstate(all="raise")`` (``raise``)."""
+    with warnings.catch_warnings(), np.errstate(all="raise" if action == "raise" else None):
+        warnings.simplefilter("error" if action == "error" else "ignore")
         try:
             out = call()
         except Exception as e:  # noqa: BLE001 - a refusal is an outcome too
@@ -99,7 +107,7 @@ def _kept():
                 yield key, v
 
 
-@pytest.mark.parametrize("action, other", [("ignore", "error"), ("error", "ignore")])
+@pytest.mark.parametrize("action, other", [("ignore", "error"), ("error", "ignore"), ("raise", "ignore")])
 def test_warm_store_gives_the_cold_outcome(action, other):
     cold, warm, hits, tables = [], [], 0, 0
     for label, call in CALLS:
@@ -161,6 +169,55 @@ def test_a_calibration_loop_gives_the_cold_outcome(gamma, form):
 
 
 @pytest.mark.parametrize("gamma", [0.75, 1.32])
+@pytest.mark.parametrize("tau", [354.0, 400.0], ids=["B^2 overflows", "expm1 overflows"])
+@pytest.mark.parametrize("action", ["ignore", "always", "error", "raise"])
+def test_a_bundle_kept_at_another_maturity_gives_the_cold_refusal(gamma, tau, action):
+    # at beta = 2, cw's brackets overflow at these maturities: B^2 as a
+    # Python float (silently) at 354, np.expm1 at 400.  The bundle kept at
+    # tau = 1 makes the warm call skip c5 and c6 and with them cw's own
+    # check: the call's one result check must refuse it with the cold
+    # call's type and message, and with default filters (``always``
+    # counts every warning) the same warnings
+    p, r = ModelParams(0.00315, 2.0, 0.0894, gamma), FLOOR_GRID
+
+    def outcome():
+        if action != "always":
+            return _outcome(lambda: improved_log_price(p, tau, r), action)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            try:
+                improved_log_price(p, tau, r)
+            except Exception as e:  # noqa: BLE001 - a refusal is an outcome too
+                return type(e), str(e), len(seen)
+        return "priced", len(seen)
+
+    _Powers._kept.cache_clear()
+    cold = outcome()
+    assert cold[:2] == (ValidationError, f"improved_log_price: out of float range at tau={tau!r}")
+    _Powers._kept.cache_clear()
+    for _ in range(3):  # sight, keep, hit
+        improved_log_price(p, 1.0, r)
+    assert any(type(key) is bytes for _, _, entries in _Powers._kept._arrays.values() for key in entries)
+    assert outcome() == cold
+
+
+@pytest.mark.parametrize("gamma", [0.75, 1.32])
+def test_a_warm_improved_curve_checks_its_value_once(monkeypatch, gamma):
+    # a call that makes c5 or c6 checks cw's value before it makes them, and
+    # its result; a bundle hit makes no term, so no domain check can run
+    # between cw's value and the result, and the result check is the one pass
+    checked = []
+    result = _Powers.result
+    monkeypatch.setattr(_Powers, "result", lambda table, out: checked.append(out) or result(table, out))
+    p = ModelParams(0.00315, -0.0555, 0.0894, gamma)
+    _Powers._kept.cache_clear()
+    for n, tau in enumerate((1.0, 2.0, 3.0, 4.0)):  # sight and keep make the terms, then two hits
+        checked.clear()
+        out = improved_log_price(p, tau, FLOOR_GRID)
+        assert sum(v is out for v in checked) == (2 if n < 2 else 1)
+
+
+@pytest.mark.parametrize("gamma", [0.75, 1.32])
 @pytest.mark.parametrize("form", ["curve", "point"])
 def test_a_warm_call_looks_up_once(monkeypatch, gamma, form):
     # the outermost call packs p's bits and admits its rate array at most
@@ -209,4 +266,4 @@ def test_a_wrapped_term_is_kept_once(monkeypatch):
     _Powers._kept.cache_clear()
     for _ in range(3):  # sight, keep, hit
         assert improved_log_price(p, 1.0, FLOOR_GRID).tobytes() == want
-    assert len(_Powers._kept._arrays) == 1 and len(terms) == 3 and bundle() == terms
+    assert len(_Powers._kept._arrays) == 1 and len(terms) == 4 and bundle() == terms  # q, c5, c6, r^{2 gamma}

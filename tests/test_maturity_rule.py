@@ -1,6 +1,7 @@
 """One maturity rule: every entry point that takes a maturity, library
-function or CLI command, refuses a negative, NaN or infinite one with the
-text of ``model._check_maturity``, before any other check on its inputs."""
+function or CLI command, refuses a negative, NaN or infinite one, and one
+that is not a real scalar, with the text of ``model._check_maturity``,
+before any other check on its inputs."""
 
 import math
 
@@ -14,6 +15,9 @@ from bondkit.cli import main
 from bondkit.model import _check_maturity
 
 BAD = [-1.0, math.nan, math.inf]
+#: Maturities that are not a real scalar: several in an array, one in an
+#: array, a list and a string.
+NOT_SCALAR = [np.array([1.0, 2.0]), np.array([1.0]), [1.0, 2.0], "1.0"]
 GRID = RateGrid(0.0, 0.1, 3)
 SMALL = PdeConfig(n_space=11, n_time=4)
 VAS = DEFAULT_PARAMS.with_gamma(0.0)
@@ -50,12 +54,23 @@ def test_rule_names_maturity_and_tau():
         _check_maturity(tau)
 
 
-@pytest.mark.parametrize("tau", BAD)
+@pytest.mark.parametrize("tau", BAD + NOT_SCALAR, ids=repr)
 @pytest.mark.parametrize("name", list(ENTRY_POINTS))
 def test_library_entry_point(name, tau):
     with pytest.raises(ValidationError) as info:
         ENTRY_POINTS[name](tau)
     assert str(info.value) == rule_text(tau)
+
+
+@pytest.mark.parametrize("tau", NOT_SCALAR, ids=repr)
+def test_rule_names_a_non_scalar(tau):
+    assert rule_text(tau) == f"maturity tau must be a real scalar, got {tau!r}"
+
+
+@pytest.mark.parametrize("tau", [np.float64(1.0), np.array(1.0), 1], ids=repr)
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_a_numpy_scalar_or_0d_array_is_a_maturity(name, tau):
+    ENTRY_POINTS[name](tau)
 
 
 @pytest.mark.parametrize("fn", [cir_log_price, cir_partials, vasicek_log_price, vasicek_partials])
