@@ -20,7 +20,7 @@ import numpy as np
 from .approximation import cw_log_price, improved_log_price
 from .closed_form import cir_log_price, vasicek_log_price
 from .errors import ValidationError
-from .model import DEFAULT_PARAMS, LogPriceCurve, MaturityGrid, ModelParams, RateGrid, _write_csv
+from .model import _KEYS, DEFAULT_PARAMS, LogPriceCurve, MaturityGrid, ModelParams, RateGrid, _params_text, _write_csv
 from .pde import PdeConfig, solve
 
 __all__ = [
@@ -235,10 +235,6 @@ class Table:
         return [row[i] for row in self.rows]
 
 
-def _params_text(p: ModelParams) -> str:
-    return f"alpha={p.alpha!r} beta={p.beta!r} sigma={p.sigma!r}"
-
-
 def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
                 pde_solutions: dict | None = None,
                 error_estimates: dict | None = None) -> Table:
@@ -269,7 +265,7 @@ def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
                 kind, method = col.split("_")
                 data[col] = [_norm(kind, d, grid.points) for d in diffs[method]]
         meta = {
-            "params": f"{_params_text(p_cir)} gamma={p_cir.gamma!r}",
+            "params": _params_text(p_cir),
             "norm_grid": f"[{grid.r_min!r}, {grid.r_max!r}] x {grid.n_points}",
             "comparison": comparison,
         }
@@ -293,7 +289,7 @@ def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
                          est.get((tau, "linf")), est.get((tau, "l2"))])
     cfg = next(iter(pde_solutions.values())).config
     meta = {
-        "params": _params_text(p),
+        "params": _params_text(p, _KEYS[:3]),
         "norm_interval": f"[0, {grid.r_max!r}] on the solver grid",
         "solver_grid": f"n_space={cfg.n_space} n_time={cfg.n_time} r_max={cfg.r_max!r}",
         "comparison": "cw vs PDE solution (log prices)",

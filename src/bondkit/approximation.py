@@ -24,24 +24,32 @@ Numerical notes
   eg and fh are four-term Taylor series in beta (truncation ~1e-9 relative,
   the exact path's cancellation noise there).  As fh' = tau eg' for every
   beta, the tau-derivative in cw_partials needs no series of its own.
-* Every polynomial coefficient (k4, k5, c5 and its r-derivatives, and the
-  r-derivatives of r^{2 gamma} and q in cw_partials) is a (coef, power)
-  table of monomials in r, summed by one evaluator with one domain rule:
-  negative or NaN rates are refused, and a function refuses r < R_FLOOR =
-  1e-6 exactly when one of its monomials with a negative power has a
-  nonzero coefficient.  Zero coefficients, and inf * 0 = NaN ones where
-  the parameters are finite (sigma = 1e100 at gamma = 1/2), drop out
-  before any power is formed, so at gamma = 1/2 the tables reduce to the
+* Every polynomial coefficient (k4, k5, c5 and its r-derivatives, c6, and
+  the r-derivatives of r^{2 gamma} and q in cw_partials) is a table of
+  monomials in r, summed by one evaluator with one domain rule: negative
+  or NaN rates are refused, and a function refuses r < R_FLOOR = 1e-6
+  exactly when one of its monomials with a negative power has a nonzero
+  coefficient.  Zero coefficients, and inf * 0 = NaN ones where the
+  parameters are finite (sigma = 1e100 at gamma = 1/2), drop out before
+  any power is formed, so at gamma = 1/2 the tables reduce to the
   square-root-model polynomials and r = 0 evaluates to the analytic
   limit; for gamma >= 1 k4, k5 and c5 have no negative powers at all.
   q_factor obeys the same rule (negative powers exactly for 0 < gamma <
   1/2).  k4 and c5 share one table, so c5 = -k4/5 to ~1e-15 relative.
+* Each power is j 2 gamma + m, written as its lattice pair (j, m) and
+  formed from it alike in every table, so tables share their powers
+  exactly.  c6, which the paper defines by a recurrence in c5', c5'' and
+  k5, is one merged table made once per parameter set
+  (:func:`_c6_terms`): the recurrence's parts merged by power in 50-digit
+  decimals, each coefficient rounded once with the prefactor folded in,
+  and the rate floor of the parts.  Each other sum keeps its table and
+  its order, so c5, k4, k5, c5' and c5'' keep their bits; c6 moves at the
+  ulp level, within the 2 ulps of its monomial scale that the recurrence
+  met on the tests' accuracy grid.
 * One power table per call (:class:`_Powers`): each power of r is formed
-  at most once per exact exponent, and improved's terms (cw, c5, and c6
-  with c5', c5'' and k5) run on it.  No coefficient is merged and every
-  sum keeps its table order, so sharing changes no bit: improved_log_price
-  forms 14 powers of r at gamma = 1.32 instead of 34, and none for a
-  repeated rate array (:class:`_Kept`).
+  at most once per exact exponent, and improved's terms (cw, c5 and c6)
+  run on it: improved_log_price forms 12 powers of r at gamma = 1.32, and
+  none for a repeated rate array (:class:`_Kept`).
 * A scalar rate is priced on Python floats with the bits of the same
   rate's element of a curve: each power is NumPy's (Python's ``**``
   differs in the last bit for some rates), but x**2, x**0.5 and x**-1 for
@@ -58,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import decimal
 import math
 import struct
 import threading
@@ -169,11 +178,6 @@ def _beta_brackets(p: ModelParams, tau: float):
     return B, t1, eg, fh
 
 
-def _derive(terms):
-    """Term-by-term r-derivative of a (coef, power) table."""
-    return [(c * pw, pw - 1) for c, pw in terms]
-
-
 class _Kept:
     """The one store of what outlives a call.  Nothing in it is keyed on a
     rate's value, and a kept value has the bits a fresh call forms.
@@ -193,16 +197,17 @@ class _Kept:
     kept power, unless that entry has gone since: at worst
     4 x (1 + 4 x 32) x 16384 x 8 B = 64.5 MiB.
 
-    Per parameter set of four Python floats (other types might change a
+    Per parameter set of four Python floats (a table takes NumPy float64
+    ones as the Python floats of their bits; other types might change a
     result's bits): the last PARAMS sets keep a record under their bits, a
-    few KiB of monomial tables and their prefactors (:meth:`_Powers.sum`)
-    and, per function, the batch of its scalar calls with a rate in the
-    window R_FLOOR <= x <= 1: the generic exponents (|e| <=
-    _Powers.BATCH_EXP) they formed after reading the record.  A later call
-    forms them in one np.power, whose every element has the bits of that
-    power formed alone and raises no floating-point flag on the window's
-    rates (0.5 is never batched: NumPy's power of 0.5 differs from its sqrt
-    in the last bit).
+    few KiB of monomial tables and their prefactors (:meth:`_Powers.sum`),
+    keyed (terms, n, d), and, under each function's name, the batch of its
+    scalar calls with a rate in the window R_FLOOR <= x <= 1: the generic
+    exponents (|e| <= _Powers.BATCH_EXP) they formed after reading the
+    record.  A later call forms them in one np.power, whose every element
+    has the bits of that power formed alone and raises no floating-point
+    flag on the window's rates (0.5 is never batched: NumPy's power of 0.5
+    differs from its sqrt in the last bit).
 
     Each map is a plain dict: a lookup only reads it (a dict call is atomic
     under the GIL), an update takes the lock, and a full map drops its
@@ -260,24 +265,12 @@ class _Kept:
 
     def record(self, bits):
         """The record kept under ``bits`` (for bits False, a new one kept nowhere)."""
-        if bits is False:
-            return _Record()
-        out = self._params.get(bits)
+        out = self._params.get(bits) if bits else {}
         if out is None:
-            out = _Record()
+            out = {}
             with self._lock:
                 self._put(self._params, bits, out, self.PARAMS)
         return out
-
-
-class _Record(dict):
-    """A parameter set's tables, keyed (terms, n, d), and batches by function name."""
-
-    __slots__ = ("batches",)
-
-    def __init__(self):
-        super().__init__()
-        self.batches = {}
 
 
 class _Powers(dict):
@@ -299,6 +292,8 @@ class _Powers(dict):
     def __init__(self, r, what: str, p=None, tau=None):
         if tau is not None:
             _check_maturity(tau)
+        if p is not None and not type(p.alpha) is type(p.beta) is type(p.sigma) is type(p.gamma) is float:
+            p = ModelParams(*(float(x) if type(x) is np.float64 else x for x in (p.alpha, p.beta, p.sigma, p.gamma)))
         self.what, self.p, self._tau, self._bits, self._record, self._made = what, p, tau, None, None, None
         if type(r) is not float:
             r = np.asarray(r, dtype=float)
@@ -327,10 +322,7 @@ class _Powers(dict):
         if self._record is None:
             record = self._record = self._kept.record(self.bits())
             if self._x is not None:  # a scalar in the window
-                batch = self._batch = record.batches.get(self.what)
-                if batch is None:
-                    batch = self._batch = record.batches[self.what] = [[], None]
-                exps, arr = batch
+                exps, arr = batch = self._batch = record.get(self.what) or record.setdefault(self.what, [[], None])
                 if len(exps) >= 2:
                     if arr is None or len(arr) != len(exps):  # exponents were added
                         arr = batch[1] = np.array(exps, dtype=float)
@@ -438,13 +430,15 @@ class _Powers(dict):
         p = self.p
         pref = None if d is None else p.gamma * p.sigma**2 / d
         if pref is not None and p.gamma == 0:
-            live, pref = [], None
-        else:
-            live = [(1.0, 2 * p.gamma)] if terms is None else terms(p)
+            live, floor, pref = [], 0.0, None
+        elif n is None:  # a merged table comes live, with its floor and prefactor
+            live, floor, pref = terms(p)
+        else:  # the n-th r-derivative, each power one less as a float (the bits c5' and c5'' have)
+            live = [(c, j * (2 * p.gamma) + m) for c, j, m in ([(1.0, 1, 0)] if terms is None else terms(p))]
             for _ in range(n):
-                live = _derive(live)
+                live = [(c * pw, pw - 1) for c, pw in live]
             live = [(c, pw) for c, pw in live if c != 0.0 and (c == c or not self.nan_is_zero(p))]
-        floor = R_FLOOR if any(pw < 0 for _, pw in live) else 0.0
+            floor = R_FLOOR if any(pw < 0 for _, pw in live) else 0.0
         self._record[terms, n, d] = out = live, floor, any(map(math.isinf, [c for c, _ in live])), pref
         return out
 
@@ -452,7 +446,9 @@ class _Powers(dict):
         """Sum coef * r**power, in table order, over the live monomials of the
         n-th r-derivative of p's table ``terms(p)`` (None: r^{2 gamma}),
         times gamma sigma^2 / d unless d is None: such a coefficient is
-        identically zero at gamma = 0.  The table and its prefactor are kept
+        identically zero at gamma = 0; for n None, over the live table that
+        ``terms(p)`` returns with its floor and prefactor (c6's merged one).
+        The table and its prefactor are kept
         in p's record.  A zero coefficient, or a NaN where :meth:`nan_is_zero`,
         never forms its power.  A negative or NaN rate is refused unless no
         monomial is live, and a rate below R_FLOOR if a live power is < 0.
@@ -512,12 +508,12 @@ def q_factor(p: ModelParams, r):
 
 
 def _q_terms(p: ModelParams):
-    """Monomials (coef, power) of q; see :func:`q_factor`."""
+    """Monomials (coef, j, m) of q, power j 2 gamma + m; see :func:`q_factor`."""
     g = p.gamma
     return [
-        (g * (2 * g - 1) * p.sigma**2, 2 * (2 * g - 1)),
-        (2 * g * p.alpha, 2 * g - 1),
-        (2 * g * p.beta, 2 * g),
+        (g * (2 * g - 1) * p.sigma**2, 2, -2),
+        (2 * g * p.alpha, 1, -1),
+        (2 * g * p.beta, 1, 0),
     ]
 
 
@@ -584,38 +580,75 @@ def cw_partials(p: ModelParams, tau: float, r):
 
 
 def _c5_terms(p: ModelParams):
-    """Monomials (coef, power) of c5 after absorbing the r^{2(gamma-2)}
-    prefactor; the -gamma sigma^2/120 prefactor is applied separately.
-    The same table times gamma sigma^2/24 is k4."""
-    a, b, s, g = p.alpha, p.beta, p.sigma, p.gamma
-    s2 = s * s
+    """Monomials (coef, j, m) of c5, power j 2 gamma + m, after absorbing
+    the r^{2(gamma-2)} prefactor; the -gamma sigma^2/120 prefactor is
+    applied separately.  The same table times gamma sigma^2/24 is k4."""
+    a, b, g, s2 = p.alpha, p.beta, p.gamma, p.sigma * p.sigma
     return [
-        (2 * a * a * (2 * g - 1), 2 * g - 2),
-        (4 * b * b * g, 2 * g),
-        (-8 * s2, 4 * g - 1),
-        (2 * b * s2 * (1 - 5 * g + 6 * g * g), 4 * g - 2),
-        (s2 * s2 * (2 * g - 1) ** 2 * (4 * g - 3), 6 * g - 4),
-        (2 * a * b * (4 * g - 1), 2 * g - 1),
-        (2 * a * s2 * (2 * g - 1) * (3 * g - 2), 4 * g - 3),
+        (2 * a * a * (2 * g - 1), 1, -2),
+        (4 * b * b * g, 1, 0),
+        (-8 * s2, 2, -1),
+        (2 * b * s2 * (1 - 5 * g + 6 * g * g), 2, -2),
+        (s2 * s2 * (2 * g - 1) ** 2 * (4 * g - 3), 3, -4),
+        (2 * a * b * (4 * g - 1), 1, -1),
+        (2 * a * s2 * (2 * g - 1) * (3 * g - 2), 2, -3),
     ]
 
 
 def _k5_terms(p: ModelParams):
-    """Monomials (coef, power) of k5 after absorbing the r^{2(gamma-2)}
-    prefactor; the gamma sigma^2/120 prefactor is applied separately."""
-    a, b, s, g = p.alpha, p.beta, p.sigma, p.gamma
-    s2 = s * s
+    """Monomials (coef, j, m) of k5, power j 2 gamma + m, after absorbing
+    the r^{2(gamma-2)} prefactor; the gamma sigma^2/120 prefactor is
+    applied separately."""
+    a, b, g, s2 = p.alpha, p.beta, p.gamma, p.sigma * p.sigma
     return [
-        (6 * a * a * b * (2 * g - 1), 2 * g - 2),
-        (12 * b**3 * g, 2 * g),
-        (-10 * (2 * g - 1) ** 2 * s2 * s2, 6 * g - 3),
-        (6 * b * b * s2 * (1 - 5 * g + 6 * g * g), 4 * g - 2),
-        (-10 * b * s2 * (5 + 2 * g), 4 * g - 1),
-        (3 * b * s2 * s2 * (2 * g - 1) ** 2 * (4 * g - 3), 6 * g - 4),
-        (6 * a * b * b * (4 * g - 1), 2 * g - 1),
-        (6 * a * b * s2 * (2 * g - 1) * (3 * g - 2), 4 * g - 3),
-        (-10 * a * s2 * (2 * g - 1), 4 * g - 2),
+        (6 * a * a * b * (2 * g - 1), 1, -2),
+        (12 * b**3 * g, 1, 0),
+        (-10 * (2 * g - 1) ** 2 * s2 * s2, 3, -3),
+        (6 * b * b * s2 * (1 - 5 * g + 6 * g * g), 2, -2),
+        (-10 * b * s2 * (5 + 2 * g), 2, -1),
+        (3 * b * s2 * s2 * (2 * g - 1) ** 2 * (4 * g - 3), 3, -4),
+        (6 * a * b * b * (4 * g - 1), 1, -1),
+        (6 * a * b * s2 * (2 * g - 1) * (3 * g - 2), 2, -3),
+        (-10 * a * s2 * (2 * g - 1), 2, -2),
     ]
+
+
+def _c6_terms(p: ModelParams):
+    """Monomials (coef, power) of c6 with its prefactor -gamma sigma^2/720
+    folded in, the rate floor of its recurrence's four parts and the
+    power of two the sum is scaled by (None for 1).  The parts are
+    (1/2) sigma^2 r^{2 gamma} c5'', alpha c5', beta r c5' and k5, each a
+    table over -gamma sigma^2/120 whose live monomials (those its own sum
+    would keep) merge by power j 2 gamma + m, formed from the lattice pair
+    (j, m) as in every table: pairs of equal power are one monomial.
+
+    Each coefficient is formed in 50-digit decimals from p's floats and
+    rounded once, so no cancellation between the parts costs a digit, and
+    each term is c6's share of it, so a sum overflows only where a share
+    does.  A non-finite part coefficient (sigma**4 = inf) makes its merged
+    one NaN, so the call refuses where the part sums refused.  Past
+    2^1020 (sigma >= 1e39 at gamma >= 1) the coefficients carry 2^-k and
+    the sum 2^k.  The table runs from the smallest coefficient up: of the
+    orders tried on 3 000 random points, the one with the least error."""
+    g2, nan_zero, merged, floor = 2 * p.gamma, _Powers.nan_is_zero(p), {}, 0.0
+
+    def parts(q, g2):  # (weight, shift (j, m), table) of q's floats or decimals, g2 = 2 gamma
+        d1 = [(c * (j * g2 + m), j, m - 1) for c, j, m in _c5_terms(q)]
+        d2 = [(c * (j * g2 + m), j, m - 1) for c, j, m in d1]
+        return (q.sigma**2 / 2, 1, 0, d2), (q.alpha, 0, 0, d1), (q.beta, 0, 1, d1), (1, 0, 0, _k5_terms(q))
+
+    with decimal.localcontext(decimal.Context(prec=50, traps=[])):
+        q = ModelParams(*map(decimal.Decimal, (p.alpha, p.beta, p.sigma, p.gamma)))
+        pref = -q.gamma * q.sigma**2 / 720
+        for (_, dj, dm, part), (w, _, _, xpart) in zip(parts(p, g2), parts(q, 2 * q.gamma)):
+            for (c, j, m), (x, _, _) in zip(part, xpart):
+                if c != 0.0 and (c == c or not nan_zero):
+                    pw, floor = (j + dj) * g2 + (m + dm), R_FLOOR if j * g2 + m < 0 else floor
+                    merged[pw] = merged.get(pw, 0) + (w * x if math.isfinite(c) else decimal.Decimal("NaN"))
+        tops = [(pref * c).adjusted() + 1 for c in merged.values() if c.is_finite()]  # |share| < 10^top
+        k = min(1023, max([0] + [math.ceil(t * 3.33) - 1020 for t in tops]))  # 2^-k: |coef| < 2^1020
+        live = [(float(pref / 2**k * c), pw) for pw, c in merged.items()]
+    return sorted([t for t in live if t[0] != 0.0], key=lambda t: abs(t[0])), floor, 2.0**k if k else None
 
 
 @_call
@@ -646,24 +679,25 @@ def c5_derivatives(p: ModelParams, r):
 
 @_call
 def c6(p: ModelParams, r):
-    """Second error coefficient, defined by the recurrence
+    """Second error coefficient, defined by the paper's recurrence
 
         c6 = (1/6) [ (1/2) sigma^2 r^{2 gamma} c5''(r)
-                     + (alpha + beta r) c5'(r) - k5(r) ].
+                     + (alpha + beta r) c5'(r) - k5(r) ]
+
+    and evaluated as one sum over that polynomial's table, made once per
+    parameter set (:func:`_c6_terms`): it refuses the rates its parts
+    refuse.
 
     A lone call on rates (its table has not resolved its entries) returns a
     copy of the term improved_log_price reads, this body's, kept for a
     repeated array.
     """
-    g = p.gamma
-    if g == 0:
+    if p.gamma == 0:
         return r.zero()
     if not r.scalar and r._entries is None:
         return r.term(c6.__wrapped__).copy()
-    r.check()  # the rate enters below even where every monomial vanishes
-    d1, d2 = c5_derivatives.__wrapped__(p, r)
-    d1, d2 = r.result(d1), r.result(d2)  # each checked as formed
-    return (0.5 * p.sigma**2 * r[2 * g] * d2 + (p.alpha + p.beta * r[1]) * d1 - r.result(k5.__wrapped__(p, r))) / 6.0
+    r.check()  # the rate enters the recurrence even where every monomial vanishes
+    return r.sum(_c6_terms, None)
 
 
 @_call

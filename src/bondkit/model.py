@@ -201,8 +201,14 @@ def load_params(path) -> ModelParams:
 def save_params(p: ModelParams, path) -> None:
     """Write ``p`` in the flat key-value format; floats use shortest
     round-trip representation so load(save(p)) == p exactly."""
-    lines = [f"{k} = {getattr(p, k)!r}" for k in _KEYS]
+    lines = [f"{k} = {float(getattr(p, k))!r}" for k in _KEYS]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _params_text(p: ModelParams, keys=_KEYS) -> str:
+    """``alpha=... beta=...``: each of ``keys`` as a Python float's shortest
+    round-trip repr (a NumPy float would print as ``np.float64(...)``)."""
+    return " ".join(f"{k}={float(getattr(p, k))!r}" for k in keys)
 
 
 def _write_csv(path_or_buf, meta: dict, header, rows, stamp: str | None = None) -> None:

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GammaMismatch, UnstableSolve, ValidationError
-from .model import ModelParams, _check_count, _check_maturity, _write_csv, validate_params
+from .model import ModelParams, _check_count, _check_maturity, _params_text, _write_csv, validate_params
 
 __all__ = ["PdeConfig", "PdeSolution", "SolveDiagnostics", "solve"]
 
@@ -130,7 +130,7 @@ class PdeSolution:
         """
         p, c, d = self.params, self.config, self.diagnostics
         meta = {
-            "params": f"alpha={p.alpha!r} beta={p.beta!r} sigma={p.sigma!r} gamma={p.gamma!r}",
+            "params": _params_text(p),
             "config": f"r_max={c.r_max!r} n_space={c.n_space} n_time={c.n_time} "
                       f"t_final={c.t_final!r} theta=0.5 drift=central boundary_order=2",
             "diagnostics": f"steps={d.n_steps} rannacher={d.n_rannacher_steps} "

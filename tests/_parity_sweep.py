@@ -2,6 +2,7 @@
 comparing two source trees value bit for value bit and refusal for refusal.
 
     python tests/_parity_sweep.py --src SRC --out FILE.json
+    python tests/_parity_sweep.py --compare OLD.json NEW.json
 
 SRC is the directory that holds the ``bondkit`` package (a tree's ``src``).
 Each case is a public pricer, partials or coefficient function, or
@@ -23,7 +24,10 @@ A record holds, item by item, the value's type, shape, SHA-256 of its bytes
 and writeable flag, or the refusal's type and message.  The file has one
 record per line in a fixed order, so two trees keep every bit and every
 refusal alike exactly when ``diff`` finds no line between their files.
-pytest does not collect this file.
+``--compare`` reads two such files: it prints how many records changed
+their value bits, by function, and every record whose refusal changed (a
+value that became a refusal, or the reverse, counts as one), and exits 1
+if any refusal changed.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import hashlib
 import json
 import sys
 import warnings
+from pathlib import Path
 
 MODES = ("ignore", "error", "raise")
 STATES = ("cold", "warm", "filled", "cross")
@@ -106,11 +111,44 @@ def sweep(bk, np):
                            "outcome": _outcome(call, tau, mode, np)}
 
 
+def compare(old, new):
+    """(changed values by function, records whose refusal changed) between
+    two lists of records of one sweep, record by record."""
+    if [_where(a) for a in old] != [_where(b) for b in new]:
+        raise SystemExit("the two files hold different cases")
+    values, refusals = {}, []
+    for a, b in zip(old, new):
+        if a["outcome"] == b["outcome"]:
+            continue
+        if isinstance(a["outcome"], dict) or isinstance(b["outcome"], dict):
+            refusals.append((a, b))
+        else:
+            fn = a["case"].split()[0]
+            values[fn] = values.get(fn, 0) + 1
+    return values, refusals
+
+
+def _where(record):
+    return record["case"], record["tau"], record["mode"], record["state"]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", required=True, help="directory holding the bondkit package")
-    ap.add_argument("--out", required=True, help="file to write the records to")
+    ap.add_argument("--src", help="directory holding the bondkit package")
+    ap.add_argument("--out", help="file to write the records to")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two record files")
     args = ap.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(Path(path).read_text()) for path in args.compare)
+        values, refusals = compare(old, new)
+        print(f"{sum(values.values())} of {len(old)} records changed value bits"
+              + "".join(f"\n  {fn}: {n}" for fn, n in sorted(values.items())))
+        print(f"{len(refusals)} records changed refusal")
+        for a, b in refusals:
+            print(f"  {' | '.join(map(str, _where(a)))}: {a['outcome']} -> {b['outcome']}")
+        return 1 if refusals else 0
+    if not (args.src and args.out):
+        ap.error("give --src and --out, or --compare OLD NEW")
     sys.path.insert(0, args.src)
     import numpy as np
 

@@ -28,7 +28,7 @@ from bondkit import (
     vasicek_partials,
 )
 from bondkit.analysis import METHODS
-from bondkit.approximation import _Powers
+from bondkit.approximation import _c5_terms, _c6_terms, _Powers
 from bondkit.errors import DomainError, ValidationError
 
 
@@ -615,12 +615,12 @@ class TestKeptPowers:
         assert r.flags.writeable
         entries = kept_entries(r)
         powers = {pw: v for pw, v in entries.items() if type(pw) is float}
-        assert len(powers) == 14  # the generic powers at gamma = 1.32
+        assert len(powers) == 12  # the generic powers at gamma = 1.32
         kept = powers[2 * 1.32]
         # another alpha: no kept result serves, the kept powers do
         improved_log_price(ModelParams(0.004, -0.0555, 0.0894, 1.32), 2.0, r)
         assert kept_entries(r) is entries and entries[2 * 1.32] is kept  # taken, not formed again
-        assert len([pw for pw in entries if type(pw) is float]) == 14
+        assert len([pw for pw in entries if type(pw) is float]) == 12
         assert not kept.flags.writeable and not np.shares_memory(kept, r)
         assert kept.tobytes() == (r ** (2 * 1.32)).tobytes()
 
@@ -864,6 +864,28 @@ class TestKeptResults:
         sums.clear()
         assert c6(p, r).tobytes() == want and not sums
 
+    def test_numpy_float_parameters_read_the_bundle(self, monkeypatch, params):
+        # np.float64 parameters key the store by their bits: from the third
+        # call on, their improved curve reads its bundle in one lookup and
+        # forms no power, whether NumPy or Python floats kept it
+        p = params.with_gamma(1.32)
+        p_np = ModelParams(*map(np.float64, (p.alpha, p.beta, p.sigma, p.gamma)))
+        r, kept = self.GRIDS["floor"], _Powers._kept
+        kept.cache_clear()
+        want = self.outcome(improved_log_price, p, 1.0, r)
+        looked, reads = [], []
+        missing = _Powers.__missing__
+        monkeypatch.setattr(_Powers, "__missing__", lambda table, pw: looked.append(pw) or missing(table, pw))
+        for keeper in (p_np, p):
+            kept.cache_clear()
+            for _ in range(2):  # sight, keep
+                improved_log_price(keeper, 1.0, r)
+            log_reads(r, reads)
+            looked.clear()
+            assert self.outcome(improved_log_price, p_np, 1.0, r) == want
+            assert reads == [(kept.key(p), True)] and looked == []
+            reads.clear()
+
     def test_writing_into_the_rates_gives_a_fresh_result(self, params):
         p = params.with_gamma(1.32)
         r = self.GRIDS["floor"].copy()
@@ -897,7 +919,9 @@ class TestKeptTables:
         want = improved_log_price(self.P, 1.0, 0.05)
         (record,) = self.records().values()
         tables = dict(record)
-        assert len(tables) == 4  # c5, c5', c5'' and k5
+        # c5's table, c6's one merged table of 12 monomials, and the point's batch
+        assert [k[0] for k in tables if type(k) is tuple] == [_c5_terms, _c6_terms]
+        assert len(record[_c6_terms, None, None][0]) == 12 and "improved_log_price" in tables
         for r in (0.05, self.GRID, 0.05):
             improved_log_price(self.P, 1.0, r)
         assert list(self.records().values()) == [record]
@@ -946,15 +970,24 @@ class TestKeptTables:
         assert [outcomes(p) for p in ps] == want
         assert len(self.records()) == 2
 
-    def test_numpy_float_parameters_are_not_kept(self):
+    def test_numpy_float_parameters_keep_python_float_tables(self):
+        # np.float64 subclasses float and has a Python float's bits: such
+        # parameters, all four or some, keep their record under the bits
+        # of the Python floats, whose tables hold Python floats only
         p64 = ModelParams(*map(np.float64, (self.P.alpha, self.P.beta, self.P.sigma, self.P.gamma)))
-        for r in (0.05, self.GRID):
-            for fn in (improved_log_price, cw_partials):
-                _Powers._kept.cache_clear()
-                want = np.asarray(fn(self.P, 1.0, r)).tobytes()
-                _Powers._kept.cache_clear()
-                assert [np.asarray(fn(p64, 1.0, r)).tobytes() for _ in range(3)] == [want] * 3
-                assert not self.records()
+        mixed = ModelParams(self.P.alpha, np.float64(self.P.beta), self.P.sigma, self.P.gamma)
+        for q in (p64, mixed):
+            for r in (0.05, self.GRID):
+                for fn in (improved_log_price, cw_partials):
+                    _Powers._kept.cache_clear()
+                    want = np.asarray(fn(self.P, 1.0, r)).tobytes()
+                    _Powers._kept.cache_clear()
+                    assert [np.asarray(fn(q, 1.0, r)).tobytes() for _ in range(3)] == [want] * 3
+                    assert list(self.records()) == [_Powers._kept.key(self.P)]
+                    (record,) = self.records().values()
+                    tables = [v for key, v in record.items() if type(key) is tuple]
+                    assert tables and all(type(c) is type(pw) is float for live, *_ in tables for c, pw in live)
+                    assert all(type(pref) is float for *_, pref in tables if pref is not None)
 
     @pytest.mark.parametrize("p", [ModelParams(np.nan, -0.0555, 0.0894, 0.75),
                                    ModelParams(0.00315, -0.0555, np.nan, 1.32)], ids=["alpha", "sigma"])

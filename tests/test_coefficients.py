@@ -10,15 +10,17 @@ of the production code and act as frozen oracles:
 """
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from _reference import mp_c5, mp_c6, mp_k4, mp_k5
+from _reference import mp_c5, mp_c6, mp_improved, mp_k4, mp_k5
 from bondkit import (ModelParams, c5, c5_derivatives, c6, cw_log_price, cw_partials,
                      improved_log_price, k4, k5, q_factor, vasicek_log_price)
-from bondkit.approximation import _beta_brackets, _c5_terms, _derive, _k5_terms
-from bondkit.errors import DomainError
+from bondkit.approximation import R_FLOOR, _beta_brackets, _c5_terms, _c6_terms, _k5_terms
+from bondkit.errors import DomainError, ValidationError
 
 
 def cir_k4(p, r):
@@ -155,6 +157,19 @@ class TestDomainGuards:
         with pytest.raises(DomainError, match=r"^c6: negative or NaN rate$"):
             c6(p, r)
 
+    def test_c6_scales_a_merged_coefficient_past_the_float_range(self):
+        # sigma^6 ~ 1e360 in c6's merged table: its coefficients carry 2^-k
+        # and the prefactor 2^k, so r = 0 prices as the recurrence did,
+        # while at r = 1e-12 the value itself overflows (sigma^8 r^3 ~ 1e444)
+        p = ModelParams(0.00315, -0.0555, 1e60, 1.5)
+        assert _c6_terms(p)[2] > 1.0
+        # at r = 0 only alpha c5'(0) / 6 is left: c5'(0) = -gamma sigma^2 2 alpha^2 (2 gamma - 1) / 120
+        assert c6(p, 0.0) == pytest.approx(-p.gamma * p.sigma**2 * 4 * p.alpha**3 / 720, rel=1e-15)
+        assert improved_log_price(p, 1.0, 0.0) == pytest.approx(-c6(p, 0.0), rel=1e-15)
+        for fn in (c6, lambda p, r: improved_log_price(p, 1.0, r)):
+            with pytest.raises(ValidationError, match="out of float range"):
+                fn(p, 1e-12)
+
     # Every negative or NaN rate is refused, and so are r = 0 and 1e-7 except
     # at these (function, gamma).  Each refusal names the function called,
     # whichever of its tables fails, so sharing one power table across a call
@@ -192,10 +207,41 @@ class TestDomainGuards:
         assert str(info.value) == self.refusal(name, near_zero)
 
 
+def floats(p, terms):
+    """A (coef, j, m) table with each power j 2 gamma + m as a float."""
+    return [(c, j * (2 * p.gamma) + m) for c, j, m in terms]
+
+
+def derive(terms):
+    """Term-by-term r-derivative of a (coef, power) table, powers as floats."""
+    return [(c * pw, pw - 1) for c, pw in terms]
+
+
+def c6_table(p):
+    """c6's monomials (coef, power) with its prefactor -gamma sigma^2/720
+    folded in, the smallest coefficient first: the recurrence's parts (1/2) sigma^2
+    r^{2 gamma} c5'', alpha c5', beta r c5' and k5, each over -gamma
+    sigma^2/120, merged in exact arithmetic on p's floats by power
+    j 2 gamma + m (formed from its pair (j, m)), each coefficient rounded
+    once and kept if not zero."""
+    q = ModelParams(*map(Fraction, (p.alpha, p.beta, p.sigma, p.gamma)))
+    d1 = [(c * (j * 2 * q.gamma + m), j, m - 1) for c, j, m in _c5_terms(q)]
+    d2 = [(c * (j * 2 * q.gamma + m), j, m - 1) for c, j, m in d1]
+    merged = {}
+    for w, dj, dm, part in ((q.sigma**2 / 2, 1, 0, d2), (q.alpha, 0, 0, d1), (q.beta, 0, 1, d1),
+                            (1, 0, 0, _k5_terms(q))):
+        for c, j, m in part:
+            pw = (j + dj) * (2 * p.gamma) + (m + dm)
+            merged[pw] = merged.get(pw, 0) - q.gamma * q.sigma**2 / 720 * w * c
+    return sorted([(float(c), pw) for pw, c in merged.items() if float(c) != 0.0], key=lambda t: abs(t[0]))
+
+
 class TestTermByTerm:
-    """Every coefficient equals its (coef, power) tables summed term by term
-    in table order, bit for bit: sharing powers of r between the tables of
-    one call must not merge coefficients or reorder a sum."""
+    """Every coefficient equals its (coef, power) table summed term by term
+    in table order, bit for bit: k4, k5, c5, c5' and c5'' their own tables,
+    and c6 the one table its recurrence merges to (:func:`c6_table`), which
+    is :func:`_c6_terms`'s.  Sharing powers of r between the tables of one
+    call must not merge further coefficients or reorder a sum."""
 
     GRID = np.linspace(1e-6, 0.3, 1501)
 
@@ -210,15 +256,22 @@ class TestTermByTerm:
 
     def reference(self, p, r):
         """(k4, k5, c5, c5', c5'', c6) at rates r."""
-        s2 = p.sigma**2
-        gs2 = p.gamma * s2
-        c5t, d1t = _c5_terms(p), _derive(_c5_terms(p))
+        gs2 = p.gamma * p.sigma**2
+        c5t = floats(p, _c5_terms(p))
+        d1t = derive(c5t)
         d1 = self.tsum(r, -gs2 / 120.0, d1t)
-        d2 = self.tsum(r, -gs2 / 120.0, _derive(d1t))
-        k5r = self.tsum(r, gs2 / 120.0, _k5_terms(p))
-        arr = np.asarray(r, dtype=float)
-        c6r = (0.5 * s2 * arr ** (2 * p.gamma) * d2 + (p.alpha + p.beta * arr) * d1 - k5r) / 6.0
+        d2 = self.tsum(r, -gs2 / 120.0, derive(d1t))
+        k5r = self.tsum(r, gs2 / 120.0, floats(p, _k5_terms(p)))
+        c6r = self.tsum(r, 1.0, c6_table(p))
         return (self.tsum(r, gs2 / 24.0, c5t), k5r, self.tsum(r, -gs2 / 120.0, c5t), d1, d2, c6r)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.75, 1.0, 1.32, 1.49])
+    @pytest.mark.parametrize("beta", [-0.0555, -0.002, 0.0, 2.0])
+    def test_c6_table_is_the_exact_merge_rounded_once(self, params, gamma, beta):
+        p = ModelParams(params.alpha, beta, params.sigma, gamma)
+        table, floor, scale = _c6_terms(p)
+        assert table == c6_table(p) and scale is None
+        assert floor == (0.0 if gamma in (0.5, 1.0) else R_FLOOR)  # c5'' ~ r^{2 gamma - 4} elsewhere
 
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.75, 1.0, 1.32, 1.49])
     @pytest.mark.parametrize("rates", ["grid", 1e-6, 0.01, 0.05, 0.3])
@@ -295,6 +348,50 @@ class TestReferenceOffHalf:
         got = fn(p, rates)
         want = np.array([float(ref(p, r)) for r in rates])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestUlpsAgainstReference:
+    """c5, c6 and improved_log_price against the 50-digit transcriptions
+    over a grid of slopes, gammas, rates and maturities, in ulps of the
+    coefficient's scale sum |c_k r^{e_k}| over its monomials (powers merged
+    where equal), and in ulps of |ln P| for the improved price.
+
+    The bounds are the worst cases measured while c6 still ran its
+    recurrence, rounded up: c5 3.25, c6 1.61 (beta 0.3, gamma 1/2, r 0.15),
+    improved 14.6.  The improved price at |beta tau| < 0.01 runs the
+    beta-series brackets, whose truncation (~1e-9 relative) is a known
+    defect of the closed-form core, and has its own bound (14 722 then)."""
+
+    BETAS = (-2.0, -0.0555, 0.002, -0.002, 0.3)
+    GAMMAS = (0.5, 0.75, 1.0, 1.32)
+    RATES = (0.001, 0.05, 0.15)
+    ULPS = {"c5": 4.0, "c6": 2.0, "improved": 16.0, "improved, beta series": 16000.0}
+
+    @staticmethod
+    def ulps(got, want, scale):
+        return float(abs(mpmath.mpf(got) - want) / math.ulp(scale))
+
+    def worst(self):
+        """The worst ulps of each function over the grid."""
+        out = dict.fromkeys(self.ULPS, 0.0)
+        for beta in self.BETAS:
+            for gamma in self.GAMMAS:
+                p = ModelParams(0.00315, beta, 0.0894, gamma)
+                gs2 = gamma * 0.0894**2
+                for r in self.RATES:
+                    for name, fn, ref, pref, table in (("c5", c5, mp_c5, gs2 / 120, floats(p, _c5_terms(p))),
+                                                       ("c6", c6, mp_c6, 1.0, c6_table(p))):
+                        scale = pref * sum(abs(c) * r**pw for c, pw in table)
+                        out[name] = max(out[name], self.ulps(fn(p, r), ref(p, r), scale))
+                    for tau in (0.5, 3.0):
+                        want = mp_improved(p, tau, r)
+                        name = "improved, beta series" if abs(beta * tau) < 0.01 else "improved"
+                        out[name] = max(out[name], self.ulps(improved_log_price(p, tau, r), want, abs(float(want))))
+        return out
+
+    def test_within_the_bounds(self):
+        worst = self.worst()
+        assert [name for name, bound in self.ULPS.items() if not worst[name] <= bound] == [], worst
 
 
 class TestDerivativeOracles:

@@ -114,8 +114,8 @@ def test_approximation_module_functions():
     tree = ast.parse(Path(approximation.__file__).read_text())
     names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     public = {n for n in approximation.__all__ if inspect.isfunction(getattr(approximation, n))}
-    assert names == public | {"_call", "_beta_brackets", "_derive", "_q_terms", "_q_and_r2g",
-                              "_c5_terms", "_k5_terms"}
+    assert names == public | {"_call", "_beta_brackets", "_q_terms", "_q_and_r2g",
+                              "_c5_terms", "_k5_terms", "_c6_terms"}
 
 
 @pytest.mark.parametrize("module", [approximation, closed_form], ids=lambda m: m.__name__)
@@ -174,3 +174,27 @@ def test_maturity_rule_defined_only_in_model():
                for node in ast.walk(ast.parse(source.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name == "_check_maturity"}
     assert defined == {"model.py"}
+
+
+def _traced_names():
+    """The ENTRY_POINTS and METHODS tuples of ``perfbench/spans.py``, read
+    from its source without importing it."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    found = {}
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] in (["ENTRY_POINTS"], ["METHODS"]):
+            found[node.targets[0].id] = ast.literal_eval(node.value)
+    return found["ENTRY_POINTS"], found["METHODS"]
+
+
+def test_every_traced_name_exists():
+    # the benchmark's tracer wraps these names by lookup; a refactor that
+    # renames or drops one would break every traced benchmark run
+    entry_points, methods = _traced_names()
+    assert ("approximation", "approximation", "c6") in entry_points
+    for _, module, name in entry_points:
+        assert callable(getattr(importlib.import_module(f"bondkit.{module}"), name, None)), (module, name)
+    for _, module, cls, name in methods:
+        assert callable(getattr(getattr(importlib.import_module(f"bondkit.{module}"), cls, None), name, None)), \
+            (module, cls, name)
+    assert isinstance(importlib.import_module("bondkit.analysis").METHODS, dict)  # the tracer patches it too

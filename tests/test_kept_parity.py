@@ -66,9 +66,9 @@ RATES = (0.05, float("nan"), -0.01, _grid(), _grid(1e-6), _grid(bad=np.nan), _gr
 BUNDLED = ("cw_log_price", "cw_partials", "improved_log_price", "c6")
 
 
-def _calls():
-    """(label, call) for every case of the sweep."""
-    for p in PARAMS:
+def _calls(params):
+    """(label, call) for every case of the sweep over ``params``."""
+    for p in params:
         for tau in TAUS:
             yield ("b_factor", p, tau), lambda p=p, tau=tau: b_factor(p.beta, tau)
         for k, r in enumerate(RATES):
@@ -82,7 +82,9 @@ def _calls():
                            lambda partials=partials, p=p, tau=tau, r=r: pde_residual(partials, p, tau, r))
 
 
-CALLS = list(_calls())
+CALLS = list(_calls(PARAMS))
+#: The same calls with each parameter a NumPy float64.
+CALLS_NP = list(_calls([ModelParams(*map(np.float64, (p.alpha, p.beta, p.sigma, p.gamma))) for p in PARAMS]))
 
 
 def _outcome(call, action):
@@ -132,6 +134,26 @@ def test_warm_store_gives_the_cold_outcome(action, other):
     refused = {o[0].__name__ for o in cold if type(o[0]) is not tuple}
     assert {"DomainError", "ValidationError", "GammaMismatch"} <= refused
     assert sum(type(o[0]) is tuple for o in cold) > 600 and hits >= 70 and tables > 500
+
+
+def test_numpy_float_parameters_give_the_python_floats_outcome():
+    # np.float64 subclasses float and has a Python float's bits: such
+    # parameters key the store like the Python floats, and under -W error
+    # (where a NumPy float's overflow warns and a Python float's does not)
+    # they give the Python floats' outcome, cold and warm, where the warm
+    # call reads what two calls with the Python floats kept
+    kept, hits = _Powers._kept, 0
+    for (label, call), (_, call_np) in zip(CALLS, CALLS_NP):
+        kept.cache_clear()
+        want = _outcome(call, "error")
+        kept.cache_clear()
+        assert _outcome(call_np, "error") == want, label
+        kept.cache_clear()
+        for _ in range(2):
+            _outcome(call, "error")
+        hits += any(type(key) is bytes for _, _, entries in kept._arrays.values() for key in entries)
+        assert _outcome(call_np, "error") == want, label
+    assert hits >= 70
 
 
 def test_sweep_covers_every_public_function():

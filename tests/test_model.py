@@ -1,3 +1,4 @@
+import io
 import re
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from bondkit import (
     ModelParams,
     RateGrid,
     ValidationError,
+    build_table,
     load_params,
     save_params,
     validate_params,
@@ -130,6 +132,20 @@ class TestParamsFile:
         save_params(params, path)
         again = load_params(path)
         assert again == params  # bitwise: repr round-trip
+
+    def test_numpy_floats_round_trip(self, tmp_path, params):
+        # each value is written as a Python float, so load_params reads it back
+        p = ModelParams(*map(np.float64, (params.alpha, params.beta, params.sigma, params.gamma)))
+        path = tmp_path / "params.txt"
+        save_params(p, path)
+        assert path.read_text() == "alpha = 0.00315\nbeta = -0.0555\nsigma = 0.0894\ngamma = 0.5\n"
+        assert load_params(path) == p
+
+    def test_csv_params_line_prints_python_floats(self, params):
+        p = ModelParams(*map(np.float64, (params.alpha, params.beta, params.sigma, params.gamma)))
+        buf = io.StringIO()
+        build_table("1", p).to_csv(buf)
+        assert "# params: alpha=0.00315 beta=-0.0555 sigma=0.0894 gamma=0.5\n" in buf.getvalue()
 
     def test_comments_and_spacing(self, tmp_path):
         path = tmp_path / "p.txt"

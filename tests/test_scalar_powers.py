@@ -34,22 +34,22 @@ from bondkit import (
     vasicek_log_price,
     vasicek_partials,
 )
-from bondkit.approximation import R_FLOOR, _c5_terms, _derive, _k5_terms, _Powers, _q_terms
+from bondkit.approximation import R_FLOOR, _c5_terms, _c6_terms, _k5_terms, _Powers, _q_terms
 
 P = ModelParams(0.00315, -0.0555, 0.0894, 0.5)
 
 
 def _exponents(g):
     """Every power of r the module's formulas form at gamma ``g``: q and
-    r^{2 gamma} with their first two r-derivatives, and the monomial tables
-    of c5 and k5 with theirs."""
+    r^{2 gamma} with their first two r-derivatives, the monomial tables of
+    c5 and k5 with theirs, and c6's merged table."""
     p = P.with_gamma(g)
-    out = {2 * g, 2 * g - 1, 2 * g - 2}
+    out = {2 * g, 2 * g - 1, 2 * g - 2, *(pw for _, pw in _c6_terms(p)[0])}
     for terms in (_q_terms, _c5_terms, _k5_terms):
-        table = terms(p)
+        table = [(c, j * (2 * g) + m) for c, j, m in terms(p)]
         for _ in range(3):
             out.update(pw for _, pw in table)
-            table = _derive(table)
+            table = [(c * pw, pw - 1) for c, pw in table]
     return sorted(out)
 
 
@@ -150,6 +150,11 @@ def test_window_edges_give_the_one_element_array_outcome(mode):
             assert cold == want and warm == want, (label, r)
 
 
+def batches(record):
+    """A parameter record's batches, kept beside its tables under function names."""
+    return {key: v for key, v in record.items() if type(key) is str}
+
+
 class TestBatches:
     """The batches kept in the parameter records of _Powers._kept: one per
     function, bounded and dropped with their record, emptied by
@@ -175,20 +180,20 @@ class TestBatches:
     def test_a_warm_point_forms_its_tables_powers_in_one_call(self, power_calls):
         _Powers._kept.cache_clear()
         improved_log_price(self.P, 3.7, 0.0731)
-        assert power_calls == [1] * 14  # cold: each generic power alone
+        assert power_calls == [1] * 12  # cold: each generic power alone
         power_calls.clear()
         for tau, r in ((1.5, 0.02), (3.7, 0.0731), (9.0, R_FLOOR)):
             improved_log_price(self.P, tau, r)
-        # the call reads its record first, so q's two powers and r^{2 gamma}
-        # join its tables' 11
-        assert power_calls == [14] * 3
+        # the call reads its record first, so its batch holds the 12 powers of
+        # its tables, q's two and r^{2 gamma} among them
+        assert power_calls == [12] * 3
         (record,) = self.records().values()
-        ((what, (exps, arr)),) = record.batches.items()
-        assert what == "improved_log_price" and len(exps) == len(set(exps)) == len(arr) == 14
+        ((what, (exps, arr)),) = batches(record).items()
+        assert what == "improved_log_price" and len(exps) == len(set(exps)) == len(arr) == 12
         power_calls.clear()
         for _ in range(2):
             c6(self.P, 0.0731)  # tables first: warm, every generic power in the batch
-        assert power_calls == [1] * 14 + [14] and record.batches.keys() == {"improved_log_price", "c6"}
+        assert power_calls == [1] * 12 + [12] and batches(record).keys() == {"improved_log_price", "c6"}
 
     @pytest.mark.parametrize("call", [
         lambda r: cir_log_price(P, 3.7, r),
@@ -202,7 +207,7 @@ class TestBatches:
         for r in (0.0731, 0.0731, 0.5):
             call(r)
         assert power_calls == [] and not any(exps for record in self.records().values()
-                                             for exps, _ in record.batches.values())
+                                             for exps, _ in batches(record).values())
 
     @pytest.mark.parametrize("g, n", [(0.75, 1), (1.32, 3)])
     def test_a_call_without_tables_looks_nothing_up(self, power_calls, g, n):
@@ -217,7 +222,7 @@ class TestBatches:
             improved_log_price(self.P, 1.0, 2.0)
             c5(self.P.with_gamma(1.0), 5e-7)
         assert power_calls == [] and not any(exps for record in self.records().values()
-                                             for exps, _ in record.batches.values())
+                                             for exps, _ in batches(record).values())
 
     def test_batches_go_with_their_records(self):
         kept = _Powers._kept
@@ -227,7 +232,7 @@ class TestBatches:
             for _ in range(2):
                 c5(p, 0.05)
         assert list(self.records()) == [kept.key(p) for p in ps[-kept.PARAMS:]]
-        assert all(len(record.batches["c5"][0]) >= 2 for record in self.records().values())
+        assert all(len(record["c5"][0]) >= 2 for record in self.records().values())
         kept.cache_clear()
         assert not self.records()
 
@@ -236,7 +241,7 @@ class TestBatches:
         for _ in range(3):
             c6(self.P.with_gamma(20.0), 0.5)
         (record,) = self.records().values()
-        exps, _ = record.batches["c6"]
+        exps, _ = record["c6"]
         assert exps and all(abs(e) <= _Powers.BATCH_EXP for e in exps)
 
     def test_threads_give_the_serial_bits(self):
