@@ -55,11 +55,13 @@ Numerical notes
   differs in the last bit for some rates), but x**2, x**0.5 and x**-1 for
   x in [R_FLOOR, 1] are x * x, math.sqrt(x) and 1.0 / x, the IEEE
   operations NumPy runs for them.  A point runs each term's body once on
-  its table and checks a finite float term inline; each monomial table is
-  kept in p's record with its prefactor, so a sum is one frame.
-  :class:`_Kept` describes what outlives a call.
+  its table; each monomial table is kept in p's record with its
+  prefactor, so a sum is one frame.  :class:`_Kept` describes what
+  outlives a call.
 * _call applies the maturity rule of :func:`bondkit.model._check_maturity`
-  and one float rule that tests results, not constants (see :func:`_call`).
+  and one float rule: a call's outcome is its outcome with every NumPy
+  flag ignored, and a result that is not finite is refused (see
+  :func:`_call`).
 """
 
 from __future__ import annotations
@@ -102,12 +104,13 @@ def _call(fn):
     """``fn`` under the one contract of the public functions: it builds the
     call's table (:class:`_Powers`), named after ``fn``, under the maturity
     rule and runs ``fn`` on it (b_factor gets a table of 0.0).  A result
-    that is not finite, a Python float overflow or zero division, and a
-    NumPy floating-point error or warning raised as an error are each
-    refused as out of float range, but NumPy's underflow is no error: a
-    call refused while it raises or warns runs again with it ignored, as a
-    scalar's Python floats ignore it.  Given a caller's table (pde_residual's
-    ``partials``), it runs ``fn`` on that table and checks its result."""
+    that is not finite and a Python float overflow or zero division are
+    refused as out of float range.  A call's outcome is its outcome with
+    every NumPy flag ignored: a call that raises a NumPy floating-point
+    error, or a warning as an error, runs once more under
+    ``np.errstate(all="ignore")``, as a scalar's Python floats ignore them.
+    Given a caller's table (pde_residual's ``partials``), it runs ``fn`` on
+    that table, whose call checks the result."""
     sig = inspect.signature(fn)
     what, names = fn.__name__, list(sig.parameters)
     rates, n = "r" in names, len(names)
@@ -122,17 +125,19 @@ def _call(fn):
         if type(r) is _Powers:
             if args[ip] is not r.p:
                 r = _Powers(r.arr, r.what, args[ip], r._tau)
-            return r.result(fn(*args[:-1], r))
+            return fn(*args[:-1], r)
         pows = _Powers(r if rates else 0.0, what, None if ip is None else args[ip], None if at is None else args[at])
         try:  # (p, r) and (p, tau, r) bodies called by position: a star call costs a point 4-8 %
             out = pows.result((fn(args[0], args[1], pows) if n == 3 else fn(args[0], pows) if n == 2
                                else fn(*args[:-1], pows)) if rates else fn(*args))
-        except (OverflowError, ZeroDivisionError, FloatingPointError, RuntimeWarning):
-            if np.geterr()["under"] == "ignore":
-                raise ValidationError(pows._out_of_range()) from None
-            with np.errstate(under="ignore"):  # an underflow is no error: the call again without it
-                return call(*args)
-        if pows._made:  # an admitted array's new terms, each checked, join its bundle with r^{2 gamma}
+        except (FloatingPointError, RuntimeWarning):
+            if set(np.geterr().values()) != {"ignore"}:  # a NumPy flag: the call again without any
+                with np.errstate(all="ignore"):
+                    return call(*args)
+            raise ValidationError(pows._out_of_range()) from None
+        except (OverflowError, ZeroDivisionError):
+            raise ValidationError(pows._out_of_range()) from None
+        if pows._made:  # an admitted array's new terms, finite as the result is, join its bundle with r^{2 gamma}
             entries, g2 = pows._entries, 2 * pows.p.gamma
             pows._kept.put(entries, pows._bits, {**entries.get(pows._bits, {}), **pows._made, g2: pows[g2]})
         return out
@@ -189,11 +194,11 @@ class _Kept:
     array of its rates and at most ENTRIES read-only values: each power of
     it a call formed, under its exponent float, and under p's bits one
     bundle of r^{2 gamma} and the tau-free terms q, c5 and c6
-    (:meth:`_Powers.term`), kept once a call that made a term passed all its
-    checks.  A hit skips the terms and their checks, whatever the warning
-    filter: in these functions an overflow, zero division or invalid
-    operation leaves a non-finite result, which is never kept, and an
-    underflow is no error (:func:`_call`).  A bundle's r^{2 gamma} is the
+    (:meth:`_Powers.term`), kept once the result of a call that made a term
+    passed its check.  A term that is not finite leaves that result so,
+    and a NumPy flag decides no outcome (:func:`_call`), so only finite
+    terms are kept and a hit, which skips the terms, gives a fresh call's
+    outcome in every error mode.  A bundle's r^{2 gamma} is the
     kept power, unless that entry has gone since: at worst
     4 x (1 + 4 x 32) x 16384 x 8 B = 64.5 MiB.
 
@@ -383,19 +388,16 @@ class _Powers(dict):
     def term(self, make):
         """The tau-free term ``make(p, table)`` (q, c5 or c6) of cw,
         cw_partials, improved or c6, held in the table under ``make``: an
-        admitted array's from the bundle its entries brought, else made and
-        checked at once, before a later domain check can refuse.  A caller
-        that holds a value of its own checks it before it asks for a term
-        that may be made (improved checks cw's only then)."""
-        if self.scalar:  # never kept: checked inline where a float is finite
-            out = make(self.p, self)
-            return out if type(out) is float and math.isfinite(out) else self.result(out)
+        admitted array's from the bundle its entries brought, else made (and
+        kept once the call's result passes, :func:`_call`)."""
+        if self.scalar:  # never kept
+            return make(self.p, self)
         out = self.get(make)
         if out is None and self._entries is None and self.entries():  # the first term: the bundle
             out = self.get(make)
         if out is None:
-            out = self[make] = self.result(make(self.p, self))
-            if self._entries is not False and self._bits:  # kept once the call passes (_call)
+            out = self[make] = make(self.p, self)
+            if self._entries is not False and self._bits:
                 self._made = self._made or {}
                 self._made[make] = out
         return out
@@ -439,7 +441,7 @@ class _Powers(dict):
                 live = [(c * pw, pw - 1) for c, pw in live]
             live = [(c, pw) for c, pw in live if c != 0.0 and (c == c or not self.nan_is_zero(p))]
             floor = R_FLOOR if any(pw < 0 for _, pw in live) else 0.0
-        self._record[terms, n, d] = out = live, floor, any(map(math.isinf, [c for c, _ in live])), pref
+        self._record[terms, n, d] = out = live, floor, pref
         return out
 
     def sum(self, terms, n: int = 0, d=None):
@@ -451,20 +453,14 @@ class _Powers(dict):
         The table and its prefactor are kept
         in p's record.  A zero coefficient, or a NaN where :meth:`nan_is_zero`,
         never forms its power.  A negative or NaN rate is refused unless no
-        monomial is live, and a rate below R_FLOOR if a live power is < 0.
-        As on a scalar's Python floats, inf * 0 is NaN without a warning."""
+        monomial is live, and a rate below R_FLOOR if a live power is < 0."""
         record = self._record if self._record is not None else self.record()
-        live, floor, infinite, pref = record.get((terms, n, d)) or self.monomials(terms, n, d)
+        live, floor, pref = record.get((terms, n, d)) or self.monomials(terms, n, d)
         out = 0.0 if self.scalar else self.zero()
         if live and not (self._low is not None and self._low >= floor):  # unless known to pass
             self.check(floor)
-        if infinite:
-            with np.errstate(invalid="ignore"):
-                for c, pw in live:
-                    out += c * self[pw]
-        else:
-            for c, pw in live:
-                out += c * self[pw]
+        for c, pw in live:
+            out += c * self[pw]
         return out if pref is None else pref * out
 
     def result(self, out):
@@ -566,11 +562,10 @@ def cw_partials(p: ModelParams, tau: float, r):
     residuals down to rounding level (~1e-15).
     """
     # the rate checks, in q and the sums of the r-derivatives of r^{2 gamma}
-    # and q, come before the brackets that may overflow, whatever the filter
+    # and q, come before the brackets, whose Python float powers may overflow
     if r.scalar:  # p's record first: q's powers join the scalar's batch
         r.record()
     q, r2g = _q_and_r2g(p, r)
-    r.result(r2g)  # only a huge rate overflows it: refused before a sum's rate check
     d1, d2, qp, qpp = (r.sum(terms, n) for terms in (None, _q_terms) for n in (1, 2))
     B, _, eg, fh = _beta_brackets(p, tau)
     f_tau = -r[1] * np.exp(p.beta * tau) - p.alpha * B + 0.5 * p.sigma * p.sigma * r2g * B * B + q * eg
@@ -706,18 +701,14 @@ def improved_log_price(p: ModelParams, tau: float, r):
     cw_log_price - c5(r) tau^5 - c6(r) tau^6 (error o(tau^6)).
 
     At gamma = 0, where c5 and c6 vanish, this is :func:`cw_log_price`.
-    cw's value is checked before c5 or c6 is made, so that no domain check
-    of theirs refuses a call whose cw value is out of float range; where
-    both come from a repeated array's bundle, no check can run between cw
-    and the result, whose one check then refuses the same calls alike.
+    The terms' rate checks refuse a rate before this call's result check
+    refuses a value out of float range.
     """
     if p.gamma == 0:
         return cw_log_price.__wrapped__(p, tau, r)  # cw's body: this call checks the result
     if r.scalar:  # p's record first, as in cw_partials
         r.record()
     lp = cw_log_price.__wrapped__(p, tau, r)  # a new array or a float
-    if r.scalar or c5.__wrapped__ not in r or c6.__wrapped__ not in r:  # a term to make: cw's value first
-        lp = r.result(lp)
     lp -= r.term(c5.__wrapped__) * tau**5
     lp -= r.term(c6.__wrapped__) * tau**6
     return lp

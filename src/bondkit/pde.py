@@ -131,8 +131,8 @@ class PdeSolution:
         p, c, d = self.params, self.config, self.diagnostics
         meta = {
             "params": _params_text(p),
-            "config": f"r_max={c.r_max!r} n_space={c.n_space} n_time={c.n_time} "
-                      f"t_final={c.t_final!r} theta=0.5 drift=central boundary_order=2",
+            "config": f"r_max={float(c.r_max)!r} n_space={c.n_space} n_time={c.n_time} "
+                      f"t_final={float(c.t_final)!r} theta=0.5 drift=central boundary_order=2",
             "diagnostics": f"steps={d.n_steps} rannacher={d.n_rannacher_steps} "
                            f"min_pivot={d.min_pivot!r} max_linear_residual={d.max_linear_residual!r}",
         }

@@ -3,6 +3,7 @@ comparing two source trees value bit for value bit and refusal for refusal.
 
     python tests/_parity_sweep.py --src SRC --out FILE.json
     python tests/_parity_sweep.py --compare OLD.json NEW.json
+    python tests/_parity_sweep.py --independence FILE.json
 
 SRC is the directory that holds the ``bondkit`` package (a tree's ``src``).
 Each case is a public pricer, partials or coefficient function, or
@@ -27,7 +28,10 @@ refusal alike exactly when ``diff`` finds no line between their files.
 ``--compare`` reads two such files: it prints how many records changed
 their value bits, by function, and every record whose refusal changed (a
 value that became a refusal, or the reverse, counts as one), and exits 1
-if any refusal changed.  pytest does not collect this file.
+if any refusal changed.  ``--independence`` reads one file: it lists the
+(case, tau, state) groups whose outcome differs by error mode and the
+(case, tau, mode) groups whose outcome differs by store state, and exits 1
+if there is any.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -132,12 +136,34 @@ def _where(record):
     return record["case"], record["tau"], record["mode"], record["state"]
 
 
+def independence(records):
+    """(groups whose outcome differs by error mode, groups whose outcome
+    differs by store state): the keys (case, tau, state) and (case, tau,
+    mode) of the groups that hold more than one outcome."""
+    by_mode, by_state = {}, {}
+    for record in records:
+        outcome = json.dumps(record["outcome"], sort_keys=True)
+        case, tau, mode, state = _where(record)
+        by_mode.setdefault((case, tau, state), set()).add(outcome)
+        by_state.setdefault((case, tau, mode), set()).add(outcome)
+    return ([key for key, seen in by_mode.items() if len(seen) > 1],
+            [key for key, seen in by_state.items() if len(seen) > 1])
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", help="directory holding the bondkit package")
     ap.add_argument("--out", help="file to write the records to")
     ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two record files")
+    ap.add_argument("--independence", metavar="FILE",
+                    help="list the groups of a record file whose outcome differs by error mode or store state")
     args = ap.parse_args(argv)
+    if args.independence:
+        by_mode, by_state = independence(json.loads(Path(args.independence).read_text()))
+        for groups, what in ((by_mode, "(case, tau, state) groups differ by error mode"),
+                             (by_state, "(case, tau, mode) groups differ by store state")):
+            print(f"{len(groups)} {what}" + "".join(f"\n  {' | '.join(map(str, key))}" for key in groups))
+        return 1 if by_mode or by_state else 0
     if args.compare:
         old, new = (json.loads(Path(path).read_text()) for path in args.compare)
         values, refusals = compare(old, new)
@@ -148,7 +174,7 @@ def main(argv=None):
             print(f"  {' | '.join(map(str, _where(a)))}: {a['outcome']} -> {b['outcome']}")
         return 1 if refusals else 0
     if not (args.src and args.out):
-        ap.error("give --src and --out, or --compare OLD NEW")
+        ap.error("give --src and --out, --compare OLD NEW or --independence FILE")
     sys.path.insert(0, args.src)
     import numpy as np
 

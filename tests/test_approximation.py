@@ -1,4 +1,5 @@
 
+import contextlib
 import inspect
 import sys
 import threading
@@ -30,6 +31,17 @@ from bondkit import (
 from bondkit.analysis import METHODS
 from bondkit.approximation import _c5_terms, _c6_terms, _Powers
 from bondkit.errors import DomainError, ValidationError
+
+MODES = ("ignore", "error", "raise")
+
+
+@contextlib.contextmanager
+def error_mode(mode):
+    """NumPy's warnings ignored (``ignore``) or raised as errors (``error``),
+    or its floating-point errors raised (``raise``)."""
+    with warnings.catch_warnings(), np.errstate(all="raise" if mode == "raise" else None):
+        warnings.simplefilter("error" if mode == "error" else "ignore")
+        yield
 
 
 class TestQFactor:
@@ -312,20 +324,20 @@ class TestInputGuards:
             with pytest.raises(DomainError, match=r"^cw_partials: singular as r -> 0"):
                 cw_partials(p, 1e52, 0.0)
 
-    @pytest.mark.parametrize("action, other", [("ignore", "error"), ("error", "ignore")])
-    def test_partials_refuse_an_overflowing_r2g_before_the_sums(self, action, other):
+    @pytest.mark.parametrize("action, other", [("ignore", "error"), ("error", "ignore"), ("raise", "ignore")])
+    def test_partials_refuse_the_grids_zero_before_an_overflowing_r2g(self, action, other):
         # at r = 1e250 r^{2 gamma} = r**1.5 overflows where q (beta = 0) is
-        # finite; it is refused before the sums of its derivatives refuse the
-        # grid's 0 as singular, whichever filter formed or kept r**1.5
+        # finite; the sums of its derivatives refuse the grid's 0 as singular
+        # before the result check could refuse the overflow, whichever
+        # error mode formed or kept r**1.5
         p = ModelParams(0.00315, 0.0, 0.0894, 0.75)
         r = np.r_[np.linspace(0.0, 0.15, 1500), 1e250]
         _Powers._kept.cache_clear()
         for mode in (other, other, action, action):  # the grid is kept from its second call
-            with warnings.catch_warnings():
-                warnings.simplefilter(mode)
-                with pytest.raises(ValidationError, match=r"^cw_partials: out of float range at tau=1\.0$"):
+            with error_mode(mode):
+                with pytest.raises(DomainError, match=r"^cw_partials: singular as r -> 0"):
                     cw_partials(p, 1.0, r)
-                with pytest.raises(ValidationError, match=r"^pde_residual: out of float range at tau=1\.0$"):
+                with pytest.raises(DomainError, match=r"^pde_residual: singular as r -> 0"):
                     pde_residual(cw_partials, p, 1.0, r)
 
     @pytest.mark.parametrize("under", ["raise", "warn"])
@@ -348,18 +360,15 @@ class TestInputGuards:
         scalar = cw_log_price(ModelParams(0.00315, -0.0555, 0.0894, 0.5), 1.0, 5e-324)
         assert np.frombuffer(calls[0]().tobytes()).tolist() == [scalar] == [-0.001545247529501971]
 
-    @pytest.mark.parametrize("mode", ["ignore", "error", "raise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("r", [0.0, np.array([0.0])], ids=["scalar", "array"])
     def test_infinite_coefficient_times_zero_power_leaves_the_domain_check(self, mode, r):
         # sigma^2 is finite but q''s first table has an infinite coefficient,
         # whose product with r^2.5 = 0 is NaN; as for a scalar's Python floats,
         # no NumPy warning refuses it before q'''s sum refuses r = 0
         p = ModelParams(0.00315, -0.0555, 5e153, 1.375)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error" if mode == "error" else "ignore")
-            with np.errstate(all="raise") if mode == "raise" else np.errstate():
-                with pytest.raises(DomainError, match=r"^cw_partials: singular as r -> 0"):
-                    cw_partials(p, 0.0, r)
+        with error_mode(mode), pytest.raises(DomainError, match=r"^cw_partials: singular as r -> 0"):
+            cw_partials(p, 0.0, r)
 
     @pytest.mark.parametrize("fn, gamma", [(cw_partials, 0.75), (vasicek_partials, 0.0)])
     def test_partials_overflow_is_typed(self, params, fn, gamma):
@@ -402,20 +411,19 @@ class TestInputGuards:
         with pytest.raises(ValidationError, match=rf"^{fn.__name__}: out of float range$"):
             fn(p, 0.05)
 
-    @pytest.mark.parametrize("action", ["ignore", "error"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("sigma, gamma, tau, r", [
         (0.0894, 0.75, 1e308, 1e-7),
         (1e100, 0.75, 1.0, 1e-7),
         (1e100, 1.32, 0.25, np.linspace(0.0, 0.15, 101)),
     ])
-    def test_nested_result_is_checked_before_the_next_term(self, action, sigma, gamma, tau, r):
-        # the cw term is not finite and the c5 term would refuse r < R_FLOOR;
-        # NumPy's warning raised as an error refuses the cw term, so its
-        # result is checked before c5 runs when the warning is ignored too
+    def test_a_terms_rate_check_comes_before_the_result_check(self, mode, sigma, gamma, tau, r):
+        # the cw term is not finite and the c5 or c6 term refuses
+        # r < R_FLOOR: the term's rate check, where its sum meets the rate,
+        # comes before the call's one result check, in every error mode
         p = ModelParams(0.00315, -0.0555, sigma, gamma)
-        with warnings.catch_warnings():
-            warnings.simplefilter(action)
-            with pytest.raises(ValidationError, match=r"^improved_log_price: out of float range at tau="):
+        with error_mode(mode):
+            with pytest.raises(DomainError, match=r"^improved_log_price: singular as r -> 0"):
                 improved_log_price(p, tau, r)
 
     def test_nested_overflow_names_the_outer_call(self):
@@ -431,11 +439,16 @@ class TestInputGuards:
                              ids=lambda v: getattr(v, "__name__", repr(v)))
     def test_overflowing_sigma_squared_is_typed(self, fn, gamma):
         # sigma * sigma rounds to inf without an OverflowError; the NaN that
-        # follows, or its RuntimeWarning under -W error, is refused by name
+        # follows is refused by name in every error mode, unless a sum of
+        # cw_partials refuses the array's 0 first
         p = ModelParams(0.00315, -0.0555, 1e160, gamma)
         for r in (0.05, np.array([0.0, 0.05, 0.15])):
-            with pytest.raises(ValidationError, match=rf"^{fn.__name__}: out of float range at tau=1\.0$"):
-                fn(p, 1.0, r)
+            singular = fn is cw_partials and np.ndim(r)
+            want, match = (DomainError, "singular as r -> 0") if singular else \
+                (ValidationError, r"out of float range at tau=1\.0$")
+            for mode in MODES:
+                with error_mode(mode), pytest.raises(want, match=rf"^{fn.__name__}: {match}"):
+                    fn(p, 1.0, r)
 
     @pytest.mark.parametrize("fn", [cw_log_price, improved_log_price, cw_partials],
                              ids=lambda fn: fn.__name__)

@@ -11,8 +11,9 @@ parameter sets' monomial tables included (value bits, type, shape and
 writeable flag, or refusal type and message), also when the store was filled
 under another mode: a value kept while warnings are ignored must not let a
 call pass that ``-W error`` refuses, nor the other way round.  A warm
-improved curve checks cw's value only where it makes a term, so a kept bundle
-met at a maturity where cw overflows must still give the cold refusal.
+improved curve makes no term, so it skips the terms' rate checks, which
+pass on a grid whose bundle was kept; a kept bundle met at a maturity where
+cw overflows must still give the cold refusal.
 
 ``_parity_sweep.py`` writes the same kind of record for a whole tree, to
 compare two trees.
@@ -196,8 +197,8 @@ def test_a_calibration_loop_gives_the_cold_outcome(gamma, form):
 def test_a_bundle_kept_at_another_maturity_gives_the_cold_refusal(gamma, tau, action):
     # at beta = 2, cw's brackets overflow at these maturities: B^2 as a
     # Python float (silently) at 354, np.expm1 at 400.  The bundle kept at
-    # tau = 1 makes the warm call skip c5 and c6 and with them cw's own
-    # check: the call's one result check must refuse it with the cold
+    # tau = 1 makes the warm call skip c5 and c6 and with them their rate
+    # checks: the call's one result check must refuse it with the cold
     # call's type and message, and with default filters (``always``
     # counts every warning) the same warnings
     p, r = ModelParams(0.00315, 2.0, 0.0894, gamma), FLOOR_GRID
@@ -223,20 +224,40 @@ def test_a_bundle_kept_at_another_maturity_gives_the_cold_refusal(gamma, tau, ac
     assert outcome() == cold
 
 
+@pytest.mark.parametrize("action", ["ignore", "error", "raise"])
+def test_the_store_keeps_only_finite_values(action):
+    # on admitted grids, terms that overflow: q at sigma 1e160, c5 and c6 at
+    # sigma 1e100, and cw's brackets at tau 1e52 (next to calls that pass,
+    # whose bundles are kept); no term is checked as it is made, so a call
+    # keeps its new terms only once its result passed its check
+    params = [ModelParams(0.00315, -0.0555, sigma, gamma)
+              for sigma, gamma in ((0.0894, 0.75), (1e160, 0.75), (1e100, 0.75), (1e100, 1.32), (0.0894, 1.32))]
+    bundles = 0
+    _Powers._kept.cache_clear()
+    for p in params:
+        for tau in (1.0, 1e52):
+            for r in (_grid(), FLOOR_GRID):
+                for fn in (cw_log_price, cw_partials, improved_log_price):
+                    for _ in range(3):  # cold, sight and keep, then warm
+                        _outcome(lambda: fn(p, tau, r), action)
+                        assert all(np.isfinite(v).all() for _, v in _kept())
+                        bundles = max(bundles, sum(type(key) is bytes for key, _ in _kept()))
+    assert bundles >= 2
+
+
 @pytest.mark.parametrize("gamma", [0.75, 1.32])
-def test_a_warm_improved_curve_checks_its_value_once(monkeypatch, gamma):
-    # a call that makes c5 or c6 checks cw's value before it makes them, and
-    # its result; a bundle hit makes no term, so no domain check can run
-    # between cw's value and the result, and the result check is the one pass
+def test_an_improved_curve_checks_its_value_once(monkeypatch, gamma):
+    # no term is checked as it is made, cold or warm: the call's result
+    # check is the one finiteness pass
     checked = []
     result = _Powers.result
     monkeypatch.setattr(_Powers, "result", lambda table, out: checked.append(out) or result(table, out))
     p = ModelParams(0.00315, -0.0555, 0.0894, gamma)
     _Powers._kept.cache_clear()
-    for n, tau in enumerate((1.0, 2.0, 3.0, 4.0)):  # sight and keep make the terms, then two hits
+    for tau in (1.0, 2.0, 3.0, 4.0):  # sight and keep make the terms, then two hits
         checked.clear()
         out = improved_log_price(p, tau, FLOOR_GRID)
-        assert sum(v is out for v in checked) == (2 if n < 2 else 1)
+        assert len(checked) == 1 and checked[0] is out
 
 
 @pytest.mark.parametrize("gamma", [0.75, 1.32])

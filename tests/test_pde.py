@@ -325,6 +325,16 @@ class TestSolutionExport:
         sol.to_csv(buf)
         assert buf.getvalue() == PDE_CSV_VASICEK
 
+    def test_numpy_float_config_writes_the_python_floats_bytes(self, params):
+        # the config line writes r_max and t_final as Python floats, as the
+        # params line writes the parameters, not as ``np.float64(0.5)``
+        out = []
+        for r_max, t_final in ((0.5, 1.0), (np.float64(0.5), np.float64(1.0))):
+            buf = io.StringIO()
+            solve(params, PdeConfig(r_max=r_max, t_final=t_final, n_space=11, n_time=10), [1.0]).to_csv(buf)
+            out.append(buf.getvalue())
+        assert out[1] == out[0] and "# config: r_max=0.5 n_space=11 n_time=10 t_final=1.0 " in out[0]
+
     def test_csv_layout(self, params, tmp_path):
         sol = solve(params, PdeConfig(n_space=11, n_time=8, t_final=1.0), [0.5, 1.0])
         path = tmp_path / "pde.csv"

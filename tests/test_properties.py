@@ -7,8 +7,9 @@ finite values or raise a ``BondkitError``, and every pricer prices par at
 zero maturity.  Each example draws NumPy's error mode (warnings ignored,
 raised as errors as ``-W error`` does, or floating-point errors raised by
 ``np.errstate(all="raise")``) and whether the rate is a scalar or a
-one-element array too, which must give the scalar's outcome in every mode:
-NumPy's underflow never decides one."""
+one-element array too, which must give the scalar's outcome; and in every
+mode a call must give its outcome with NumPy's warnings ignored: no NumPy
+flag decides one."""
 
 import contextlib
 import math
@@ -70,14 +71,16 @@ def _floats(out):
 def attempt(fn, p, tau, r, mode="ignore", form="scalar"):
     """fn's value as Python floats, or None if a typed error refused the
     input, for the rate and, if ``form`` is "array", for the rate as a
-    one-element array: the two give one outcome in every error mode."""
+    one-element array, in ``mode`` and with warnings ignored: all give one
+    outcome."""
     outcomes = []
     for rate in (r, np.array([r])) if form == "array" else (r,):
-        with error_mode(mode):
-            try:
-                outcomes.append((None, _floats(fn(validate_params(p), tau, rate))))
-            except BondkitError as e:
-                outcomes.append((type(e), str(e)))
+        for m in (mode, "ignore"):
+            with error_mode(m):
+                try:
+                    outcomes.append((None, _floats(fn(validate_params(p), tau, rate))))
+                except BondkitError as e:
+                    outcomes.append((type(e), str(e)))
     assert len(set(map(repr, outcomes))) == 1, outcomes
     refused, value = outcomes[-1]
     return None if refused else value
