@@ -291,7 +291,7 @@ def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
     meta = {
         "params": _params_text(p, _KEYS[:3]),
         "norm_interval": f"[0, {grid.r_max!r}] on the solver grid",
-        "solver_grid": f"n_space={cfg.n_space} n_time={cfg.n_time} r_max={cfg.r_max!r}",
+        "solver_grid": f"n_space={cfg.n_space} n_time={cfg.n_time} r_max={float(cfg.r_max)!r}",
         "comparison": "cw vs PDE solution (log prices)",
         "note": (
             "reference L2 values for this table are ~sqrt(2) above the trapezoid "

@@ -53,7 +53,7 @@ Numerical notes
 * A scalar rate is priced on Python floats with the bits of the same
   rate's element of a curve: each power is NumPy's (Python's ``**``
   differs in the last bit for some rates), but x**2, x**0.5 and x**-1 for
-  x in [R_FLOOR, 1] are x * x, math.sqrt(x) and 1.0 / x, the IEEE
+  a positive finite x are x * x, math.sqrt(x) and 1.0 / x, the IEEE
   operations NumPy runs for them.  A point runs each term's body once on
   its table; each monomial table is kept in p's record with its
   prefactor, so a sum is one frame.  :class:`_Kept` describes what
@@ -207,12 +207,11 @@ class _Kept:
     result's bits): the last PARAMS sets keep a record under their bits, a
     few KiB of monomial tables and their prefactors (:meth:`_Powers.sum`),
     keyed (terms, n, d), and, under each function's name, the batch of its
-    scalar calls with a rate in the window R_FLOOR <= x <= 1: the generic
-    exponents (|e| <= _Powers.BATCH_EXP) they formed after reading the
-    record.  A later call forms them in one np.power, whose every element
-    has the bits of that power formed alone and raises no floating-point
-    flag on the window's rates (0.5 is never batched: NumPy's power of 0.5
-    differs from its sqrt in the last bit).
+    calls at a positive finite scalar rate: the generic exponents they
+    formed after reading the record.  A later call forms them in one
+    np.power, whose every element has the bits of that power formed alone
+    (0.5 is never batched: NumPy's power of 0.5 differs from its sqrt in
+    the last bit).
 
     Each map is a plain dict: a lookup only reads it (a dict call is atomic
     under the GIL), an update takes the lock, and a full map drops its
@@ -290,10 +289,6 @@ class _Powers(dict):
 
     _kept = _Kept()
 
-    #: The largest |exponent| a batch may hold: its powers of the window's
-    #: rates lie in [1e-300, 1e300], so none raises a floating-point flag.
-    BATCH_EXP = 50.0
-
     def __init__(self, r, what: str, p=None, tau=None):
         if tau is not None:
             _check_maturity(tau)
@@ -308,7 +303,7 @@ class _Powers(dict):
                 return
         self.arr, self.scalar = r, True  # a Python float until a power needs its 0-d array
         x = self[1.0] = self._low = float(r)
-        self._x, self._batch = (x if R_FLOOR <= x <= 1 else None), None  # x in the window; see record
+        self._x, self._batch = (x if 0 < x < math.inf else None), None  # see __missing__
 
     def _out_of_range(self):
         at = "" if self._tau is None else f" at tau={self._tau!r}"
@@ -321,12 +316,12 @@ class _Powers(dict):
         return self._bits
 
     def record(self):
-        """p's record; a scalar in the window then forms its batch (see
+        """p's record; a positive finite scalar then forms its batch (see
         :class:`_Kept`) in one NumPy call.  A call that reads no table
         (cw_log_price, q_factor) has none."""
         if self._record is None:
             record = self._record = self._kept.record(self.bits())
-            if self._x is not None:  # a scalar in the window
+            if self._x is not None:  # a positive finite scalar
                 exps, arr = batch = self._batch = record.get(self.what) or record.setdefault(self.what, [[], None])
                 if len(exps) >= 2:
                     if arr is None or len(arr) != len(exps):  # exponents were added
@@ -350,8 +345,9 @@ class _Powers(dict):
 
     def __missing__(self, pw):
         """arr**pw, formed on first use (1.0 for pw = 0; the table holds the
-        rates themselves under 1: no caller may write into either); off the
-        window a scalar's power is its 0-d array's, so a refusal is an array's."""
+        rates themselves under 1: no caller may write into either).  A scalar
+        rate that is zero, negative, NaN or inf takes its 0-d array's power,
+        as Python raises for some of them (math.sqrt(-0.1)) where NumPy does not."""
         if pw == 0.0:
             out = 1.0
         elif self.scalar:
@@ -366,7 +362,7 @@ class _Powers(dict):
                 out = 1.0 / x
             else:  # a generic power, formed alone; see record
                 batch = self._batch
-                if batch is not None and -self.BATCH_EXP <= pw <= self.BATCH_EXP and pw not in batch[0]:
+                if batch is not None and pw not in batch[0]:
                     batch[0].append(pw)
                 arr = self.arr
                 if type(arr) is float:  # a Python float rate's 0-d array, made once
@@ -381,13 +377,13 @@ class _Powers(dict):
         self[pw] = out
         return out
 
-    #: Forms a scalar's generic powers in the window, (rate or its 0-d array,
+    #: Forms a positive finite scalar's generic powers, (rate or its 0-d array,
     #: exponent or array of them), each element with the bits of the 0-d power.
     _power = staticmethod(np.power)
 
     def term(self, make):
         """The tau-free term ``make(p, table)`` (q, c5 or c6) of cw,
-        cw_partials, improved or c6, held in the table under ``make``: an
+        cw_partials or improved, held in the table under ``make``: an
         admitted array's from the bundle its entries brought, else made (and
         kept once the call's result passes, :func:`_call`)."""
         if self.scalar:  # never kept
@@ -681,16 +677,10 @@ def c6(p: ModelParams, r):
 
     and evaluated as one sum over that polynomial's table, made once per
     parameter set (:func:`_c6_terms`): it refuses the rates its parts
-    refuse.
-
-    A lone call on rates (its table has not resolved its entries) returns a
-    copy of the term improved_log_price reads, this body's, kept for a
-    repeated array.
+    refuse.  improved_log_price runs this body as its c6 term.
     """
     if p.gamma == 0:
         return r.zero()
-    if not r.scalar and r._entries is None:
-        return r.term(c6.__wrapped__).copy()
     r.check()  # the rate enters the recurrence even where every monomial vanishes
     return r.sum(_c6_terms, None)
 

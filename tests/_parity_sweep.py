@@ -8,11 +8,11 @@ comparing two source trees value bit for value bit and refusal for refusal.
 SRC is the directory that holds the ``bondkit`` package (a tree's ``src``).
 Each case is a public pricer, partials or coefficient function, or
 ``pde_residual`` with a partials, at a parameter set, a maturity and a rate
-input (scalars, NaN and negative rates, 1501-node grids from 0 and from
-1e-6, and grids with one NaN or negative rate).  It is called in each error
-mode, with NumPy's warnings ignored (``ignore``), raised as errors
-(``error``) or with ``np.errstate(all="raise")`` (``raise``), from each store
-state:
+input (scalar rates of 0, of 5e-324 to 1e30 and of inf, NaN and negative
+ones, 1501-node grids from 0 and from 1e-6, and grids with one NaN or
+negative rate).  It is called in each error mode, with NumPy's warnings
+ignored (``ignore``), raised as errors (``error``) or with
+``np.errstate(all="raise")`` (``raise``), from each store state:
 
 * ``cold``: an empty store;
 * ``warm``: after the same call twice (the first sights an array, the
@@ -64,7 +64,8 @@ def _cases(bk, np):
             r[700] = bad
         return r
 
-    rates = {"0.05": 0.05, "nan": float("nan"), "-0.01": -0.01, "grid0": grid(), "grid1e-6": grid(1e-6),
+    rates = {**{name: float(name) for name in ("0.05", "0.0", "5e-324", "1e-12", "2.0", "1e30", "inf", "nan")},
+             "-0.01": -0.01, "grid0": grid(), "grid1e-6": grid(1e-6),
              "grid+nan": grid(bad=np.nan), "grid+neg": grid(bad=-0.01)}
     tau_free = (bk.q_factor, bk.k4, bk.k5, bk.c5, bk.c5_derivatives, bk.c6)
     with_tau = (bk.cw_log_price, bk.cw_partials, bk.improved_log_price, bk.vasicek_log_price,

@@ -290,6 +290,16 @@ class TestTables:
         assert main(["table", "--table", "3", "--nspace", "41", "--ntime", "40", "--out", str(path)]) == 0
         assert path.read_text() == T3_SMALL_CSV
 
+    def test_table3_numpy_float_r_max_writes_the_float(self, params):
+        # the solver_grid line writes r_max as a float, not as ``np.float64(0.5)``
+        texts = []
+        for r_max in (0.5, np.float64(0.5)):
+            sols, ests = compute_table3_solutions(params, PdeConfig(n_space=41, n_time=20, r_max=r_max))
+            buf = io.StringIO()
+            build_table("T3", params, pde_solutions=sols, error_estimates=ests).to_csv(buf)
+            texts.append(buf.getvalue())
+        assert texts[1] == texts[0] and "r_max=0.5\n" in texts[0]
+
     def test_csv_stamp_only_when_requested(self, params):
         buf = io.StringIO()
         build_table("T2", params).to_csv(buf, stamp="2024-01-01T00:00:00")

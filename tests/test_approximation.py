@@ -580,11 +580,6 @@ def log_reads(r, reads):
     arrays[slot] = data, rates, _ReadLog(entries, reads)
 
 
-def bundle_names(bundle):
-    """The names of a bundle's values: each term by its body's name, r^{2 gamma} by its exponent."""
-    return sorted(getattr(key, "__name__", f"r**{key}") for key in bundle)
-
-
 def kept_entries(r):
     """The entries _Powers._kept holds for the rates ``r``, or None."""
     for data, rates, entries in _Powers._kept._arrays.values():
@@ -744,7 +739,7 @@ class TestKeptPowers:
 
 
 class TestKeptResults:
-    """The tau-free terms (q, c5 and c6) cw, improved and c6 take from their
+    """The tau-free terms (q, c5 and c6) cw and improved take from their
     one bundle in _Powers._kept for a repeated rate array give a fresh
     call's bits, are read-only and are never handed out."""
 
@@ -779,6 +774,7 @@ class TestKeptResults:
             improved_log_price(p, 1.0, r)
         bundles = [v for key, v in kept_entries(r).items() if type(key) is bytes]
         assert len(bundles) == 1  # one bundle, under p's bits
+        # lone calls on the admitted grid sum their own tables, with the bundle's bits
         want = {"q_factor": q_factor(p, r), "c5": c5(p, r), "c6": c6(p, r)}
         bundle = dict(bundles[0])
         r2g = kept_entries(r)[2 * 1.32]  # r^{2 gamma} is a kept power, which the bundle holds too
@@ -846,36 +842,6 @@ class TestKeptResults:
             assert not any(np.shares_memory(out, v) for v in kept_arrays())
         # a refusal keeps no bundle
         assert (want[0][0] is np.ndarray) == any(type(key) is bytes for key in kept_entries(r) or ())
-
-    def test_a_warm_c6_reads_the_bundle_improved_reads(self, monkeypatch, params):
-        # a lone c6 keeps its value in the grid's bundle under p's bits,
-        # where improved_log_price finds it and adds q and c5: from the third
-        # call on c6 forms no power, runs no monomial sum and returns a new
-        # writable array with a fresh call's bits
-        p, r = params.with_gamma(1.32), self.GRIDS["floor"]
-        kept = _Powers._kept
-        kept.cache_clear()
-        want, improved = c6(p, r).tobytes(), improved_log_price(p, 1.0, r).tobytes()
-        kept.cache_clear()
-        looked, sums = [], []
-        missing, total = _Powers.__missing__, _Powers.sum
-        monkeypatch.setattr(_Powers, "__missing__", lambda table, pw: looked.append(pw) or missing(table, pw))
-        monkeypatch.setattr(_Powers, "sum", lambda table, *args: sums.append(args) or total(table, *args))
-        for n in range(5):
-            looked.clear()
-            sums.clear()
-            out = c6(p, r)
-            assert out.tobytes() == want and out.flags.writeable
-            assert not any(np.shares_memory(out, v) for v in kept_arrays())
-            assert (looked == sums == []) == (n >= 2)
-        (bundle,) = [v for key, v in kept_entries(r).items() if type(key) is bytes]
-        assert bundle_names(bundle) == ["c6", "r**2.64"]
-        assert improved_log_price(p, 1.0, r).tobytes() == improved
-        assert bundle_names(bundle) == ["c6", "r**2.64"]  # a bundle is replaced, not changed
-        (bundle,) = [v for key, v in kept_entries(r).items() if type(key) is bytes]
-        assert bundle_names(bundle) == ["c5", "c6", "q_factor", "r**2.64"]
-        sums.clear()
-        assert c6(p, r).tobytes() == want and not sums
 
     def test_numpy_float_parameters_read_the_bundle(self, monkeypatch, params):
         # np.float64 parameters key the store by their bits: from the third

@@ -64,7 +64,7 @@ def _grid(low=0.0, bad=None):
 
 RATES = (0.05, float("nan"), -0.01, _grid(), _grid(1e-6), _grid(bad=np.nan), _grid(bad=-0.01))
 #: The functions that keep tau-free terms for a repeated rate array.
-BUNDLED = ("cw_log_price", "cw_partials", "improved_log_price", "c6")
+BUNDLED = ("cw_log_price", "cw_partials", "improved_log_price")
 
 
 def _calls(params):

@@ -1,12 +1,13 @@
 """A scalar rate's powers: exact forms and one batched NumPy call.
 
-For a rate x in [R_FLOOR, 1], ``_Powers`` takes x**2, x**0.5 and x**-1 as
+For a positive finite rate x, ``_Powers`` takes x**2, x**0.5 and x**-1 as
 x * x, math.sqrt(x) and 1.0 / x, and forms the other (generic) powers a
 call needs after reading its parameters' record in one ``np.power`` call
 over the exponents its function formed there before (``_Powers.record``).
 These tests pin the premises that make this bit-identical to forming each
-power alone, check that a scalar call at and around the window's edges
-still gives what a one-element array gives, and check the kept batches.
+power alone, check that a scalar call at edge rates (the ends of the
+positive floats, R_FLOOR, 1, zero, inf, NaN and a negative rate) gives
+what a one-element array gives, and check the kept batches.
 """
 
 import math
@@ -59,53 +60,58 @@ def _bits(v):
 
 class TestPremises:
     """What NumPy must give for the batch and the exact forms to keep every
-    bit: a seeded sweep of the window's rates, its ends included."""
+    bit: a seeded sweep of the positive finite floats, their ends included.
+    Powers that overflow or underflow raise NumPy flags, which decide no
+    outcome (``_call``), so only their bits are compared."""
 
-    GAMMAS = (0.25, 0.5, 0.75, 1.0, 1.32, 2.0)
+    GAMMAS = (0.25, 0.5, 0.75, 1.0, 1.32, 2.0, 20.0)
 
     @staticmethod
     def rates():
         rng = np.random.default_rng(20080221)
-        logs = 10.0 ** rng.uniform(-6.0, 0.0, 300)
-        flat = rng.uniform(R_FLOOR, 1.0, 100)
-        return [R_FLOOR, math.nextafter(R_FLOOR, 1.0), math.nextafter(1.0, 0.0), 1.0,
-                *map(float, logs), *map(float, flat)]
+        logs = np.exp(rng.uniform(math.log(5e-324), math.log(sys.float_info.max), 400))
+        return [5e-324, sys.float_info.min, 1e-300, R_FLOOR, math.nextafter(R_FLOOR, 1.0),
+                math.nextafter(1.0, 0.0), 1.0, 2.0, 1e300, sys.float_info.max,
+                *(x for x in map(float, logs) if 0 < x < math.inf)]
 
     @pytest.mark.parametrize("g", GAMMAS)
     def test_one_power_call_gives_each_zero_d_power(self, g):
         exps = [e for e in _exponents(g) if e not in (0.0, 1.0, 2.0, 0.5, -1.0)]
         arr = np.array(exps)
-        for x in self.rates():
-            got = np.power(x, arr).tolist()
-            want = [float(np.asarray(x)**e) for e in exps]
-            assert list(map(_bits, got)) == list(map(_bits, want)), (x, g)
+        with np.errstate(all="ignore"):
+            for x in self.rates():
+                got = np.power(x, arr).tolist()
+                want = [float(np.asarray(x)**e) for e in exps]
+                assert list(map(_bits, got)) == list(map(_bits, want)), (x, g)
 
     def test_an_element_does_not_depend_on_its_position(self):
         # 0.5 is never batched: for one exponent NumPy runs sqrt for it, and
         # in an array its power loop, which differs from sqrt in the last
         # bit for some rates; here it only has to keep its bits when moved
         exps = [e for e in _exponents(1.32) if e not in (0.0, 1.0)] + [0.5]
-        for x in self.rates()[::7]:
-            first = dict(zip(exps, np.power(x, np.array(exps)).tolist()))
-            for shift in range(1, len(exps)):
-                moved = exps[shift:] + exps[:shift]
-                got = dict(zip(moved, np.power(x, np.array(moved)).tolist()))
-                assert {e: _bits(v) for e, v in got.items()} == {e: _bits(v) for e, v in first.items()}, x
+        with np.errstate(all="ignore"):
+            for x in self.rates()[::7]:
+                first = dict(zip(exps, np.power(x, np.array(exps)).tolist()))
+                for shift in range(1, len(exps)):
+                    moved = exps[shift:] + exps[:shift]
+                    got = dict(zip(moved, np.power(x, np.array(moved)).tolist()))
+                    assert {e: _bits(v) for e, v in got.items()} == {e: _bits(v) for e, v in first.items()}, x
 
     def test_exact_forms_are_numpys_fast_paths(self):
-        for x in self.rates():
-            a = np.asarray(x)
-            assert _bits(x * x) == _bits(a**2)
-            assert _bits(math.sqrt(x)) == _bits(a**0.5)
-            assert _bits(1.0 / x) == _bits(a**-1)
+        with np.errstate(all="ignore"):
+            for x in self.rates():
+                a = np.asarray(x)
+                assert _bits(x * x) == _bits(a**2)
+                assert _bits(math.sqrt(x)) == _bits(a**0.5)
+                assert _bits(1.0 / x) == _bits(a**-1)
 
 
 TAU_FREE = (q_factor, k4, k5, c5, c5_derivatives, c6)
 WITH_TAU = (cw_log_price, cw_partials, improved_log_price, vasicek_log_price, vasicek_partials,
             cir_log_price, cir_partials)
-GAMMAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.32, 2.0, 20.0)  # gamma = 20 has exponents past the bound
-EDGE_RATES = (0.0, 5e-7, math.nextafter(R_FLOOR, 0.0), R_FLOOR, 0.5, 1.0, math.nextafter(1.0, 2.0), 2.0,
-              1e200, math.inf, math.nan, -1e-9)
+GAMMAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.32, 2.0, 20.0)  # gamma = 20 has exponents past 50
+EDGE_RATES = (0.0, 5e-324, 5e-7, math.nextafter(R_FLOOR, 0.0), R_FLOOR, 0.5, 1.0, math.nextafter(1.0, 2.0),
+              2.0, 1e200, 1e300, math.inf, math.nan, -1e-9)
 
 
 def _edge_calls():
@@ -138,13 +144,13 @@ def _outcome(call, r, mode):
 
 
 @pytest.mark.parametrize("mode", ["ignore", "error", "raise"])
-def test_window_edges_give_the_one_element_array_outcome(mode):
+def test_edge_rates_give_the_one_element_array_outcome(mode):
     for label, call in EDGE_CALLS:
         for r in EDGE_RATES:
             _Powers._kept.cache_clear()
             want = _outcome(call, np.array([r]), mode)
             cold = _outcome(call, r, mode)
-            for w in (0.5, r, 0.5, r):  # learn a batch in the window, and at r
+            for w in (0.5, r, 0.5, r):  # learn a batch at 0.5, and at r
                 _outcome(call, w, "ignore")
             warm = _outcome(call, r, mode)
             assert cold == want and warm == want, (label, r)
@@ -216,13 +222,27 @@ class TestBatches:
             cw_log_price(self.P.with_gamma(g), 3.7, 0.0731)
         assert power_calls == [1] * n * 3 and not self.records()
 
-    def test_outside_the_window_nothing_is_batched(self, power_calls):
+    @pytest.mark.parametrize("mode", ["ignore", "error", "raise"])
+    @pytest.mark.parametrize("call, r", [
+        (lambda r: c5(P.with_gamma(1.32), r), 5e-7),  # improved's c6 needs R_FLOOR here
+        (lambda r: improved_log_price(P.with_gamma(1.32), 3.7, r), 2.0),
+        (lambda r: improved_log_price(P.with_gamma(1.32), 3.7, r), 1e30),
+        (lambda r: c6(P.with_gamma(20.0), r), 0.5),
+    ], ids=["c5-5e-7", "improved-2", "improved-1e30", "c6-gamma-20"])
+    def test_every_positive_finite_rate_batches_its_powers(self, power_calls, mode, call, r):
+        # off [R_FLOOR, 1], and with exponents past 50 (gamma = 20), a warm
+        # point forms its generic powers in one call and prices as a
+        # one-element array does
         _Powers._kept.cache_clear()
+        want = _outcome(call, np.array([r]), mode)
+        assert isinstance(want[0], str)  # priced
         for _ in range(2):
-            improved_log_price(self.P, 1.0, 2.0)
-            c5(self.P.with_gamma(1.0), 5e-7)
-        assert power_calls == [] and not any(exps for record in self.records().values()
-                                             for exps, _ in batches(record).values())
+            assert _outcome(call, r, mode) == want
+        ((exps, _),) = batches(*self.records().values()).values()
+        power_calls.clear()
+        assert _outcome(call, r, mode) == want
+        assert len(exps) >= 2 and power_calls == [len(exps)]
+        assert r != 0.5 or max(map(abs, exps)) > 50
 
     def test_batches_go_with_their_records(self):
         kept = _Powers._kept
@@ -235,14 +255,6 @@ class TestBatches:
         assert all(len(record["c5"][0]) >= 2 for record in self.records().values())
         kept.cache_clear()
         assert not self.records()
-
-    def test_exponents_past_the_bound_are_not_batched(self):
-        _Powers._kept.cache_clear()
-        for _ in range(3):
-            c6(self.P.with_gamma(20.0), 0.5)
-        (record,) = self.records().values()
-        exps, _ = record["c6"]
-        assert exps and all(abs(e) <= _Powers.BATCH_EXP for e in exps)
 
     def test_threads_give_the_serial_bits(self):
         # more parameter sets than the bound and more threads than cores,
