@@ -246,6 +246,8 @@ def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
     T3: both norms of (approximation - PDE solution) for each solved gamma;
         requires ``pde_solutions`` as a mapping gamma -> PdeSolution and
         accepts ``error_estimates`` as gamma -> {(tau, kind): estimate}.
+        A solution whose grid or companion grid cannot hold the norms is
+        refused (:func:`_table3_grids`).
         Its rows carry their own gamma, so the params line leaves gamma off.
     """
     tid = "T" + table_id.upper().lstrip("T")
@@ -278,6 +280,7 @@ def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
     rows = []
     for g in sorted(pde_solutions):
         sol = pde_solutions[g]
+        _table3_grids(sol.config)
         mask = _norm_mask(sol.rates)
         r_sub = sol.rates[mask]
         est = (error_estimates or {}).get(g, {})
@@ -300,6 +303,23 @@ def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
         ),
     }
     return Table("T3", cols, rows, meta)
+
+
+def _table3_grids(cfg: PdeConfig) -> list:
+    """The grids a table-3 desk grid ``cfg`` is solved on: ``cfg`` and, where
+    its nodes and steps halve, a half-resolution companion for a Richardson
+    error estimate.  Refused unless each reaches 0.15 and has two nodes in
+    the norm interval [0, 0.15]: one node has no L2 norm, and a shorter
+    grid would take the norms on part of the interval."""
+    cfgs = [cfg]
+    if (cfg.n_space - 1) % 2 == 0 and cfg.n_time % 4 == 0 and cfg.n_space >= 7:
+        cfgs.append(replace(cfg, n_space=(cfg.n_space - 1) // 2 + 1, n_time=cfg.n_time // 4))
+    for c in cfgs:
+        if c.r_max < DEFAULT_NORM_GRID.r_max or np.count_nonzero(_norm_mask(np.linspace(0.0, c.r_max, c.n_space))) < 2:
+            raise ValidationError(f"table 3 takes its norms on [0, 0.15], so a solve needs r_max >= 0.15 and two "
+                                  f"nodes there; the {'desk' if c is cfg else 'companion'} grid has "
+                                  f"r_max={float(c.r_max)!r}, n_space={c.n_space}")
+    return cfgs
 
 
 #: A table-3 grid with fewer nodes than this is solved on the calling
@@ -370,13 +390,14 @@ def _solve_all(p: ModelParams, jobs: list, start: list, shared: bool) -> list:
     in the order ``start`` lists their indices, from one shared iterator.
     A helper runs in a copy of the caller's context, so NumPy's error state
     is the caller's.  Each job is solved once, and its outcome, a solution
-    or an error, kept; read in job order, the first failing job raises its
-    error, the one the jobs raise when they run one after another.
+    or an error, kept in its future.  The caller waits for every future and
+    reads them in job order, so the first failing job raises its error, the
+    one the jobs raise when they run one after another.
     """
-    from concurrent.futures import Future  # only table 3 runs here
+    from concurrent.futures import Future, wait  # only table 3 runs here
 
     out = [Future() for _ in jobs]
-    todo, taking, helped = iter(start), threading.Lock(), threading.Semaphore(0)
+    todo, taking = iter(start), threading.Lock()
 
     def work():
         while True:
@@ -390,19 +411,11 @@ def _solve_all(p: ModelParams, jobs: list, start: list, shared: bool) -> list:
             except Exception as e:  # raised below, in job order
                 out[i].set_exception(e)
 
-    def assist():
-        try:
-            work()
-        finally:
-            helped.release()
-
     tasks, size = _Helpers.get(len(jobs))
-    helpers = min(size, len(jobs) - 1) if shared else 0
-    for _ in range(helpers):
-        tasks.put(functools.partial(contextvars.copy_context().run, assist))
+    for _ in range(min(size, len(jobs) - 1) if shared else 0):
+        tasks.put(functools.partial(contextvars.copy_context().run, work))
     work()
-    for _ in range(helpers):
-        helped.acquire()
+    wait(out)
     return [job.result() for job in out]
 
 
@@ -417,30 +430,26 @@ def compute_table3_solutions(p: ModelParams, cfg: PdeConfig | None = None, gamma
     for the life of the process, and all the desk solves start first.
     Every result is bit for bit the serial one, and the error raised is the
     one the serial order (each gamma's desk solve, then its companion)
-    meets first.
+    meets first.  A grid table 3 cannot take its norms on is refused before
+    any solve (:func:`_table3_grids`).
     """
-    cfg = cfg or PdeConfig()
-    cfgs = [cfg]
-    if (cfg.n_space - 1) % 2 == 0 and cfg.n_time % 4 == 0 and cfg.n_space >= 7:
-        cfgs.append(replace(cfg, n_space=(cfg.n_space - 1) // 2 + 1, n_time=cfg.n_time // 4))
+    cfgs = _table3_grids(cfg or PdeConfig())
     jobs = [(g, c) for g in gammas for c in cfgs]
     # the desk solves, the longest, start first
     start = sorted(range(len(jobs)), key=lambda i: i % len(cfgs))
-    solved = _solve_all(p, jobs, start, shared=cfg.n_space >= _SHARED_FROM_NODES)
+    solved = _solve_all(p, jobs, start, shared=cfgs[0].n_space >= _SHARED_FROM_NODES)
 
     solutions, estimates = {}, {}
     for i in range(0, len(jobs), len(cfgs)):
         g = jobs[i][0]
         sol = solutions[g] = solved[i]
-        if len(cfgs) == 1:
-            continue
-        comp = solved[i + 1]
-        fine, coarse = _norm_mask(sol.rates), _norm_mask(comp.rates)
-        est = estimates[g] = {}
-        for tau in sol.taus:
-            d = sol.log_price_at(tau)[fine][::2] - comp.log_price_at(tau)[coarse]
-            for kind in ("linf", "l2"):
-                est[(tau, kind)] = _norm(kind, d, comp.rates[coarse]) / 3.0
+        for comp in solved[i + 1:i + len(cfgs)]:  # its companion, if it has one
+            fine, coarse = _norm_mask(sol.rates), _norm_mask(comp.rates)
+            est = estimates[g] = {}
+            for tau in sol.taus:
+                d = sol.log_price_at(tau)[fine][::2] - comp.log_price_at(tau)[coarse]
+                for kind in ("linf", "l2"):
+                    est[(tau, kind)] = _norm(kind, d, comp.rates[coarse]) / 3.0
     return solutions, estimates
 
 

@@ -109,8 +109,11 @@ def _call(fn):
     every NumPy flag ignored: a call that raises a NumPy floating-point
     error, or a warning as an error, runs once more under
     ``np.errstate(all="ignore")``, as a scalar's Python floats ignore them.
-    Given a caller's table (pde_residual's ``partials``), it runs ``fn`` on
-    that table, whose call checks the result."""
+    The body gets the table's own parameters, ``p`` with any np.float64
+    field as a Python float, so the partials pde_residual's body hands its
+    table and parameters run on that table.  Given a caller's table, it
+    runs ``fn`` on that table, whose call checks the result; a table of
+    other parameters gets one of their own on the same rates."""
     sig = inspect.signature(fn)
     what, names = fn.__name__, list(sig.parameters)
     rates, n = "r" in names, len(names)
@@ -125,11 +128,11 @@ def _call(fn):
         if type(r) is _Powers:
             if args[ip] is not r.p:
                 r = _Powers(r.arr, r.what, args[ip], r._tau)
-            return fn(*args[:-1], r)
+            return fn(*args[:ip], r.p, *args[ip + 1:-1], r)
         pows = _Powers(r if rates else 0.0, what, None if ip is None else args[ip], None if at is None else args[at])
         try:  # (p, r) and (p, tau, r) bodies called by position: a star call costs a point 4-8 %
-            out = pows.result((fn(args[0], args[1], pows) if n == 3 else fn(args[0], pows) if n == 2
-                               else fn(*args[:-1], pows)) if rates else fn(*args))
+            out = pows.result((fn(pows.p, args[1], pows) if n == 3 else fn(pows.p, pows) if n == 2
+                               else fn(*args[:ip], pows.p, *args[ip + 1:-1], pows)) if rates else fn(*args))
         except (FloatingPointError, RuntimeWarning):
             if set(np.geterr().values()) != {"ignore"}:  # a NumPy flag: the call again without any
                 with np.errstate(all="ignore"):

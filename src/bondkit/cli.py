@@ -49,24 +49,36 @@ def _resolve_params(args) -> ModelParams:
 
 
 def _add_pde_flags(sub, tfinal: bool = True):
+    """The grid flags, each stored under the PdeConfig field it sets."""
     d = PdeConfig()
-    sub.add_argument("--nspace", type=int, default=d.n_space, help=f"spatial nodes (default {d.n_space})")
-    sub.add_argument("--ntime", type=int, default=d.n_time, help=f"time steps (default {d.n_time})")
-    sub.add_argument("--rmax", type=float, default=d.r_max, help=f"domain truncation (default {d.r_max})")
+    sub.add_argument("--nspace", type=int, dest="n_space", metavar="NSPACE",
+                     help=f"spatial nodes (default {d.n_space})")
+    sub.add_argument("--ntime", type=int, dest="n_time", metavar="NTIME", help=f"time steps (default {d.n_time})")
+    sub.add_argument("--rmax", type=float, dest="r_max", metavar="RMAX", help=f"domain truncation (default {d.r_max})")
     if tfinal:
-        sub.add_argument("--tfinal", type=float, default=None,
+        sub.add_argument("--tfinal", type=float, dest="t_final", metavar="TFINAL",
                          help=f"maturity horizon (default: largest requested tau, "
                               f"{d.t_final} if every tau is 0)")
+
+
+def _grid_flags(args) -> dict:
+    """The PdeConfig fields set by the grid flags given."""
+    return {k: v for k in ("n_space", "n_time", "r_max", "t_final") if (v := getattr(args, k, None)) is not None}
+
+
+def _refuse_grid_flags(args, what: str) -> None:
+    """Refuse the grid flags given to ``what``, which solves no PDE and would
+    ignore them, as ``table`` refuses ``--gamma``."""
+    if given := _grid_flags(args):
+        flags = ", ".join("--" + k.replace("_", "") for k in given)
+        raise ValidationError(f"{what} solves no PDE, so it takes no {flags}")
 
 
 def _pde_config(args, taus) -> PdeConfig:
     """The grid flags, solved to ``--tfinal`` if given, else to the largest of
     ``taus``, else (every maturity 0) to the default horizon."""
     _check_maturity(*taus)
-    t_final = getattr(args, "tfinal", None)
-    if t_final is None:
-        t_final = max(taus) or PdeConfig.t_final
-    return PdeConfig(r_max=args.rmax, n_space=args.nspace, n_time=args.ntime, t_final=t_final)
+    return PdeConfig(**{"t_final": max(taus) or PdeConfig.t_final, **_grid_flags(args)})
 
 
 def _stamp(args) -> str | None:
@@ -86,11 +98,13 @@ def _parse_taus(text: str) -> list:
 def cmd_price(args) -> int:
     p = _resolve_params(args)
     if args.method == "pde":
-        if not 0 <= args.rate <= args.rmax:
-            raise ValidationError(f"--method pde prices rates on its grid [0, {args.rmax}], got {args.rate}")
-        sol = solve(p, _pde_config(args, [args.tau]), [args.tau])
+        cfg = _pde_config(args, [args.tau])
+        if not 0 <= args.rate <= cfg.r_max:
+            raise ValidationError(f"--method pde prices rates on its grid [0, {cfg.r_max}], got {args.rate}")
+        sol = solve(p, cfg, [args.tau])
         lnp = float(np.interp(args.rate, sol.rates, sol.log_price_at(args.tau)))
     else:
+        _refuse_grid_flags(args, f"--method {args.method}")
         # the pricer refuses a non-finite lnP; no NumPy warning joins that line
         with np.errstate(over="ignore", invalid="ignore"):
             lnp = analysis.METHODS[args.method](p, args.tau, args.rate)
@@ -113,6 +127,7 @@ def cmd_table(args) -> int:
         solutions, estimates = analysis.compute_table3_solutions(p, cfg)
         table = analysis.build_table("T3", p, pde_solutions=solutions, error_estimates=estimates)
     else:
+        _refuse_grid_flags(args, f"table {args.table}")
         table = analysis.build_table(f"T{args.table}", p)
     if args.out:
         table.to_csv(args.out, stamp=_stamp(args))
@@ -174,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="generate benchmark tables 1-3",
         description="Tables 1-2 price at gamma = 1/2 and table 3 solves its own four gammas "
                     f"({', '.join(map(str, analysis.T3_GAMMAS))}) to tau = {max(analysis.T1_TAUS)}, "
-                    "so table takes no --gamma and no --tfinal; a --params file's gamma is not used.")
+                    "so table takes no --gamma and no --tfinal; a --params file's gamma is not used. "
+                    "Tables 1-2 solve no PDE and take no grid flag.")
     _add_model_flags(table, gamma=False)
     table.add_argument("--table", type=int, required=True, choices=(1, 2, 3))
     table.add_argument("--out", help="CSV output path")

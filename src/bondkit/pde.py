@@ -171,26 +171,6 @@ def _lapack():
     return lapack
 
 
-def _factor(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
-    """LU-factor the tridiagonal matrix with sub-, main and super-diagonals
-    (dl, d, du) by LAPACK ``dgttrf``.
-
-    Returns ``(lu, min_pivot, residual)``: the factors as ``dgttrs`` takes
-    them before its right-hand side, the smallest |U_ii|, and max |A x - 1|
-    of a probe solve with a right-hand side of ones.
-    """
-    lapack = _lapack()
-    *lu, info = lapack.dgttrf(dl, d, du)
-    min_pivot = float(np.min(np.abs(lu[1])))
-    if info > 0 or min_pivot < _PIVOT_FLOOR:
-        raise UnstableSolve(f"time-step matrix pivot {min_pivot} below {_PIVOT_FLOOR}")
-    x = lapack.dgttrs(*lu, np.ones(d.size), overwrite_b=True)[0]
-    res = d * x - 1.0
-    res[:-1] += du * x[1:]
-    res[1:] += dl * x[:-1]
-    return tuple(lu), min_pivot, float(np.max(np.abs(res)))
-
-
 def _spatial_operator(p: ModelParams, r: np.ndarray, dr: float):
     """Diagonals (lo, di, up) of L (interior + r_max row) plus the 3-point
     r=0 boundary row coefficients b0 for [P0, P1, P2]."""
@@ -222,9 +202,13 @@ def _stepper(lo, di, up, b0, h: float, implicit: bool):
     that only a march already blowing up reaches.  Either way the
     right-hand side only takes the row reduction of row 0.
 
-    Returns ``(step, min_pivot, residual)`` with ``step = (lu, mult, scale)``
-    as :func:`_march` takes it: the LU factors, the row-0 multiplier and the
-    right-hand side's factor (1 for backward Euler, 2 for Crank-Nicolson).
+    The reduced resolvent, with sub-, main and super-diagonals (sub, main,
+    sup), is LU-factored by LAPACK ``dgttrf``.  Returns ``(step, min_pivot,
+    residual)`` with ``step = (lu, mult, scale)`` as :func:`_march` takes
+    it: the factors as ``dgttrs`` takes them before its right-hand side, the
+    row-0 multiplier and the right-hand side's factor (1 for backward Euler,
+    2 for Crank-Nicolson); then the smallest |U_ii| and max |A x - 1| of a
+    probe solve with a right-hand side of ones.
     """
     c = h if implicit else 0.5 * h
     sub, main, sup = -c * lo[1:], 1.0 - c * di, -c * up[:-1]
@@ -233,8 +217,16 @@ def _stepper(lo, di, up, b0, h: float, implicit: bool):
     sup[0] = -c * b0[1] - mult * main[1]
     if not all(np.all(np.isfinite(a)) for a in (sub, main, sup)):
         raise UnstableSolve("non-finite time-step operator entries (parameter/grid overflow)")
-    lu, min_pivot, residual = _factor(sub, main, sup)
-    return (lu, mult, 1.0 if implicit else 2.0), min_pivot, residual
+    lapack = _lapack()
+    *lu, info = lapack.dgttrf(sub, main, sup)
+    min_pivot = float(np.min(np.abs(lu[1])))
+    if info > 0 or min_pivot < _PIVOT_FLOOR:
+        raise UnstableSolve(f"time-step matrix pivot {min_pivot} below {_PIVOT_FLOOR}")
+    x = lapack.dgttrs(*lu, np.ones(main.size), overwrite_b=True)[0]
+    res = main * x - 1.0
+    res[:-1] += sup * x[1:]
+    res[1:] += sub * x[:-1]
+    return (tuple(lu), mult, 1.0 if implicit else 2.0), min_pivot, float(np.max(np.abs(res)))
 
 
 def _march(step, P: np.ndarray, out: np.ndarray, n: int):

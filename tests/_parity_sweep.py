@@ -7,7 +7,8 @@ comparing two source trees value bit for value bit and refusal for refusal.
 
 SRC is the directory that holds the ``bondkit`` package (a tree's ``src``).
 Each case is a public pricer, partials or coefficient function, or
-``pde_residual`` with a partials, at a parameter set, a maturity and a rate
+``pde_residual`` with a partials, at a parameter set (Python floats, and
+one set each of np.float64 fields and of an int gamma), a maturity and a rate
 input (scalar rates of 0, of 5e-324 to 1e30 and of inf, NaN and negative
 ones, 1501-node grids from 0 and from 1e-6, and grids with one NaN or
 negative rate).  It is called in each error mode, with NumPy's warnings
@@ -57,6 +58,8 @@ def _cases(bk, np):
               for sigma, beta in ((0.0894, -0.0555), (1e100, -0.0555), (0.0894, 0.0), (0.0894, 2.0))
               for gamma in (0.0, 0.5, 0.75, 1.32)]
     params.append(P(0.00315, -0.0555, 1e160, 0.75))  # q, the first nested term, overflows
+    # fields that are not Python floats: NumPy scalars, and an integer gamma
+    params += [P(*map(np.float64, (0.00315, -0.0555, 0.0894, 0.75))), P(0.00315, -0.0555, 0.0894, 1)]
 
     def grid(low=0.0, bad=None):
         r = np.linspace(low, 0.15, 1501)

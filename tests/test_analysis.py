@@ -1,6 +1,7 @@
 import io
 import os
 import random
+import re
 import threading
 import time
 import weakref
@@ -311,6 +312,22 @@ class TestTables:
     def test_table3_requires_solutions(self, params):
         with pytest.raises(ValidationError, match=r"^table 3 needs PDE solutions"):
             build_table("T3", params)
+
+    @pytest.mark.parametrize("cfg, message", [
+        (PdeConfig(n_space=4, n_time=4), "the desk grid has r_max=0.5, n_space=4"),
+        (PdeConfig(r_max=0.1, n_space=11, n_time=8), "the desk grid has r_max=0.1, n_space=11"),
+        (PdeConfig(n_space=7, n_time=8), "the companion grid has r_max=0.5, n_space=4"),
+    ], ids=["one-node", "short", "companion"])
+    def test_table3_refuses_a_grid_without_two_norm_nodes(self, params, cfg, message):
+        # one node in [0, 0.15] has no L2 norm, and r_max < 0.15 leaves part
+        # of the interval out: refused before any solve, and by build_table
+        match = (r"^table 3 takes its norms on \[0, 0\.15\], so a solve needs r_max >= 0\.15 and two nodes "
+                 f"there; {re.escape(message)}$")
+        with pytest.raises(ValidationError, match=match):
+            compute_table3_solutions(params, cfg)
+        sols = {g: solve(params.with_gamma(g), cfg, T1_TAUS) for g in (0.5, 1.0)}
+        with pytest.raises(ValidationError, match=match):
+            build_table("T3", params, pde_solutions=sols)
 
     def test_table3_small_grid_structure(self, params):
         cfg = PdeConfig(n_space=201, n_time=80)

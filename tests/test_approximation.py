@@ -218,6 +218,26 @@ class TestPdeResidual:
         with pytest.raises(DomainError, match=r"^pde_residual: (negative or )?NaN rate$"):
             pde_residual(partials, p, 1.0, np.nan)
 
+    def test_one_table_for_every_parameter_type(self, params, monkeypatch):
+        # np.float64 and int fields get one table per call too: each body
+        # runs on the table's own parameters, with the Python floats' bits
+        built = []
+        init = _Powers.__init__
+        monkeypatch.setattr(_Powers, "__init__", lambda self, *args: built.append(args[1]) or init(self, *args))
+        p = params.with_gamma(1.0)
+        kinds = {"float": p, "np.float64": ModelParams(*map(np.float64, (p.alpha, p.beta, p.sigma, p.gamma))),
+                 "int": params.with_gamma(1)}
+        calls = [(pde_residual, lambda q, r: (cw_partials, q, 1.0, r)), (improved_log_price, lambda q, r: (q, 1.0, r)),
+                 (cw_partials, lambda q, r: (q, 1.0, r))]
+        for r in (0.05, np.linspace(1e-6, 0.15, 7)):
+            for fn, args in calls:
+                got = {}
+                for kind, q in kinds.items():
+                    built.clear()
+                    out = fn(*args(q, r))
+                    got[kind] = (built[:], [np.asarray(v).tobytes() for v in (out if type(out) is tuple else (out,))])
+                assert got["np.float64"] == got["int"] == got["float"] == ([fn.__name__], got["float"][1])
+
     @pytest.mark.parametrize("r", [0.05, np.linspace(1e-6, 0.15, 101)], ids=["scalar", "grid"])
     def test_partials_may_price_other_parameters_on_the_call_table(self, params, r):
         # partials that price another parameter set get a table of that set

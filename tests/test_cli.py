@@ -151,6 +151,14 @@ class TestPrice:
         _, out_cir, _ = run(capsys, "price", "--method", "cir", "--tau", "0.5", "--rate", "0.1")
         assert abs(lnp - parse_price(out_cir)[0]) < 1e-5
 
+    @pytest.mark.parametrize("flag, value", [("--nspace", "2"), ("--ntime", "0"), ("--rmax", "-1"),
+                                             ("--tfinal", "-3")])
+    @pytest.mark.parametrize("method", ["cw", "improved", "cir", "vasicek"])
+    def test_closed_form_refuses_grid_flags(self, capsys, method, flag, value):
+        # a closed-form price solves no PDE: a grid flag it would ignore is refused
+        code, out, err = run(capsys, "price", "--method", method, "--tau", "1", "--rate", "0.05", flag, value)
+        assert (code, out, err) == (2, "", f"error: --method {method} solves no PDE, so it takes no {flag}\n")
+
     def test_params_file(self, capsys, tmp_path):
         f = tmp_path / "p.txt"
         f.write_text("alpha = 0.00315\nbeta = -0.0555\nsigma = 0.0894\ngamma = 0.5\n")
@@ -232,6 +240,25 @@ class TestTable:
         out = capsys.readouterr()
         assert exc.value.code == 2 and out.out == ""
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
+
+    @pytest.mark.parametrize("flag, value", [("--nspace", "41"), ("--ntime", "40"), ("--rmax", "-1")])
+    @pytest.mark.parametrize("table", ["1", "2"])
+    def test_tables_1_2_refuse_grid_flags(self, capsys, tmp_path, table, flag, value):
+        # tables 1-2 solve no PDE: a grid flag they would ignore is refused
+        path = tmp_path / "t.csv"
+        code, out, err = run(capsys, "table", "--table", table, "--check", "--out", str(path), flag, value)
+        assert (code, out, err) == (2, "", f"error: table {table} solves no PDE, so it takes no {flag}\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [("--nspace", "4", "--ntime", "4"),
+                                      ("--rmax", "0.1", "--nspace", "11", "--ntime", "8"),
+                                      ("--nspace", "7", "--ntime", "8")], ids=["one-node", "short", "companion"])
+    def test_table3_refuses_a_grid_without_two_norm_nodes(self, capsys, tmp_path, argv):
+        # one node in [0, 0.15] has no L2 norm, and r_max < 0.15 leaves part of the interval out
+        path = tmp_path / "t3.csv"
+        code, out, err = run(capsys, "table", "--table", "3", "--out", str(path), *argv)
+        assert (code, out) == (2, "") and err.startswith("error: table 3 takes its norms on [0, 0.15]")
+        assert not path.exists()
 
     def test_help_names_the_table_gammas(self, capsys):
         with pytest.raises(SystemExit) as exc:

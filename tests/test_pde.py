@@ -14,7 +14,7 @@ from bondkit import (
     solve,
 )
 from bondkit.errors import GammaMismatch, UnstableSolve, ValidationError
-from bondkit.pde import _factor
+from bondkit.pde import _stepper
 
 # the exact bytes of ``solve(DEFAULT_PARAMS, PdeConfig(n_space=11, n_time=8,
 # t_final=1.0), [0.3, 1.0]).to_csv``: tau = 0.3 falls between time levels
@@ -294,15 +294,23 @@ def test_solver_bits_pinned(params, gamma):
 
 
 class TestThomasPivot:
-    # _factor takes the sub-, main and super-diagonals of the matrix
+    @staticmethod
+    def factor(sub, main, sup):
+        # a backward Euler step of h = 1 factors I - L; with no P2 entry in
+        # the r = 0 row (b0[2] = 0) that is the matrix with sub-, main and
+        # super-diagonals (sub, main, sup)
+        sub, main, sup = map(np.array, (sub, main, sup))
+        b0 = np.array([1.0 - main[0], -sup[0], 0.0])
+        return _stepper(np.r_[0.0, -sub], 1.0 - main, np.r_[-sup, 0.0], b0, 1.0, implicit=True)
+
     def test_detects_singular_matrix(self):
-        # rows [1 1 0; 1 1 0; 0 0 1]: second pivot is exactly zero
+        # rows [1 1 0; 1 1 1; 0 0 1]: second pivot is exactly zero
         with pytest.raises(UnstableSolve, match=r"^time-step matrix pivot 0.0 below 1e-300$"):
-            _factor(np.array([1.0, 0.0]), np.array([1.0, 1.0, 1.0]), np.array([1.0, 0.0]))
+            self.factor([1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0])
 
     def test_well_conditioned(self):
-        _, min_pivot, residual = _factor(np.array([-0.1, -0.1]), np.array([2.0, 2.0, 2.0]),
-                                         np.array([-0.1, -0.1]))
+        (_, mult, scale), min_pivot, residual = self.factor([-0.1, -0.1], [2.0, 2.0, 2.0], [-0.1, -0.1])
+        assert (mult, scale) == (0.0, 1.0)
         assert min_pivot > 1.9
         assert residual < 1e-15
 
