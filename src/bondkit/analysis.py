@@ -294,7 +294,7 @@ def build_table(table_id: str, p: ModelParams = DEFAULT_PARAMS, *,
     meta = {
         "params": _params_text(p, _KEYS[:3]),
         "norm_interval": f"[0, {grid.r_max!r}] on the solver grid",
-        "solver_grid": f"n_space={cfg.n_space} n_time={cfg.n_time} r_max={float(cfg.r_max)!r}",
+        "solver_grid": f"n_space={cfg.n_space} n_time={cfg.n_time} r_max={cfg.r_max!r}",
         "comparison": "cw vs PDE solution (log prices)",
         "note": (
             "reference L2 values for this table are ~sqrt(2) above the trapezoid "
@@ -318,7 +318,7 @@ def _table3_grids(cfg: PdeConfig) -> list:
         if c.r_max < DEFAULT_NORM_GRID.r_max or np.count_nonzero(_norm_mask(np.linspace(0.0, c.r_max, c.n_space))) < 2:
             raise ValidationError(f"table 3 takes its norms on [0, 0.15], so a solve needs r_max >= 0.15 and two "
                                   f"nodes there; the {'desk' if c is cfg else 'companion'} grid has "
-                                  f"r_max={float(c.r_max)!r}, n_space={c.n_space}")
+                                  f"r_max={c.r_max!r}, n_space={c.n_space}")
     return cfgs
 
 

@@ -109,11 +109,10 @@ def _call(fn):
     every NumPy flag ignored: a call that raises a NumPy floating-point
     error, or a warning as an error, runs once more under
     ``np.errstate(all="ignore")``, as a scalar's Python floats ignore them.
-    The body gets the table's own parameters, ``p`` with any np.float64
-    field as a Python float, so the partials pde_residual's body hands its
-    table and parameters run on that table.  Given a caller's table, it
-    runs ``fn`` on that table, whose call checks the result; a table of
-    other parameters gets one of their own on the same rates."""
+    Past the maturity rule the body gets its maturity as a Python float.
+    Given a caller's table, it runs ``fn`` on that table, whose call checks
+    the result; a table of other parameters gets one of their own on the
+    same rates."""
     sig = inspect.signature(fn)
     what, names = fn.__name__, list(sig.parameters)
     rates, n = "r" in names, len(names)
@@ -130,7 +129,10 @@ def _call(fn):
                 r = _Powers(r.arr, r.what, args[ip], r._tau)
             return fn(*args[:ip], r.p, *args[ip + 1:-1], r)
         pows = _Powers(r if rates else 0.0, what, None if ip is None else args[ip], None if at is None else args[at])
-        try:  # (p, r) and (p, tau, r) bodies called by position: a star call costs a point 4-8 %
+        try:  # the maturity the rule passed as a Python float (an int past float range overflows)
+            if at is not None and type(args[at]) is not float:
+                args = (*args[:at], float(args[at]), *args[at + 1:])
+            # (p, r) and (p, tau, r) bodies called by position: a star call costs a point 4-8 %
             out = pows.result((fn(pows.p, args[1], pows) if n == 3 else fn(pows.p, pows) if n == 2
                                else fn(*args[:ip], pows.p, *args[ip + 1:-1], pows)) if rates else fn(*args))
         except (FloatingPointError, RuntimeWarning):
@@ -154,7 +156,7 @@ def b_factor(beta: float, tau: float) -> float:
     subnormal (below 2**-1022): there the rounded product has lost digits.
     Refused as out of float range where it overflows (beta > 0, long tau)."""
     if beta == 0 or abs(beta * tau) < 2.0**-1022:
-        return float(tau)
+        return tau
     return np.expm1(beta * tau) / beta
 
 
@@ -205,9 +207,8 @@ class _Kept:
     kept power, unless that entry has gone since: at worst
     4 x (1 + 4 x 32) x 16384 x 8 B = 64.5 MiB.
 
-    Per parameter set of four Python floats (a table takes NumPy float64
-    ones as the Python floats of their bits; other types might change a
-    result's bits): the last PARAMS sets keep a record under their bits, a
+    Per parameter set (four Python floats, as :class:`ModelParams` stores
+    them): the last PARAMS sets keep a record under their bits, a
     few KiB of monomial tables and their prefactors (:meth:`_Powers.sum`),
     keyed (terms, n, d), and, under each function's name, the batch of its
     calls at a positive finite scalar rate: the generic exponents they
@@ -266,17 +267,15 @@ class _Kept:
             del entries[next(iter(entries))]
 
     def key(self, p):
-        """The bits of p's four floats; False if one is not a float."""
-        a, b, s, g = p.alpha, p.beta, p.sigma, p.gamma
-        return type(a) is type(b) is type(s) is type(g) is float and self._pack(a, b, s, g)
+        """The bits of p's four floats."""
+        return self._pack(p.alpha, p.beta, p.sigma, p.gamma)
 
     def record(self, bits):
-        """The record kept under ``bits`` (for bits False, a new one kept nowhere)."""
-        out = self._params.get(bits) if bits else {}
+        """The record kept under ``bits``."""
+        out = self._params.get(bits)
         if out is None:
-            out = {}
             with self._lock:
-                self._put(self._params, bits, out, self.PARAMS)
+                self._put(self._params, bits, out := {}, self.PARAMS)
         return out
 
 
@@ -296,7 +295,7 @@ class _Powers(dict):
         if tau is not None:
             _check_maturity(tau)
         if p is not None and not type(p.alpha) is type(p.beta) is type(p.sigma) is type(p.gamma) is float:
-            p = ModelParams(*(float(x) if type(x) is np.float64 else x for x in (p.alpha, p.beta, p.sigma, p.gamma)))
+            raise ValidationError(f"{what}: parameters must be real numbers within float range")
         self.what, self.p, self._tau, self._bits, self._record, self._made = what, p, tau, None, None, None
         if type(r) is not float:
             r = np.asarray(r, dtype=float)
@@ -313,7 +312,7 @@ class _Powers(dict):
         return f"{self.what}: out of float range{at}"
 
     def bits(self):
-        """p's key bits (False if it has none)."""
+        """p's key bits."""
         if self._bits is None:
             self._bits = self._kept.key(self.p)
         return self._bits
@@ -335,15 +334,14 @@ class _Powers(dict):
     def entries(self):
         """The array's entries (False if not admitted), resolved once: the
         table then reads the kept copy of its rates, whose bytes are the key,
-        and, for p of four Python floats, the bundle kept under p's bits
-        (:meth:`term`), in one lookup."""
+        and the bundle kept under p's bits (:meth:`term`), in one lookup."""
         if self._entries is None:
             kept = 64 <= self.arr.size <= 16384 and self.arr.flags.c_contiguous and self._kept.admit(self.arr)
             self._entries = False
             if kept:
                 self.arr, self._entries = kept
                 self[1.0] = self.arr
-                self.update(kept[1].get(self.bits(), ()))  # p's bundle (none if p has no bits)
+                self.update(kept[1].get(self.bits(), ()))  # p's bundle
         return self._entries
 
     def __missing__(self, pw):
@@ -396,7 +394,7 @@ class _Powers(dict):
             out = self.get(make)
         if out is None:
             out = self[make] = make(self.p, self)
-            if self._entries is not False and self._bits:
+            if self._entries is not False:
                 self._made = self._made or {}
                 self._made[make] = out
         return out

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GammaMismatch, UnstableSolve, ValidationError
-from .model import ModelParams, _check_count, _check_maturity, _params_text, _write_csv, validate_params
+from .model import ModelParams, _check_count, _check_maturity, _params_text, _store_floats, _write_csv, validate_params
 
 __all__ = ["PdeConfig", "PdeSolution", "SolveDiagnostics", "solve"]
 
@@ -86,9 +86,10 @@ class PdeConfig:
     t_final: float = 1.0
 
     def __post_init__(self):
+        _store_floats(self, ("r_max", "t_final"))
         for name in ("r_max", "t_final"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+            if type(v := getattr(self, name)) is not float or not 0 < v < np.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
         for name, least in (("n_space", 3), ("n_time", 1)):
             _check_count(name, getattr(self, name), least)
 
@@ -131,8 +132,8 @@ class PdeSolution:
         p, c, d = self.params, self.config, self.diagnostics
         meta = {
             "params": _params_text(p),
-            "config": f"r_max={float(c.r_max)!r} n_space={c.n_space} n_time={c.n_time} "
-                      f"t_final={float(c.t_final)!r} theta=0.5 drift=central boundary_order=2",
+            "config": f"r_max={c.r_max!r} n_space={c.n_space} n_time={c.n_time} "
+                      f"t_final={c.t_final!r} theta=0.5 drift=central boundary_order=2",
             "diagnostics": f"steps={d.n_steps} rannacher={d.n_rannacher_steps} "
                            f"min_pivot={d.min_pivot!r} max_linear_residual={d.max_linear_residual!r}",
         }

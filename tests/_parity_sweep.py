@@ -8,7 +8,8 @@ comparing two source trees value bit for value bit and refusal for refusal.
 SRC is the directory that holds the ``bondkit`` package (a tree's ``src``).
 Each case is a public pricer, partials or coefficient function, or
 ``pde_residual`` with a partials, at a parameter set (Python floats, and
-one set each of np.float64 fields and of an int gamma), a maturity and a rate
+one set each of np.float64 fields, of an int gamma, of an np.int64 gamma,
+of np.float32 fields and of Fraction fields), a maturity and a rate
 input (scalar rates of 0, of 5e-324 to 1e30 and of inf, NaN and negative
 ones, 1501-node grids from 0 and from 1e-6, and grids with one NaN or
 negative rate).  It is called in each error mode, with NumPy's warnings
@@ -22,8 +23,10 @@ ignored (``ignore``), raised as errors (``error``) or with
 * ``cross``: for a function of a maturity, after the same call twice at
   another maturity, so that kept terms meet a maturity they were not made at.
 
-A record holds, item by item, the value's type, shape, SHA-256 of its bytes
-and writeable flag, or the refusal's type and message.  The file has one
+A case is labelled by the inputs it was given (a parameter set by the
+repr of each field as given, not by ``ModelParams``' repr), so the labels
+do not depend on the tree swept.  A record holds, item by item, the
+value's type, shape, SHA-256 of its bytes and writeable flag, or the refusal's type and message.  The file has one
 record per line in a fixed order, so two trees keep every bit and every
 refusal alike exactly when ``diff`` finds no line between their files.
 ``--compare`` reads two such files: it prints how many records changed
@@ -42,6 +45,7 @@ import hashlib
 import json
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 MODES = ("ignore", "error", "raise")
@@ -53,13 +57,14 @@ TAUS = (1.0, 354.0, 400.0, 1e52)
 
 def _cases(bk, np):
     """(label, call, tau or None) for every case; ``call(tau)`` runs it."""
-    P = bk.ModelParams
-    params = [P(0.00315, beta, sigma, gamma)
+    fields = [(0.00315, beta, sigma, gamma)
               for sigma, beta in ((0.0894, -0.0555), (1e100, -0.0555), (0.0894, 0.0), (0.0894, 2.0))
               for gamma in (0.0, 0.5, 0.75, 1.32)]
-    params.append(P(0.00315, -0.0555, 1e160, 0.75))  # q, the first nested term, overflows
-    # fields that are not Python floats: NumPy scalars, and an integer gamma
-    params += [P(*map(np.float64, (0.00315, -0.0555, 0.0894, 0.75))), P(0.00315, -0.0555, 0.0894, 1)]
+    fields.append((0.00315, -0.0555, 1e160, 0.75))  # q, the first nested term, overflows
+    # fields that are not Python floats: NumPy scalars, integer gammas and fractions
+    fields += [tuple(map(np.float64, (0.00315, -0.0555, 0.0894, 0.75))), (0.00315, -0.0555, 0.0894, 1),
+               (0.00315, -0.0555, 0.0894, np.int64(1)), tuple(map(np.float32, (0.00315, -0.0555, 0.0894, 1.32))),
+               tuple(map(Fraction, (0.00315, -0.0555, 0.0894, 0.75)))]
 
     def grid(low=0.0, bad=None):
         r = np.linspace(low, 0.15, 1501)
@@ -74,15 +79,18 @@ def _cases(bk, np):
     with_tau = (bk.cw_log_price, bk.cw_partials, bk.improved_log_price, bk.vasicek_log_price,
                 bk.vasicek_partials, bk.cir_log_price, bk.cir_partials)
     partials = (bk.cw_partials, bk.cir_partials, bk.vasicek_partials)
-    for p in params:
-        yield f"b_factor {p.beta!r}", lambda tau, p=p: bk.b_factor(p.beta, tau), TAUS
+    for given in fields:
+        p, beta = bk.ModelParams(*given), given[1]
+        # labelled by the reprs of its inputs, in ModelParams' keyword layout
+        label = f"ModelParams({', '.join(f'{k}={v!r}' for k, v in zip(('alpha', 'beta', 'sigma', 'gamma'), given))})"
+        yield f"b_factor {beta!r}", lambda tau, beta=beta: bk.b_factor(beta, tau), TAUS
         for name, r in rates.items():
             for fn in tau_free:
-                yield f"{fn.__name__} {p} {name}", lambda tau, fn=fn, p=p, r=r: fn(p, r), None
+                yield f"{fn.__name__} {label} {name}", lambda tau, fn=fn, p=p, r=r: fn(p, r), None
             for fn in with_tau:
-                yield f"{fn.__name__} {p} {name}", lambda tau, fn=fn, p=p, r=r: fn(p, tau, r), TAUS
+                yield f"{fn.__name__} {label} {name}", lambda tau, fn=fn, p=p, r=r: fn(p, tau, r), TAUS
             for f in partials:
-                yield (f"pde_residual {f.__name__} {p} {name}",
+                yield (f"pde_residual {f.__name__} {label} {name}",
                        lambda tau, f=f, p=p, r=r: bk.pde_residual(f, p, tau, r), TAUS)
 
 

@@ -4,6 +4,7 @@ import inspect
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -219,8 +220,8 @@ class TestPdeResidual:
             pde_residual(partials, p, 1.0, np.nan)
 
     def test_one_table_for_every_parameter_type(self, params, monkeypatch):
-        # np.float64 and int fields get one table per call too: each body
-        # runs on the table's own parameters, with the Python floats' bits
+        # np.float64 and int fields are stored as Python floats, so they get
+        # one table per call too, with the Python floats' bits
         built = []
         init = _Powers.__init__
         monkeypatch.setattr(_Powers, "__init__", lambda self, *args: built.append(args[1]) or init(self, *args))
@@ -1030,3 +1031,70 @@ class TestKeptTables:
         assert not any(t.is_alive() for t in threads)
         assert all([v.hex() for v in out] == [v.hex() for v in want] for out in got)
         assert len(self.records()) == _Powers._kept.PARAMS
+
+
+class TestFieldAndMaturityTypes:
+    """ModelParams stores real fields as Python floats, so parameters of any
+    real type price as those floats, bit for bit, on one path and one kept
+    record; a field that is not a real number within float range is refused
+    in the call's name.  A maturity of any real type prices as its Python
+    float once the maturity rule has passed it."""
+
+    P = ModelParams(0.00315, -0.0555, 0.0894, 1.0)
+    GRID = np.linspace(1e-6, 0.15, 101)
+    #: Fields of other real types, as given, and the parameter set of their Python floats.
+    FIELDS = {
+        "np.int64": (P.alpha, P.beta, P.sigma, np.int64(1)),
+        "np.float32": tuple(map(np.float32, (P.alpha, P.beta, P.sigma, 1.32))),
+        "Fraction": (Fraction(P.alpha), Fraction(P.beta), Fraction(P.sigma), Fraction(3, 4)),
+    }
+
+    @staticmethod
+    def bits(out):
+        return [np.asarray(v).tobytes() for v in (out if type(out) is tuple else (out,))]
+
+    @pytest.mark.parametrize("fn", [cw_log_price, improved_log_price, c6], ids=lambda fn: fn.__name__)
+    def test_fields_price_as_their_python_floats(self, fn):
+        for kind, fields in self.FIELDS.items():
+            p, want_p = ModelParams(*fields), ModelParams(*map(float, fields))
+            for r in (0.05, self.GRID):
+                args = (lambda q: (q, r)) if fn is c6 else (lambda q: (q, 1.0, r))
+                _Powers._kept.cache_clear()
+                want = self.bits(fn(*args(want_p)))
+                _Powers._kept.cache_clear()
+                assert [self.bits(fn(*args(p))) for _ in range(3)] == [want] * 3, kind  # cold, then warm
+
+    @pytest.mark.parametrize("v", ["0.05", None, 10**400], ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize("fn", [cw_log_price, improved_log_price, c6, cir_log_price, pde_residual],
+                             ids=lambda fn: fn.__name__)
+    def test_a_field_that_is_no_float_is_refused(self, fn, v):
+        p = ModelParams(v, -0.0555, 0.0894, 0.5)
+        args = (p, 0.05) if fn is c6 else (cw_partials, p, 1.0, 0.05) if fn is pde_residual else (p, 1.0, 0.05)
+        with pytest.raises(ValidationError, match=rf"^{fn.__name__}: parameters must be real numbers within float"):
+            fn(*args)
+
+    def test_a_warm_int_gamma_point_reads_its_record(self, params, monkeypatch):
+        # gamma = 1 is stored as 1.0: its first point keeps the record of
+        # gamma = 1.0, and a warm point reads it and makes no monomial table
+        p, kept = params.with_gamma(1), _Powers._kept
+        kept.cache_clear()
+        want = improved_log_price(params.with_gamma(1.0), 1.0, 0.05)
+        kept.cache_clear()
+        made = []
+        monomials = _Powers.monomials
+        monkeypatch.setattr(_Powers, "monomials", lambda table, *key: made.append(key) or monomials(table, *key))
+        assert improved_log_price(p, 1.0, 0.05).hex() == want.hex() and made
+        made.clear()
+        assert improved_log_price(p, 1.0, 0.05).hex() == want.hex()
+        assert made == [] and list(kept._params) == [kept.key(params.with_gamma(1.0))]
+
+    def test_a_maturity_prices_as_its_python_float(self, params):
+        gamma = {vasicek_log_price: 0.0, vasicek_partials: 0.0, cir_log_price: 0.5, cir_partials: 0.5}
+        for fn in (cw_log_price, cw_partials, improved_log_price, cir_log_price, cir_partials,
+                   vasicek_log_price, vasicek_partials):
+            p = params.with_gamma(gamma.get(fn, 1.32))
+            for tau in (np.float32(0.7), np.float16(0.7), np.int64(2), Fraction(7, 10)):
+                for r in (0.05, self.GRID):
+                    assert self.bits(fn(p, tau, r)) == self.bits(fn(p, float(tau), r)), (fn.__name__, tau)
+                if fn in (cw_partials, cir_partials, vasicek_partials):
+                    assert self.bits(pde_residual(fn, p, tau, 0.05)) == self.bits(pde_residual(fn, p, float(tau), 0.05))

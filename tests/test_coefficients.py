@@ -11,6 +11,7 @@ of the production code and act as frozen oracles:
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -223,8 +224,9 @@ def c6_table(p):
     r^{2 gamma} c5'', alpha c5', beta r c5' and k5, each over -gamma
     sigma^2/120, merged in exact arithmetic on p's floats by power
     j 2 gamma + m (formed from its pair (j, m)), each coefficient rounded
-    once and kept if not zero."""
-    q = ModelParams(*map(Fraction, (p.alpha, p.beta, p.sigma, p.gamma)))
+    once and kept if not zero.  The fractions live in a plain namespace:
+    ModelParams stores its fields as floats."""
+    q = SimpleNamespace(**{k: Fraction(getattr(p, k)) for k in ("alpha", "beta", "sigma", "gamma")})
     d1 = [(c * (j * 2 * q.gamma + m), j, m - 1) for c, j, m in _c5_terms(q)]
     d2 = [(c * (j * 2 * q.gamma + m), j, m - 1) for c, j, m in d1]
     merged = {}

@@ -1,6 +1,8 @@
 import io
 import re
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +11,13 @@ from bondkit import (
     LogPriceCurve,
     MaturityGrid,
     ModelParams,
+    PdeConfig,
     RateGrid,
     ValidationError,
     build_table,
     load_params,
     save_params,
+    solve,
     validate_params,
 )
 
@@ -54,6 +58,42 @@ class TestValidateParams:
         once = validate_params(params)
         twice = validate_params(once)
         assert twice is params
+
+
+#: One value of each real type other than float a caller may give a field, and the values
+#: that are not real numbers within float range.
+REALS = [1, True, np.int64(2), np.float16(0.7), np.float32(0.7), np.float64(0.7), Fraction(4, 3)]
+OTHERS = ["0.5", None, Decimal("0.5"), 10**400]
+
+
+class TestFieldType:
+    """A parameter is a Python float from construction: ModelParams stores
+    each real field, and PdeConfig its r_max and t_final, as the float of
+    its value.  Any other value is kept as given, and refused with
+    ValidationError by validate_params (so by solve) and by PdeConfig."""
+
+    @pytest.mark.parametrize("v", REALS, ids=lambda v: type(v).__name__)
+    def test_a_real_field_is_stored_as_its_float(self, v):
+        p, cfg = ModelParams(v, v, v, v), PdeConfig(r_max=v, t_final=v)
+        for got in (p.alpha, p.beta, p.sigma, p.gamma, cfg.r_max, cfg.t_final):
+            assert type(got) is float and got.hex() == float(v).hex()
+        assert p == ModelParams(*[float(v)] * 4) and repr(p) == repr(ModelParams(*[float(v)] * 4))
+
+    @pytest.mark.parametrize("v", OTHERS, ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize("field", ["alpha", "beta", "sigma", "gamma"])
+    def test_any_other_field_is_kept_and_refused(self, params, field, v):
+        p = replace(params, **{field: v})
+        assert getattr(p, field) is v
+        with pytest.raises(ValidationError, match=rf"^{field} must be a finite real number, got {re.escape(repr(v))}$"):
+            validate_params(p)
+        with pytest.raises(ValidationError, match=rf"^{field} must be a finite real number"):
+            solve(p, PdeConfig(n_space=11, n_time=8), [1.0])
+
+    @pytest.mark.parametrize("v", OTHERS, ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize("field", ["r_max", "t_final"])
+    def test_a_config_refuses_any_other_value(self, field, v):
+        with pytest.raises(ValidationError, match=rf"^{field} must be finite and > 0, got "):
+            PdeConfig(**{field: v})
 
 
 class TestRateGrid:

@@ -80,6 +80,18 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
             PdeConfig(**{field: bad})
 
+    def test_numpy_float_fields_solve_as_python_floats(self, params):
+        # r_max and t_final are stored as Python floats, so a float32 config
+        # builds the float64 grid and step of the Python floats
+        taus = [0.3, 1.0]
+        want, got = (solve(params, PdeConfig(r_max=v, n_space=41, n_time=20, t_final=t), taus)
+                     for v, t in ((0.5, 1.0), (np.float32(0.5), np.float32(1.0))))
+        assert got.rates.tobytes() == want.rates.tobytes() and got.log_prices.tobytes() == want.log_prices.tobytes()
+        bufs = io.StringIO(), io.StringIO()
+        for sol, buf in zip((want, got), bufs):
+            sol.to_csv(buf)
+        assert bufs[0].getvalue() == bufs[1].getvalue()
+
     def test_numpy_integer_grid_sizes_accepted(self):
         assert PdeConfig(n_space=np.int64(11), n_time=np.int32(4)).n_time == 4
 
